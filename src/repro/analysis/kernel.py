@@ -1,10 +1,11 @@
 """Stacked batched-solve kernel for MNA frequency sweeps.
 
 The paper's conclusion names extensive fault simulation as the cost of
-building the detectability matrix; profiling this reproduction shows the
-cost is not the O(n³) arithmetic but the *per-call overhead* of
-dispatching one small dense solve per (configuration, fault, frequency)
-triple from Python.  This module removes that overhead by batching:
+building the detectability matrix.  Every sweep solves the same pencil
+``G + jω_k C`` at every grid frequency, so this module assembles each
+sweep's stack in place, one real/imaginary plane at a time, and hands
+LAPACK whole stacks instead of one small dense solve per (configuration,
+fault, frequency) triple:
 
 * :func:`solve_requests` takes any number of :class:`SweepRequest`\\ s —
   each one an assembled ``(G, C)`` pencil plus a multi-column right-hand
@@ -125,21 +126,57 @@ def frequency_chunk(n: int) -> int:
     return max(1, int(STACK_BUDGET // max(n * n, 1)))
 
 
+def _fill_pencils(
+    out: np.ndarray, G: np.ndarray, C: np.ndarray, frequencies: np.ndarray
+) -> None:
+    """Write ``G + jω_k C`` into ``out[..., k, :, :]``, one plane at a time.
+
+    ``G`` and ``C`` are ``(n, n)`` or a ``(B, n, n)`` batch; ``out`` is
+    the matching complex ``(F, n, n)`` or ``(B, F, n, n)`` buffer.  The
+    real and imaginary planes are written in place, with no complex
+    temporaries, yet every entry is bit-identical to the historical
+    expression ``G[None] + (2jπf)[:, None, None] · C[None]`` for every
+    real pencil and every finite frequency ``f >= 0``.  That expression
+    promotes ``C`` to complex, so its product is
+    ``(0·c − ω·0) + j(0·0 + ω·c)``, and the sum with ``g + 0j`` adds
+    ``0.0`` to the imaginary part:
+
+    * real plane ``g + (0·c − 0)``: that is ``g`` itself unless ``c`` is
+      infinite or NaN (``0·∞`` is NaN) or ``g`` is −0.0 (folded to +0.0)
+      — neither occurs in an MNA pencil, which accumulates from +0.0,
+      but both are reproduced;
+    * imaginary plane ``ω·c + 0``: the ``+ 0`` only folds a −0.0
+      product to +0.0, so it runs only when one can occur — a sign-bit
+      ``c`` (negative or −0.0) whose product with the smallest ω
+      rounds to zero (``f = 0``, a −0.0 entry, or underflow).
+
+    NaN payloads are not part of the contract: where ``g`` is NaN and
+    ``c`` infinite the historical sum itself picks either NaN's sign.
+    """
+    omega = 2.0 * np.pi * frequencies
+    out.real[...] = (G + (0.0 * C - 0.0))[..., np.newaxis, :, :]
+    imag = out.imag
+    np.multiply(
+        omega[:, np.newaxis, np.newaxis], C[..., np.newaxis, :, :], out=imag
+    )
+    if omega.size and np.any(np.signbit(C) & (omega.min() * C == 0.0)):
+        imag += 0.0
+
+
 def assemble_stack(
     G: np.ndarray, C: np.ndarray, frequencies_hz: np.ndarray
 ) -> np.ndarray:
     """3-D stack ``G + jω_k C`` over a frequency vector (hertz).
 
-    Uses the exact arithmetic of the historical per-sweep assembly —
-    ``G[None] + (2jπf)[:, None, None] · C[None]`` — so stacked and loop
-    solves see bit-identical matrices.
+    Bit-identical to the historical per-sweep assembly
+    ``G[None] + (2jπf)[:, None, None] · C[None]`` (see
+    :func:`_fill_pencils`), so stacked and loop solves see the same
+    matrices.
     """
     frequencies = np.asarray(frequencies_hz, dtype=float)
-    return (
-        G[np.newaxis, :, :]
-        + (2j * np.pi * frequencies)[:, np.newaxis, np.newaxis]
-        * C[np.newaxis, :, :]
-    )
+    out = np.empty((frequencies.size,) + G.shape, dtype=complex)
+    _fill_pencils(out, G, C, frequencies)
+    return out
 
 
 @dataclass
@@ -282,23 +319,15 @@ def _solve_block(
                 request.rhs, (freqs.size,) + request.rhs.shape
             )
         else:
-            # One broadcast assembly for every request's stack — the
-            # in-place form ``(2jπf)·C`` then ``+= G`` is elementwise
-            # the same ``G + (2jπf)·C`` arithmetic as
-            # :func:`assemble_stack` (IEEE addition is commutative), so
-            # per-request assembly and this batched form remain
-            # bit-identical while allocating one workspace instead of
-            # three.
-            G_stack = np.stack([request.G for request in block])
-            C_stack = np.stack([request.C for request in block])
-            omega = (2j * np.pi * freqs)[
-                np.newaxis, :, np.newaxis, np.newaxis
-            ]
             matrices = np.empty(
                 (len(block), freqs.size, n, n), dtype=complex
             )
-            np.multiply(omega, C_stack[:, np.newaxis, :, :], out=matrices)
-            matrices += G_stack[:, np.newaxis, :, :]
+            _fill_pencils(
+                matrices,
+                np.stack([request.G for request in block]),
+                np.stack([request.C for request in block]),
+                freqs,
+            )
             matrices = matrices.reshape(len(block) * freqs.size, n, n)
             rhs = np.zeros(
                 (len(block), freqs.size, n, k_max), dtype=complex

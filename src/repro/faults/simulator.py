@@ -22,7 +22,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.ac import FrequencyResponse, ac_analysis
+from ..analysis.ac import FrequencyResponse
+from ..analysis.batched import ASSEMBLY_BUDGET, StampProgram
 from ..analysis.kernel import (
     KernelStats,
     SweepRequest,
@@ -31,12 +32,13 @@ from ..analysis.kernel import (
 )
 from ..analysis.mna import MnaSystem, shared_system
 from ..analysis.sweep import FrequencyGrid
+from ..circuit.components import TwoTerminal
 from ..core.detectability import DetectabilityResult, evaluate_detectability
 from ..core.matrix import FaultDetectabilityMatrix, OmegaDetectabilityTable
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
 from ..errors import AnalysisError, SingularCircuitError
-from .model import Fault
+from .model import DeviationFault, Fault
 from .universe import check_unique_names
 
 
@@ -208,90 +210,95 @@ def _sweep_values_from(
     return values
 
 
-def _stacked_requests(circuit, output: Optional[str], faults):
-    """Sweep entries for one configuration: nominal plus every fault.
+def _sweep_entries(
+    circuit, output: Optional[str], faults, assemble=MnaSystem
+):
+    """Sweep entries of one configuration: nominal, then every fault.
 
-    Returns ``(title, probe, out_index, request)`` tuples in the loop
-    engine's evaluation order — the nominal circuit first, then each
-    faulty variant — each with its own assembled MNA system.  A sweep
-    probing ground (``out_index < 0``) carries no request and later
-    yields zeros without solving, exactly like
-    :meth:`~repro.analysis.mna.MnaSystem.sweep_voltage`.  The nominal
-    system comes from the per-process :func:`shared_system` cache so
-    fault chunks of one campaign configuration share a single assembly.
+    Yields ``(title, probe, out_index, request)`` tuples lazily, in the
+    loop engine's evaluation order, so a per-fault error surfaces
+    exactly where per-fault simulation raises it.  ``assemble`` builds
+    the nominal :class:`MnaSystem`; the stacked kernel passes
+    :func:`shared_system` so fault chunks of one campaign configuration
+    share a single assembly.  A sweep probing ground
+    (``out_index < 0``) carries no request and later yields zeros
+    without solving, exactly like
+    :meth:`~repro.analysis.mna.MnaSystem.sweep_voltage`.
+
+    Every :class:`DeviationFault` on a value element is one factor row
+    of a single :class:`~repro.analysis.batched.StampProgram` over the
+    faulted components — ``1 + deviation`` for its own component, 1.0
+    elsewhere — which assembles each faulty ``(G, C)`` bit-identically
+    to ``MnaSystem(fault.apply(circuit))`` without re-stamping the
+    circuit.  Open, short and multiple faults, deviations of elements
+    that are missing or carry no value, and any element the program
+    rejects keep that per-fault assembly.
     """
-    entries = []
-    variants = [circuit] + [fault.apply(circuit) for fault in faults]
-    for variant in variants:
-        probe = output or variant.output
-        if probe is None:
-            raise AnalysisError(
-                f"{variant.title}: no output node designated for AC "
-                "analysis"
-            )
-        system = (
-            shared_system(variant)
-            if variant is circuit
-            else MnaSystem(variant)
+    probe = output or circuit.output
+    if probe is None:
+        raise AnalysisError(
+            f"{circuit.title}: no output node designated for AC analysis"
         )
-        out_index = system.index_of(probe)
-        request = system.sweep_request() if out_index >= 0 else None
-        entries.append((variant.title, probe, out_index, request))
-    return entries
+
+    def entry(system):
+        index = system.index_of(probe)
+        request = system.sweep_request() if index >= 0 else None
+        return system.circuit.title, probe, index, request
+
+    system = assemble(circuit)
+    yield entry(system)
+
+    rows = [
+        (index, fault)
+        for index, fault in enumerate(faults)
+        if type(fault) is DeviationFault
+        and fault.target in circuit
+        and isinstance(circuit[fault.target], TwoTerminal)
+    ]
+    components = list(dict.fromkeys(fault.target for _, fault in rows))
+    factors = np.ones((len(rows), len(components)))
+    for row, (_, fault) in enumerate(rows):
+        factors[row, components.index(fault.target)] = 1.0 + fault.deviation
+    try:
+        program = StampProgram(system, components) if rows else None
+    except AnalysisError:
+        rows = []
+    row_of = {index: row for row, (index, _) in enumerate(rows)}
+    batch = max(1, ASSEMBLY_BUDGET // system.size**2)
+    out_index = system.index_of(probe)
+
+    for index, fault in enumerate(faults):
+        row = row_of.get(index)
+        if row is None:
+            yield entry(MnaSystem(fault.apply(circuit)))
+        elif out_index < 0:
+            yield circuit.title, probe, out_index, None
+        else:
+            if row % batch == 0:
+                G_all, C_all = program.assemble(factors[row:row + batch])
+            yield circuit.title, probe, out_index, SweepRequest(
+                G=G_all[row % batch],
+                C=C_all[row % batch],
+                rhs=system.z,
+                title=circuit.title,
+            )
 
 
-def _responses_from_entries(
-    entries, outcomes, grid: FrequencyGrid
-) -> list:
-    """Frequency responses of one configuration's sweep entries.
+def _responses(entries, grid: FrequencyGrid, solve):
+    """Frequency response of every sweep entry, lazily and in order.
 
-    ``outcomes`` is an iterator over the kernel results of every entry
-    that carries a request; walking entries in order raises the first
-    error exactly where the loop engine would.
+    ``solve`` maps an entry's request to its kernel outcome; walking
+    entries in order raises the first error exactly where the loop
+    engine would.
     """
-    responses = []
     for title, probe, out_index, request in entries:
         if request is None:
             values = np.zeros(grid.frequencies_hz.shape, dtype=complex)
         else:
-            values = _sweep_values_from(next(outcomes), out_index, title)
-        responses.append(
-            FrequencyResponse(
-                grid=grid, values=values, label=f"{title}:V({probe})"
-            )
+            values = _sweep_values_from(solve(request), out_index, title)
+        yield FrequencyResponse(
+            grid=grid, values=values, label=f"{title}:V({probe})"
         )
-    return responses
-
-
-def _simulate_configuration_stacked(
-    circuit,
-    output: Optional[str],
-    faults: Sequence[Fault],
-    labels: Sequence[str],
-    setup: SimulationSetup,
-    stats: Optional[KernelStats] = None,
-) -> Tuple[FrequencyResponse, Dict[str, DetectabilityResult], int]:
-    """Stacked-kernel twin of :func:`simulate_configuration`.
-
-    The nominal and every faulty sweep of the configuration go through
-    one :func:`~repro.analysis.kernel.solve_requests` dispatch; results
-    are bit-identical to the loop path.
-    """
-    grid = setup.grid
-    entries = _stacked_requests(circuit, output, faults)
-    requests = [r for (_, _, _, r) in entries if r is not None]
-    outcomes = iter(solve_requests(requests, grid.frequencies_hz, stats))
-    responses = _responses_from_entries(entries, outcomes, grid)
-    nominal_response = responses[0]
-    results: Dict[str, DetectabilityResult] = {}
-    for label, faulty_response in zip(labels, responses[1:]):
-        results[label] = evaluate_detectability(
-            nominal_response,
-            faulty_response,
-            setup.epsilon,
-            setup.criterion,
-        )
-    return nominal_response, results, 1 + len(faults)
 
 
 def simulate_configuration(
@@ -310,31 +317,44 @@ def simulate_configuration(
     per work unit by the campaign engine — keeping both paths on the
     same code guarantees bit-identical results.
 
-    ``kernel="stacked"`` batches the nominal and every faulty sweep
-    into one stacked LAPACK dispatch (bit-identical results, far fewer
-    Python-level solve calls); ``stats`` accumulates the kernel's solve
-    and factorization counters when given.
+    ``kernel="loop"`` solves one sweep at a time; ``kernel="stacked"``
+    batches the nominal and every faulty sweep into one stacked LAPACK
+    dispatch (bit-identical results, far fewer Python-level solve
+    calls) and ``stats`` accumulates its solve and factorization
+    counters when given.
     """
+    frequencies = setup.grid.frequencies_hz
     if validate_kernel(kernel) == "stacked":
-        return _simulate_configuration_stacked(
-            circuit, output, faults, labels, setup, stats
+        entries = list(
+            _sweep_entries(circuit, output, faults, shared_system)
         )
-    nominal_response = ac_analysis(circuit, setup.grid, output=output)
-    n_solves = 1
-    results: Dict[str, DetectabilityResult] = {}
-    for fault, label in zip(faults, labels):
-        faulty_circuit = fault.apply(circuit)
-        faulty_response = ac_analysis(
-            faulty_circuit, setup.grid, output=output
+        outcomes = iter(
+            solve_requests(
+                [r for (_, _, _, r) in entries if r is not None],
+                frequencies,
+                stats,
+            )
         )
-        n_solves += 1
-        results[label] = evaluate_detectability(
+        responses = _responses(
+            entries, setup.grid, lambda _: next(outcomes)
+        )
+    else:
+        responses = _responses(
+            _sweep_entries(circuit, output, faults),
+            setup.grid,
+            lambda request: solve_requests([request], frequencies)[0],
+        )
+    nominal_response = next(responses)
+    results = {
+        label: evaluate_detectability(
             nominal_response,
             faulty_response,
             setup.epsilon,
             setup.criterion,
         )
-    return nominal_response, results, n_solves
+        for label, faulty_response in zip(labels, responses)
+    }
+    return nominal_response, results, 1 + len(faults)
 
 
 def _simulate_faults_stacked(
@@ -360,7 +380,12 @@ def _simulate_faults_stacked(
         emulated = mcc.emulate(config)
         output = setup.output or emulated.output or mcc.base.output
         per_config.append(
-            (config, _stacked_requests(emulated, output, faults))
+            (
+                config,
+                list(
+                    _sweep_entries(emulated, output, faults, shared_system)
+                ),
+            )
         )
 
     all_requests = [
@@ -377,7 +402,9 @@ def _simulate_faults_stacked(
     results: Dict[Tuple[int, str], DetectabilityResult] = {}
     n_solves = 0
     for config, entries in per_config:
-        responses = _responses_from_entries(entries, outcomes, grid)
+        responses = list(
+            _responses(entries, grid, lambda _: next(outcomes))
+        )
         nominal[config.index] = responses[0]
         n_solves += 1 + len(faults)
         for label, faulty_response in zip(labels, responses[1:]):
@@ -523,27 +550,18 @@ def simulate_single_configuration(
     labels = [
         _fault_label(fault, setup.fault_name_style) for fault in faults
     ]
-    output = setup.output or circuit.output
-    nominal_response = ac_analysis(circuit, setup.grid, output=output)
-    results: Dict[Tuple[int, str], DetectabilityResult] = {}
-    n_solves = 1
-    for fault, fault_label in zip(faults, labels):
-        faulty_response = ac_analysis(
-            fault.apply(circuit), setup.grid, output=output
-        )
-        n_solves += 1
-        results[(0, fault_label)] = evaluate_detectability(
-            nominal_response,
-            faulty_response,
-            setup.epsilon,
-            setup.criterion,
-        )
+    nominal_response, results, n_solves = simulate_configuration(
+        circuit, setup.output or circuit.output, faults, labels, setup
+    )
     config = Configuration(0, 1)
     return DetectabilityDataset(
         configs=(config,),
         fault_labels=tuple(labels),
         setup=setup,
         nominal={0: nominal_response},
-        results=results,
+        results={
+            (0, fault_label): result
+            for fault_label, result in results.items()
+        },
         n_solves=n_solves,
     )

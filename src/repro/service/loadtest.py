@@ -113,12 +113,13 @@ def build_mix(
 ) -> List[Tuple[str, dict]]:
     """The deterministic job list for one load-test run.
 
-    The weighted mix entries are cycled ``n_jobs`` times; each repeat
-    of an entry gets the next parameter variant (ε for faultsim and
-    diagnose, the percentile for tolerance) so the run exercises
-    several distinct job identities per kind, and the final order is a
-    seeded shuffle.  Same ``(mix, n_jobs, seed)`` → byte-identical
-    list, every time, on every machine.
+    The weighted mix entries are cycled ``n_jobs`` times; each emitted
+    copy of an entry gets that entry's next parameter variant (ε for
+    faultsim and diagnose, the percentile for tolerance), so an entry
+    repeats a job identity only once it has used all its variants — a
+    pass over the weighted entries holds no duplicates — and the final
+    order is a seeded shuffle.  Same ``(mix, n_jobs, seed)`` →
+    byte-identical list, every time, on every machine.
     """
     if mix not in MIXES:
         raise ServiceError(
@@ -127,14 +128,16 @@ def build_mix(
     if n_jobs < 1:
         raise ServiceError(f"n_jobs must be >= 1, got {n_jobs}")
     weighted = [
-        (kind, params)
-        for kind, params, weight in MIXES[mix]
+        (entry, kind, params)
+        for entry, (kind, params, weight) in enumerate(MIXES[mix])
         for _ in range(weight)
     ]
+    emitted = [0] * len(MIXES[mix])
     jobs: List[Tuple[str, dict]] = []
     for index in range(n_jobs):
-        kind, base = weighted[index % len(weighted)]
-        variant = index // len(weighted)
+        entry, kind, base = weighted[index % len(weighted)]
+        variant = emitted[entry]
+        emitted[entry] += 1
         params = dict(base)
         if kind == "tolerance":
             params["percentile"] = _PERCENTILES[

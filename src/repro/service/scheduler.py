@@ -328,10 +328,10 @@ class JobScheduler:
         if job.cacheable and self.runtime.job_cache is not None:
             record = self.runtime.job_cache.get(job.key)
         if record is not None:
-            job.state = DONE
             job.result = record.result
             job.from_cache = True
             job.started_at = job.finished_at = time.time()
+            job.state = DONE
             with self._lock:
                 self._remember(job)
             return job
@@ -499,9 +499,9 @@ class JobScheduler:
                     self._queue.remove(job)
                 except ValueError:
                     pass
-                job.state = CANCELLED
                 job.finished_at = time.time()
                 job.error = "cancelled while queued"
+                job.state = CANCELLED
                 self._idle.notify_all()
                 return job
         # running: flip the flag; the job observes it between units
@@ -533,9 +533,9 @@ class JobScheduler:
             if not drain:
                 while self._queue:
                     job = self._queue.popleft()
-                    job.state = CANCELLED
                     job.finished_at = time.time()
                     job.error = "cancelled by shutdown"
+                    job.state = CANCELLED
                 running = list(self._running.values())
             else:
                 running = []
@@ -596,12 +596,12 @@ class JobScheduler:
                     job = self._queue.popleft()
                     now = time.monotonic()
                     if job.deadline is not None and now > job.deadline:
-                        job.state = FAILED
+                        job.started_at = job.finished_at = time.time()
                         job.error = (
                             "timeout: job expired while queued "
                             "(budget starts at submission)"
                         )
-                        job.started_at = job.finished_at = time.time()
+                        job.state = FAILED
                         self._idle.notify_all()
                         continue
                     job.state = RUNNING
@@ -629,37 +629,39 @@ class JobScheduler:
         job.executor = lease  # None -> units run serially in this thread
         try:
             telemetry.checkpoint()
-            result = execute_job(job, self.runtime, telemetry)
+            job.result = execute_job(job, self.runtime, telemetry)
+            state = DONE
         except JobCancelledError as exc:
-            job.state = CANCELLED
-            job.error = str(exc)
+            state, job.error = CANCELLED, str(exc)
         except JobTimeoutError as exc:
-            job.state = FAILED
-            job.error = f"timeout: {exc}"
+            state, job.error = FAILED, f"timeout: {exc}"
         except ReproError as exc:
-            job.state = FAILED
-            job.error = f"{type(exc).__name__}: {exc}"
+            state, job.error = FAILED, f"{type(exc).__name__}: {exc}"
         except Exception as exc:  # noqa: BLE001 — jobs must not kill the worker
-            job.state = FAILED
-            job.error = f"{type(exc).__name__}: {exc}"
-        else:
-            job.result = result
-            job.state = DONE
-            if job.cacheable and self.runtime.job_cache is not None:
-                try:
-                    self.runtime.job_cache.put(
-                        job.key,
-                        JobRecord(
-                            key=job.key,
-                            kind=job.kind,
-                            params=job.params,
-                            result=result,
-                            wall_s=job.wall_s,
-                        ),
-                    )
-                except OSError:
-                    pass  # a full/read-only disk must not fail the job
+            state, job.error = FAILED, f"{type(exc).__name__}: {exc}"
         finally:
-            job.finished_at = time.time()
             self.runtime.lease_pool.release(lease)
             telemetry.close()
+        # Readers poll without the lock, so the terminal state is
+        # published last: no view may show it without finished_at, and
+        # a resubmission made after it must find the cached record.
+        job.finished_at = time.time()
+        if (
+            state == DONE
+            and job.cacheable
+            and self.runtime.job_cache is not None
+        ):
+            try:
+                self.runtime.job_cache.put(
+                    job.key,
+                    JobRecord(
+                        key=job.key,
+                        kind=job.kind,
+                        params=job.params,
+                        result=job.result,
+                        wall_s=job.wall_s,
+                    ),
+                )
+            except OSError:
+                pass  # a full/read-only disk must not fail the job
+        job.state = state

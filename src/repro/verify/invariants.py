@@ -32,6 +32,12 @@ definitions and from physics:
   the loop engine's detectability matrix, ω-table and nominal sweeps
   **exactly** — zero tolerance, for both the standard and the fast
   engine.
+* **assembly ≡ scalar reference** — the production dataset (plane-by-
+  plane pencil fill, one stamp program per configuration's deviation
+  faults) equals a scalar reference that re-stamps every faulty
+  circuit, assembles ``G + jωC`` with the historical complex expression
+  and solves each sweep with one ``numpy.linalg.solve`` — zero
+  tolerance.
 * **tolerance stacked ≡ loop** — the ε-calibration analyses obey the
   same contract: Monte Carlo deviations
   (:func:`~repro.analysis.montecarlo.monte_carlo_tolerance`) and corner
@@ -50,14 +56,19 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.ac import ac_analysis
+from ..analysis.ac import FrequencyResponse, ac_analysis
+from ..analysis.mna import MnaSystem
 from ..analysis.sweep import FrequencyGrid
 from ..core.baselines import exact_minimum_strategy, greedy_strategy
 from ..core.covering import verify_cover
 from ..core.detectability import detection_intervals, evaluate_detectability
 from ..dft.configuration import Configuration
 from ..faults.model import DeviationFault, Fault, OpenFault, ShortFault
-from ..faults.simulator import DetectabilityDataset, simulate_faults
+from ..faults.simulator import (
+    DetectabilityDataset,
+    _fault_label,
+    simulate_faults,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .generators import VerifyCase
@@ -645,6 +656,18 @@ def _dataset_delta(reference, candidate) -> Optional[Tuple[str, float]]:
                 f"nominal sweep differs in configuration {index}",
                 float(np.max(delta)),
             )
+    # the peak deviation is continuous in the faulty sweep, so it
+    # exposes a last-bit difference that no verdict or ω cell shows
+    for key, result in reference.results.items():
+        other = candidate.results[key].max_deviation
+        if other != result.max_deviation and not (
+            np.isnan(other) and np.isnan(result.max_deviation)
+        ):
+            return (
+                f"peak deviation of {key[1]} differs in configuration "
+                f"{key[0]}",
+                abs(other - result.max_deviation),
+            )
     return None
 
 
@@ -705,6 +728,93 @@ def check_stacked_kernel(
                 )
             )
     return mismatches
+
+
+def reference_dataset(
+    mcc, faults, setup, configs
+) -> DetectabilityDataset:
+    """Scalar reference of :func:`~repro.faults.simulator.simulate_faults`.
+
+    Re-stamps every variant as ``MnaSystem(fault.apply(emulated))``,
+    assembles its sweep with the historical complex expression
+    ``G[None] + (2jπf)[:, None, None] · C[None]`` and solves it with one
+    ``numpy.linalg.solve`` — none of the production path's plane fill,
+    stamp-program replay, request stacking or frequency chunking.
+    """
+    grid = setup.grid
+    frequencies = grid.frequencies_hz
+    labels = [_fault_label(f, setup.fault_name_style) for f in faults]
+
+    def sweep(circuit, probe):
+        system = MnaSystem(circuit)
+        matrices = (
+            system.G[np.newaxis]
+            + (2j * np.pi * frequencies)[:, np.newaxis, np.newaxis]
+            * system.C[np.newaxis]
+        )
+        rhs = np.broadcast_to(
+            system.z[:, np.newaxis], (frequencies.size, system.size, 1)
+        )
+        index = system.index_of(probe)
+        values = (
+            np.linalg.solve(matrices, rhs)[:, index, 0]
+            if index >= 0
+            else np.zeros(frequencies.shape, dtype=complex)
+        )
+        return FrequencyResponse(grid=grid, values=values)
+
+    nominal, results = {}, {}
+    for config in configs:
+        emulated = mcc.emulate(config)
+        probe = setup.output or emulated.output or mcc.base.output
+        nominal[config.index] = sweep(emulated, probe)
+        for fault, label in zip(faults, labels):
+            results[(config.index, label)] = evaluate_detectability(
+                nominal[config.index],
+                sweep(fault.apply(emulated), probe),
+                setup.epsilon,
+                setup.criterion,
+            )
+    return DetectabilityDataset(
+        configs=tuple(configs),
+        fault_labels=tuple(labels),
+        setup=setup,
+        nominal=nominal,
+        results=results,
+    )
+
+
+def check_assembly(
+    case: "VerifyCase",
+    dataset: DetectabilityDataset,
+    tol: Optional["Tolerances"] = None,
+) -> List:
+    """The production assembly reproduces :func:`reference_dataset` exactly.
+
+    The Definition 1 matrix, the ω-table, every nominal sweep and every
+    peak deviation of the supplied dataset must equal the scalar
+    reference's bit for bit — tolerance 0.
+    """
+    reference = reference_dataset(
+        case.mcc(), list(case.faults), case.setup, dataset.configs
+    )
+    delta = _dataset_delta(reference, dataset)
+    if delta is None:
+        return []
+    what, error = delta
+    return [
+        _mismatch(
+            check="invariant-assembly",
+            circuit=case.name,
+            config="standard",
+            fault=None,
+            frequency_hz=None,
+            error=error,
+            tolerance=0.0,
+            seed=case.seed,
+            detail=f"production assembly deviates from the reference: {what}",
+        )
+    ]
 
 
 def check_tolerance_kernel(
@@ -943,6 +1053,7 @@ def run_invariants(
     mismatches += check_ndetect_reduction(case, dataset, tol)
     mismatches += check_ndetect_supersets(case, dataset, tol)
     mismatches += check_stacked_kernel(case, dataset, tol)
+    mismatches += check_assembly(case, dataset, tol)
     mismatches += check_tolerance_kernel(case, tol)
     mismatches += check_trajectory_oracle(case, tol)
     n_checks = (
@@ -954,6 +1065,7 @@ def run_invariants(
         + 2  # cover strategies
         + 2  # n-detect: n=1 reduction + superset ladder
         + 2  # stacked == loop, standard + fast engines
+        + 1  # production assembly == scalar reference
         + 2  # tolerance stacked == loop, Monte Carlo + corners
         + 2  # trajectory == fault simulator, loop + stacked builds
     )

@@ -7,6 +7,7 @@ grouped, padded or chunked into LAPACK dispatches.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analysis import kernel as kernel_module
 from repro.analysis.kernel import (
@@ -39,6 +40,45 @@ def reference_solution(request, frequencies):
         matrix = request.G + (2j * np.pi * f) * request.C
         out[idx] = np.linalg.solve(matrix, request.rhs)
     return out
+
+
+def historical_stack(G, C, frequencies):
+    """The complex-temporary assembly the plane-by-plane fill replaced."""
+    return (
+        G[np.newaxis]
+        + (2j * np.pi * frequencies)[:, np.newaxis, np.newaxis]
+        * C[np.newaxis]
+    )
+
+
+def bits(array):
+    """Raw IEEE bits, so signed zeros and NaN placement count."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@st.composite
+def accumulated_pencils(draw, n=None):
+    """A real pencil stamped the way MnaSystem stamps: ``+=`` from +0.0.
+
+    Stamps span ±1e300 and include ±0.0 and subnormals, so cancellation,
+    underflow and signed-zero stamps all occur.
+    """
+    n = draw(st.integers(1, 4)) if n is None else n
+    stamps = st.floats(min_value=-1e300, max_value=1e300)
+    G = np.zeros((n, n))
+    C = np.zeros((n, n))
+    for _ in range(draw(st.integers(0, 3 * n * n))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        G[i, j] += draw(stamps)
+        C[i, j] += draw(stamps)
+    return G, C
+
+
+#: frequency vectors including DC and subnormal frequencies
+frequency_vectors = st.lists(
+    st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=6
+).map(np.array)
 
 
 class TestValidation:
@@ -78,6 +118,57 @@ class TestAssembly:
         assert stack.shape == (3, 4, 4)
         for k, f in enumerate(frequencies):
             assert np.array_equal(stack[k], G + (2j * np.pi * f) * C)
+
+    @given(accumulated_pencils(), frequency_vectors)
+    def test_plane_fill_is_bitwise_historical(self, pencil, frequencies):
+        G, C = pencil
+        with np.errstate(over="ignore"):  # both overflow to the same inf
+            stack = assemble_stack(G, C, frequencies)
+            expected = historical_stack(G, C, frequencies)
+        assert np.array_equal(bits(stack), bits(expected))
+
+    @given(st.integers(1, 4), st.data())
+    def test_batched_fill_matches_per_pencil(self, n, data):
+        pencils = [data.draw(accumulated_pencils(n)) for _ in range(3)]
+        frequencies = data.draw(frequency_vectors)
+        out = np.empty((3, frequencies.size, n, n), dtype=complex)
+        with np.errstate(over="ignore"):
+            kernel_module._fill_pencils(
+                out,
+                np.stack([G for G, _ in pencils]),
+                np.stack([C for _, C in pencils]),
+                frequencies,
+            )
+            expected = [
+                historical_stack(G, C, frequencies) for G, C in pencils
+            ]
+        for b in range(3):
+            assert np.array_equal(bits(out[b]), bits(expected[b]))
+
+    @pytest.mark.parametrize(
+        "g, c",
+        [
+            (-0.0, 0.0),  # −0.0 in G: the complex sum folded it to +0.0
+            (-0.0, 2.0),
+            (-0.0, -2.0),  # ... but not next to a negative c
+            (1.0, -0.0),  # −0.0 in C: ω·(−0.0) folded to +0.0
+            (0.0, -0.0),
+            (1.0, np.inf),  # 0·∞ made the real part NaN
+            (-3.0, -np.inf),
+            (-0.0, np.inf),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "frequencies", [[1.0, 1e3], [0.0, 50.0], [5e-324]]
+    )
+    def test_signed_zero_and_infinite_entries(self, g, c, frequencies):
+        G = np.array([[g, 1.0], [0.5, 2.0]])
+        C = np.array([[c, -1e-9], [0.0, 1e-9]])
+        frequencies = np.array(frequencies)
+        with np.errstate(invalid="ignore"):  # 0·∞
+            stack = assemble_stack(G, C, frequencies)
+            expected = historical_stack(G, C, frequencies)
+        assert np.array_equal(bits(stack), bits(expected))
 
     def test_frequency_chunk_bounds_workspace(self):
         assert frequency_chunk(1) == kernel_module.STACK_BUDGET

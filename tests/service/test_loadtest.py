@@ -3,6 +3,7 @@ end-to-end closed-loop run against an in-process multi-worker server.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -53,6 +54,14 @@ class TestBuildMix:
             if kind == "faultsim"
         }
         assert len(faultsim_epsilons) == 3
+
+    def test_one_pass_over_the_weighted_entries_has_no_duplicates(self):
+        """Every copy of a weighted entry takes its own variant, so no
+        job of one pass is a cache hit for another."""
+        for mix, entries in MIXES.items():
+            n_jobs = sum(weight for _, _, weight in entries)
+            jobs = build_mix(mix, n_jobs=n_jobs, seed=0)
+            assert len({repr(job) for job in jobs}) == n_jobs, mix
 
     def test_rejects_unknown_mix_and_bad_count(self):
         with pytest.raises(ServiceError):
@@ -215,8 +224,15 @@ class TestBounded429Retries:
             port=0, workers=1, queue_limit=1, retry_after_s=0.05
         ).start()
         try:
-            # saturate: one running (blocked) + one queued = queue full
-            service.scheduler.submit("verify", {"circuits": [], "seed": 1})
+            # saturate: one running (blocked) + one queued = queue full;
+            # job 1 must leave the queue before job 2 can take its slot
+            running = service.scheduler.submit(
+                "verify", {"circuits": [], "seed": 1}
+            )
+            deadline = time.monotonic() + 10.0
+            while running.state != jobs_module.RUNNING:
+                assert time.monotonic() < deadline, running.state
+                time.sleep(0.01)
             service.scheduler.submit("verify", {"circuits": [], "seed": 2})
 
             report = run_loadtest(

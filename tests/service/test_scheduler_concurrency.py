@@ -67,7 +67,8 @@ class TestWorkerPool:
 
     def test_busy_count_tracks_running_jobs(self, runtime, monkeypatch):
         release = threading.Event()
-        started = threading.Barrier(2, timeout=10.0)
+        # two runners plus this thread meet at the barrier
+        started = threading.Barrier(3, timeout=10.0)
 
         def runner(job, rt, telemetry):
             started.wait()
@@ -84,6 +85,45 @@ class TestWorkerPool:
             release.set()
             assert scheduler.wait_idle(timeout=10.0)
             assert scheduler.busy_count() == 0
+        finally:
+            release.set()
+            scheduler.shutdown(drain=False, timeout=5.0)
+
+
+class TestTerminalViews:
+    def test_terminal_view_always_carries_finished_at(
+        self, runtime, monkeypatch
+    ):
+        """A poll landing while the job record is written must not see
+        a terminal state without its end time, and the stored record's
+        wall time must be the job's final one."""
+        stub_runner(monkeypatch, lambda job, rt, telemetry: {"ok": True})
+        entered, release = threading.Event(), threading.Event()
+        put = runtime.job_cache.put
+        records = []
+
+        def blocking_put(key, record):
+            records.append(record)
+            entered.set()
+            release.wait(timeout=10.0)
+            put(key, record)
+
+        monkeypatch.setattr(runtime.job_cache, "put", blocking_put)
+        scheduler = JobScheduler(runtime, queue_limit=8, workers=1)
+        try:
+            job = scheduler.submit("verify", verify_params(21))
+            assert entered.wait(timeout=10.0)
+            views = [job.to_api() for _ in range(50)]
+            release.set()
+            assert scheduler.wait_idle(timeout=10.0)
+            views.append(job.to_api())
+            terminal = [
+                v for v in views if v["state"] in (DONE, FAILED, CANCELLED)
+            ]
+            assert terminal and terminal[-1]["state"] == DONE
+            for view in terminal:
+                assert view["finished_at"] is not None, view
+            assert records[0].wall_s == job.wall_s
         finally:
             release.set()
             scheduler.shutdown(drain=False, timeout=5.0)

@@ -130,6 +130,7 @@ class TestNdetectInvariants:
         _, n_checks = run_invariants(small_case, small_dataset)
         base = (
             2 + 3 + 2 + 2 + 2 + 2 + 2 + 2
+            + 1  # assembly == scalar reference
             + 2 * len(small_dataset.configs)
             * len(small_dataset.fault_labels)
         )

@@ -1,4 +1,4 @@
-"""Campaign engine benchmarks: serial vs parallel vs cache vs kernels.
+"""Campaign engine benchmarks: serial vs parallel vs cache vs engines.
 
 Measures the execution paths on the biggest library circuit (the
 5-opamp FLF filter: 31 configurations x 17 faults) and records the
@@ -6,19 +6,15 @@ timings as JSON — in each bench's ``extra_info``, as a printed summary
 line, and as a ``BENCH_campaign.json`` artifact next to this file
 (machine spec and commit hash included) that CI uploads.
 
-Engine/kernel matrix covered:
+Paths covered:
 
-* ``serial``        — the seed per-configuration path: one standard
-  work unit per configuration, per-frequency sweeps dispatched one
-  variant at a time (``kernel="loop"``);
+* ``serial``        — the per-configuration path: one standard work
+  unit per configuration, one stacked LAPACK dispatch per sweep;
 * ``parallel``      — the same units fanned over a process pool;
 * ``warm_cache``    — a fully cached re-run (zero AC solves);
-* ``stacked``       — the standard engine on the stacked kernel: every
-  (configuration × variant × frequency) matrix batched into shared
-  LAPACK dispatches;
-* ``fast_stacked``  — the Sherman–Morrison engine on the stacked
-  kernel; the full optimized pipeline and the source of the headline
-  speedup (the acceptance floor is 3x over ``serial``).
+* ``fast``          — the Sherman–Morrison engine: one multi-RHS sweep
+  per configuration; the source of the headline speedup (the
+  acceptance floor is 3x over ``serial``).
 
 The parallel executor is adaptive: it fans out in worker-process
 batches where cores exist and runs in-process on a single effective
@@ -200,53 +196,28 @@ def test_bench_campaign_warm_cache(benchmark, flf_plan, tmp_path):
     assert speedup > 1.5, f"warm-cache speedup {speedup:.2f}x"
 
 
-def test_bench_campaign_stacked(benchmark, flf):
-    """Standard engine, stacked kernel: one batched dispatch sequence
-    covering every (configuration x variant x frequency) matrix."""
-    mcc, faults, setup = flf
-    stacked_plan = plan_campaign(mcc, faults, setup, kernel="stacked")
-    dataset = benchmark.pedantic(
-        execute_plan,
-        args=(stacked_plan,),
-        kwargs={"executor": SerialExecutor()},
-        rounds=ROUNDS,
-        iterations=1,
-    )
-    RECORD["stacked_s"] = benchmark.stats.stats.min
+def test_bench_campaign_fast(benchmark, flf):
+    """The Sherman-Morrison engine.
 
-    assert _identical(_tables(dataset), RECORD["tables"])
-    assert dataset.n_factorizations > 0
-
-    speedup = RECORD["serial_s"] / RECORD["stacked_s"]
-    benchmark.extra_info["speedup_vs_serial"] = round(speedup, 2)
-    if not SMOKE:
-        # The stacked kernel must never regress the loop path.
-        assert speedup > 0.9, f"stacked kernel slowdown: {speedup:.2f}x"
-
-
-def test_bench_campaign_fast_stacked(benchmark, flf):
-    """The full optimized pipeline: Sherman-Morrison + stacked kernel.
-
-    This is the acceptance benchmark: >= 3x wall-clock over the seed
+    This is the acceptance benchmark: >= 3x wall-clock over the
     per-configuration serial path on the leapfrog campaign.
     """
     mcc, faults, setup = flf
     dataset = benchmark.pedantic(
         simulate_faults_fast,
         args=(mcc, faults, setup),
-        kwargs={"kernel": "stacked"},
         rounds=ROUNDS,
         iterations=1,
     )
-    RECORD["fast_stacked_s"] = benchmark.stats.stats.min
+    RECORD["fast_s"] = benchmark.stats.stats.min
 
     assert _identical(_tables(dataset), RECORD["tables"])
 
-    speedup = RECORD["serial_s"] / RECORD["fast_stacked_s"]
+    speedup = RECORD["serial_s"] / RECORD["fast_s"]
     benchmark.extra_info["speedup_vs_serial"] = round(speedup, 2)
     floor = 2.0 if SMOKE else 3.0
     assert speedup >= floor, (
-        f"fast+stacked speedup {speedup:.2f}x < {floor}x floor"
+        f"fast engine speedup {speedup:.2f}x < {floor}x floor"
     )
 
 
@@ -273,8 +244,7 @@ def _machine_spec():
 
 def test_bench_campaign_record(flf_plan):
     """Fold the measured timings into the BENCH_campaign.json artifact."""
-    required = ("serial_s", "parallel_s", "warm_s", "stacked_s",
-                "fast_stacked_s")
+    required = ("serial_s", "parallel_s", "warm_s", "fast_s")
     missing = [k for k in required if k not in RECORD]
     if missing:
         pytest.skip(f"benches did not run: {missing}")
@@ -290,8 +260,7 @@ def test_bench_campaign_record(flf_plan):
         "serial_s": round(serial, 4),
         "parallel_s": round(RECORD["parallel_s"], 4),
         "warm_cache_s": round(RECORD["warm_s"], 4),
-        "stacked_s": round(RECORD["stacked_s"], 4),
-        "fast_stacked_s": round(RECORD["fast_stacked_s"], 4),
+        "fast_s": round(RECORD["fast_s"], 4),
         # full mode records the drift-immune interleaved-pair ratio;
         # smoke falls back to the raw (noisier) cross-bench ratio
         "parallel_speedup": round(
@@ -301,10 +270,7 @@ def test_bench_campaign_record(flf_plan):
             2,
         ),
         "cache_speedup": round(serial / RECORD["warm_s"], 1),
-        "stacked_speedup": round(serial / RECORD["stacked_s"], 2),
-        "fast_stacked_speedup": round(
-            serial / RECORD["fast_stacked_s"], 2
-        ),
+        "fast_speedup": round(serial / RECORD["fast_s"], 2),
         "machine": _machine_spec(),
     }
     out_path = os.path.join(

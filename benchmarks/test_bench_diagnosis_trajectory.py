@@ -1,4 +1,4 @@
-"""Trajectory-dictionary benchmarks: build kernels and match latency.
+"""Trajectory-dictionary benchmarks: build and match latency.
 
 Measures the parametric-diagnosis subsystem on a catalog circuit and
 records the timings as JSON — in each bench's ``extra_info``, as a
@@ -8,22 +8,18 @@ CI uploads.
 
 Paths covered:
 
-* ``loop``     — the reference build: one ``fault.apply`` rebuild plus
-  one per-frequency sweep per (configuration, component, deviation)
-  trajectory point;
-* ``parallel`` — the same loop build fanned out one campaign unit per
+* ``serial``   — the build on a :class:`SerialExecutor`: one
+  stamp-program replay per configuration assembling the whole
+  deviation family's ``G + jωC`` pencils, one stacked LAPACK dispatch
+  per trajectory-point sweep;
+* ``parallel`` — the same build fanned out one campaign unit per
   configuration over a two-worker :class:`ParallelExecutor`;
-* ``stacked``  — the batched kernel: one stamp-program replay per
-  configuration building the whole deviation family's ``G + jωC``
-  stacks, solved in shared LAPACK dispatches.  The acceptance floor is
-  3x over ``loop``;
 * ``match``    — nearest-trajectory location of a seeded fault against
   the pre-built dictionary (pure numpy scoring, no solves).
 
 ``BENCH_SMOKE=1`` shrinks the deviation grid and rounds so CI can
-afford the run; the speedup floor relaxes (small stacks amortise less
-assembly) while the correctness assertion — bit-identical dictionaries
-across kernels — stays strict.
+afford the run; the correctness assertion — bit-identical dictionaries
+across executors — stays strict.
 """
 
 import json
@@ -46,7 +42,7 @@ from repro.diagnosis import (
 )
 from repro.faults import DeviationFault
 
-#: CI smoke mode: fewer deviations, single round, relaxed speedup floor
+#: CI smoke mode: fewer deviations, single round
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 CIRCUIT = "sallen_key"
@@ -72,13 +68,9 @@ def workload():
     return mcc, grid, deviation_grid(span=SPAN, steps=STEPS)
 
 
-def _build(mcc, grid, deviations, kernel, executor=None):
+def _build(mcc, grid, deviations, executor):
     return run_diagnosis_campaign(
-        mcc,
-        grid,
-        deviations=deviations,
-        kernel=kernel,
-        executor=executor or SerialExecutor(),
+        mcc, grid, deviations=deviations, executor=executor
     )
 
 
@@ -92,16 +84,16 @@ def _assert_dictionaries_equal(a, b):
         assert np.array_equal(response.values, b.responses[key].values)
 
 
-def test_bench_trajectory_loop(benchmark, workload):
+def test_bench_trajectory_serial(benchmark, workload):
     mcc, grid, deviations = workload
     dictionary = benchmark.pedantic(
         _build,
-        args=(mcc, grid, deviations, "loop"),
+        args=(mcc, grid, deviations, SerialExecutor()),
         rounds=ROUNDS,
         warmup_rounds=WARMUP,
         iterations=1,
     )
-    RECORD["loop_s"] = benchmark.stats.stats.min
+    RECORD["serial_s"] = benchmark.stats.stats.min
     RECORD["dictionary"] = dictionary
     benchmark.extra_info["points"] = dictionary.n_points
     benchmark.extra_info["frequencies"] = grid.n_points
@@ -111,45 +103,18 @@ def test_bench_trajectory_loop(benchmark, workload):
 
 
 def test_bench_trajectory_parallel(benchmark, workload):
-    """The loop build fanned out one unit per configuration."""
+    """The build fanned out one unit per configuration."""
     mcc, grid, deviations = workload
     executor = ParallelExecutor(jobs=2)
     dictionary = benchmark.pedantic(
         _build,
-        args=(mcc, grid, deviations, "loop", executor),
+        args=(mcc, grid, deviations, executor),
         rounds=ROUNDS,
         warmup_rounds=WARMUP,
         iterations=1,
     )
     RECORD["parallel_s"] = benchmark.stats.stats.min
     _assert_dictionaries_equal(dictionary, RECORD["dictionary"])
-
-
-def test_bench_trajectory_stacked(benchmark, workload):
-    """The acceptance benchmark: the stacked dictionary build must
-    clear 3x over the per-point loop on a catalog circuit."""
-    mcc, grid, deviations = workload
-    dictionary = benchmark.pedantic(
-        _build,
-        args=(mcc, grid, deviations, "stacked"),
-        rounds=ROUNDS,
-        warmup_rounds=WARMUP,
-        iterations=1,
-    )
-    RECORD["stacked_s"] = benchmark.stats.stats.min
-
-    # Correctness everywhere: bit-identical to the loop dictionary.
-    _assert_dictionaries_equal(dictionary, RECORD["dictionary"])
-    assert dictionary.n_factorizations > 0
-
-    speedup = RECORD["loop_s"] / RECORD["stacked_s"]
-    benchmark.extra_info["speedup_vs_loop"] = round(speedup, 2)
-    floor = 1.5 if SMOKE else 3.0
-    assert speedup >= floor, (
-        f"stacked trajectory-build speedup {speedup:.2f}x < {floor}x "
-        f"floor ({dictionary.n_points} points, {grid.n_points} "
-        "frequencies)"
-    )
 
 
 def test_bench_trajectory_match(benchmark, workload):
@@ -198,14 +163,14 @@ def _machine_spec():
 
 def test_bench_trajectory_record(workload):
     """Fold the measured timings into BENCH_diagnosis_trajectory.json."""
-    required = ("loop_s", "parallel_s", "stacked_s", "match_s")
+    required = ("serial_s", "parallel_s", "match_s")
     missing = [k for k in required if k not in RECORD]
     if missing:
         pytest.skip(f"benches did not run: {missing}")
 
     _, grid, _ = workload
     dictionary = RECORD["dictionary"]
-    loop = RECORD["loop_s"]
+    serial = RECORD["serial_s"]
     summary = {
         "circuit": CIRCUIT,
         "configurations": dictionary.n_configs,
@@ -214,12 +179,10 @@ def test_bench_trajectory_record(workload):
         "points": dictionary.n_points,
         "frequencies": grid.n_points,
         "smoke": SMOKE,
-        "loop_s": round(loop, 4),
+        "serial_s": round(serial, 4),
         "parallel_s": round(RECORD["parallel_s"], 4),
-        "stacked_s": round(RECORD["stacked_s"], 4),
         "match_s": round(RECORD["match_s"], 6),
-        "stacked_speedup": round(loop / RECORD["stacked_s"], 2),
-        "parallel_speedup": round(loop / RECORD["parallel_s"], 2),
+        "parallel_speedup": round(serial / RECORD["parallel_s"], 2),
         "machine": _machine_spec(),
     }
     out_path = os.path.join(

@@ -1,4 +1,4 @@
-"""Tolerance-engine benchmarks: loop vs stacked ε-calibration.
+"""Tolerance-engine benchmarks: cold and warm ε-calibration.
 
 Measures Monte Carlo tolerance analysis (the inner loop of the
 ε-calibration campaign) on a catalog circuit and records the timings as
@@ -8,19 +8,14 @@ commit hash included) that CI uploads.
 
 Paths covered:
 
-* ``loop``       — the seed path: one ``with_scaled`` rebuild plus one
-  per-frequency sweep per Monte Carlo sample;
-* ``stacked``    — the batched kernel: one stamp-program replay building
-  the full ``(samples x frequencies)`` stack of ``G + jωC`` systems,
-  solved in shared LAPACK dispatches.  The acceptance floor is 3x over
-  ``loop`` at 200 samples;
-* ``warm_cache`` — a fully cached campaign re-run (zero solves), which
+* ``monte_carlo`` — one stamp-program replay assembling every sample's
+  ``G + jωC`` pencil, one stacked LAPACK dispatch per sample sweep;
+* ``warm_cache``  — a fully cached campaign re-run (zero solves), which
   holds on any hardware.
 
 ``BENCH_SMOKE=1`` shrinks the sample count and rounds so CI can afford
-the run; the speedup floor relaxes (small stacks amortise less assembly)
-while the correctness assertion — bit-identical deviations across
-kernels — stays strict.
+the run; the correctness assertion — deviations bit-identical to the
+per-sample rebuild oracle — stays strict.
 """
 
 import json
@@ -31,15 +26,21 @@ import subprocess
 import numpy as np
 import pytest
 
-from repro.analysis import decade_grid, monte_carlo_tolerance
+from repro.analysis import (
+    ac_analysis,
+    decade_grid,
+    monte_carlo_tolerance,
+    sample_factors,
+)
 from repro.campaign import (
     CampaignTelemetry,
     run_tolerance_campaign,
     tolerance_cache,
 )
 from repro.circuits import build
+from repro.verify import reference_scaled_responses
 
-#: CI smoke mode: fewer samples, single round, relaxed speedup floor
+#: CI smoke mode: fewer samples, single round
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 CIRCUIT = "sallen_key"
@@ -60,54 +61,35 @@ def workload():
     return bench.circuit, grid
 
 
-def _run(circuit, grid, kernel):
-    return monte_carlo_tolerance(
-        circuit,
-        grid,
-        tolerance=0.05,
-        n_samples=N_SAMPLES,
-        seed=SEED,
-        kernel=kernel,
-    )
-
-
-def test_bench_tolerance_loop(benchmark, workload):
+def test_bench_tolerance_monte_carlo(benchmark, workload):
     circuit, grid = workload
     analysis = benchmark.pedantic(
-        _run,
-        args=(circuit, grid, "loop"),
+        monte_carlo_tolerance,
+        args=(circuit, grid),
+        kwargs=dict(tolerance=0.05, n_samples=N_SAMPLES, seed=SEED),
         rounds=ROUNDS,
         iterations=1,
     )
-    RECORD["loop_s"] = benchmark.stats.stats.min
-    RECORD["deviations"] = analysis.deviations
+    RECORD["monte_carlo_s"] = benchmark.stats.stats.min
     benchmark.extra_info["samples"] = N_SAMPLES
     benchmark.extra_info["frequencies"] = len(grid)
     assert analysis.suggested_epsilon(95.0) > 0.0
 
-
-def test_bench_tolerance_stacked(benchmark, workload):
-    """The acceptance benchmark: the stacked kernel must clear 3x over
-    the per-sample loop at 200 samples on a catalog circuit."""
-    circuit, grid = workload
-    analysis = benchmark.pedantic(
-        _run,
-        args=(circuit, grid, "stacked"),
-        rounds=ROUNDS,
-        iterations=1,
+    # Correctness everywhere: bit-identical to the per-sample oracle.
+    names = [e.name for e in circuit.passives()]
+    factors = sample_factors(
+        np.random.default_rng(SEED), N_SAMPLES, len(names), 0.05, "uniform"
     )
-    RECORD["stacked_s"] = benchmark.stats.stats.min
-
-    # Correctness everywhere: bit-identical to the loop path.
-    assert np.array_equal(analysis.deviations, RECORD["deviations"])
-
-    speedup = RECORD["loop_s"] / RECORD["stacked_s"]
-    benchmark.extra_info["speedup_vs_loop"] = round(speedup, 2)
-    floor = 1.5 if SMOKE else 3.0
-    assert speedup >= floor, (
-        f"stacked tolerance speedup {speedup:.2f}x < {floor}x floor "
-        f"({N_SAMPLES} samples, {len(grid)} frequencies)"
+    nominal = ac_analysis(circuit, grid)
+    expected = np.vstack(
+        [
+            nominal.relative_deviation(response)
+            for response in reference_scaled_responses(
+                circuit, grid, names, factors
+            )
+        ]
     )
+    assert np.array_equal(analysis.deviations, expected)
 
 
 def test_bench_tolerance_warm_cache(benchmark, tmp_path):
@@ -162,23 +144,20 @@ def _machine_spec():
 
 def test_bench_tolerance_record(workload):
     """Fold the measured timings into the BENCH_tolerance.json artifact."""
-    required = ("loop_s", "stacked_s", "warm_s")
+    required = ("monte_carlo_s", "warm_s")
     missing = [k for k in required if k not in RECORD]
     if missing:
         pytest.skip(f"benches did not run: {missing}")
 
     _, grid = workload
-    loop = RECORD["loop_s"]
     summary = {
         "circuit": CIRCUIT,
         "samples": N_SAMPLES,
         "frequencies": len(grid),
         "seed": SEED,
         "smoke": SMOKE,
-        "loop_s": round(loop, 4),
-        "stacked_s": round(RECORD["stacked_s"], 4),
+        "monte_carlo_s": round(RECORD["monte_carlo_s"], 4),
         "warm_cache_s": round(RECORD["warm_s"], 4),
-        "stacked_speedup": round(loop / RECORD["stacked_s"], 2),
         "suggested_epsilon": RECORD["suggested_epsilon"],
         "machine": _machine_spec(),
     }

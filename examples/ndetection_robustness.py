@@ -43,7 +43,7 @@ def main() -> None:
     faults = deviation_faults(bench.circuit, deviation=0.20)
     grid = decade_grid(bench.f0_hz, 2, 2, points_per_decade=12)
     setup = SimulationSetup(grid=grid, epsilon=0.10)
-    dataset = simulate_faults(mcc, faults, setup, kernel="stacked")
+    dataset = simulate_faults(mcc, faults, setup)
     matrix = dataset.detectability_matrix()
 
     print(f"circuit: bandpass_mfb (f0 = {bench.f0_hz:.0f} Hz)")

@@ -9,14 +9,8 @@ from .batched import (
     scaled_values,
 )
 from .corners import CornerAnalysis, corner_analysis
-from .kernel import (
-    KERNELS,
-    KernelStats,
-    SweepRequest,
-    solve_requests,
-    validate_kernel,
-)
-from .mna import MnaSystem, Solution, shared_system
+from .kernel import KernelStats, SweepRequest, solve_sweep
+from .mna import MnaSystem, Solution
 from .montecarlo import (
     DISTRIBUTIONS,
     ToleranceAnalysis,
@@ -63,7 +57,6 @@ __all__ = [
     "DISTRIBUTIONS",
     "FrequencyGrid",
     "FrequencyResponse",
-    "KERNELS",
     "KernelStats",
     "MnaSystem",
     "StampProgram",
@@ -98,12 +91,10 @@ __all__ = [
     "scaled_responses",
     "scaled_values",
     "sensitivity_map",
-    "shared_system",
     "sine",
-    "solve_requests",
+    "solve_sweep",
     "step",
     "step_response",
     "transfer_at",
     "transient_analysis",
-    "validate_kernel",
 ]

@@ -1,37 +1,32 @@
 """Batched MNA assembly and solves for component-scaled circuit families.
 
-Monte Carlo and corner tolerance analysis both evaluate the *same*
-circuit topology at many component-value points: every sample (or
-vertex) of the tolerance box scales a handful of passives and sweeps the
-result.  Doing that through per-sample :class:`~repro.analysis.mna.MnaSystem`
-construction costs one full Python stamp pass and one
-:func:`~repro.analysis.kernel.solve_requests` dispatch per sample — the
-exact per-call overhead the stacked kernel exists to remove.
+Monte Carlo and corner tolerance analysis, and trajectory dictionaries,
+all evaluate the *same* circuit topology at many component-value points:
+every sample (or vertex, or trajectory point) scales a handful of
+passives and sweeps the result.  Building each sample through
+:class:`~repro.analysis.mna.MnaSystem` costs one full Python stamp pass
+per sample.
 
-This module vectorizes the whole family:
+This module vectorizes the assembly of the whole family:
 
 * a :class:`StampProgram` records the nominal stamp stream **once**,
   classifies how every matrix entry of the varied elements depends on
   the component value (constant, ``±value`` or ``±1/value``), and
   replays the per-cell accumulation in the original element order over a
   sample axis — producing ``(S, n, n)`` stacks of ``G`` and ``C``;
-* :func:`scaled_responses` turns those stacks into one
-  :class:`~repro.analysis.kernel.SweepRequest` per sample and lets
-  :func:`~repro.analysis.kernel.solve_requests` dispatch them as a few
-  stacked LAPACK calls, with the kernel's per-request singularity
-  isolation.
+* :func:`scaled_values` turns each sample's pencil into one
+  :class:`~repro.analysis.kernel.SweepRequest` and solves it with
+  :func:`~repro.analysis.kernel.solve_sweep`.
 
 Bit-compatibility is inherited, not approximated.  The replay preserves
 the exact floating-point accumulation order of the scalar assembly
 (contributions to one cell are added in stamp order; IEEE elementwise
-operations match their scalar counterparts), the per-sample component
-values are computed with the same ``value * factor`` product that
-:meth:`~repro.circuit.components.TwoTerminal.scaled` uses, and the
-kernel's stacking contract guarantees each sample's solve equals a
-scalar :func:`numpy.linalg.solve` of the same system.  A batched
-tolerance run therefore reproduces the per-sample loop **exactly**, bit
-for bit — enforced by the ``tolerance stacked ≡ loop`` verification
-invariant.
+operations match their scalar counterparts), and the per-sample
+component values are computed with the same ``value * factor`` products
+that :meth:`~repro.circuit.netlist.Circuit.with_scaled` applies.  A
+batched tolerance run therefore reproduces the per-sample rebuild loop
+**exactly**, bit for bit — the zero-tolerance ``tolerance`` oracle of
+:mod:`repro.verify` holds it to that.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from ..circuit.components import Stamper, TwoTerminal
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError, SingularCircuitError
 from .ac import FrequencyResponse
-from .kernel import KernelStats, SweepRequest, solve_requests
+from .kernel import KernelStats, SweepRequest, solve_sweep
 from .mna import MnaSystem
 from .sweep import FrequencyGrid
 
@@ -111,13 +106,19 @@ class StampProgram:
         refer to them.  Each must be a two-terminal value element whose
         stamp is constant, linear or inverse in the value — which covers
         every :meth:`~repro.circuit.netlist.Circuit.passives` element.
+        A name listed twice is scaled by both of its columns in turn,
+        as repeated :meth:`~repro.circuit.netlist.Circuit.with_scaled`
+        calls would scale it.
     """
 
     def __init__(self, system: MnaSystem, components: Sequence[str]):
         circuit = system.circuit
         self.size = system.size
+        self.n_factors = len(components)
         varied = {}
         values = []
+        #: factor columns applied to each varied element, in order
+        self._columns: List[List[int]] = []
         for k, name in enumerate(components):
             element = circuit[name]
             if not isinstance(element, TwoTerminal):
@@ -125,8 +126,11 @@ class StampProgram:
                     f"{circuit.title}: element {name!r} carries no scalar "
                     "value to scale"
                 )
-            varied[name] = k
-            values.append(float(element.value))
+            if name not in varied:
+                varied[name] = len(values)
+                values.append(float(element.value))
+                self._columns.append([])
+            self._columns[varied[name]].append(k)
         self.nominal_values = np.asarray(values, dtype=float)
 
         # Record the full stamp stream in element-insertion order; probe
@@ -192,16 +196,19 @@ class StampProgram:
         circuit through :class:`MnaSystem`.
         """
         factors = np.asarray(factors, dtype=float)
-        if factors.ndim != 2 or factors.shape[1] != len(
-            self.nominal_values
-        ):
+        if factors.ndim != 2 or factors.shape[1] != self.n_factors:
             raise AnalysisError(
                 "factor matrix must be (n_samples, n_components), got "
                 f"shape {factors.shape}"
             )
         n_samples = factors.shape[0]
-        # The exact product TwoTerminal.scaled computes, vectorized.
-        values = self.nominal_values[np.newaxis, :] * factors
+        # The exact products TwoTerminal.scaled computes, vectorized.
+        values = np.empty((n_samples, len(self._columns)))
+        for k, columns in enumerate(self._columns):
+            column = self.nominal_values[k]
+            for factor_column in columns:
+                column = column * factors[:, factor_column]
+            values[:, k] = column
         inverses = 1.0 / values
         stacks = []
         for base, replay in (
@@ -232,10 +239,9 @@ def scaled_values(
     Row ``s`` holds ``V(output)`` of ``circuit`` with ``components``
     scaled by ``factors[s]``, bit-identical to the values of
     ``ac_analysis(circuit.with_scaled(...), grid)`` for that sample.  A
-    singular sample raises the loop engine's exact
+    singular sample raises that sweep's exact
     :class:`~repro.errors.SingularCircuitError` for the **first**
-    failing row (in row order), after every healthy request of its
-    batch has completed through the kernel's per-request fallback.
+    failing row (in row order).
     """
     probe = output or circuit.output
     if probe is None:
@@ -253,28 +259,20 @@ def scaled_values(
 
     program = StampProgram(system, components)
     batch = max(1, int(ASSEMBLY_BUDGET // max(system.size**2, 1)))
-    row = 0
     for start in range(0, n_samples, batch):
         G_all, C_all = program.assemble(factors[start:start + batch])
-        requests = [
-            SweepRequest(
-                G=G_all[s],
-                C=C_all[s],
-                rhs=system.z,
-                title=circuit.title,
+        for s in range(G_all.shape[0]):
+            request = SweepRequest(
+                G=G_all[s], C=C_all[s], rhs=system.z, title=circuit.title
             )
-            for s in range(G_all.shape[0])
-        ]
-        for outcome in solve_requests(requests, frequencies, stats):
-            if isinstance(outcome, SingularCircuitError):
-                raise outcome from None
-            sample = outcome[:, out_index, 0]
+            sample = solve_sweep(request, frequencies, stats)[
+                :, out_index, 0
+            ]
             if not np.all(np.isfinite(sample)):
                 raise SingularCircuitError(
                     f"{circuit.title}: non-finite response in sweep"
                 )
-            values[row] = sample
-            row += 1
+            values[start + s] = sample
     return values
 
 

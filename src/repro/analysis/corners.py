@@ -16,9 +16,9 @@ are directly comparable.  The tolerance-band normalisation
 (``|ΔT| / max|T|``, the paper's Figure 2 picture) remains available
 under the explicit ``band_*`` names.
 
-Like the Monte Carlo module, the ``2^n`` corner sweeps can run through
-the per-corner loop or the stacked batched kernel
-(:mod:`repro.analysis.batched`) — bit-identical either way.
+Like the Monte Carlo module, the ``2^n`` corner circuits are assembled
+in one pass (:mod:`repro.analysis.batched`), bit-identical to rebuilding
+each corner circuit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,12 @@ from ..analysis.ac import ac_analysis
 from ..analysis.sweep import FrequencyGrid
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError
-from .kernel import KernelStats, validate_kernel
+from .batched import (
+    band_deviation_rows,
+    relative_deviation_rows,
+    scaled_values,
+)
+from .kernel import KernelStats
 
 #: refuse to enumerate more corners than this (2^14 = 16384 sweeps)
 MAX_COMPONENTS = 14
@@ -108,7 +113,6 @@ def corner_analysis(
     tolerance: float = 0.05,
     components: Optional[Sequence[str]] = None,
     output: Optional[str] = None,
-    kernel: str = "loop",
     stats: Optional[KernelStats] = None,
 ) -> CornerAnalysis:
     """Evaluate every ``±tolerance`` corner of the component box.
@@ -117,8 +121,7 @@ def corner_analysis(
     ``|ΔT/T|``), matching :func:`~repro.analysis.montecarlo.monte_carlo_tolerance`,
     so :meth:`CornerAnalysis.epsilon_floor` compares directly against
     the Monte Carlo ε suggestion; the band-normalised values ride along
-    under the ``band_*`` names.  ``kernel="stacked"`` batches all ``2^n``
-    corner sweeps through the stacked MNA kernel, bit-identically.
+    under the ``band_*`` names.
     """
     if tolerance <= 0:
         raise AnalysisError("tolerance must be > 0")
@@ -128,7 +131,6 @@ def corner_analysis(
             f"{tolerance:g}: the -tolerance vertex would scale a "
             "component to a non-positive value)"
         )
-    validate_kernel(kernel)
     if components is None:
         components = [e.name for e in circuit.passives()]
     names = tuple(components)
@@ -146,31 +148,12 @@ def corner_analysis(
         raise AnalysisError("nominal response is identically zero")
 
     sign_patterns = list(product((-1, +1), repeat=len(names)))
-    if kernel == "stacked":
-        from .batched import (
-            band_deviation_rows,
-            relative_deviation_rows,
-            scaled_values,
-        )
-
-        factors = 1.0 + np.asarray(sign_patterns, dtype=float) * tolerance
-        values = scaled_values(
-            circuit, grid, names, factors, output=output, stats=stats
-        )
-        deviation_rows = relative_deviation_rows(nominal, values)
-        band_rows = band_deviation_rows(nominal, values)
-    else:
-        deviation_list = []
-        band_list = []
-        for signs in sign_patterns:
-            corner = circuit
-            for name, sign in zip(names, signs):
-                corner = corner.with_scaled(name, 1.0 + sign * tolerance)
-            response = ac_analysis(corner, grid, output=output, stats=stats)
-            deviation_list.append(nominal.relative_deviation(response))
-            band_list.append(nominal.band_deviation(response))
-        deviation_rows = np.vstack(deviation_list)
-        band_rows = np.vstack(band_list)
+    factors = 1.0 + np.asarray(sign_patterns, dtype=float) * tolerance
+    values = scaled_values(
+        circuit, grid, names, factors, output=output, stats=stats
+    )
+    deviation_rows = relative_deviation_rows(nominal, values)
+    band_rows = band_deviation_rows(nominal, values)
 
     corner_deviation: Dict[Tuple[int, ...], float] = {}
     band_corner_deviation: Dict[Tuple[int, ...], float] = {}

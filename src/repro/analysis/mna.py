@@ -22,7 +22,7 @@ import numpy as np
 from ..circuit.components import Branch, GROUND, Stamper
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError, SingularCircuitError
-from .kernel import KernelStats, SweepRequest, solve_requests, solve_reusing_lu
+from .kernel import KernelStats, SweepRequest, solve_reusing_lu, solve_sweep
 
 RowRef = Union[str, Branch]
 
@@ -184,14 +184,14 @@ class MnaSystem:
         exact offending frequency, as the historical loop did.
         """
         frequencies = np.asarray(frequencies_hz, dtype=float)
-        request = self.sweep_request()
-        outcome = solve_requests([request], frequencies)[0]
-        if isinstance(outcome, SingularCircuitError):
+        try:
+            solutions = solve_sweep(self.sweep_request(), frequencies)
+        except SingularCircuitError:
             # Per-point fallback to surface the first singular s value
             # with solve_s's message.
             return [self.solve_at(f) for f in frequencies]
         return [
-            Solution(self, outcome[k, :, 0], 2j * np.pi * f)
+            Solution(self, solutions[k, :, 0], 2j * np.pi * f)
             for k, f in enumerate(frequencies)
         ]
 
@@ -220,7 +220,7 @@ class MnaSystem:
         This is the hot path of fault simulation — the paper's named
         bottleneck is exactly this sweep, repeated per (configuration,
         fault) pair.  The sweep is delegated to the stacked kernel
-        (:func:`repro.analysis.kernel.solve_requests`): all frequency
+        (:func:`repro.analysis.kernel.solve_sweep`): all frequency
         points are solved in batched ``numpy.linalg.solve`` calls on
         the stacked matrices ``G + jω_k C``, chunked to bound the
         ``F·n²`` workspace.  ``stats`` (optional) accumulates the solve
@@ -230,46 +230,11 @@ class MnaSystem:
         out_index = self.index_of(node)
         if out_index < 0:
             return np.zeros(frequencies.shape, dtype=complex)
-        outcome = solve_requests(
-            [self.sweep_request()], frequencies, stats
-        )[0]
-        if isinstance(outcome, SingularCircuitError):
-            raise outcome from None
-        values = outcome[:, out_index, 0]
+        values = solve_sweep(self.sweep_request(), frequencies, stats)[
+            :, out_index, 0
+        ]
         if not np.all(np.isfinite(values)):
             raise SingularCircuitError(
                 f"{self.circuit.title}: non-finite response in sweep"
             )
         return values
-
-
-#: per-process assembled-system cache backing :func:`shared_system`
-_SHARED_SYSTEMS: Dict[str, MnaSystem] = {}
-
-#: assembled systems kept per process (FIFO-evicted beyond this)
-SHARED_SYSTEM_LIMIT = 64
-
-
-def shared_system(circuit: Circuit) -> MnaSystem:
-    """Per-process :class:`MnaSystem` cache keyed by netlist content.
-
-    Campaign work units of the same configuration (fault chunks split
-    for scheduling) carry *equal* emulated circuits; caching the
-    assembly by ``circuit.netlist()`` — the same content identity the
-    campaign's unit keys trust — lets every chunk share one ``(G, C)``
-    pencil and one LU cache.  Under a fork-based process pool the
-    parent's entries are inherited copy-on-write, so workers read the
-    prefactorized stacks zero-copy.
-
-    The cache is bounded (:data:`SHARED_SYSTEM_LIMIT`, FIFO) so fault
-    campaigns over thousands of distinct faulty circuits cannot grow it
-    without bound.
-    """
-    key = circuit.netlist()
-    system = _SHARED_SYSTEMS.get(key)
-    if system is None:
-        system = MnaSystem(circuit)
-        if len(_SHARED_SYSTEMS) >= SHARED_SYSTEM_LIMIT:
-            _SHARED_SYSTEMS.pop(next(iter(_SHARED_SYSTEMS)))
-        _SHARED_SYSTEMS[key] = system
-    return system

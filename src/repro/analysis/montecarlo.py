@@ -7,12 +7,10 @@ passive component within its process tolerance, record the envelope of the
 fault-free response family, and derive the smallest ``ε`` that would not
 flag a within-tolerance circuit as faulty.
 
-Two solve kernels are available.  ``kernel="loop"`` builds and sweeps one
-circuit per sample; ``kernel="stacked"`` assembles the whole sample
-family into 3-D ``G + jωC`` stacks (:mod:`repro.analysis.batched`) and
-dispatches a few batched LAPACK calls.  Both consume the same PRNG
-stream and produce **bit-identical** deviations for the same seed — the
-``tolerance stacked ≡ loop`` invariant of :mod:`repro.verify`.
+The sample family is assembled in one pass (:mod:`repro.analysis.batched`)
+instead of rebuilding one circuit per sample; the deviations are
+bit-identical to that per-sample rebuild for the same seed — the
+``tolerance`` oracle of :mod:`repro.verify` checks it at zero tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ import numpy as np
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError
 from .ac import ac_analysis
-from .kernel import KernelStats, validate_kernel
+from .batched import relative_deviation_rows, scaled_values
+from .kernel import KernelStats
 from .sweep import FrequencyGrid
 
 #: recognised Monte Carlo sampling distributions
@@ -89,7 +88,7 @@ def sample_factors(
     The matrix is filled in C order — sample-major, component-minor —
     which consumes the generator stream in exactly the order the
     historical per-sample loop drew its scalars, so a given seed selects
-    the same sampled circuits under either kernel.
+    the same sampled circuits as that loop did.
     """
     if distribution == "uniform":
         return 1.0 + rng.uniform(
@@ -111,7 +110,6 @@ def monte_carlo_tolerance(
     output: Optional[str] = None,
     distribution: str = "uniform",
     seed: Optional[int] = 2026,
-    kernel: str = "loop",
     stats: Optional[KernelStats] = None,
 ) -> ToleranceAnalysis:
     """Sample component values within ``tolerance`` and collect deviations.
@@ -136,10 +134,6 @@ def monte_carlo_tolerance(
     seed:
         PRNG seed — runs are reproducible by default; ``None`` draws a
         fresh :func:`numpy.random.default_rng` stream.
-    kernel:
-        ``"loop"`` sweeps one sample at a time; ``"stacked"`` batches
-        the whole family through :mod:`repro.analysis.batched`.  The
-        deviations are bit-identical either way for the same seed.
     stats:
         Optional :class:`~repro.analysis.kernel.KernelStats` accumulating
         the solve / factorization counts of every sweep.
@@ -159,7 +153,6 @@ def monte_carlo_tolerance(
         )
     if n_samples < 1:
         raise AnalysisError("n_samples must be >= 1")
-    validate_kernel(kernel)
     if components is None:
         components = [e.name for e in circuit.passives()]
     if not components:
@@ -171,22 +164,10 @@ def monte_carlo_tolerance(
     )
     nominal = ac_analysis(circuit, grid, output=output, stats=stats)
 
-    if kernel == "stacked":
-        from .batched import relative_deviation_rows, scaled_values
-
-        values = scaled_values(
-            circuit, grid, components, factors, output=output, stats=stats
-        )
-        deviations = relative_deviation_rows(nominal, values)
-    else:
-        rows = []
-        for s in range(n_samples):
-            sample = circuit
-            for k, name in enumerate(components):
-                sample = sample.with_scaled(name, float(factors[s, k]))
-            response = ac_analysis(sample, grid, output=output, stats=stats)
-            rows.append(nominal.relative_deviation(response))
-        deviations = np.vstack(rows)
+    values = scaled_values(
+        circuit, grid, components, factors, output=output, stats=stats
+    )
+    deviations = relative_deviation_rows(nominal, values)
 
     return ToleranceAnalysis(
         grid=grid,

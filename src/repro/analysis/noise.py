@@ -30,7 +30,7 @@ from ..circuit.components import Resistor, Switch
 from ..circuit.netlist import Circuit
 from ..circuit.opamp import OpAmp
 from ..errors import AnalysisError, SingularCircuitError
-from .kernel import SweepRequest, solve_requests
+from .kernel import SweepRequest, solve_sweep
 from .mna import MnaSystem
 from .sweep import FrequencyGrid
 
@@ -202,18 +202,12 @@ def noise_analysis(
         # frequency replaces the historical explicit matrix inverse.
         e_out = np.zeros(system.size, dtype=complex)
         e_out[out_index] = 1.0
-        outcome = solve_requests(
-            [
-                SweepRequest(
-                    G=system.G.T,
-                    C=system.C.T,
-                    rhs=e_out,
-                    title=circuit.title,
-                )
-            ],
-            frequencies,
-        )[0]
-        if isinstance(outcome, SingularCircuitError):
+        request = SweepRequest(
+            G=system.G.T, C=system.C.T, rhs=e_out, title=circuit.title
+        )
+        try:
+            y = solve_sweep(request, frequencies)[:, :, 0]
+        except SingularCircuitError:
             # Re-solve point-by-point to name the offending frequency.
             for f in frequencies:
                 matrix = system.G.T + (2j * np.pi * f) * system.C.T
@@ -227,7 +221,6 @@ def noise_analysis(
             raise AnalysisError(
                 f"{circuit.title}: singular matrix in noise analysis"
             ) from None
-        y = outcome[:, :, 0]
         if not np.all(np.isfinite(y)):
             raise AnalysisError(
                 f"{circuit.title}: non-finite noise transfer (nearly "

@@ -53,7 +53,6 @@ def run_campaign(
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
     telemetry: Optional[CampaignTelemetry] = None,
-    kernel: str = "loop",
 ) -> DetectabilityDataset:
     """Run a fault × configuration campaign through the engine.
 
@@ -61,8 +60,8 @@ def run_campaign(
     :func:`repro.faults.simulator.simulate_faults` (and, with
     ``engine="fast"``, of
     :func:`repro.faults.fast_simulator.simulate_faults_fast`) — the
-    returned dataset is bit-identical for every executor, chunking
-    and solve ``kernel`` (``"loop"`` or ``"stacked"``).
+    returned dataset is bit-identical for every executor and
+    chunking.
     """
     plan = plan_campaign(
         mcc,
@@ -71,7 +70,6 @@ def run_campaign(
         configs=configs,
         engine=engine,
         chunk_size=chunk_size,
-        kernel=kernel,
     )
     return execute_plan(
         plan, executor=executor, cache=cache, telemetry=telemetry

@@ -66,8 +66,8 @@ class UnitResult:
     nominal: FrequencyResponse
     results: Dict[str, DetectabilityResult]
     n_solves: int
-    #: LU factorizations performed by the stacked kernel (0 under the
-    #: loop kernel; absent in campaign-v1 cache entries)
+    #: LU factorizations the unit's sweeps performed (absent in
+    #: campaign-v1 cache entries)
     n_factorizations: int = 0
 
 
@@ -96,8 +96,7 @@ class UnitOutcome:
 def execute_unit(unit: WorkUnit) -> UnitResult:
     """Simulate one work unit (runs in the parent or a worker process).
 
-    The unit's ``kernel`` picks the solve dispatch; a
-    :class:`~repro.analysis.kernel.KernelStats` accumulator feeds the
+    A :class:`~repro.analysis.kernel.KernelStats` accumulator feeds the
     factorization counter back into the result so campaign telemetry
     can report it.
     """
@@ -109,17 +108,16 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
         from ..diagnosis.campaign import execute_diagnosis_unit
 
         return execute_diagnosis_unit(unit)
-    kernel = getattr(unit, "kernel", "loop")
     stats = KernelStats()
     if unit.engine == FAST:
         nominal, results, n_solves = simulate_configuration_fast(
             unit.circuit, unit.output, unit.faults, unit.labels,
-            unit.setup, kernel=kernel, stats=stats,
+            unit.setup, stats=stats,
         )
     else:
         nominal, results, n_solves = simulate_configuration(
             unit.circuit, unit.output, unit.faults, unit.labels,
-            unit.setup, kernel=kernel, stats=stats,
+            unit.setup, stats=stats,
         )
     return UnitResult(
         key=unit.key,

@@ -8,7 +8,9 @@ one contiguous chunk of the fault universe — that are:
 * *deterministic*: planning the same ``(circuit, faults, setup)`` twice,
   in any process, yields the same units in the same order;
 * *content-addressed*: each unit carries a SHA-256 key derived from the
-  emulated configuration's netlist, the probe node, the frequency grid,
+  emulated configuration's exact identity
+  (:meth:`~repro.circuit.netlist.Circuit.identity`), the probe node, the
+  frequency grid,
   the tolerance, the deviation criterion, the engine and the fault
   chunk.  The key is stable across processes and runs, so an on-disk
   :class:`~repro.campaign.cache.ResultCache` can resume an interrupted
@@ -33,7 +35,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis.kernel import validate_kernel
 from ..circuit.netlist import Circuit
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
@@ -94,13 +95,6 @@ class WorkUnit:
     engine:
         ``"standard"`` (one AC sweep per fault) or ``"fast"``
         (Sherman–Morrison rank-1 batch with per-fault fallback).
-    kernel:
-        ``"loop"`` or ``"stacked"`` — the solve-dispatch strategy the
-        unit's sweeps use (:mod:`repro.analysis.kernel`).  The kernel
-        is deliberately **not** part of the content key: both kernels
-        produce bit-identical results (enforced by the ``stacked ≡
-        loop`` verification invariant), so cached results are shared
-        across kernels.
     key:
         SHA-256 content hash; the cache address of the unit's result.
     """
@@ -114,7 +108,6 @@ class WorkUnit:
     labels: Tuple[str, ...]
     setup: SimulationSetup
     engine: str = STANDARD
-    kernel: str = "loop"
     key: str = ""
 
     @property
@@ -151,7 +144,7 @@ def unit_key(
                 f"{label}={fault_signature(fault)}"
                 for label, fault in zip(labels, faults)
             ),
-            circuit.netlist(),
+            circuit.identity(),
         ]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -167,7 +160,6 @@ class CampaignPlan:
     units: Tuple[WorkUnit, ...]
     engine: str
     chunk_size: Optional[int]
-    kernel: str = "loop"
 
     @property
     def n_units(self) -> int:
@@ -190,8 +182,7 @@ class CampaignPlan:
         return (
             f"campaign plan: {self.n_configs} configuration(s) x "
             f"{self.n_faults} fault(s) -> {self.n_units} unit(s) "
-            f"(chunk {chunk}, engine {self.engine}, "
-            f"kernel {self.kernel})"
+            f"(chunk {chunk}, engine {self.engine})"
         )
 
 
@@ -210,22 +201,18 @@ def plan_campaign(
     configs: Optional[Sequence[Configuration]] = None,
     engine: str = STANDARD,
     chunk_size: Optional[int] = None,
-    kernel: str = "loop",
 ) -> CampaignPlan:
     """Decompose a fault-simulation campaign into hashed work units.
 
     Parameters mirror :func:`repro.faults.simulator.simulate_faults`;
-    ``engine`` selects the per-unit simulation strategy,
+    ``engine`` selects the per-unit simulation strategy and
     ``chunk_size`` bounds the number of faults per unit (``None`` keeps
-    each configuration whole) and ``kernel`` picks the solve dispatch
-    (``"loop"`` or ``"stacked"``; results are bit-identical either
-    way, so the kernel does not enter the unit content keys).
+    each configuration whole).
     """
     if engine not in ENGINES:
         raise CampaignError(
             f"unknown campaign engine {engine!r}; use one of {ENGINES}"
         )
-    validate_kernel(kernel)
     if chunk_size is not None and chunk_size < 1:
         raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
     check_unique_names(faults)
@@ -268,7 +255,6 @@ def plan_campaign(
                     labels=chunk_labels,
                     setup=setup,
                     engine=engine,
-                    kernel=kernel,
                     key=unit_key(
                         emulated,
                         output,
@@ -287,5 +273,4 @@ def plan_campaign(
         units=tuple(units),
         engine=engine,
         chunk_size=chunk_size,
-        kernel=kernel,
     )

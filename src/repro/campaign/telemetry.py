@@ -118,7 +118,6 @@ class CampaignTelemetry:
                     "faults": plan.n_faults,
                     "engine": plan.engine,
                     "chunk_size": plan.chunk_size,
-                    "kernel": getattr(plan, "kernel", "loop"),
                     "executor": executor_name,
                     "jobs": jobs,
                 },

@@ -18,12 +18,6 @@ infrastructure the fault simulator uses:
   and skips unchanged circuits;
 * :class:`~repro.campaign.telemetry.CampaignTelemetry` observes unit
   completions exactly as it does for fault campaigns.
-
-As everywhere else, ``kernel="stacked"`` batches the Monte Carlo family
-and the corner vertices through :mod:`repro.analysis.batched` with
-bit-identical results (the ``tolerance stacked ≡ loop`` invariant of
-:mod:`repro.verify`), so the kernel is deliberately **not** part of the
-unit content keys — cached results are shared across kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.corners import corner_analysis
-from ..analysis.kernel import KernelStats, validate_kernel
+from ..analysis.kernel import KernelStats
 from ..analysis.montecarlo import DISTRIBUTIONS, monte_carlo_tolerance
 from ..analysis.sweep import FrequencyGrid, decade_grid
 from ..circuit.netlist import Circuit
@@ -58,8 +52,8 @@ class ToleranceUnit:
 
     Mirrors :class:`~repro.campaign.plan.WorkUnit` closely enough
     (``unit_id`` / ``config_label`` / ``key`` / ``n_faults`` /
-    ``engine`` / ``kernel``) that executors, the cache and the telemetry
-    consume it unchanged.
+    ``engine``) that executors, the cache and the telemetry consume it
+    unchanged.
     """
 
     unit_id: str
@@ -74,7 +68,6 @@ class ToleranceUnit:
     percentile: float
     corners: bool
     engine: str = TOLERANCE
-    kernel: str = "loop"
     key: str = ""
 
     @property
@@ -115,7 +108,7 @@ class ToleranceUnitResult:
     band_epsilon_floor: Optional[float]
     n_corners: int
     n_solves: int
-    #: LU factorizations performed by the stacked kernel (0 under loop)
+    #: LU factorizations the unit's sweeps performed
     n_factorizations: int = 0
 
 
@@ -130,11 +123,7 @@ def tolerance_unit_key(
     percentile: float,
     corners: bool,
 ) -> str:
-    """Content hash of one tolerance unit (stable across processes).
-
-    The solve ``kernel`` is deliberately excluded: both kernels produce
-    bit-identical deviations, so cached results are kernel-independent.
-    """
+    """Content hash of one tolerance unit (stable across processes)."""
     payload = "\n".join(
         [
             TOLERANCE_FORMAT,
@@ -146,7 +135,7 @@ def tolerance_unit_key(
             f"seed:{seed}",
             f"percentile:{percentile!r}",
             f"corners:{corners}",
-            circuit.netlist(),
+            circuit.identity(),
         ]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -162,7 +151,6 @@ class TolerancePlan:
     distribution: str
     seed: int
     percentile: float
-    kernel: str = "loop"
     engine: str = TOLERANCE
 
     @property
@@ -190,7 +178,7 @@ class TolerancePlan:
         return (
             f"tolerance plan: {self.n_units} circuit(s) x "
             f"{self.n_samples} sample(s) ({self.distribution}, "
-            f"±{100 * self.tolerance:g}%, kernel {self.kernel})"
+            f"±{100 * self.tolerance:g}%)"
         )
 
 
@@ -205,7 +193,6 @@ def plan_tolerance_campaign(
     points_per_decade: int = 10,
     corners: bool = True,
     max_corner_components: int = 10,
-    kernel: str = "loop",
 ) -> TolerancePlan:
     """Decompose a catalog ε-calibration into hashed tolerance units.
 
@@ -233,7 +220,6 @@ def plan_tolerance_campaign(
         raise CampaignError(
             f"percentile must be in (0, 100], got {percentile:g}"
         )
-    validate_kernel(kernel)
     if names is None:
         names = catalog()
     if not names:
@@ -263,7 +249,6 @@ def plan_tolerance_campaign(
                 seed=seed,
                 percentile=percentile,
                 corners=do_corners,
-                kernel=kernel,
                 key=tolerance_unit_key(
                     circuit,
                     circuit.output,
@@ -285,7 +270,6 @@ def plan_tolerance_campaign(
         distribution=distribution,
         seed=seed,
         percentile=percentile,
-        kernel=kernel,
     )
 
 
@@ -293,10 +277,9 @@ def execute_tolerance_unit(unit: ToleranceUnit) -> ToleranceUnitResult:
     """Calibrate one circuit (runs in the parent or a worker process).
 
     ``n_solves`` is computed arithmetically — one nominal sweep plus one
-    per sample, plus the nominal and vertex sweeps of the corner pass —
-    so cached results are identical under either kernel;
-    ``n_factorizations`` comes from the kernel's own bookkeeping (0
-    under the loop kernel), mirroring the fault-simulation units.
+    per sample, plus the nominal and vertex sweeps of the corner pass;
+    ``n_factorizations`` comes from the kernel's own bookkeeping,
+    mirroring the fault-simulation units.
     """
     stats = KernelStats()
     analysis = monte_carlo_tolerance(
@@ -307,7 +290,6 @@ def execute_tolerance_unit(unit: ToleranceUnit) -> ToleranceUnitResult:
         output=unit.output,
         distribution=unit.distribution,
         seed=unit.seed,
-        kernel=unit.kernel,
         stats=stats,
     )
     n_solves = 1 + unit.n_samples
@@ -320,7 +302,6 @@ def execute_tolerance_unit(unit: ToleranceUnit) -> ToleranceUnitResult:
             unit.grid,
             tolerance=unit.tolerance,
             output=unit.output,
-            kernel=unit.kernel,
             stats=stats,
         )
         epsilon_floor = corner.epsilon_floor()
@@ -400,7 +381,6 @@ class ToleranceReport:
             "distribution": self.plan.distribution,
             "seed": self.plan.seed,
             "percentile": self.plan.percentile,
-            "kernel": self.plan.kernel,
             "n_solves": self.n_solves,
             "n_factorizations": self.n_factorizations,
             "circuits": [
@@ -510,7 +490,6 @@ def run_tolerance_campaign(
     points_per_decade: int = 10,
     corners: bool = True,
     max_corner_components: int = 10,
-    kernel: str = "loop",
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
     telemetry: Optional[CampaignTelemetry] = None,
@@ -527,7 +506,6 @@ def run_tolerance_campaign(
         points_per_decade=points_per_decade,
         corners=corners,
         max_corner_components=max_corner_components,
-        kernel=kernel,
     )
     return execute_tolerance_plan(
         plan, executor=executor, cache=cache, telemetry=telemetry

@@ -217,6 +217,19 @@ class Circuit:
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------
+    def identity(self) -> str:
+        """Exact content identity: title, output and every element's repr.
+
+        :meth:`netlist` prints values to 6 significant digits, so two
+        circuits whose values differ beyond that share a netlist.  A
+        float ``repr`` round-trips, so circuits share an identity only
+        when every element field is equal.  Content-addressed cache keys
+        hash this text.
+        """
+        lines = [repr(self.title), repr(self.output)]
+        lines.extend(repr(element) for element in self._elements.values())
+        return "\n".join(lines) + "\n"
+
     def netlist(self) -> str:
         """SPICE-flavoured textual netlist of the circuit."""
         lines = [f"* {self.title}"]

@@ -10,7 +10,7 @@
     python -m repro verify --random 25 --seed 0   # differential oracle
     python -m repro escape filter.sp --seed 7     # escape / yield-loss MC
     python -m repro montecarlo filter.sp          # process-tolerance MC
-    python -m repro tolerance --kernel stacked    # catalog eps-calibration
+    python -m repro tolerance                     # catalog eps-calibration
     python -m repro catalog                       # library circuits
     python -m repro demo biquad                   # flow on a library circuit
 
@@ -176,11 +176,6 @@ def campaign_flags(p):
         "--progress", action="store_true",
         help="paint a live progress line on stderr",
     )
-    p.add_argument(
-        "--kernel", choices=["loop", "stacked"], default="loop",
-        help="solve dispatch: per-frequency loop or stacked batched "
-        "LAPACK calls (bit-identical results; default loop)",
-    )
 
 
 def _campaign(circuit: Circuit, args):
@@ -196,7 +191,6 @@ def _campaign(circuit: Circuit, args):
             executor=executor,
             cache=cache,
             telemetry=telemetry,
-            kernel=getattr(args, "kernel", "loop"),
         )
     finally:
         if telemetry is not None:
@@ -284,8 +278,7 @@ def cmd_campaign(args) -> int:
     setup = SimulationSetup(grid=grid, epsilon=args.epsilon)
 
     plan = plan_campaign(
-        mcc, faults, setup, engine=args.engine, chunk_size=args.chunk,
-        kernel=getattr(args, "kernel", "loop"),
+        mcc, faults, setup, engine=args.engine, chunk_size=args.chunk
     )
     executor, cache, telemetry = _campaign_parts(args)
     if telemetry is None:
@@ -372,7 +365,7 @@ def cmd_ndetect(args) -> int:
         points_per_decade=args.ppd,
     )
     setup = SimulationSetup(grid=grid, epsilon=args.epsilon)
-    dataset = simulate_faults(mcc, faults, setup, kernel=args.kernel)
+    dataset = simulate_faults(mcc, faults, setup)
     matrix = dataset.detectability_matrix()
 
     floor = 0.0
@@ -383,7 +376,6 @@ def cmd_ndetect(args) -> int:
             tolerance=args.tolerance,
             method=args.calibrate,
             criterion=setup.criterion,
-            kernel=args.kernel,
         )
         print(
             f"noise floor ({args.calibrate}, "
@@ -505,7 +497,6 @@ def cmd_escape(args) -> int:
         tolerance=args.tolerance,
         n_samples=args.samples,
         seed=args.seed,
-        kernel=args.kernel,
     )
     if args.seed is None:
         print("seed: fresh (pass --seed N for a reproducible run)")
@@ -527,7 +518,6 @@ def cmd_montecarlo(args) -> int:
         n_samples=args.samples,
         distribution=args.distribution,
         seed=args.seed,
-        kernel=args.kernel,
     )
     if args.seed is None:
         print("seed: fresh (pass --seed N for a reproducible run)")
@@ -572,7 +562,6 @@ def cmd_tolerance(args) -> int:
         points_per_decade=args.ppd,
         corners=not args.no_corners,
         max_corner_components=args.max_corner_components,
-        kernel=args.kernel,
     )
     # a dedicated cache factory: tolerance payloads are not UnitResults
     executor, cache, telemetry = _campaign_parts(
@@ -625,9 +614,7 @@ def cmd_diagnose(args) -> int:
         points_per_decade=args.ppd,
     )
     deviations = deviation_grid(span=args.span, steps=args.steps)
-    plan = plan_diagnosis_campaign(
-        mcc, grid, deviations=deviations, kernel=args.kernel
-    )
+    plan = plan_diagnosis_campaign(mcc, grid, deviations=deviations)
     # diagnosis payloads are not UnitResults: dedicated cache factory
     executor, cache, telemetry = _campaign_parts(
         args, cache_factory=diagnosis_cache
@@ -652,7 +639,6 @@ def cmd_diagnose(args) -> int:
 
     payload = {
         "f0_hz": f0,
-        "kernel": args.kernel,
         "distance": args.distance,
         "n_configs": dictionary.n_configs,
         "n_components": len(dictionary.components),
@@ -722,7 +708,6 @@ def cmd_serve(args) -> int:
         executor=executor,
         cache_dir=_resolve_cache_dir(args),
         telemetry=telemetry,
-        default_kernel=args.kernel,
     )
     service = ReproService(
         host=args.host,
@@ -985,15 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
             "entropy)",
         )
 
-    def kernel_flag(p):
-        # the same knob campaign_flags carries, for the Monte Carlo
-        # subcommands that take no campaign flags
-        p.add_argument(
-            "--kernel", choices=["loop", "stacked"], default="loop",
-            help="solve dispatch: per-frequency loop or stacked batched "
-            "LAPACK calls (identical results; default loop)",
-        )
-
     def ndetect_flags(p):
         p.add_argument(
             "--n-detect", dest="n_detect", type=int,
@@ -1081,7 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="write the sweep (ndetect-sweep-v1) to PATH as JSON",
     )
-    kernel_flag(p_ndetect)
     p_ndetect.set_defaults(handler=cmd_ndetect)
 
     p_verify = sub.add_parser(
@@ -1139,7 +1114,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo samples per fault (default 50)",
     )
     seed_flag(p_escape)
-    kernel_flag(p_escape)
     p_escape.set_defaults(handler=cmd_escape)
 
     p_montecarlo = sub.add_parser(
@@ -1160,7 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform", help="sampling distribution (default uniform)",
     )
     seed_flag(p_montecarlo)
-    kernel_flag(p_montecarlo)
     p_montecarlo.set_defaults(handler=cmd_montecarlo)
 
     p_tolerance = sub.add_parser(

@@ -13,10 +13,10 @@ the paper's analog setting:
 * **robustness margins** — for every ``d_ij = 1`` entry of the
   detectability matrix, how far its peak deviation sits above the
   detection threshold once the fault-free tolerance noise floor is
-  budgeted in.  The floor comes from the PR-4 ε-calibration engine
+  budgeted in.  The floor comes from the ε-calibration engine
   (:func:`~repro.analysis.corners.corner_analysis` /
   :func:`~repro.analysis.montecarlo.monte_carlo_tolerance`, both batched
-  through :mod:`repro.analysis.batched` with ``kernel="stacked"``).
+  through :mod:`repro.analysis.batched`).
   An entry with ``margin <= 0`` can flip under in-tolerance component
   variation — a 1-detection cover that relies on it is fragile, which
   is exactly what raising ``n_detect`` hardens against;
@@ -87,7 +87,6 @@ def calibrate_noise_floor(
     tolerance: float = 0.05,
     method: str = "corners",
     criterion: str = "band",
-    kernel: str = "stacked",
     components: Optional[Sequence[str]] = None,
     output: Optional[str] = None,
     samples: int = 200,
@@ -104,9 +103,7 @@ def calibrate_noise_floor(
     (:func:`~repro.analysis.corners.corner_analysis`) and supports both
     deviation criteria; ``method="montecarlo"`` samples the tolerance
     box (:func:`~repro.analysis.montecarlo.monte_carlo_tolerance`) and
-    is a Definition-1 (point-wise ``|ΔT/T|``) quantity only.  Both
-    accept ``kernel="stacked"`` to run through the batched
-    stamp-program engine of :mod:`repro.analysis.batched`.
+    is a Definition-1 (point-wise ``|ΔT/T|``) quantity only.
     """
     if criterion not in ("band", "relative"):
         raise OptimizationError(
@@ -121,7 +118,6 @@ def calibrate_noise_floor(
             tolerance=tolerance,
             components=components,
             output=output,
-            kernel=kernel,
         )
         if criterion == "band":
             return float(analysis.band_epsilon_floor())
@@ -142,7 +138,6 @@ def calibrate_noise_floor(
             components=components,
             output=output,
             seed=seed,
-            kernel=kernel,
         )
         return float(analysis.suggested_epsilon(percentile))
     raise OptimizationError(

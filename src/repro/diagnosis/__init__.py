@@ -7,7 +7,7 @@ estimated deviation magnitude — following the fault-trajectory approach
 
 * :mod:`repro.diagnosis.trajectory` — dictionary construction: sweep
   every component over a deviation grid in every DFT configuration,
-  through the loop or the stacked solve kernel (bit-identical);
+  each configuration's grid assembled as one stamp-program family;
 * :mod:`repro.diagnosis.matcher` — nearest-trajectory search with
   pluggable distances, ranked candidates, ambiguity sets and the
   bridge back to the boolean-signature verdicts;

@@ -16,11 +16,6 @@ simulator and the ε-calibration engine:
 * :class:`~repro.campaign.telemetry.CampaignTelemetry` observes unit
   completions for traces, progress lines and the service's
   ``/metrics``.
-
-The solve ``kernel`` is deliberately **not** part of the unit content
-keys: both kernels produce bit-identical trajectories (the
-``trajectory ≡ fault simulator`` invariant of :mod:`repro.verify`), so
-cached dictionaries are shared across kernels.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.ac import FrequencyResponse
-from ..analysis.kernel import KernelStats, validate_kernel
+from ..analysis.kernel import KernelStats
 from ..analysis.sweep import FrequencyGrid
 from ..circuit.netlist import Circuit
 from ..dft.configuration import Configuration
@@ -60,8 +55,8 @@ class DiagnosisUnit:
 
     Mirrors :class:`~repro.campaign.plan.WorkUnit` closely enough
     (``unit_id`` / ``config_label`` / ``key`` / ``n_faults`` /
-    ``engine`` / ``kernel``) that executors, the cache and the
-    telemetry consume it unchanged.  ``circuit`` is the already-emulated
+    ``engine``) that executors, the cache and the telemetry consume it
+    unchanged.  ``circuit`` is the already-emulated
     configuration, so workers need no DFT machinery.
     """
 
@@ -73,7 +68,6 @@ class DiagnosisUnit:
     deviations: Tuple[float, ...]
     grid: FrequencyGrid
     engine: str = DIAGNOSIS
-    kernel: str = "loop"
     key: str = ""
 
     @property
@@ -103,7 +97,7 @@ class DiagnosisUnitResult:
     nominal: FrequencyResponse
     responses: Dict[Tuple[str, float], FrequencyResponse]
     n_solves: int
-    #: LU factorizations performed by the stacked kernel (0 under loop)
+    #: LU factorizations the unit's sweeps performed
     n_factorizations: int = 0
 
 
@@ -114,11 +108,7 @@ def diagnosis_unit_key(
     components: Sequence[str],
     deviations: Sequence[float],
 ) -> str:
-    """Content hash of one diagnosis unit (stable across processes).
-
-    The solve ``kernel`` is deliberately excluded: both kernels produce
-    bit-identical trajectories, so cached results are kernel-independent.
-    """
+    """Content hash of one diagnosis unit (stable across processes)."""
     payload = "\n".join(
         [
             DIAGNOSIS_FORMAT,
@@ -126,7 +116,7 @@ def diagnosis_unit_key(
             f"grid:{grid.f_start!r}:{grid.f_stop!r}:{grid.points_per_decade}",
             "components:" + ",".join(components),
             "deviations:" + ",".join(repr(d) for d in deviations),
-            circuit.netlist(),
+            circuit.identity(),
         ]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -142,7 +132,6 @@ class DiagnosisPlan:
     components: Tuple[str, ...]
     deviations: Tuple[float, ...]
     grid: FrequencyGrid
-    kernel: str = "loop"
     engine: str = DIAGNOSIS
 
     @property
@@ -170,8 +159,7 @@ class DiagnosisPlan:
         return (
             f"diagnosis plan: {self.n_units} configuration(s) x "
             f"{len(self.components)} component(s) x "
-            f"{len(self.deviations)} deviation(s) "
-            f"(kernel {self.kernel})"
+            f"{len(self.deviations)} deviation(s)"
         )
 
 
@@ -182,7 +170,6 @@ def plan_diagnosis_campaign(
     deviations: Optional[Sequence[float]] = None,
     configs: Optional[Sequence[Configuration]] = None,
     output: Optional[str] = None,
-    kernel: str = "loop",
 ) -> DiagnosisPlan:
     """Decompose a dictionary build into hashed per-configuration units.
 
@@ -191,7 +178,6 @@ def plan_diagnosis_campaign(
     :func:`~repro.diagnosis.trajectory.deviation_grid`, every
     non-transparent configuration.
     """
-    validate_kernel(kernel)
     resolved_components = _resolve_components(mcc.base, components)
     resolved_deviations = validate_deviations(
         deviations if deviations is not None else deviation_grid()
@@ -216,7 +202,6 @@ def plan_diagnosis_campaign(
                 components=resolved_components,
                 deviations=resolved_deviations,
                 grid=grid,
-                kernel=kernel,
                 key=diagnosis_unit_key(
                     emulated,
                     probe,
@@ -234,7 +219,6 @@ def plan_diagnosis_campaign(
         components=resolved_components,
         deviations=resolved_deviations,
         grid=grid,
-        kernel=kernel,
     )
 
 
@@ -247,7 +231,6 @@ def execute_diagnosis_unit(unit: DiagnosisUnit) -> DiagnosisUnitResult:
         unit.components,
         unit.deviations,
         unit.grid,
-        kernel=unit.kernel,
         stats=stats,
     )
     return DiagnosisUnitResult(
@@ -360,7 +343,6 @@ def run_diagnosis_campaign(
     deviations: Optional[Sequence[float]] = None,
     configs: Optional[Sequence[Configuration]] = None,
     output: Optional[str] = None,
-    kernel: str = "loop",
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
     telemetry: Optional[CampaignTelemetry] = None,
@@ -373,7 +355,6 @@ def run_diagnosis_campaign(
         deviations=deviations,
         configs=configs,
         output=output,
-        kernel=kernel,
     )
     return execute_diagnosis_plan(
         plan, executor=executor, cache=cache, telemetry=telemetry

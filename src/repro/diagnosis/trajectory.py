@@ -9,27 +9,17 @@ deviations, and the resulting frequency responses — one *trajectory* per
 faulty response is located by nearest-trajectory search
 (:mod:`repro.diagnosis.matcher`).
 
-Simulation goes through the exact machinery of the fault simulator:
-
-* the **loop** kernel replays :func:`repro.faults.simulator.
-  simulate_configuration`'s per-sweep path one :class:`DeviationFault`
-  at a time;
-* the **stacked** kernel exploits that a :class:`DeviationFault` *is* a
-  single-component scaling (``element.scaled(1 + deviation)``): each
-  configuration's whole deviation grid becomes one factor matrix for
-  :func:`repro.analysis.batched.scaled_responses`, which replays the
-  nominal stamp stream once (:class:`~repro.analysis.batched.
-  StampProgram`) and dispatches every (component × deviation ×
-  frequency) pencil through :func:`repro.analysis.kernel.
-  solve_requests` — ``SweepRequest`` stacks, ``n_factorizations``
-  accounting — with **bit-identical** results by the batched-assembly
-  and kernel stacking contracts (enforced by the ``trajectory ≡ fault
-  simulator`` invariant of :mod:`repro.verify`).
-
-Because each trajectory point is built from the very
-``fault.apply(circuit)`` sweep the detectability engine performs, a
-trajectory evaluated at a fault-universe deviation *is* the fault
-simulator's faulty response, bit for bit.
+A :class:`DeviationFault` *is* a single-component scaling
+(``element.scaled(1 + deviation)``), so each configuration's whole
+deviation grid becomes one factor matrix for
+:func:`repro.analysis.batched.scaled_responses`, which replays the
+nominal stamp stream once (:class:`~repro.analysis.batched.
+StampProgram`) and solves every (component × deviation) sweep through
+:func:`repro.analysis.kernel.solve_sweep`.  The batched-assembly
+contract makes every point **bit-identical** to sweeping
+``fault.apply(circuit)``, so a trajectory evaluated at a fault-universe
+deviation *is* the fault simulator's faulty response, bit for bit (the
+``trajectory ≡ fault simulator`` invariant of :mod:`repro.verify`).
 """
 
 from __future__ import annotations
@@ -41,7 +31,7 @@ import numpy as np
 
 from ..analysis.ac import FrequencyResponse, ac_analysis
 from ..analysis.batched import scaled_responses
-from ..analysis.kernel import KernelStats, validate_kernel
+from ..analysis.kernel import KernelStats
 from ..analysis.sweep import FrequencyGrid
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
@@ -105,47 +95,33 @@ def trajectory_responses(
     components: Sequence[str],
     deviations: Sequence[float],
     grid: FrequencyGrid,
-    kernel: str = "loop",
     stats: Optional[KernelStats] = None,
 ) -> Tuple[FrequencyResponse, Dict[Tuple[str, float], FrequencyResponse], int]:
     """One configuration's trajectories: nominal + every grid point.
 
     Returns ``(nominal, {(component, deviation): response}, n_solves)``.
-    Both kernels evaluate the exact faulty circuits
-    ``DeviationFault(component, deviation).apply(circuit)`` in the same
-    order; ``kernel="stacked"`` expresses them as one factor matrix —
-    a row of ones for the nominal, then one row per grid point with
-    component ``k`` scaled by ``1 + deviation`` — and batches the whole
-    family through :func:`~repro.analysis.batched.scaled_responses`
-    with bit-identical values (the ``value * factor`` product and the
-    stamp accumulation order are exactly the loop's).
+    The faulty circuits ``DeviationFault(component, deviation).apply(
+    circuit)`` are expressed as one factor matrix — a row of ones for
+    the nominal, then one row per grid point with component ``k``
+    scaled by ``1 + deviation`` — and the whole family goes through
+    :func:`~repro.analysis.batched.scaled_responses` with values
+    bit-identical to sweeping each faulty circuit (the ``value *
+    factor`` product and the stamp accumulation order are exactly the
+    rebuilt circuit's).
     """
-    faults = trajectory_faults(components, deviations)
     keys = [
         (component, deviation)
         for component in components
         for deviation in deviations
     ]
-    if validate_kernel(kernel) == "stacked":
-        column = {name: k for k, name in enumerate(components)}
-        factors = np.ones((1 + len(keys), len(components)))
-        for row, (component, deviation) in enumerate(keys, start=1):
-            factors[row, column[component]] = 1.0 + deviation
-        responses = scaled_responses(
-            circuit, grid, components, factors, output=output, stats=stats
-        )
-        nominal = responses[0]
-        points = dict(zip(keys, responses[1:]))
-        return nominal, points, 1 + len(faults)
-    nominal = ac_analysis(circuit, grid, output=output)
-    points: Dict[Tuple[str, float], FrequencyResponse] = {}
-    n_solves = 1
-    for key, fault in zip(keys, faults):
-        points[key] = ac_analysis(
-            fault.apply(circuit), grid, output=output
-        )
-        n_solves += 1
-    return nominal, points, n_solves
+    column = {name: k for k, name in enumerate(components)}
+    factors = np.ones((1 + len(keys), len(components)))
+    for row, (component, deviation) in enumerate(keys, start=1):
+        factors[row, column[component]] = 1.0 + deviation
+    responses = scaled_responses(
+        circuit, grid, components, factors, output=output, stats=stats
+    )
+    return responses[0], dict(zip(keys, responses[1:])), 1 + len(keys)
 
 
 @dataclass
@@ -168,7 +144,7 @@ class TrajectoryDictionary:
         repr=False
     )
     n_solves: int = 0
-    #: LU factorizations performed by the stacked kernel (0 under loop)
+    #: LU factorizations the sweeps performed
     n_factorizations: int = 0
 
     @property
@@ -246,7 +222,6 @@ def build_trajectory_dictionary(
     deviations: Optional[Sequence[float]] = None,
     configs: Optional[Sequence[Configuration]] = None,
     output: Optional[str] = None,
-    kernel: str = "loop",
 ) -> TrajectoryDictionary:
     """Build the full dictionary in-process (no campaign engine).
 
@@ -256,15 +231,7 @@ def build_trajectory_dictionary(
     diagnosis configuration set of the paper's flow).  For the campaign
     engine's planned / parallel / cached twin of this function see
     :func:`repro.diagnosis.campaign.run_diagnosis_campaign`.
-
-    Under ``kernel="stacked"`` each configuration's whole deviation
-    grid is assembled as one :class:`~repro.analysis.batched.
-    StampProgram` factor family and solved through stacked
-    :func:`~repro.analysis.kernel.solve_requests` dispatches —
-    bit-identical to the loop, at a fraction of its per-variant
-    assembly cost.
     """
-    validate_kernel(kernel)
     resolved_components = _resolve_components(mcc.base, components)
     resolved_deviations = validate_deviations(
         deviations if deviations is not None else deviation_grid()
@@ -289,7 +256,6 @@ def build_trajectory_dictionary(
             resolved_components,
             resolved_deviations,
             grid,
-            kernel=kernel,
             stats=stats,
         )
         nominal[config.index] = config_nominal
@@ -322,8 +288,8 @@ def observe_fault(
     Sweeps ``fault.apply(emulated)`` in every configuration — the
     response set a tester would record from a device carrying that
     fault, used to seed the matcher in tests, the CLI and the service.
-    Evaluated on the plain loop path: it models the *measurement*, not
-    the dictionary build, so it has no kernel knob.
+    Evaluated by plain per-circuit sweeps: it models the *measurement*,
+    not the dictionary build.
     """
     if configs is None:
         configs = mcc.configurations(

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis.ac import ac_analysis
-from ..analysis.kernel import KernelStats, solve_requests, validate_kernel
+from ..analysis.kernel import KernelStats
 from ..analysis.sweep import FrequencyGrid
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError
@@ -79,51 +79,6 @@ def _sample_circuit(
     return sample
 
 
-def _batched_magnitudes(
-    circuits: Sequence[Circuit],
-    grid: FrequencyGrid,
-    probe: str,
-    stats: Optional[KernelStats] = None,
-) -> List[np.ndarray]:
-    """|T| rows of many circuit variants through one kernel dispatch.
-
-    Each variant gets its own assembled MNA system (a fault applied on
-    top of a tolerance sample is *not* a rank-1 scale of the nominal
-    pencil, so stamp-program batching would change the multiplication
-    order and break bit-identity); the sweeps themselves are stacked by
-    :func:`~repro.analysis.kernel.solve_requests`, reproducing
-    :func:`~repro.analysis.ac.ac_analysis` exactly — including the
-    zeros-for-ground-probe and finiteness behaviour of
-    :meth:`~repro.analysis.mna.MnaSystem.sweep_voltage`.
-    """
-    from ..analysis.mna import MnaSystem
-    from ..errors import SingularCircuitError
-
-    entries = []
-    for circuit in circuits:
-        system = MnaSystem(circuit)
-        out_index = system.index_of(probe)
-        request = system.sweep_request() if out_index >= 0 else None
-        entries.append((circuit.title, out_index, request))
-    requests = [r for (_, _, r) in entries if r is not None]
-    outcomes = iter(solve_requests(requests, grid.frequencies_hz, stats))
-    rows: List[np.ndarray] = []
-    for title, out_index, request in entries:
-        if request is None:
-            values = np.zeros(grid.frequencies_hz.shape, dtype=complex)
-        else:
-            outcome = next(outcomes)
-            if isinstance(outcome, SingularCircuitError):
-                raise outcome from None
-            values = outcome[:, out_index, 0]
-            if not np.all(np.isfinite(values)):
-                raise SingularCircuitError(
-                    f"{title}: non-finite response in sweep"
-                )
-        rows.append(np.abs(values))
-    return rows
-
-
 def escape_analysis(
     circuit: Circuit,
     faults: Sequence[Fault],
@@ -134,7 +89,6 @@ def escape_analysis(
     frequencies_hz: Optional[Sequence[float]] = None,
     output: Optional[str] = None,
     seed: Optional[int] = 1998,
-    kernel: str = "loop",
     stats: Optional[KernelStats] = None,
 ) -> EscapeAnalysis:
     """Estimate yield loss and per-fault escape probabilities.
@@ -158,20 +112,14 @@ def escape_analysis(
     seed:
         PRNG seed; ``None`` draws a fresh :func:`numpy.random.default_rng`
         stream (non-reproducible).
-    kernel:
-        ``"loop"`` (default) sweeps one sampled circuit at a time;
-        ``"stacked"`` draws the exact same sample family in the exact
-        same PRNG order, then batches every sweep of the analysis
-        through one stacked LAPACK dispatch — identical results.
     stats:
-        Accumulates the stacked kernel's solve / factorization counters
-        when given.
+        Accumulates the solve / factorization counters of every sampled
+        sweep when given.
     """
     if epsilon <= 0 or tolerance < 0:
         raise AnalysisError("need epsilon > 0 and tolerance >= 0")
     if n_samples < 1:
         raise AnalysisError("n_samples must be >= 1")
-    validate_kernel(kernel)
     rng = np.random.default_rng(seed)
     probe = output or circuit.output
     nominal = ac_analysis(circuit, grid, output=probe)
@@ -196,53 +144,12 @@ def escape_analysis(
     band = epsilon * reference
     nominal_points = nominal.magnitude[compare_indices]
 
-    def magnitude_fails(magnitude: np.ndarray) -> bool:
-        deviation = np.abs(magnitude[compare_indices] - nominal_points)
-        return bool(np.any(deviation > band))
-
     def fails(sample: Circuit) -> bool:
-        response = ac_analysis(sample, grid, output=probe)
-        return magnitude_fails(response.magnitude)
-
-    if kernel == "stacked":
-        # The sample family is drawn in the loop engine's exact order —
-        # good samples first, then one fresh family per fault — so the
-        # PRNG stream, the sampled circuits and therefore every swept
-        # pencil are identical; only the dispatch is batched.
-        good = [
-            _sample_circuit(circuit, components, tolerance, rng)
-            for _ in range(n_samples)
-        ]
-        faulty_groups = [
-            [
-                fault.apply(
-                    _sample_circuit(circuit, components, tolerance, rng)
-                )
-                for _ in range(n_samples)
-            ]
-            for fault in faults
-        ]
-        variants = good + [c for group in faulty_groups for c in group]
-        rows = _batched_magnitudes(variants, grid, probe, stats)
-        yield_loss = (
-            sum(magnitude_fails(row) for row in rows[:n_samples])
-            / n_samples
+        response = ac_analysis(sample, grid, output=probe, stats=stats)
+        deviation = np.abs(
+            response.magnitude[compare_indices] - nominal_points
         )
-        escape_per_fault = {}
-        offset = n_samples
-        for fault in faults:
-            group = rows[offset:offset + n_samples]
-            offset += n_samples
-            passes = sum(not magnitude_fails(row) for row in group)
-            label = getattr(fault, "short_name", fault.name)
-            escape_per_fault[label] = passes / n_samples
-        return EscapeAnalysis(
-            epsilon=epsilon,
-            tolerance=tolerance,
-            n_samples=n_samples,
-            yield_loss=yield_loss,
-            escape_per_fault=escape_per_fault,
-        )
+        return bool(np.any(deviation > band))
 
     # Yield loss: fault-free samples that fail.
     failures = sum(
@@ -282,7 +189,6 @@ def escape_tradeoff_curve(
     n_samples: int = 30,
     output: Optional[str] = None,
     seed: Optional[int] = 1998,
-    kernel: str = "loop",
 ) -> List[EscapeAnalysis]:
     """The ε operating curve: yield loss vs escape for several ε."""
     return [
@@ -295,7 +201,6 @@ def escape_tradeoff_curve(
             n_samples=n_samples,
             output=output,
             seed=seed,
-            kernel=kernel,
         )
         for eps in epsilons
     ]

@@ -25,13 +25,8 @@ sweeps entirely.  For the biquad campaign this turns 63 sweeps into 7,
 and the advantage grows linearly with the fault count.
 
 The sweeps themselves are dispatched through the stacked kernel
-(:mod:`repro.analysis.kernel`): with ``kernel="loop"`` each
-configuration's multi-RHS sweep is one batched solve over its
-frequency grid; with ``kernel="stacked"`` *every* configuration's
-sweep — plus every per-fault fallback sweep — is assembled up front
-and stacked into shared LAPACK dispatches across configurations.
-Either way the results are bit-identical (the ``stacked ≡ loop``
-verification invariant enforces exact equality).
+(:mod:`repro.analysis.kernel`): each configuration's multi-RHS sweep is
+one batched solve over its frequency grid.
 
 Faults outside the supported class (``MultipleFault``, faults on
 branch-based inductors whose replacement changes the matrix structure)
@@ -47,13 +42,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.ac import FrequencyResponse
-from ..analysis.kernel import (
-    KernelStats,
-    solve_requests,
-    validate_kernel,
-)
-from ..analysis.mna import MnaSystem, shared_system
+from ..analysis.ac import FrequencyResponse, ac_analysis
+from ..analysis.kernel import KernelStats, solve_sweep
+from ..analysis.mna import MnaSystem
 from ..circuit.components import Capacitor, Resistor
 from ..circuit.netlist import Circuit
 from ..core.detectability import evaluate_detectability
@@ -61,12 +52,7 @@ from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
 from ..errors import AnalysisError, SingularCircuitError
 from .model import DeviationFault, Fault, OpenFault, ShortFault
-from .simulator import (
-    DetectabilityDataset,
-    SimulationSetup,
-    _fault_label,
-    _sweep_values_from,
-)
+from .simulator import DetectabilityDataset, SimulationSetup, _fault_label
 from .universe import check_unique_names
 
 
@@ -221,32 +207,15 @@ def _sweep_with_updates(
     pure-numpy Sherman–Morrison algebra.  Returns
     ``(nominal_values, {fault_label: faulty_values})``.
     """
-    system = shared_system(circuit)
+    system = MnaSystem(circuit)
     out_index = system.index_of(output)
     pair_column, u_vectors, rhs = _rank1_prepare(system, rank1_faults)
     request = system.sweep_request(rhs)
     request.singular_what = "singular"
-    outcome = solve_requests([request], frequencies, stats)[0]
-    if isinstance(outcome, SingularCircuitError):
-        raise outcome from None
     return _rank1_responses(
-        outcome, out_index, rank1_faults, pair_column, u_vectors,
-        circuit.title,
+        solve_sweep(request, frequencies, stats), out_index, rank1_faults,
+        pair_column, u_vectors, circuit.title,
     )
-
-
-def _slow_fault_entries(
-    circuit: Circuit, output: str, slow: Sequence[Tuple[Fault, str]]
-):
-    """Sweep entries (title, out_index, request) for non-rank-1 faults."""
-    entries = []
-    for fault, _ in slow:
-        variant = fault.apply(circuit)
-        system = MnaSystem(variant)
-        out_index = system.index_of(output)
-        request = system.sweep_request() if out_index >= 0 else None
-        entries.append((variant.title, out_index, request))
-    return entries
 
 
 def simulate_configuration_fast(
@@ -255,7 +224,6 @@ def simulate_configuration_fast(
     faults: Sequence[Fault],
     labels: Sequence[str],
     setup: SimulationSetup,
-    kernel: str = "loop",
     stats: Optional[KernelStats] = None,
 ) -> Tuple[FrequencyResponse, Dict[str, "DetectabilityResult"], int]:
     """One configuration's campaign share through the rank-1 fast path.
@@ -263,24 +231,15 @@ def simulate_configuration_fast(
     Returns ``(nominal_response, {label: result}, n_solves)``; faults
     outside the rank-1 class fall back to per-fault exact sweeps.  Both
     :func:`simulate_faults_fast` and the campaign engine's ``"fast"``
-    work units run through here.
-
-    ``kernel="stacked"`` batches the configuration's multi-RHS sweep
-    *and* every slow-fault fallback sweep into one kernel dispatch;
-    ``stats`` accumulates solve/factorization counters when given.
+    work units run through here; ``stats`` accumulates
+    solve/factorization counters when given.
     """
     if output is None:
         raise AnalysisError("no output node designated")
-    validate_kernel(kernel)
     grid = setup.grid
     frequencies = grid.frequencies_hz
     omega = 2.0 * np.pi * frequencies
     rank1, slow = _split_faults(circuit, faults, labels, omega)
-
-    if kernel == "stacked":
-        return _simulate_configuration_fast_stacked(
-            circuit, output, rank1, slow, setup, stats
-        )
 
     nominal_values, faulty_values = _sweep_with_updates(
         circuit, output, frequencies, rank1, stats
@@ -302,10 +261,8 @@ def simulate_configuration_fast(
             setup.criterion,
         )
     for fault, label in slow:
-        from ..analysis.ac import ac_analysis
-
         faulty_response = ac_analysis(
-            fault.apply(circuit), grid, output=output
+            fault.apply(circuit), grid, output=output, stats=stats
         )
         n_solves += 1
         results[label] = evaluate_detectability(
@@ -317,172 +274,6 @@ def simulate_configuration_fast(
     return nominal_response, results, n_solves
 
 
-def _simulate_configuration_fast_stacked(
-    circuit: Circuit,
-    output: str,
-    rank1,
-    slow,
-    setup: SimulationSetup,
-    stats: Optional[KernelStats] = None,
-) -> Tuple[FrequencyResponse, Dict[str, "DetectabilityResult"], int]:
-    """Stacked-kernel twin of the fast per-configuration path."""
-    grid = setup.grid
-    frequencies = grid.frequencies_hz
-
-    system = shared_system(circuit)
-    out_index = system.index_of(output)
-    pair_column, u_vectors, rhs = _rank1_prepare(system, rank1)
-    main = system.sweep_request(rhs)
-    main.singular_what = "singular"
-    slow_entries = _slow_fault_entries(circuit, output, slow)
-    requests = [main] + [r for (_, _, r) in slow_entries if r is not None]
-
-    outcomes = iter(solve_requests(requests, frequencies, stats))
-    main_outcome = next(outcomes)
-    if isinstance(main_outcome, SingularCircuitError):
-        raise main_outcome from None
-    nominal_values, faulty_values = _rank1_responses(
-        main_outcome, out_index, rank1, pair_column, u_vectors,
-        circuit.title,
-    )
-    nominal_response = FrequencyResponse(
-        grid=grid,
-        values=nominal_values,
-        label=f"{circuit.title}:V({output})",
-    )
-
-    results: Dict[str, "DetectabilityResult"] = {}
-    for label, values in faulty_values.items():
-        results[label] = evaluate_detectability(
-            nominal_response,
-            FrequencyResponse(grid=grid, values=values),
-            setup.epsilon,
-            setup.criterion,
-        )
-    n_solves = 1
-    for (fault_label, entry) in zip(
-        [label for _, label in slow], slow_entries
-    ):
-        title, slow_out_index, request = entry
-        if request is None:
-            values = np.zeros(frequencies.shape, dtype=complex)
-        else:
-            values = _sweep_values_from(
-                next(outcomes), slow_out_index, title
-            )
-        n_solves += 1
-        results[fault_label] = evaluate_detectability(
-            nominal_response,
-            FrequencyResponse(
-                grid=grid, values=values, label=f"{title}:V({output})"
-            ),
-            setup.epsilon,
-            setup.criterion,
-        )
-    return nominal_response, results, n_solves
-
-
-def _simulate_faults_fast_stacked(
-    mcc: MultiConfigurationCircuit,
-    faults: Sequence[Fault],
-    setup: SimulationSetup,
-    configs: Sequence[Configuration],
-    labels: Sequence[str],
-) -> DetectabilityDataset:
-    """Whole-campaign stacked fast path: every configuration's
-    Sherman–Morrison sweep (and slow-fault fallback) in one kernel
-    dispatch sequence.
-    """
-    stats = KernelStats()
-    grid = setup.grid
-    frequencies = grid.frequencies_hz
-    omega = 2.0 * np.pi * frequencies
-
-    requests = []
-    per_config = []
-    for config in configs:
-        emulated = mcc.emulate(config)
-        output = setup.output or emulated.output or mcc.base.output
-        if output is None:
-            raise AnalysisError("no output node designated")
-        rank1, slow = _split_faults(emulated, faults, labels, omega)
-        system = shared_system(emulated)
-        out_index = system.index_of(output)
-        pair_column, u_vectors, rhs = _rank1_prepare(system, rank1)
-        main = system.sweep_request(rhs)
-        main.singular_what = "singular"
-        requests.append(main)
-        slow_entries = _slow_fault_entries(emulated, output, slow)
-        requests.extend(r for (_, _, r) in slow_entries if r is not None)
-        per_config.append(
-            (
-                config, emulated, output, out_index,
-                rank1, slow, pair_column, u_vectors, slow_entries,
-            )
-        )
-
-    outcomes = iter(solve_requests(requests, frequencies, stats))
-
-    nominal: Dict[int, FrequencyResponse] = {}
-    results = {}
-    n_solves = 0
-    for (
-        config, emulated, output, out_index,
-        rank1, slow, pair_column, u_vectors, slow_entries,
-    ) in per_config:
-        main_outcome = next(outcomes)
-        if isinstance(main_outcome, SingularCircuitError):
-            raise main_outcome from None
-        nominal_values, faulty_values = _rank1_responses(
-            main_outcome, out_index, rank1, pair_column, u_vectors,
-            emulated.title,
-        )
-        nominal_response = FrequencyResponse(
-            grid=grid,
-            values=nominal_values,
-            label=f"{emulated.title}:V({output})",
-        )
-        nominal[config.index] = nominal_response
-        n_solves += 1
-        for label, values in faulty_values.items():
-            results[(config.index, label)] = evaluate_detectability(
-                nominal_response,
-                FrequencyResponse(grid=grid, values=values),
-                setup.epsilon,
-                setup.criterion,
-            )
-        for (fault_label, entry) in zip(
-            [label for _, label in slow], slow_entries
-        ):
-            title, slow_out_index, request = entry
-            if request is None:
-                values = np.zeros(frequencies.shape, dtype=complex)
-            else:
-                values = _sweep_values_from(
-                    next(outcomes), slow_out_index, title
-                )
-            n_solves += 1
-            results[(config.index, fault_label)] = evaluate_detectability(
-                nominal_response,
-                FrequencyResponse(
-                    grid=grid, values=values,
-                    label=f"{title}:V({output})",
-                ),
-                setup.epsilon,
-                setup.criterion,
-            )
-
-    return DetectabilityDataset(
-        configs=tuple(configs),
-        fault_labels=tuple(labels),
-        setup=setup,
-        nominal=nominal,
-        results=results,
-        n_solves=n_solves,
-        n_factorizations=stats.factorizations,
-    )
-
-
 def simulate_faults_fast(
     mcc: MultiConfigurationCircuit,
     faults: Sequence[Fault],
@@ -492,7 +283,6 @@ def simulate_faults_fast(
     cache=None,
     telemetry=None,
     chunk_size: Optional[int] = None,
-    kernel: str = "loop",
 ) -> DetectabilityDataset:
     """Drop-in fast variant of :func:`~repro.faults.simulator.simulate_faults`.
 
@@ -505,13 +295,7 @@ def simulate_faults_fast(
     Passing any of ``executor`` / ``cache`` / ``telemetry`` /
     ``chunk_size`` routes the run through the campaign engine (see
     :mod:`repro.campaign`) with ``engine="fast"``.
-
-    ``kernel="stacked"`` additionally stacks every configuration's
-    multi-RHS sweep into shared LAPACK dispatches
-    (:mod:`repro.analysis.kernel`) — bit-identical results, one batched
-    solve sequence for the whole campaign.
     """
-    validate_kernel(kernel)
     if (
         executor is not None
         or cache is not None
@@ -530,7 +314,6 @@ def simulate_faults_fast(
             executor=executor,
             cache=cache,
             telemetry=telemetry,
-            kernel=kernel,
         )
 
     check_unique_names(faults)
@@ -549,11 +332,7 @@ def simulate_faults_fast(
             "fault labels collide; use fault_name_style='full'"
         )
 
-    if kernel == "stacked":
-        return _simulate_faults_fast_stacked(
-            mcc, faults, setup, configs, labels
-        )
-
+    stats = KernelStats()
     nominal: Dict[int, FrequencyResponse] = {}
     results = {}
     n_solves = 0
@@ -563,7 +342,7 @@ def simulate_faults_fast(
         output = setup.output or emulated.output or mcc.base.output
         nominal_response, config_results, config_solves = (
             simulate_configuration_fast(
-                emulated, output, faults, labels, setup
+                emulated, output, faults, labels, setup, stats
             )
         )
         nominal[config.index] = nominal_response
@@ -578,4 +357,5 @@ def simulate_faults_fast(
         nominal=nominal,
         results=results,
         n_solves=n_solves,
+        n_factorizations=stats.factorizations,
     )

@@ -24,13 +24,8 @@ import numpy as np
 
 from ..analysis.ac import FrequencyResponse
 from ..analysis.batched import ASSEMBLY_BUDGET, StampProgram
-from ..analysis.kernel import (
-    KernelStats,
-    SweepRequest,
-    solve_requests,
-    validate_kernel,
-)
-from ..analysis.mna import MnaSystem, shared_system
+from ..analysis.kernel import KernelStats, SweepRequest, solve_sweep
+from ..analysis.mna import MnaSystem
 from ..analysis.sweep import FrequencyGrid
 from ..circuit.components import TwoTerminal
 from ..core.detectability import DetectabilityResult, evaluate_detectability
@@ -99,8 +94,7 @@ class DetectabilityDataset:
     nominal: Dict[int, FrequencyResponse]
     results: Dict[Tuple[int, str], DetectabilityResult]
     n_solves: int = 0
-    #: LU factorizations performed by the stacked kernel (0 under the
-    #: historical loop kernel, which does not meter its LAPACK calls)
+    #: LU factorizations the sweeps performed (one per solved grid point)
     n_factorizations: int = 0
     _matrix: Optional[FaultDetectabilityMatrix] = field(
         default=None, repr=False
@@ -193,34 +187,12 @@ class DetectabilityDataset:
         )
 
 
-def _sweep_values_from(
-    outcome, out_index: int, title: str
-) -> np.ndarray:
-    """Output row of one kernel outcome, with the loop engine's checks.
-
-    Raises the :class:`SingularCircuitError` the kernel recorded for a
-    singular sweep, and applies ``MnaSystem.sweep_voltage``'s
-    finiteness guard with its exact message.
-    """
-    if isinstance(outcome, SingularCircuitError):
-        raise outcome from None
-    values = outcome[:, out_index, 0]
-    if not np.all(np.isfinite(values)):
-        raise SingularCircuitError(f"{title}: non-finite response in sweep")
-    return values
-
-
-def _sweep_entries(
-    circuit, output: Optional[str], faults, assemble=MnaSystem
-):
+def _sweep_entries(circuit, output: Optional[str], faults):
     """Sweep entries of one configuration: nominal, then every fault.
 
-    Yields ``(title, probe, out_index, request)`` tuples lazily, in the
-    loop engine's evaluation order, so a per-fault error surfaces
-    exactly where per-fault simulation raises it.  ``assemble`` builds
-    the nominal :class:`MnaSystem`; the stacked kernel passes
-    :func:`shared_system` so fault chunks of one campaign configuration
-    share a single assembly.  A sweep probing ground
+    Yields ``(title, probe, out_index, request)`` tuples lazily, in
+    evaluation order, so a per-fault error surfaces exactly where
+    per-fault simulation raises it.  A sweep probing ground
     (``out_index < 0``) carries no request and later yields zeros
     without solving, exactly like
     :meth:`~repro.analysis.mna.MnaSystem.sweep_voltage`.
@@ -245,7 +217,7 @@ def _sweep_entries(
         request = system.sweep_request() if index >= 0 else None
         return system.circuit.title, probe, index, request
 
-    system = assemble(circuit)
+    system = MnaSystem(circuit)
     yield entry(system)
 
     rows = [
@@ -284,18 +256,24 @@ def _sweep_entries(
             )
 
 
-def _responses(entries, grid: FrequencyGrid, solve):
+def _responses(entries, grid: FrequencyGrid, stats: Optional[KernelStats]):
     """Frequency response of every sweep entry, lazily and in order.
 
-    ``solve`` maps an entry's request to its kernel outcome; walking
-    entries in order raises the first error exactly where the loop
-    engine would.
+    Walking the entries in order raises the first error exactly where
+    per-fault simulation would, with ``MnaSystem.sweep_voltage``'s
+    singularity and finiteness messages.
     """
     for title, probe, out_index, request in entries:
         if request is None:
             values = np.zeros(grid.frequencies_hz.shape, dtype=complex)
         else:
-            values = _sweep_values_from(solve(request), out_index, title)
+            values = solve_sweep(request, grid.frequencies_hz, stats)[
+                :, out_index, 0
+            ]
+            if not np.all(np.isfinite(values)):
+                raise SingularCircuitError(
+                    f"{title}: non-finite response in sweep"
+                )
         yield FrequencyResponse(
             grid=grid, values=values, label=f"{title}:V({probe})"
         )
@@ -307,7 +285,6 @@ def simulate_configuration(
     faults: Sequence[Fault],
     labels: Sequence[str],
     setup: SimulationSetup,
-    kernel: str = "loop",
     stats: Optional[KernelStats] = None,
 ) -> Tuple[FrequencyResponse, Dict[str, DetectabilityResult], int]:
     """One configuration's share of a campaign: nominal + per-fault sweeps.
@@ -315,35 +292,14 @@ def simulate_configuration(
     Returns ``(nominal_response, {label: result}, n_solves)``.  This is
     the work performed per configuration by :func:`simulate_faults` and
     per work unit by the campaign engine — keeping both paths on the
-    same code guarantees bit-identical results.
-
-    ``kernel="loop"`` solves one sweep at a time; ``kernel="stacked"``
-    batches the nominal and every faulty sweep into one stacked LAPACK
-    dispatch (bit-identical results, far fewer Python-level solve
-    calls) and ``stats`` accumulates its solve and factorization
+    same code guarantees bit-identical results.  Each sweep is one
+    :func:`~repro.analysis.kernel.solve_sweep` call, assembled only when
+    it is reached; ``stats`` accumulates the solve and factorization
     counters when given.
     """
-    frequencies = setup.grid.frequencies_hz
-    if validate_kernel(kernel) == "stacked":
-        entries = list(
-            _sweep_entries(circuit, output, faults, shared_system)
-        )
-        outcomes = iter(
-            solve_requests(
-                [r for (_, _, _, r) in entries if r is not None],
-                frequencies,
-                stats,
-            )
-        )
-        responses = _responses(
-            entries, setup.grid, lambda _: next(outcomes)
-        )
-    else:
-        responses = _responses(
-            _sweep_entries(circuit, output, faults),
-            setup.grid,
-            lambda request: solve_requests([request], frequencies)[0],
-        )
+    responses = _responses(
+        _sweep_entries(circuit, output, faults), setup.grid, stats
+    )
     nominal_response = next(responses)
     results = {
         label: evaluate_detectability(
@@ -357,75 +313,6 @@ def simulate_configuration(
     return nominal_response, results, 1 + len(faults)
 
 
-def _simulate_faults_stacked(
-    mcc: MultiConfigurationCircuit,
-    faults: Sequence[Fault],
-    setup: SimulationSetup,
-    configs: Sequence[Configuration],
-    labels: Sequence[str],
-) -> DetectabilityDataset:
-    """Whole-campaign stacked solve: every (configuration × fault ×
-    frequency) system in one kernel dispatch sequence.
-
-    All ``configs × (faults + 1)`` MNA pencils are assembled up front
-    and handed to :func:`~repro.analysis.kernel.solve_requests`, which
-    stacks equal-size systems across configurations as well as across
-    frequencies.  Results (and error messages, raised in loop order)
-    are bit-identical to the per-configuration loop.
-    """
-    stats = KernelStats()
-    grid = setup.grid
-    per_config = []
-    for config in configs:
-        emulated = mcc.emulate(config)
-        output = setup.output or emulated.output or mcc.base.output
-        per_config.append(
-            (
-                config,
-                list(
-                    _sweep_entries(emulated, output, faults, shared_system)
-                ),
-            )
-        )
-
-    all_requests = [
-        request
-        for _, entries in per_config
-        for (_, _, _, request) in entries
-        if request is not None
-    ]
-    outcomes = iter(
-        solve_requests(all_requests, grid.frequencies_hz, stats)
-    )
-
-    nominal: Dict[int, FrequencyResponse] = {}
-    results: Dict[Tuple[int, str], DetectabilityResult] = {}
-    n_solves = 0
-    for config, entries in per_config:
-        responses = list(
-            _responses(entries, grid, lambda _: next(outcomes))
-        )
-        nominal[config.index] = responses[0]
-        n_solves += 1 + len(faults)
-        for label, faulty_response in zip(labels, responses[1:]):
-            results[(config.index, label)] = evaluate_detectability(
-                responses[0],
-                faulty_response,
-                setup.epsilon,
-                setup.criterion,
-            )
-
-    return DetectabilityDataset(
-        configs=tuple(configs),
-        fault_labels=tuple(labels),
-        setup=setup,
-        nominal=nominal,
-        results=results,
-        n_solves=n_solves,
-        n_factorizations=stats.factorizations,
-    )
-
-
 def simulate_faults(
     mcc: MultiConfigurationCircuit,
     faults: Sequence[Fault],
@@ -435,7 +322,6 @@ def simulate_faults(
     cache=None,
     telemetry=None,
     chunk_size: Optional[int] = None,
-    kernel: str = "loop",
 ) -> DetectabilityDataset:
     """Run the full fault × configuration campaign.
 
@@ -457,14 +343,7 @@ def simulate_faults(
         planned, parallelisable, resumable and observable — producing a
         bit-identical dataset.  All ``None`` (the default) keeps the
         historical in-process loop.
-    kernel:
-        ``"loop"`` (default) solves one AC sweep at a time;
-        ``"stacked"`` assembles every (configuration × fault ×
-        frequency) system of the campaign and dispatches them as
-        stacked LAPACK batches — bit-identical results, enforced by
-        the ``stacked ≡ loop`` verification invariant.
     """
-    validate_kernel(kernel)
     if (
         executor is not None
         or cache is not None
@@ -483,7 +362,6 @@ def simulate_faults(
             executor=executor,
             cache=cache,
             telemetry=telemetry,
-            kernel=kernel,
         )
 
     check_unique_names(faults)
@@ -503,11 +381,7 @@ def simulate_faults(
             "universes with several faults per component"
         )
 
-    if kernel == "stacked":
-        return _simulate_faults_stacked(
-            mcc, faults, setup, configs, labels
-        )
-
+    stats = KernelStats()
     nominal: Dict[int, FrequencyResponse] = {}
     results: Dict[Tuple[int, str], DetectabilityResult] = {}
     n_solves = 0
@@ -519,7 +393,9 @@ def simulate_faults(
         # pin), then the base circuit's.
         output = setup.output or emulated.output or mcc.base.output
         nominal_response, config_results, config_solves = (
-            simulate_configuration(emulated, output, faults, labels, setup)
+            simulate_configuration(
+                emulated, output, faults, labels, setup, stats
+            )
         )
         nominal[config.index] = nominal_response
         n_solves += config_solves
@@ -533,6 +409,7 @@ def simulate_faults(
         nominal=nominal,
         results=results,
         n_solves=n_solves,
+        n_factorizations=stats.factorizations,
     )
 
 
@@ -550,8 +427,10 @@ def simulate_single_configuration(
     labels = [
         _fault_label(fault, setup.fault_name_style) for fault in faults
     ]
+    stats = KernelStats()
     nominal_response, results, n_solves = simulate_configuration(
-        circuit, setup.output or circuit.output, faults, labels, setup
+        circuit, setup.output or circuit.output, faults, labels, setup,
+        stats,
     )
     config = Configuration(0, 1)
     return DetectabilityDataset(
@@ -564,4 +443,5 @@ def simulate_single_configuration(
             for fault_label, result in results.items()
         },
         n_solves=n_solves,
+        n_factorizations=stats.factorizations,
     )

@@ -1,7 +1,7 @@
 """Service layer — a long-running job server over the campaign stack.
 
 The ROADMAP's north star is a traffic-serving system; PRs 1–4 built the
-compute (parallel executors, content-addressed caches, stacked kernels,
+compute (parallel executors, content-addressed caches, batched solves,
 telemetry) but every entry point was a one-shot CLI run that paid
 process startup, cold caches and cold worker pools per invocation.
 This package adds the serving tier, stdlib-only:

@@ -48,7 +48,7 @@ from ..errors import (
 )
 
 #: bumped whenever the job param recipe or record layout changes
-SERVICE_FORMAT = "service-v2"
+SERVICE_FORMAT = "service-v3"
 
 # ----------------------------------------------------------------------
 # states
@@ -79,7 +79,6 @@ FAULTSIM_PARAMS: Dict[str, Tuple[type, Any]] = {
     "ppd": (int, 50),
     "engine": (str, "standard"),
     "chunk": (int, None),
-    "kernel": (str, None),       # None -> the server's default kernel
     "n_detect": (int, 1),        # detection multiplicity of the cover
     "saturate": (bool, False),   # best-effort n-detect (clamp, don't raise)
     "timeout_s": (float, None),  # None -> the server's default budget
@@ -96,7 +95,6 @@ TOLERANCE_PARAMS: Dict[str, Tuple[type, Any]] = {
     "ppd": (int, 10),
     "corners": (bool, True),
     "max_corner_components": (int, 10),
-    "kernel": (str, None),
     "timeout_s": (float, None),
 }
 
@@ -113,7 +111,6 @@ DIAGNOSE_PARAMS: Dict[str, Tuple[type, Any]] = {
     "f0": (float, None),
     "decades": (float, 2.0),
     "ppd": (int, 50),
-    "kernel": (str, None),
     "timeout_s": (float, None),
 }
 
@@ -252,11 +249,6 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
                 f"diagnose: fault_deviation must be nonzero and > -1, "
                 f"got {deviation:g}"
             )
-    kernel = normalized.get("kernel")
-    if kernel is not None and kernel not in ("loop", "stacked"):
-        raise JobValidationError(
-            f"{kind}: kernel must be 'loop' or 'stacked', got {kernel!r}"
-        )
     for name in ("epsilon", "deviation", "tolerance"):
         value = normalized.get(name)
         if value is not None and value <= 0:
@@ -575,7 +567,6 @@ def run_faultsim(job: Job, runtime, telemetry: JobTelemetry) -> dict:
     params = job.params
     circuit, f0, label = resolve_circuit(params)
     telemetry.checkpoint()
-    kernel = params["kernel"] or runtime.default_kernel
     mcc = apply_multiconfiguration(circuit)
     faults = deviation_faults(circuit, deviation=params["deviation"])
     grid = decade_grid(
@@ -591,7 +582,6 @@ def run_faultsim(job: Job, runtime, telemetry: JobTelemetry) -> dict:
         setup,
         engine=params["engine"],
         chunk_size=params["chunk"],
-        kernel=kernel,
     )
     dataset = execute_plan(
         plan,
@@ -619,7 +609,6 @@ def run_faultsim(job: Job, runtime, telemetry: JobTelemetry) -> dict:
         "target": label,
         "f0_hz": f0,
         "engine": params["engine"],
-        "kernel": kernel,
         "n_configs": plan.n_configs,
         "n_faults": plan.n_faults,
         "n_units": plan.n_units,
@@ -644,7 +633,6 @@ def run_tolerance(job: Job, runtime, telemetry: JobTelemetry) -> dict:
     from ..campaign import execute_tolerance_plan, plan_tolerance_campaign
 
     params = job.params
-    kernel = params["kernel"] or runtime.default_kernel
     plan = plan_tolerance_campaign(
         names=params["circuits"],
         tolerance=params["tolerance"],
@@ -656,7 +644,6 @@ def run_tolerance(job: Job, runtime, telemetry: JobTelemetry) -> dict:
         points_per_decade=params["ppd"],
         corners=params["corners"],
         max_corner_components=params["max_corner_components"],
-        kernel=kernel,
     )
     telemetry.checkpoint()
     report = execute_tolerance_plan(
@@ -690,7 +677,6 @@ def run_diagnose(job: Job, runtime, telemetry: JobTelemetry) -> dict:
     params = job.params
     circuit, f0, label = resolve_circuit(params)
     telemetry.checkpoint()
-    kernel = params["kernel"] or runtime.default_kernel
     mcc = apply_multiconfiguration(circuit)
     grid = decade_grid(
         f0,
@@ -699,9 +685,7 @@ def run_diagnose(job: Job, runtime, telemetry: JobTelemetry) -> dict:
         points_per_decade=params["ppd"],
     )
     deviations = deviation_grid(span=params["span"], steps=params["steps"])
-    plan = plan_diagnosis_campaign(
-        mcc, grid, deviations=deviations, kernel=kernel
-    )
+    plan = plan_diagnosis_campaign(mcc, grid, deviations=deviations)
     dictionary = execute_diagnosis_plan(
         plan,
         executor=job_executor(job, runtime),
@@ -711,7 +695,6 @@ def run_diagnose(job: Job, runtime, telemetry: JobTelemetry) -> dict:
     result = {
         "target": label,
         "f0_hz": f0,
-        "kernel": kernel,
         "distance": params["distance"],
         "n_configs": dictionary.n_configs,
         "n_components": len(dictionary.components),

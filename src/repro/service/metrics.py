@@ -132,7 +132,7 @@ class ServiceMetrics:
                 "units_done": "Work units completed (including cache hits).",
                 "cache_hits": "Work units satisfied from the result cache.",
                 "solves": "AC solves performed (0 on a fully warm cache).",
-                "factorizations": "LU factorizations by the stacked kernel.",
+                "factorizations": "LU factorizations performed by AC solves.",
                 "retries": "Work-unit retry attempts.",
                 "failures": "Work units that failed terminally.",
                 "ndetect_covers": "n-Detection covers computed by jobs.",

@@ -151,9 +151,6 @@ class ServiceRuntime:
         Server-wide telemetry instance (defaults to a fresh one); give
         it a ``trace_path`` to keep a JSONL event log of every unit the
         server ever simulates.
-    default_kernel:
-        Solve kernel for jobs that do not pin one (``"loop"`` or
-        ``"stacked"``).
     """
 
     def __init__(
@@ -161,7 +158,6 @@ class ServiceRuntime:
         executor: Union[Executor, Sequence[Executor], None] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         telemetry: Optional[CampaignTelemetry] = None,
-        default_kernel: str = "loop",
     ):
         if executor is None:
             self.executors: List[Executor] = []
@@ -171,7 +167,6 @@ class ServiceRuntime:
             self.executors = [executor]
         self.lease_pool = ExecutorLeasePool(self.executors)
         self.telemetry = telemetry or CampaignTelemetry()
-        self.default_kernel = default_kernel
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.unit_cache: Optional[ResultCache] = ResultCache(

@@ -15,8 +15,10 @@ on randomized circuits, faults, configurations and frequency grids:
 * :mod:`repro.verify.invariants` — metamorphic properties (C_0 ≡
   functional, transparency, ε-monotonicity, impedance-scaling and
   grid-refinement invariance, matrix/table consistency, cover-strategy
-  ordering, stacked ≡ loop kernel bit-identity, and the
-  trajectory-dictionary ≡ fault-simulator oracle).
+  ordering, n-detection covers, and the zero-tolerance comparisons of
+  the production fault, tolerance and trajectory paths against the
+  scalar oracles ``reference_dataset`` and
+  ``reference_scaled_responses``).
 
 ``python -m repro verify`` drives the whole thing from the shell and is
 the standing correctness gate for every optimization PR.
@@ -38,15 +40,17 @@ from .invariants import (
     check_grid_refinement,
     check_impedance_scaling,
     check_matrix_table_consistency,
-    check_stacked_kernel,
     check_tolerance_kernel,
     check_trajectory_oracle,
     check_transparent_configuration,
+    reference_dataset,
+    reference_scaled_responses,
     run_invariants,
 )
 from .oracle import (
     Mismatch,
     OracleReport,
+    Skipped,
     Tolerances,
     check_case,
     run_verification,
@@ -55,6 +59,7 @@ from .oracle import (
 __all__ = [
     "Mismatch",
     "OracleReport",
+    "Skipped",
     "Tolerances",
     "VerifyCase",
     "build_random_case",
@@ -66,7 +71,6 @@ __all__ = [
     "check_grid_refinement",
     "check_impedance_scaling",
     "check_matrix_table_consistency",
-    "check_stacked_kernel",
     "check_tolerance_kernel",
     "check_trajectory_oracle",
     "check_transparent_configuration",
@@ -74,6 +78,8 @@ __all__ = [
     "random_cases",
     "random_fault_universe",
     "random_grid",
+    "reference_dataset",
+    "reference_scaled_responses",
     "run_invariants",
     "run_verification",
 ]

@@ -120,6 +120,30 @@ class Mismatch:
         )
 
 
+@dataclass(frozen=True)
+class Skipped:
+    """A comparison that could not run on a case: neither pass nor mismatch."""
+
+    check: str
+    circuit: str
+    config: str
+    detail: str
+
+    def to_dict(self) -> Dict:
+        return {
+            "check": self.check,
+            "circuit": self.circuit,
+            "config": self.config,
+            "detail": self.detail,
+        }
+
+    def render(self) -> str:
+        return (
+            f"{self.check}: {self.circuit} {self.config} skipped — "
+            f"{self.detail}"
+        )
+
+
 @dataclass
 class CaseOutcome:
     """Oracle verdict for one case."""
@@ -127,6 +151,7 @@ class CaseOutcome:
     case: VerifyCase
     n_checks: int
     mismatches: List[Mismatch]
+    skipped: List[Skipped] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -153,6 +178,10 @@ class OracleReport:
         return [m for o in self.outcomes for m in o.mismatches]
 
     @property
+    def skipped(self) -> List[Skipped]:
+        return [s for o in self.outcomes for s in o.skipped]
+
+    @property
     def passed(self) -> bool:
         return not self.mismatches
 
@@ -173,6 +202,8 @@ class OracleReport:
                 for o in self.outcomes
             ],
             "mismatches": [m.to_dict() for m in self.mismatches],
+            "n_skipped": len(self.skipped),
+            "skipped": [s.to_dict() for s in self.skipped],
         }
 
     def to_json(self) -> str:
@@ -183,10 +214,13 @@ class OracleReport:
         lines = [
             f"verify: {verdict} — {self.n_cases} case(s), "
             f"{self.n_checks} check(s), "
-            f"{len(self.mismatches)} mismatch(es)"
+            f"{len(self.mismatches)} mismatch(es), "
+            f"{len(self.skipped)} skipped"
         ]
         for mismatch in self.mismatches:
             lines.append("  " + mismatch.render())
+        for skipped in self.skipped:
+            lines.append("  " + skipped.render())
         return "\n".join(lines)
 
 
@@ -428,16 +462,19 @@ def check_case(
     n_pairs = n_configs * len(standard.fault_labels)
     n_checks = n_configs + 3 * n_pairs + 2 * n_configs * tol.mna_points
 
+    skipped: List[Skipped] = []
     if invariants:
         from .invariants import run_invariants
 
-        invariant_mismatches, invariant_checks = run_invariants(
+        invariant_mismatches, invariant_checks, skipped = run_invariants(
             case, standard, tolerances=tol
         )
         mismatches += invariant_mismatches
         n_checks += invariant_checks
 
-    return CaseOutcome(case=case, n_checks=n_checks, mismatches=mismatches)
+    return CaseOutcome(
+        case=case, n_checks=n_checks, mismatches=mismatches, skipped=skipped
+    )
 
 
 def run_verification(

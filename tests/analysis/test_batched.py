@@ -1,11 +1,15 @@
-"""Stacked tolerance engine: bitwise kernel equality and failure parity.
+"""Batched tolerance engine: bitwise oracle equality and failure parity.
 
 The batched assembly (:mod:`repro.analysis.batched`) contracts to
-reproduce the per-sample loop **exactly** — same PRNG stream, same
-deviations bit for bit, same errors for singular samples.  These tests
-pin that contract on catalog circuits and on a purpose-built circuit
-whose tolerance box contains an exactly singular vertex.
+reproduce the per-sample rebuild loop **exactly** — same PRNG stream,
+same deviations bit for bit, same errors for singular samples.  These
+tests pin that contract against the scalar oracle
+:func:`repro.verify.reference_scaled_responses` on catalog circuits and
+on a purpose-built circuit whose tolerance box contains an exactly
+singular vertex.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from repro.analysis import (
     corner_analysis,
     decade_grid,
     monte_carlo_tolerance,
+    sample_factors,
     scaled_responses,
     scaled_values,
 )
@@ -24,6 +29,7 @@ from repro.analysis.mna import MnaSystem
 from repro.circuit import VCCS, Circuit
 from repro.circuits import build
 from repro.errors import AnalysisError, SingularCircuitError
+from repro.verify import reference_scaled_responses
 
 
 @pytest.fixture(scope="module")
@@ -36,44 +42,66 @@ def grid(bench):
     return decade_grid(bench.f0_hz, 1, 1, points_per_decade=10)
 
 
+def oracle_rows(circuit, grid, names, factors, measure):
+    """``nominal.<measure>(response)`` for every oracle response, stacked."""
+    nominal = ac_analysis(circuit, grid)
+    return np.vstack(
+        [
+            getattr(nominal, measure)(response)
+            for response in reference_scaled_responses(
+                circuit, grid, names, factors
+            )
+        ]
+    )
+
+
 class TestKernelEquality:
+    """Production batched assembly ≡ the per-sample rebuild oracle."""
+
     @pytest.mark.parametrize("distribution", ["uniform", "normal"])
     def test_monte_carlo_bitwise_equal(self, bench, grid, distribution):
-        kwargs = dict(
+        names = [e.name for e in bench.circuit.passives()]
+        production = monte_carlo_tolerance(
+            bench.circuit,
+            grid,
             tolerance=0.05,
             n_samples=32,
             distribution=distribution,
             seed=11,
         )
-        loop = monte_carlo_tolerance(
-            bench.circuit, grid, kernel="loop", **kwargs
+        factors = sample_factors(
+            np.random.default_rng(11), 32, len(names), 0.05, distribution
         )
-        stacked = monte_carlo_tolerance(
-            bench.circuit, grid, kernel="stacked", **kwargs
+        expected = oracle_rows(
+            bench.circuit, grid, names, factors, "relative_deviation"
         )
-        assert np.array_equal(loop.deviations, stacked.deviations)
+        assert np.array_equal(production.deviations, expected)
 
     def test_corners_bitwise_equal(self, bench, grid):
         names = [e.name for e in bench.circuit.passives()][:6]
-        loop = corner_analysis(
-            bench.circuit, grid, components=names, kernel="loop"
+        production = corner_analysis(bench.circuit, grid, components=names)
+        patterns = list(product((-1, +1), repeat=len(names)))
+        factors = 1.0 + np.asarray(patterns, dtype=float) * 0.05
+        relative = oracle_rows(
+            bench.circuit, grid, names, factors, "relative_deviation"
         )
-        stacked = corner_analysis(
-            bench.circuit, grid, components=names, kernel="stacked"
+        band = oracle_rows(
+            bench.circuit, grid, names, factors, "band_deviation"
         )
-        assert np.array_equal(loop.envelope, stacked.envelope)
-        assert np.array_equal(loop.band_envelope, stacked.band_envelope)
-        assert loop.corner_deviation == stacked.corner_deviation
-        assert loop.band_corner_deviation == stacked.band_corner_deviation
-        assert loop.worst_corner == stacked.worst_corner
+        assert np.array_equal(production.envelope, relative.max(axis=0))
+        assert np.array_equal(production.band_envelope, band.max(axis=0))
+        assert production.corner_deviation == {
+            s: float(row.max()) for s, row in zip(patterns, relative)
+        }
+        assert production.band_corner_deviation == {
+            s: float(row.max()) for s, row in zip(patterns, band)
+        }
 
     def test_seed_reproducible_across_kernels(self, bench, grid):
-        """A seed names one sample family, whichever kernel runs it."""
+        """A seed names one sample family, run after run."""
         runs = [
-            monte_carlo_tolerance(
-                bench.circuit, grid, n_samples=12, seed=42, kernel=kernel
-            )
-            for kernel in ("loop", "stacked", "loop", "stacked")
+            monte_carlo_tolerance(bench.circuit, grid, n_samples=12, seed=42)
+            for _ in range(3)
         ]
         for other in runs[1:]:
             assert np.array_equal(runs[0].deviations, other.deviations)
@@ -84,26 +112,32 @@ class TestKernelEquality:
         rng = np.random.default_rng(3)
         factors = 1.0 + rng.uniform(-0.05, 0.05, size=(7, len(names)))
         batched = scaled_responses(circuit, grid, names, factors)
-        for s in range(factors.shape[0]):
-            sample = circuit
-            for k, name in enumerate(names):
-                sample = sample.with_scaled(name, float(factors[s, k]))
-            reference = ac_analysis(sample, grid)
-            assert np.array_equal(batched[s].values, reference.values)
+        oracle = reference_scaled_responses(circuit, grid, names, factors)
+        for production, reference in zip(batched, oracle):
+            assert np.array_equal(production.values, reference.values)
+            assert production.label == reference.label
+
+    def test_repeated_component_scaled_by_each_column(self, bench, grid):
+        """A name listed twice is scaled twice, as repeated
+        ``with_scaled`` calls scale it."""
+        names = ["R1", "R2", "R1"]
+        factors = np.array([[1.03, 0.98, 0.96], [0.97, 1.01, 1.04]])
+        values = scaled_values(bench.circuit, grid, names, factors)
+        oracle = reference_scaled_responses(
+            bench.circuit, grid, names, factors
+        )
+        for row, reference in zip(values, oracle):
+            assert np.array_equal(row, reference.values)
 
     def test_kernel_stats_threaded(self, bench, grid):
         stats = KernelStats()
         monte_carlo_tolerance(
-            bench.circuit,
-            grid,
-            n_samples=10,
-            seed=1,
-            kernel="stacked",
-            stats=stats,
+            bench.circuit, grid, n_samples=10, seed=1, stats=stats
         )
         # 1 nominal sweep + 10 sample sweeps, one solve per frequency
         assert stats.solves == 11 * len(grid)
-        assert stats.stacked_calls >= 1
+        assert stats.factorizations == 11 * len(grid)
+        assert stats.stacked_calls == 11
 
 
 def singular_vertex_circuit() -> Circuit:
@@ -124,16 +158,17 @@ def singular_vertex_circuit() -> Circuit:
 
 class TestSingularSampleParity:
     def test_both_kernels_raise_identical_error(self, grid):
+        """The first singular row raises the oracle's exact error."""
         circuit = singular_vertex_circuit()
         factors = np.array([[1.0], [0.5], [1.25]])
 
-        with pytest.raises(SingularCircuitError) as stacked_error:
+        with pytest.raises(SingularCircuitError) as production_error:
             scaled_values(circuit, grid, ["Rv"], factors)
 
-        with pytest.raises(SingularCircuitError) as loop_error:
-            ac_analysis(circuit.with_scaled("Rv", 0.5), grid)
+        with pytest.raises(SingularCircuitError) as oracle_error:
+            reference_scaled_responses(circuit, grid, ["Rv"], factors)
 
-        assert str(stacked_error.value) == str(loop_error.value)
+        assert str(production_error.value) == str(oracle_error.value)
 
     def test_healthy_rows_unaffected_by_batch_mate(self, grid):
         """Rows before and after the singular one still solve; only the
@@ -173,8 +208,9 @@ class TestValidation:
             corner_analysis(bench.circuit, grid, tolerance=1.0)
 
     def test_unknown_kernel_rejected(self, bench, grid):
-        with pytest.raises(AnalysisError):
-            monte_carlo_tolerance(bench.circuit, grid, kernel="gpu")
+        """The kernel option is gone: any ``kernel=`` is unknown."""
+        with pytest.raises(TypeError, match="kernel"):
+            monte_carlo_tolerance(bench.circuit, grid, kernel="stacked")
 
     def test_stamp_program_rejects_non_two_terminal(self, grid):
         circuit = singular_vertex_circuit()

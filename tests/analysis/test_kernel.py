@@ -1,8 +1,8 @@
 """Tests for the stacked batched-solve kernel.
 
 The kernel's contract is strict: solutions bit-identical to solving
-each frequency point on its own, regardless of how requests are
-grouped, padded or chunked into LAPACK dispatches.
+each frequency point on its own, regardless of how a sweep is chunked
+into LAPACK dispatches.
 """
 
 import numpy as np
@@ -11,14 +11,12 @@ from hypothesis import given, strategies as st
 
 from repro.analysis import kernel as kernel_module
 from repro.analysis.kernel import (
-    KERNELS,
     KernelStats,
     SweepRequest,
     assemble_stack,
     frequency_chunk,
-    solve_requests,
     solve_reusing_lu,
-    validate_kernel,
+    solve_sweep,
 )
 from repro.errors import AnalysisError, SingularCircuitError
 
@@ -82,15 +80,6 @@ frequency_vectors = st.lists(
 
 
 class TestValidation:
-    def test_known_kernels(self):
-        assert KERNELS == ("loop", "stacked")
-        for name in KERNELS:
-            assert validate_kernel(name) == name
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(AnalysisError, match="unknown solve kernel"):
-            validate_kernel("warp")
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(AnalysisError, match="inconsistent"):
             SweepRequest(
@@ -126,24 +115,6 @@ class TestAssembly:
             stack = assemble_stack(G, C, frequencies)
             expected = historical_stack(G, C, frequencies)
         assert np.array_equal(bits(stack), bits(expected))
-
-    @given(st.integers(1, 4), st.data())
-    def test_batched_fill_matches_per_pencil(self, n, data):
-        pencils = [data.draw(accumulated_pencils(n)) for _ in range(3)]
-        frequencies = data.draw(frequency_vectors)
-        out = np.empty((3, frequencies.size, n, n), dtype=complex)
-        with np.errstate(over="ignore"):
-            kernel_module._fill_pencils(
-                out,
-                np.stack([G for G, _ in pencils]),
-                np.stack([C for _, C in pencils]),
-                frequencies,
-            )
-            expected = [
-                historical_stack(G, C, frequencies) for G, C in pencils
-            ]
-        for b in range(3):
-            assert np.array_equal(bits(out[b]), bits(expected[b]))
 
     @pytest.mark.parametrize(
         "g, c",
@@ -183,37 +154,24 @@ class TestSolveRequests:
         rng = np.random.default_rng(1)
         request = random_request(rng, 6)
         frequencies = np.logspace(0, 4, 33)
-        (outcome,) = solve_requests([request], frequencies)
+        outcome = solve_sweep(request, frequencies)
         assert np.array_equal(
             outcome, reference_solution(request, frequencies)
         )
 
-    def test_mixed_sizes_grouped_correctly(self):
-        rng = np.random.default_rng(2)
-        requests = [
-            random_request(rng, n, title=f"n{n}") for n in (3, 7, 3, 5, 7)
-        ]
-        frequencies = np.logspace(1, 3, 11)
-        outcomes = solve_requests(requests, frequencies)
-        for request, outcome in zip(requests, outcomes):
-            assert np.array_equal(
-                outcome, reference_solution(request, frequencies)
-            )
-
     def test_rhs_padding_is_exact(self):
-        # Requests of equal size but different RHS widths share one
-        # stacked dispatch; the padding columns must not perturb the
-        # real ones by even one ulp.
+        # The fast engine pads the excitation column with one unit
+        # column per faulted node pair; the extra columns must not
+        # perturb the excitation column by even one ulp.
         rng = np.random.default_rng(3)
         wide = random_request(rng, 5, k=4, title="wide")
-        narrow = random_request(rng, 5, k=1, title="narrow")
-        frequencies = np.logspace(0, 2, 9)
-        outcomes = solve_requests([wide, narrow], frequencies)
-        assert np.array_equal(
-            outcomes[0], reference_solution(wide, frequencies)
+        narrow = SweepRequest(
+            G=wide.G, C=wide.C, rhs=wide.rhs[:, :1], title="narrow"
         )
+        frequencies = np.logspace(0, 2, 9)
         assert np.array_equal(
-            outcomes[1], reference_solution(narrow, frequencies)
+            solve_sweep(wide, frequencies)[:, :, :1],
+            solve_sweep(narrow, frequencies),
         )
 
     def test_chunking_preserves_exactness(self, monkeypatch):
@@ -222,17 +180,17 @@ class TestSolveRequests:
         request = random_request(rng, 6)
         frequencies = np.logspace(0, 4, 57)
         stats = KernelStats()
-        (outcome,) = solve_requests([request], frequencies, stats)
+        outcome = solve_sweep(request, frequencies, stats)
         assert np.array_equal(
             outcome, reference_solution(request, frequencies)
         )
         assert stats.stacked_calls > 1  # the budget forced many chunks
 
-    def test_singular_request_isolated(self):
-        # One singular pencil among healthy requests: the offender gets
-        # the loop engine's exact error, the rest solve normally.
-        rng = np.random.default_rng(5)
-        healthy = random_request(rng, 4, title="fine")
+
+    def test_singular_chunk_names_its_range(self, monkeypatch):
+        # A singular sweep raises the default message for its first
+        # singular chunk, naming that chunk's range, not the sweep's.
+        monkeypatch.setattr(kernel_module, "STACK_BUDGET", 32)  # 2 points
         G = np.zeros((4, 4))
         G[0, 0] = 1.0  # rows 1..3 all zero: singular at every omega
         sick = SweepRequest(
@@ -241,20 +199,11 @@ class TestSolveRequests:
             rhs=np.ones(4, dtype=complex),
             title="sick",
         )
-        frequencies = np.logspace(0, 2, 5)
-        stats = KernelStats()
-        outcomes = solve_requests([healthy, sick, healthy], frequencies, stats)
-        assert np.array_equal(
-            outcomes[0], reference_solution(healthy, frequencies)
+        with pytest.raises(SingularCircuitError) as info:
+            solve_sweep(sick, np.array([1.0, 10.0, 100.0, 1e3]))
+        assert str(info.value) == (
+            "sick: MNA matrix singular within [1, 10] Hz"
         )
-        assert np.array_equal(
-            outcomes[2], reference_solution(healthy, frequencies)
-        )
-        assert isinstance(outcomes[1], SingularCircuitError)
-        assert str(outcomes[1]) == (
-            "sick: MNA matrix singular within [1, 100] Hz"
-        )
-        assert stats.fallbacks >= 1
 
     def test_singular_message_fragment_configurable(self):
         sick = SweepRequest(
@@ -264,32 +213,30 @@ class TestSolveRequests:
             title="fast sweep",
             singular_what="singular",
         )
-        (outcome,) = solve_requests([sick], np.array([10.0, 20.0]))
-        assert str(outcome) == "fast sweep: singular within [10, 20] Hz"
+        with pytest.raises(SingularCircuitError) as info:
+            solve_sweep(sick, np.array([10.0, 20.0]))
+        assert str(info.value) == "fast sweep: singular within [10, 20] Hz"
 
     def test_stats_count_solves(self):
         rng = np.random.default_rng(6)
         requests = [random_request(rng, 3) for _ in range(4)]
         frequencies = np.logspace(0, 1, 7)
         stats = KernelStats()
-        solve_requests(requests, frequencies, stats)
+        for request in requests:
+            solve_sweep(request, frequencies, stats)
         assert stats.solves == 4 * 7
         assert stats.factorizations == 4 * 7
-        assert stats.fallbacks == 0
+        assert stats.stacked_calls == 4
 
     def test_stats_merge_and_dict(self):
         a = KernelStats(solves=2, factorizations=1, stacked_calls=1)
-        b = KernelStats(solves=3, factorizations=2, fallbacks=1)
+        b = KernelStats(solves=3, factorizations=2, stacked_calls=2)
         a.merge(b)
         assert a.as_dict() == {
             "solves": 5,
             "factorizations": 3,
-            "stacked_calls": 1,
-            "fallbacks": 1,
+            "stacked_calls": 3,
         }
-
-    def test_empty_requests(self):
-        assert solve_requests([], np.array([1.0])) == []
 
 
 class TestLuReuse:

@@ -1,5 +1,6 @@
 """Planner tests: determinism, content-hash stability and invalidation."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.analysis import decade_grid
 from repro.campaign import plan_campaign
+from repro.circuits import build
 from repro.errors import CampaignError
 from repro.faults import DeviationFault, SimulationSetup, deviation_faults
 
@@ -153,6 +155,23 @@ class TestKeys:
             campaign_mcc, campaign_faults, campaign_setup, engine="fast"
         )
         assert not set(standard.keys) & set(fast.keys)
+
+    def test_values_beyond_netlist_digits_change_every_key(
+        self, campaign_setup
+    ):
+        """Circuits whose values differ beyond the netlist's 6 printed
+        digits get different keys, so a shared cache never serves one
+        circuit's results for the other."""
+        bench = build("sallen_key")
+        first = bench.circuit.passives()[0].name
+        nudged = dataclasses.replace(
+            bench, circuit=bench.circuit.with_scaled(first, 1.0 + 1e-7)
+        )
+        assert nudged.circuit.netlist() == bench.circuit.netlist()
+        faults = deviation_faults(bench.circuit, 0.20)
+        base = plan_campaign(bench.dft(), faults, campaign_setup)
+        other = plan_campaign(nudged.dft(), faults, campaign_setup)
+        assert set(base.keys).isdisjoint(other.keys)
 
     def test_keys_stable_across_processes(
         self, campaign_mcc, campaign_faults, campaign_setup

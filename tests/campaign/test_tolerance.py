@@ -1,7 +1,11 @@
-"""Tolerance campaign: plan determinism, caching, kernel equivalence."""
+"""Tolerance campaign: plan determinism, caching, oracle equivalence."""
+
+from itertools import product
 
 import numpy as np
 import pytest
+
+from repro.analysis import ac_analysis, sample_factors
 
 from repro.campaign import (
     CampaignTelemetry,
@@ -13,6 +17,7 @@ from repro.campaign import (
     tolerance_cache,
 )
 from repro.errors import CampaignError
+from repro.verify import reference_scaled_responses
 
 NAMES = ["biquad", "state_variable"]
 FAST = dict(n_samples=12, points_per_decade=8)
@@ -29,13 +34,6 @@ class TestPlan:
         b = plan_tolerance_campaign(names=NAMES, **FAST)
         assert a.keys == b.keys
         assert [u.unit_id for u in a.units] == NAMES
-
-    def test_kernel_not_in_keys(self):
-        loop = plan_tolerance_campaign(names=NAMES, kernel="loop", **FAST)
-        stacked = plan_tolerance_campaign(
-            names=NAMES, kernel="stacked", **FAST
-        )
-        assert loop.keys == stacked.keys
 
     def test_seed_and_tolerance_invalidate(self):
         base = plan_tolerance_campaign(names=NAMES, **FAST)
@@ -106,18 +104,59 @@ class TestExecute:
         assert payload["circuits"][0]["suggested_epsilon"] > 0.0
 
     def test_kernels_produce_identical_reports(self):
-        loop = run_tolerance_campaign(names=NAMES, kernel="loop", **FAST)
-        stacked = run_tolerance_campaign(
-            names=NAMES, kernel="stacked", **FAST
+        """Every row equals the per-sample rebuild oracle's figures."""
+        plan = plan_tolerance_campaign(names=NAMES, **FAST)
+        report = execute_tolerance_plan(plan)
+        for unit, row in zip(plan.units, report.rows):
+            circuit, grid = unit.circuit, unit.grid
+            names = [e.name for e in circuit.passives()]
+            nominal = ac_analysis(circuit, grid)
+
+            def rows(factors, measure):
+                return np.vstack(
+                    [
+                        measure(response)
+                        for response in reference_scaled_responses(
+                            circuit, grid, names, factors
+                        )
+                    ]
+                )
+
+            factors = sample_factors(
+                np.random.default_rng(unit.seed), unit.n_samples,
+                len(names), unit.tolerance, unit.distribution,
+            )
+            maxima = rows(factors, nominal.relative_deviation).max(axis=1)
+            assert row.suggested_epsilon == float(
+                np.percentile(maxima, unit.percentile)
+            )
+            assert row.max_deviation == float(maxima.max())
+            if unit.corners:
+                signs = np.asarray(list(product((-1, 1), repeat=len(names))))
+                corners = 1.0 + signs * unit.tolerance
+                assert row.epsilon_floor == float(
+                    rows(corners, nominal.relative_deviation).max()
+                )
+                assert row.band_epsilon_floor == float(
+                    rows(corners, nominal.band_deviation).max()
+                )
+        assert report.n_factorizations > 0
+
+    def test_keys_use_exact_circuit_identity(self):
+        """Values that differ beyond the netlist's 6 printed digits give
+        different unit keys, so a cache never serves one for the other."""
+        from repro.campaign import tolerance_unit_key
+
+        unit = plan_tolerance_campaign(names=["sallen_key"], **FAST).units[0]
+        first = unit.circuit.passives()[0].name
+        nudged = unit.circuit.with_scaled(first, 1.0 + 1e-7)
+        assert nudged.netlist() == unit.circuit.netlist()
+        args = (
+            unit.output, unit.grid, unit.tolerance, unit.n_samples,
+            unit.distribution, unit.seed, unit.percentile, unit.corners,
         )
-        for a, b in zip(loop.rows, stacked.rows):
-            assert a.suggested_epsilon == b.suggested_epsilon
-            assert a.max_deviation == b.max_deviation
-            assert a.epsilon_floor == b.epsilon_floor
-            assert a.band_epsilon_floor == b.band_epsilon_floor
-            assert a.n_solves == b.n_solves
-        assert loop.n_solves == stacked.n_solves
-        assert stacked.n_factorizations > 0
+        assert tolerance_unit_key(nudged, *args) != unit.key
+        assert tolerance_unit_key(unit.circuit, *args) == unit.key
 
     def test_warm_cache_resumes_with_zero_solves(self, cache):
         telemetry = CampaignTelemetry()
@@ -136,23 +175,6 @@ class TestExecute:
         assert counters["solves"] == 0
         for a, b in zip(cold.rows, warm.rows):
             assert a.suggested_epsilon == b.suggested_epsilon
-
-    def test_stacked_results_resume_a_loop_plan(self, cache):
-        """Kernel is excluded from the keys: results computed by one
-        kernel satisfy the other kernel's plan from the cache."""
-        run_tolerance_campaign(
-            names=["biquad"], kernel="stacked", cache=cache, **FAST
-        )
-        telemetry = CampaignTelemetry()
-        warm = run_tolerance_campaign(
-            names=["biquad"],
-            kernel="loop",
-            cache=cache,
-            telemetry=telemetry,
-            **FAST,
-        )
-        assert warm.n_solves == 0
-        assert telemetry.snapshot()["cache_hits"] == 1
 
     def test_wrong_payload_type_is_a_miss(self, cache):
         """A fault-simulation ``UnitResult`` squatting on a tolerance key

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import decade_grid
+from repro.analysis import ac_analysis, decade_grid
 from repro.campaign import (
     CampaignTelemetry,
     ParallelExecutor,
@@ -13,9 +13,11 @@ from repro.campaign import (
 from repro.diagnosis import (
     build_trajectory_dictionary,
     diagnosis_cache,
+    diagnosis_unit_key,
     execute_diagnosis_plan,
     plan_diagnosis_campaign,
     run_diagnosis_campaign,
+    trajectory_faults,
 )
 from repro.errors import CampaignError
 
@@ -64,10 +66,16 @@ class TestPlan:
         assert a.keys == b.keys
         assert [u.unit_id for u in a.units] == ["C0", "C1", "C2"]
 
-    def test_kernel_not_in_keys(self, context):
-        loop = plan_for(context, kernel="loop")
-        stacked = plan_for(context, kernel="stacked")
-        assert loop.keys == stacked.keys
+    def test_keys_use_exact_circuit_identity(self, context):
+        """Values that differ beyond the netlist's 6 printed digits give
+        different unit keys, so a cache never serves one for the other."""
+        unit = plan_for(context).units[0]
+        first = unit.circuit.passives()[0].name
+        nudged = unit.circuit.with_scaled(first, 1.0 + 1e-7)
+        assert nudged.netlist() == unit.circuit.netlist()
+        args = (unit.output, unit.grid, unit.components, unit.deviations)
+        assert diagnosis_unit_key(nudged, *args) != unit.key
+        assert diagnosis_unit_key(unit.circuit, *args) == unit.key
 
     def test_content_changes_invalidate(self, context):
         mcc, grid = context
@@ -117,18 +125,26 @@ class TestExecute:
         assert campaign.n_solves == direct.n_solves
 
     def test_kernels_produce_identical_dictionaries(self, context):
+        """Every unit's trajectories equal the per-point rebuild loop."""
         mcc, grid = context
-        loop = run_diagnosis_campaign(
-            mcc, grid, components=COMPONENTS, deviations=DEVIATIONS,
-            kernel="loop",
+        plan = plan_for(context)
+        dictionary = execute_diagnosis_plan(plan)
+        for unit in plan.units:
+            assert np.array_equal(
+                dictionary.nominal[unit.config_index].values,
+                ac_analysis(unit.circuit, grid, output=unit.output).values,
+            )
+            for fault in trajectory_faults(COMPONENTS, DEVIATIONS):
+                expected = ac_analysis(
+                    fault.apply(unit.circuit), grid, output=unit.output
+                )
+                stored = dictionary.response(
+                    unit.config_index, fault.target, fault.deviation
+                )
+                assert np.array_equal(stored.values, expected.values)
+        assert dictionary.n_factorizations == (
+            dictionary.n_solves * grid.n_points
         )
-        stacked = run_diagnosis_campaign(
-            mcc, grid, components=COMPONENTS, deviations=DEVIATIONS,
-            kernel="stacked",
-        )
-        assert_dictionaries_equal(loop, stacked)
-        assert loop.n_factorizations == 0
-        assert stacked.n_factorizations > 0
 
     def test_parallel_executor_matches_serial(self, context):
         mcc, grid = context
@@ -161,22 +177,6 @@ class TestExecute:
         assert counters["cache_hits"] == counters["units_total"] == 3
         assert counters["solves"] == 0
         assert_dictionaries_equal(cold, warm)
-
-    def test_stacked_results_resume_a_loop_plan(self, context, cache):
-        """Kernel is excluded from the keys: results computed by one
-        kernel satisfy the other kernel's plan from the cache."""
-        mcc, grid = context
-        run_diagnosis_campaign(
-            mcc, grid, components=COMPONENTS, deviations=DEVIATIONS,
-            kernel="stacked", cache=cache,
-        )
-        telemetry = CampaignTelemetry()
-        warm = run_diagnosis_campaign(
-            mcc, grid, components=COMPONENTS, deviations=DEVIATIONS,
-            kernel="loop", cache=cache, telemetry=telemetry,
-        )
-        assert warm.n_solves == 0
-        assert telemetry.snapshot()["cache_hits"] == 3
 
     def test_wrong_payload_type_is_a_miss(self, context, cache):
         import pickle

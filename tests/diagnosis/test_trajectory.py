@@ -1,9 +1,9 @@
-"""Trajectory dictionaries: grids, shapes, kernels, the simulator oracle."""
+"""Trajectory dictionaries: grids, shapes, counts, the simulator oracle."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import ac_analysis
+from repro.analysis import KernelStats, ac_analysis
 from repro.diagnosis import (
     build_trajectory_dictionary,
     deviation_grid,
@@ -16,6 +16,18 @@ from repro.faults import DeviationFault
 
 COMPONENTS = ("R1a", "C1a", "R2b")
 DEVIATIONS = (-0.25, 0.25)
+
+
+def per_point_oracle(circuit, probe, grid):
+    """The per-point rebuild loop: nominal + one sweep per fault."""
+    nominal = ac_analysis(circuit, grid, output=probe)
+    points = {
+        (fault.target, fault.deviation): ac_analysis(
+            fault.apply(circuit), grid, output=probe
+        )
+        for fault in trajectory_faults(COMPONENTS, DEVIATIONS)
+    }
+    return nominal, points
 
 
 class TestDeviationGrid:
@@ -74,7 +86,10 @@ class TestBuild:
         assert dictionary.n_solves == 3 * (
             1 + len(COMPONENTS) * len(DEVIATIONS)
         )
-        assert dictionary.n_factorizations == 0  # loop kernel
+        # one LU per solved sweep and grid point
+        assert dictionary.n_factorizations == (
+            dictionary.n_solves * small_grid.n_points
+        )
         assert dictionary.deviation_step == 0.25
         assert "trajectory dictionary" in dictionary.describe()
 
@@ -94,26 +109,29 @@ class TestBuild:
             )
 
     def test_stacked_build_is_bit_identical(self, sallen_key, small_grid):
+        """The stamp-program build equals the per-point rebuild loop,
+        nominal sweeps included."""
         _, mcc = sallen_key
-        loop = build_trajectory_dictionary(
-            mcc, small_grid, components=COMPONENTS, deviations=DEVIATIONS,
-            kernel="loop",
+        dictionary = build_trajectory_dictionary(
+            mcc, small_grid, components=COMPONENTS, deviations=DEVIATIONS
         )
-        stacked = build_trajectory_dictionary(
-            mcc, small_grid, components=COMPONENTS, deviations=DEVIATIONS,
-            kernel="stacked",
-        )
-        assert stacked.n_solves == loop.n_solves
-        assert stacked.n_factorizations > 0
-        for index in loop.nominal:
-            assert np.array_equal(
-                loop.nominal[index].values, stacked.nominal[index].values
+        for config in mcc.configurations(
+            include_functional=True, include_transparent=False
+        ):
+            emulated = mcc.emulate(config)
+            nominal, points = per_point_oracle(
+                emulated, emulated.output or mcc.base.output, small_grid
             )
-        assert set(loop.responses) == set(stacked.responses)
-        for key, response in loop.responses.items():
             assert np.array_equal(
-                response.values, stacked.responses[key].values
+                dictionary.nominal[config.index].values, nominal.values
             )
+            for (component, deviation), response in points.items():
+                assert np.array_equal(
+                    dictionary.response(
+                        config.index, component, deviation
+                    ).values,
+                    response.values,
+                )
 
     def test_points_reproduce_the_fault_simulator(
         self, sallen_key, small_grid
@@ -177,29 +195,27 @@ class TestTrajectoryResponses:
         config = mcc.configurations()[0]
         emulated = mcc.emulate(config)
         probe = emulated.output or mcc.base.output
-        results = {
-            kernel: trajectory_responses(
-                emulated, probe, COMPONENTS, DEVIATIONS, small_grid,
-                kernel=kernel,
-            )
-            for kernel in ("loop", "stacked")
-        }
-        (nom_l, points_l, solves_l) = results["loop"]
-        (nom_s, points_s, solves_s) = results["stacked"]
-        assert solves_l == solves_s == 1 + len(COMPONENTS) * len(
-            DEVIATIONS
+        stats = KernelStats()
+        nominal, points, n_solves = trajectory_responses(
+            emulated, probe, COMPONENTS, DEVIATIONS, small_grid, stats=stats
         )
-        assert np.array_equal(nom_l.values, nom_s.values)
-        assert set(points_l) == set(points_s)
-        for key in points_l:
+        oracle_nominal, oracle_points = per_point_oracle(
+            emulated, probe, small_grid
+        )
+        assert n_solves == 1 + len(COMPONENTS) * len(DEVIATIONS)
+        assert stats.factorizations == n_solves * small_grid.n_points
+        assert np.array_equal(nominal.values, oracle_nominal.values)
+        assert set(points) == set(oracle_points)
+        for key in points:
             assert np.array_equal(
-                points_l[key].values, points_s[key].values
+                points[key].values, oracle_points[key].values
             )
 
     def test_unknown_kernel_rejected(self, sallen_key, small_grid):
+        """The kernel option is gone: any ``kernel=`` is unknown."""
         _, mcc = sallen_key
-        with pytest.raises(AnalysisError):
+        with pytest.raises(TypeError, match="kernel"):
             build_trajectory_dictionary(
                 mcc, small_grid, components=COMPONENTS,
-                deviations=DEVIATIONS, kernel="warp",
+                deviations=DEVIATIONS, kernel="stacked",
             )

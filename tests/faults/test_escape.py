@@ -126,24 +126,6 @@ class TestEscapeAnalysis:
         )
         assert analysis.worst_fault in analysis.escape_per_fault
 
-    def test_stacked_kernel_is_bit_identical(self, setup):
-        """The stacked kernel draws the same sample family in the same
-        PRNG order and batches the sweeps — figures are exactly equal."""
-        circuit, faults, grid = setup
-        results = {
-            kernel: escape_analysis(
-                circuit,
-                faults,
-                grid,
-                tolerance=0.05,
-                n_samples=8,
-                seed=7,
-                kernel=kernel,
-            )
-            for kernel in ("loop", "stacked")
-        }
-        assert results["loop"] == results["stacked"]
-
     def test_stacked_kernel_counts_solves(self, setup):
         from repro.analysis.kernel import KernelStats
 
@@ -156,18 +138,20 @@ class TestEscapeAnalysis:
             tolerance=0.05,
             n_samples=4,
             seed=7,
-            kernel="stacked",
             stats=stats,
         )
-        # (1 + n_faults) * n_samples variant sweeps, nominal not batched
-        assert stats.solves == (1 + len(faults)) * 4 * grid.n_points
-        assert 0 < stats.factorizations <= stats.solves
-        assert stats.stacked_calls >= 1
+        # (1 + n_faults) * n_samples variant sweeps; the nominal sweep
+        # is not counted
+        sweeps = (1 + len(faults)) * 4
+        assert stats.solves == sweeps * grid.n_points
+        assert stats.factorizations == stats.solves
+        assert stats.stacked_calls == sweeps
 
     def test_unknown_kernel_rejected(self, setup):
+        """The kernel option is gone: any ``kernel=`` is unknown."""
         circuit, faults, grid = setup
-        with pytest.raises(AnalysisError):
-            escape_analysis(circuit, faults, grid, kernel="warp")
+        with pytest.raises(TypeError, match="kernel"):
+            escape_analysis(circuit, faults, grid, kernel="stacked")
 
 
 class TestTradeoffCurve:

@@ -1,24 +1,23 @@
 """Stacked-kernel equivalence tests.
 
-The stacked kernel's contract is exact reproduction: for every engine,
-executor and chunking, ``kernel="stacked"`` must return the same
-detectability matrix, ω-table and nominal sweeps as the historical
-per-frequency loop — bit for bit, not merely within tolerance.
+The stacked kernel's contract is exact reproduction: the production
+fault simulation must return the same detectability matrix, ω-table
+and nominal sweeps as the scalar oracle
+:func:`repro.verify.reference_dataset`, which re-stamps every faulty
+circuit and solves each sweep with one ``numpy.linalg.solve`` — bit for
+bit, not merely within tolerance.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.analysis import decade_grid
-from repro.campaign import (
-    CampaignTelemetry,
-    ResultCache,
-    plan_campaign,
-    run_campaign,
-)
+from repro.campaign import CampaignTelemetry, run_campaign
 from repro.circuit import Circuit
 from repro.circuits import benchmark_biquad, build
-from repro.errors import AnalysisError, SingularCircuitError
+from repro.errors import SingularCircuitError
 from repro.faults import (
     SimulationSetup,
     deviation_faults,
@@ -26,6 +25,7 @@ from repro.faults import (
     simulate_faults_fast,
 )
 from repro.faults.simulator import simulate_configuration
+from repro.verify import reference_dataset
 
 
 @pytest.fixture(scope="module")
@@ -64,117 +64,100 @@ def assert_identical(reference, candidate):
         )
 
 
+def oracle(mcc, faults, setup, dataset):
+    return reference_dataset(mcc, faults, setup, dataset.configs)
+
+
 class TestStandardEngine:
     def test_bit_identical_to_loop(self, mcc, faults, setup):
-        loop = simulate_faults(mcc, faults, setup)
-        stacked = simulate_faults(mcc, faults, setup, kernel="stacked")
-        assert_identical(loop, stacked)
+        """Production ≡ the scalar per-sweep loop of the oracle."""
+        production = simulate_faults(mcc, faults, setup)
+        assert_identical(oracle(mcc, faults, setup, production), production)
 
     def test_solve_count_unchanged(self, mcc, faults, setup):
-        loop = simulate_faults(mcc, faults, setup)
-        stacked = simulate_faults(mcc, faults, setup, kernel="stacked")
-        assert stacked.n_solves == loop.n_solves
+        production = simulate_faults(mcc, faults, setup)
+        assert production.n_solves == len(production.configs) * (
+            len(faults) + 1
+        )
 
     def test_factorizations_accounted(self, mcc, faults, setup):
-        loop = simulate_faults(mcc, faults, setup)
-        stacked = simulate_faults(mcc, faults, setup, kernel="stacked")
-        assert loop.n_factorizations == 0
+        production = simulate_faults(mcc, faults, setup)
         # one LU per (configuration, variant, frequency) point
         n_points = setup.grid.frequencies_hz.size
-        assert stacked.n_factorizations == stacked.n_solves * n_points
+        assert production.n_factorizations == production.n_solves * n_points
 
     def test_unknown_kernel_rejected(self, mcc, faults, setup):
-        with pytest.raises(AnalysisError, match="unknown solve kernel"):
-            simulate_faults(mcc, faults, setup, kernel="warp")
+        """The kernel option is gone: any ``kernel=`` is unknown."""
+        with pytest.raises(TypeError, match="kernel"):
+            simulate_faults(mcc, faults, setup, kernel="stacked")
 
     def test_restricted_keeps_factorizations(self, mcc, faults, setup):
-        stacked = simulate_faults(mcc, faults, setup, kernel="stacked")
-        keep = [stacked.configs[0]]
+        production = simulate_faults(mcc, faults, setup)
+        keep = [production.configs[0]]
+        assert production.n_factorizations > 0
         assert (
-            stacked.restricted(keep).n_factorizations
-            == stacked.n_factorizations
+            production.restricted(keep).n_factorizations
+            == production.n_factorizations
         )
 
 
 class TestFastEngine:
     def test_bit_identical_to_loop(self, mcc, faults, setup):
-        loop = simulate_faults_fast(mcc, faults, setup)
-        stacked = simulate_faults_fast(
-            mcc, faults, setup, kernel="stacked"
-        )
-        assert_identical(loop, stacked)
-        assert stacked.n_solves == loop.n_solves
+        """Matrix, ω-table and nominal sweeps equal the scalar oracle's."""
+        fast = simulate_faults_fast(mcc, faults, setup)
+        assert_identical(oracle(mcc, faults, setup, fast), fast)
+        # every biquad fault is a rank-1 update: one sweep per config
+        assert fast.n_solves == len(fast.configs)
+        n_points = setup.grid.frequencies_hz.size
+        assert fast.n_factorizations == fast.n_solves * n_points
 
     def test_catalog_parity(self, setup):
-        # A circuit with slow (non-rank-1) faults exercises the batched
-        # fallback sweeps too.
         bench = build("leapfrog")
         mcc = bench.dft()
         faults = deviation_faults(bench.circuit, 0.20)
         grid = decade_grid(bench.f0_hz, 2, 2, points_per_decade=10)
         setup = SimulationSetup(grid=grid)
-        loop = simulate_faults_fast(mcc, faults, setup)
-        stacked = simulate_faults_fast(
-            mcc, faults, setup, kernel="stacked"
+        fast = simulate_faults_fast(mcc, faults, setup)
+        assert_identical(oracle(mcc, faults, setup, fast), fast)
+
+    def test_own_nominal_for_circuits_sharing_a_netlist(self, setup):
+        """Two circuits whose values differ beyond the netlist's 6
+        printed digits each get their own nominal sweep in one process.
+        """
+        bench = build("sallen_key")
+        first = bench.circuit.passives()[0].name
+        nudged = dataclasses.replace(
+            bench, circuit=bench.circuit.with_scaled(first, 1.0 + 1e-7)
         )
-        assert_identical(loop, stacked)
+        assert nudged.circuit.netlist() == bench.circuit.netlist()
+        faults = deviation_faults(bench.circuit, 0.20)
+        nominals = []
+        for variant in (bench, nudged):
+            mcc = variant.dft()
+            fast = simulate_faults_fast(mcc, faults, setup)
+            reference = oracle(mcc, faults, setup, fast)
+            for index in reference.nominal:
+                assert np.array_equal(
+                    fast.nominal[index].values,
+                    reference.nominal[index].values,
+                )
+            nominals.append(fast.nominal[0].values)
+        assert not np.array_equal(*nominals)
 
 
 class TestCampaignIntegration:
     def test_run_campaign_stacked_identical(self, mcc, faults, setup):
-        loop = run_campaign(mcc, faults, setup)
-        stacked = run_campaign(mcc, faults, setup, kernel="stacked")
-        assert_identical(loop, stacked)
-
-    def test_plan_records_kernel(self, mcc, faults, setup):
-        plan = plan_campaign(mcc, faults, setup, kernel="stacked")
-        assert plan.kernel == "stacked"
-        assert "kernel stacked" in plan.describe()
-        assert all(unit.kernel == "stacked" for unit in plan.units)
-
-    def test_kernel_not_in_unit_key(self, mcc, faults, setup):
-        # Results are bit-identical across kernels, so cached results
-        # are shared: the stacked plan addresses the loop plan's keys.
-        loop_plan = plan_campaign(mcc, faults, setup)
-        stacked_plan = plan_campaign(mcc, faults, setup, kernel="stacked")
-        assert loop_plan.keys == stacked_plan.keys
-
-    def test_cache_shared_across_kernels(
-        self, tmp_path, mcc, faults, setup
-    ):
-        cache = ResultCache(tmp_path / "cache")
-        run_campaign(mcc, faults, setup, cache=cache)
-        telemetry = CampaignTelemetry()
-        warm = run_campaign(
-            mcc,
-            faults,
-            setup,
-            cache=cache,
-            telemetry=telemetry,
-            kernel="stacked",
-        )
-        counters = telemetry.snapshot()
-        assert counters["cache_hits"] == counters["units_total"]
-        assert counters["solves"] == 0
-        assert warm.n_solves == 0
+        production = run_campaign(mcc, faults, setup)
+        assert_identical(oracle(mcc, faults, setup, production), production)
 
     def test_telemetry_counts_factorizations(self, mcc, faults, setup):
         telemetry = CampaignTelemetry()
-        stacked = run_campaign(
-            mcc, faults, setup, telemetry=telemetry, kernel="stacked"
-        )
+        production = run_campaign(mcc, faults, setup, telemetry=telemetry)
         assert (
             telemetry.snapshot()["factorizations"]
-            == stacked.n_factorizations
+            == production.n_factorizations
         )
         assert telemetry.snapshot()["factorizations"] > 0
-
-    def test_loop_kernel_reports_zero_factorizations(
-        self, mcc, faults, setup
-    ):
-        telemetry = CampaignTelemetry()
-        run_campaign(mcc, faults, setup, telemetry=telemetry)
-        assert telemetry.snapshot()["factorizations"] == 0
 
 
 class TestSingularSemantics:
@@ -187,26 +170,27 @@ class TestSingularSemantics:
         return circuit
 
     def test_same_error_both_kernels(self, setup):
+        """The singular nominal sweep raises ``sweep_voltage``'s error,
+        naming the whole grid (one frequency chunk)."""
         circuit = self.singular_circuit()
         faults = deviation_faults(circuit, 0.20)
         labels = [fault.short_name for fault in faults]
-        messages = {}
-        for kernel in ("loop", "stacked"):
-            with pytest.raises(SingularCircuitError) as excinfo:
-                simulate_configuration(
-                    circuit, "a", faults, labels, setup, kernel=kernel
-                )
-            messages[kernel] = str(excinfo.value)
-        assert messages["loop"] == messages["stacked"]
-        assert "sick" in messages["loop"]
+        with pytest.raises(SingularCircuitError) as excinfo:
+            simulate_configuration(circuit, "a", faults, labels, setup)
+        f = setup.grid.frequencies_hz
+        assert str(excinfo.value) == (
+            f"sick: MNA matrix singular within [{f[0]:g}, {f[-1]:g}] Hz"
+        )
 
     def test_healthy_configuration_unaffected(self, setup, bench):
-        # The kernel isolates a singular request: healthy requests in
-        # the same stacked dispatch still complete (exercised at the
-        # kernel layer in tests/analysis/test_kernel.py); here the whole
-        # healthy campaign must succeed with the singular circuit's
-        # requests absent.
-        mcc = bench.dft()
-        faults = deviation_faults(bench.circuit, 0.20)
-        dataset = simulate_faults(mcc, faults, setup, kernel="stacked")
-        assert dataset.n_solves > 0
+        """A singular sweep fails its own configuration only: a healthy
+        campaign in the same process solves every configuration."""
+        circuit = self.singular_circuit()
+        faults = deviation_faults(circuit, 0.20)
+        labels = [fault.short_name for fault in faults]
+        with pytest.raises(SingularCircuitError):
+            simulate_configuration(circuit, "a", faults, labels, setup)
+        dataset = simulate_faults(
+            bench.dft(), deviation_faults(bench.circuit, 0.20), setup
+        )
+        assert set(dataset.nominal) == set(dataset.config_indices)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import ac_analysis, decade_grid
+from repro.analysis.batched import StampProgram
 from repro.analysis.mna import MnaSystem
 from repro.circuit import Circuit
 from repro.circuit.components import TwoTerminal
@@ -30,6 +31,7 @@ from repro.faults import (
     simulate_faults,
     simulate_single_configuration,
 )
+from repro.faults import simulator
 from repro.faults.simulator import _sweep_entries
 from repro.verify.invariants import reference_dataset
 
@@ -90,12 +92,25 @@ MIXED_UNIVERSE = [
 ]
 
 
-@pytest.mark.parametrize("kernel", ["loop", "stacked"])
-def test_mixed_universe_matches_reference(biquad_setup, kernel):
+@pytest.mark.parametrize("assembly", ["loop", "stacked"])
+def test_mixed_universe_matches_reference(biquad_setup, assembly, monkeypatch):
+    """``loop`` assembles one deviation variant per program call,
+    ``stacked`` every variant of a configuration in one call."""
+    if assembly == "loop":
+        monkeypatch.setattr(simulator, "ASSEMBLY_BUDGET", 1)
+    batches = []
+    assemble = StampProgram.assemble
+
+    def counted(program, factors):
+        batches.append(len(factors))
+        return assemble(program, factors)
+
+    monkeypatch.setattr(StampProgram, "assemble", counted)
     mcc = benchmark_biquad().dft()
-    dataset = simulate_faults(
-        mcc, MIXED_UNIVERSE, biquad_setup, kernel=kernel
-    )
+    dataset = simulate_faults(mcc, MIXED_UNIVERSE, biquad_setup)
+    deviations = sum(type(f) is DeviationFault for f in MIXED_UNIVERSE)
+    per_config = [1] * deviations if assembly == "loop" else [deviations]
+    assert batches == per_config * len(dataset.configs)
     reference = reference_dataset(
         mcc, MIXED_UNIVERSE, biquad_setup, dataset.configs
     )
@@ -134,7 +149,6 @@ def test_rejected_element_keeps_per_fault_path(biquad_setup):
         assert result.max_deviation == expected.max_deviation
 
 
-@pytest.mark.parametrize("kernel", ["loop", "stacked"])
 @pytest.mark.parametrize(
     "fault, message",
     [
@@ -143,11 +157,10 @@ def test_rejected_element_keeps_per_fault_path(biquad_setup):
     ],
 )
 def test_unassemblable_deviation_raises_fault_error(
-    biquad_setup, kernel, fault, message
+    biquad_setup, fault, message
 ):
     mcc = benchmark_biquad().dft()
     with pytest.raises(FaultModelError, match=message):
         simulate_faults(
-            mcc, [DeviationFault("R1", 0.2), fault], biquad_setup,
-            kernel=kernel,
+            mcc, [DeviationFault("R1", 0.2), fault], biquad_setup
         )

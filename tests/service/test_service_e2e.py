@@ -79,6 +79,17 @@ class TestBasics:
         with pytest.raises(JobValidationError, match="unknown param"):
             client.submit("faultsim", {"target": "sallen_key", "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("faultsim", FAULTSIM), ("tolerance", TOLERANCE),
+         ("diagnose", DIAGNOSE)],
+    )
+    def test_removed_kernel_param_is_a_400(self, client, kind, params):
+        with pytest.raises(
+            JobValidationError, match="unknown param\\(s\\) 'kernel'"
+        ):
+            client.submit(kind, dict(params, kernel="stacked"))
+
     def test_result_before_done_is_409(self, service, client):
         service.scheduler.pause()
         try:

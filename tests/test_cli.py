@@ -182,6 +182,24 @@ class TestParser:
         assert "5..5e+04" in out or "AC sweep" in out
 
 
+class TestKernelFlag:
+    """``--kernel`` is gone from every subcommand that carried it."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "faultsim", "campaign", "ndetect", "escape", "montecarlo",
+            "tolerance", "diagnose", "serve",
+        ],
+    )
+    def test_kernel_flag_rejected(self, command, netlist_file, capsys):
+        target = [] if command in ("tolerance", "serve") else [netlist_file]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *target, "--kernel", "stacked"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
+
 class TestNoise:
     def test_noise_summary(self, netlist_file, capsys):
         assert (
@@ -394,19 +412,6 @@ class TestEscape:
         )
         assert "seed: fresh" in capsys.readouterr().out
 
-    def test_kernel_flag_changes_nothing(self, netlist_file, capsys):
-        """--kernel stacked batches the sweeps but, for the same seed,
-        prints the exact same report as the loop engine."""
-        base = [
-            "escape", netlist_file, "--ppd", "10",
-            "--samples", "3", "--seed", "7",
-        ]
-        assert main(base + ["--kernel", "loop"]) == 0
-        loop = capsys.readouterr().out
-        assert main(base + ["--kernel", "stacked"]) == 0
-        stacked = capsys.readouterr().out
-        assert loop == stacked
-
 
 class TestMontecarlo:
     def test_suggests_epsilon(self, netlist_file, capsys):
@@ -436,17 +441,6 @@ class TestMontecarlo:
             == 0
         )
         assert "suggested epsilon" in capsys.readouterr().out
-
-    def test_kernel_flag_changes_nothing(self, netlist_file, capsys):
-        base = [
-            "montecarlo", netlist_file, "--ppd", "10",
-            "--samples", "8", "--seed", "7",
-        ]
-        assert main(base + ["--kernel", "loop"]) == 0
-        loop = capsys.readouterr().out
-        assert main(base + ["--kernel", "stacked"]) == 0
-        stacked = capsys.readouterr().out
-        assert loop == stacked
 
 
 class TestDiagnose:
@@ -482,20 +476,6 @@ class TestDiagnose:
         assert payload["n_solves"] > 0
         assert payload["diagnosis"]["injected"]["component"] == "R2"
         assert "matches" in payload["diagnosis"]
-
-    def test_kernel_flag_changes_nothing(self, capsys):
-        base = ["diagnose", "sallen_key", "--ppd", "6", "--steps", "1"]
-        assert main(base + ["--kernel", "loop"]) == 0
-        loop = capsys.readouterr().out
-        assert main(base + ["--kernel", "stacked"]) == 0
-        stacked = capsys.readouterr().out
-        # factorization accounting differs by design; trajectories don't
-        strip = lambda text: [
-            line
-            for line in text.splitlines()
-            if "factorization" not in line and "kernel" not in line
-        ]
-        assert strip(loop) == strip(stacked)
 
     def test_cache_resume_answers_without_solves(self, tmp_path, capsys):
         base = [

@@ -36,8 +36,11 @@ def small_dataset(small_case):
 
 class TestInvariantsHold:
     def test_run_invariants_clean(self, small_case, small_dataset):
-        mismatches, n_checks = run_invariants(small_case, small_dataset)
+        mismatches, n_checks, skipped = run_invariants(
+            small_case, small_dataset
+        )
         assert mismatches == []
+        assert skipped == []
         assert n_checks > 0
 
     def test_functional_configuration(self, small_case):
@@ -61,8 +64,8 @@ class TestInvariantsHold:
         assert check_grid_refinement(small_case, factor=3) == []
 
     def test_tolerance_kernel_equivalence(self, small_case):
-        """Monte Carlo and corner analyses are bit-identical across
-        kernels — the ``tolerance stacked ≡ loop`` invariant."""
+        """Monte Carlo and corner analyses are bit-identical to the
+        per-sample rebuild oracle for the same seed."""
         assert check_tolerance_kernel(small_case) == []
 
 
@@ -127,11 +130,42 @@ class TestNdetectInvariants:
         """The two n-detect invariants participate in the check count."""
         from repro.verify.invariants import run_invariants
 
-        _, n_checks = run_invariants(small_case, small_dataset)
+        _, n_checks, _ = run_invariants(small_case, small_dataset)
         base = (
-            2 + 3 + 2 + 2 + 2 + 2 + 2 + 2
+            2 + 3 + 2 + 2 + 2
             + 1  # assembly == scalar reference
+            + 2  # tolerance == per-sample oracle
+            + 1  # trajectory == fault simulator
             + 2 * len(small_dataset.configs)
             * len(small_dataset.fault_labels)
         )
         assert n_checks == base
+
+    def test_over_cap_expansion_is_skipped_not_raised(
+        self, small_case, small_dataset, monkeypatch
+    ):
+        """A Petrick expansion beyond the cap is a skipped comparison —
+        reported, neither a pass nor a mismatch — not an exception."""
+        from repro.verify import OracleReport, Skipped, invariants
+        from repro.verify.oracle import CaseOutcome
+
+        monkeypatch.setattr(invariants, "NDETECT_PETRICK_TERMS", 1)
+        skipped = invariants.check_ndetect_reduction(
+            small_case, small_dataset
+        ) + invariants.check_ndetect_supersets(small_case, small_dataset)
+        assert [s.check for s in skipped] == [
+            "invariant-ndetect-reduction",
+            "invariant-ndetect-superset",
+        ]
+        assert all(isinstance(s, Skipped) for s in skipped)
+        report = OracleReport(
+            outcomes=[
+                CaseOutcome(
+                    case=small_case, n_checks=2, mismatches=[],
+                    skipped=skipped,
+                )
+            ]
+        )
+        assert report.passed
+        assert report.to_dict()["n_skipped"] == 2
+        assert "2 skipped" in report.summary()

@@ -41,7 +41,12 @@ from ..errors import (
     InsufficientDetectionsError,
     OptimizationError,
 )
-from .boolean_alg import ProductTerm, SumOfProducts, expand_product_of_sums
+from .boolean_alg import (
+    MAX_TERMS,
+    ProductTerm,
+    SumOfProducts,
+    expand_product_of_sums,
+)
 from .matrix import FaultDetectabilityMatrix
 
 
@@ -213,7 +218,7 @@ class CoveringSolution:
 def solve_covering(
     matrix: FaultDetectabilityMatrix,
     require_full_coverage: bool = False,
-    max_terms: int = 2_000_000,
+    max_terms: int = MAX_TERMS,
     n_detect: int = 1,
     saturate: bool = False,
 ) -> CoveringSolution:
@@ -253,13 +258,11 @@ def solve_covering(
         complementary = expand_product_of_sums(
             (clause for _, clause in reduced.clauses), max_terms=max_terms
         )
-        essential_sop = SumOfProducts.of_terms([essentials])
-        xi = essential_sop.and_with(complementary)
         return CoveringSolution(
             problem=problem,
             essentials=essentials,
             complementary=complementary,
-            xi=xi,
+            xi=complementary.with_literals(essentials),
         )
 
     # n-detection Petrick: each fault contributes the disjunction of all
@@ -296,13 +299,11 @@ def solve_covering(
                 f"n-detect Petrick expansion exceeded {max_terms} "
                 "terms; use branch_and_bound_cover for this instance"
             )
-    essential_sop = SumOfProducts.of_terms([essentials])
-    xi = essential_sop.and_with(complementary)
     return CoveringSolution(
         problem=problem,
         essentials=essentials,
         complementary=complementary,
-        xi=xi,
+        xi=complementary.with_literals(essentials),
     )
 
 

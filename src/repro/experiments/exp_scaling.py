@@ -20,6 +20,7 @@ from ..core.baselines import (
     exact_minimum_strategy,
     greedy_strategy,
 )
+from ..core.boolean_alg import MAX_TERMS
 from ..core.costs import AverageOmegaDetectability, ConfigurationCount
 from ..core.covering import branch_and_bound_cover, build_coverage_problem, solve_covering
 from ..core.mapping import substitute_opamps
@@ -36,7 +37,7 @@ def analyze_circuit(
     epsilon: float = 0.10,
     deviation: float = 0.20,
     points_per_decade: int = 40,
-    petrick_max_terms: int = 20_000,
+    petrick_max_terms: int = MAX_TERMS,
     engine: str = "fast",
     executor=None,
     cache=None,
@@ -44,12 +45,14 @@ def analyze_circuit(
 ) -> dict:
     """Full DFT-optimization flow on one library circuit.
 
-    For large chains (the 6-opamp cascade has 63 candidate
-    configurations) the Petrick expansion can exceed
-    ``petrick_max_terms``; the flow then falls back to the exact
-    branch-and-bound minimum cover — the same answer for the 2nd-order
-    configuration-count requirement, without enumerating every
-    irredundant cover.  ``result["petrick_fallback"]`` records it.
+    ``petrick_max_terms`` defaults to the budget of
+    :func:`~repro.core.covering.solve_covering`, within which every
+    catalog circuit expands (the 6-opamp cascade, 63 candidate
+    configurations, into 9,943 irredundant covers).  An expansion
+    beyond it falls back to the exact branch-and-bound minimum cover —
+    the same answer for the 2nd-order configuration-count requirement,
+    without enumerating every irredundant cover.
+    ``result["petrick_fallback"]`` records it.
     """
     from ..core.mapping import opamps_used_by
 

@@ -18,7 +18,9 @@ on randomized circuits, faults, configurations and frequency grids:
   ordering, n-detection covers, and the zero-tolerance comparisons of
   the production fault, tolerance and trajectory paths against the
   scalar oracles ``reference_dataset`` and
-  ``reference_scaled_responses``).
+  ``reference_scaled_responses``); it also holds ``reference_absorb``,
+  the all-pairs absorption the covering algebra's tests compare
+  against.
 
 ``python -m repro verify`` drives the whole thing from the shell and is
 the standing correctness gate for every optimization PR.
@@ -43,6 +45,7 @@ from .invariants import (
     check_tolerance_kernel,
     check_trajectory_oracle,
     check_transparent_configuration,
+    reference_absorb,
     reference_dataset,
     reference_scaled_responses,
     run_invariants,
@@ -78,6 +81,7 @@ __all__ = [
     "random_cases",
     "random_fault_universe",
     "random_grid",
+    "reference_absorb",
     "reference_dataset",
     "reference_scaled_responses",
     "run_invariants",

@@ -53,7 +53,7 @@ definitions and from physics:
 from __future__ import annotations
 
 from itertools import product
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from ..analysis.ac import FrequencyResponse, ac_analysis
 from ..analysis.mna import MnaSystem
 from ..analysis.sweep import FrequencyGrid
 from ..core.baselines import exact_minimum_strategy, greedy_strategy
+from ..core.boolean_alg import ProductTerm
 from ..core.covering import verify_cover
 from ..core.detectability import detection_intervals, evaluate_detectability
 from ..dft.configuration import Configuration
@@ -519,6 +520,11 @@ def check_ndetect_reduction(
     equivalent requirement (``n_detect=1, saturate=True`` — every
     non-empty clause needs exactly one hit either way) must reproduce
     the same essentials and the same irredundant covers, term for term.
+    The two paths expand ξ with different algorithms: the n=1 path
+    multiplies clause by clause with the incremental step of
+    :func:`~repro.core.boolean_alg.expand_product_of_sums`, the
+    generic path multiplies factors with ``SumOfProducts.and_with``
+    and an absorption pass, so this compares the two.
     The exact and greedy solvers must likewise agree between paths.
     A Petrick expansion beyond :data:`NDETECT_PETRICK_TERMS` yields a
     :class:`~repro.verify.oracle.Skipped` record in place of the
@@ -711,6 +717,24 @@ def _dataset_delta(reference, candidate) -> Optional[Tuple[str, float]]:
                 abs(other - result.max_deviation),
             )
     return None
+
+
+def reference_absorb(terms: Iterable[ProductTerm]) -> FrozenSet[ProductTerm]:
+    """All-pairs oracle of the absorption law ``X + X·Y = X``.
+
+    Visits the distinct terms smallest first and keeps each one that no
+    kept term absorbs, testing it against every kept term by frozenset
+    inclusion — the quadratic pass the production algebra of
+    :mod:`repro.core.boolean_alg` avoids.  Tests hold
+    :func:`~repro.core.boolean_alg.expand_product_of_sums`,
+    ``SumOfProducts.and_with`` and ``SumOfProducts.map_literals`` to
+    "multiply every pair, then absorb with this", term for term.
+    """
+    kept: List[ProductTerm] = []
+    for term in sorted(set(terms), key=len):
+        if not any(existing.absorbs(term) for existing in kept):
+            kept.append(term)
+    return frozenset(kept)
 
 
 def reference_dataset(

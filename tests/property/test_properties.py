@@ -5,6 +5,8 @@ boolean-algebra laws, covering correctness and minimality, coverage
 monotonicity, and the log-frequency measure.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from repro.core import (
     verify_cover,
 )
 from repro.dft import Configuration, configuration_from_vector_string
+from repro.verify import reference_absorb
 
 # ----------------------------------------------------------------------
 # strategies
@@ -34,6 +37,47 @@ values = st.floats(
 literal_sets = st.frozensets(st.integers(0, 6), min_size=1, max_size=4)
 
 clause_families = st.lists(literal_sets, min_size=1, max_size=6)
+
+#: a small pool, so terms overlap, reaching past one 64-bit word
+wide_literals = st.sampled_from((0, 1, 2, 3, 5, 8, 62, 63, 64, 65, 100))
+wide_literal_sets = st.frozensets(wide_literals, min_size=1, max_size=4)
+wide_clause_families = st.lists(wide_literal_sets, min_size=1, max_size=6)
+
+#: the 17 reduced clauses of ``leapfrog`` at epsilon 0.05, deviation +0.2,
+#: 50 points per decade over +-2 decades (no essential configuration)
+LEAPFROG_EPS_005_CLAUSES = (
+    (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30),
+    (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30),
+    (0, 2, 4, 10, 12, 18, 20, 24, 26, 28, 30),
+    (0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29),
+    (0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29),
+    (0, 4, 12, 20, 24, 28, 29),
+    (0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27),
+    (0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27),
+    (0, 2, 10, 18, 24, 26, 27),
+    (0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23),
+    (0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23),
+    (0, 6, 23),
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+    (0, 6, 15),
+    (2, 4, 8, 10, 12, 14, 16, 18, 20, 22, 26, 28),
+    (2, 4, 8, 10, 12, 14, 16, 18, 20, 22, 26, 28),
+)
+
+
+def reference_product(factors):
+    """Multiply every pair of terms, then apply the reference absorption."""
+    product = frozenset({ProductTerm(frozenset())})
+    for factor in factors:
+        product = reference_absorb(
+            a.union(b) for a in product for b in factor
+        )
+    return product
+
+
+def single_literal_terms(clause):
+    return [ProductTerm(frozenset({literal})) for literal in clause]
 
 
 @st.composite
@@ -143,6 +187,62 @@ class TestBooleanProperties:
     @given(clause_families)
     def test_expansion_nonempty_for_nonempty_clauses(self, clauses):
         assert not expand_product_of_sums(clauses).is_false
+
+    @given(wide_clause_families)
+    def test_expansion_matches_reference(self, clauses):
+        expected = reference_product(
+            [single_literal_terms(c) for c in clauses]
+        )
+        assert expand_product_of_sums(clauses).terms == expected
+
+    @given(
+        st.lists(
+            st.tuples(wide_literal_sets, st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_and_with_matches_reference(self, requirements):
+        """n-detect factors: every way to pick ``need`` of a clause."""
+        factors = [
+            [
+                ProductTerm(frozenset(pick))
+                for pick in combinations(sorted(clause), min(need, len(clause)))
+            ]
+            for clause, need in requirements
+        ]
+        product = SumOfProducts.one()
+        for factor in factors:
+            product = product.and_with(SumOfProducts(frozenset(factor)))
+        assert product.terms == reference_product(factors)
+
+    @given(
+        st.lists(wide_literal_sets, min_size=1, max_size=8),
+        st.dictionaries(
+            wide_literals, st.frozensets(wide_literals, max_size=3)
+        ),
+    )
+    def test_map_literals_matches_reference(self, raw, table):
+        """Substitutions may map a literal to nothing, as ``C0 → −``."""
+        terms = [ProductTerm(t) for t in raw]
+        sop = SumOfProducts(frozenset(terms))
+        assert sop.terms == reference_absorb(terms)
+
+        def substitute(literal):
+            return table.get(literal, {literal})
+
+        assert sop.map_literals(substitute).terms == reference_absorb(
+            t.map(substitute) for t in sop.terms
+        )
+
+    def test_leapfrog_expansion_matches_reference(self):
+        expected = reference_product(
+            [single_literal_terms(c) for c in LEAPFROG_EPS_005_CLAUSES]
+        )
+        assert len(expected) == 92
+        assert expand_product_of_sums(LEAPFROG_EPS_005_CLAUSES).terms == (
+            expected
+        )
 
 
 # ----------------------------------------------------------------------

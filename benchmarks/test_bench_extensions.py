@@ -126,12 +126,13 @@ def test_bench_noise_across_configurations(benchmark):
 
 
 def test_bench_fast_vs_standard_fault_simulation(benchmark):
-    """The Sherman-Morrison engine against the paper's named bottleneck:
-    identical matrices from 7 solves instead of 63."""
+    """The certified Sherman-Morrison engine against the paper's named
+    bottleneck: the same matrix as the scalar reference's 63 per-fault
+    sweeps, from one multi-RHS sweep per configuration."""
     import time
 
     from repro.faults import SimulationSetup, simulate_faults
-    from repro.faults.fast_simulator import simulate_faults_fast
+    from repro.verify import reference_dataset
 
     bench = benchmark_biquad()
     mcc = bench.dft()
@@ -139,23 +140,29 @@ def test_bench_fast_vs_standard_fault_simulation(benchmark):
     setup = SimulationSetup(
         grid=decade_grid(bench.f0_hz, 2, 2, points_per_decade=100)
     )
+    configs = mcc.configurations(
+        include_functional=True, include_transparent=False
+    )
 
     t0 = time.perf_counter()
-    slow = simulate_faults(mcc, faults, setup)
+    standard = reference_dataset(mcc, faults, setup, configs)
     t_standard = time.perf_counter() - t0
 
     fast = benchmark.pedantic(
-        lambda: simulate_faults_fast(mcc, faults, setup),
+        lambda: simulate_faults(mcc, faults, setup),
         rounds=3,
         iterations=1,
     )
     print()
     print(
-        f"standard engine: {1e3 * t_standard:.0f} ms "
-        f"({slow.n_solves} solves); fast engine: {fast.n_solves} solves"
+        f"per-fault reference: {1e3 * t_standard:.0f} ms "
+        f"({len(configs) * (1 + len(faults))} sweeps); production: "
+        f"{fast.n_factorizations} factorizations, "
+        f"{fast.sm_fallbacks} fallback(s)"
     )
-    assert fast.n_solves == 7
+    assert fast.n_factorizations == len(configs) * setup.grid.n_points
+    assert fast.sm_fallbacks == 0
     assert np.array_equal(
-        slow.detectability_matrix().data,
+        standard.detectability_matrix().data,
         fast.detectability_matrix().data,
     )

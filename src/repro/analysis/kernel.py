@@ -76,23 +76,30 @@ class KernelStats:
     stacked_calls:
         Batched LAPACK dispatches issued (each covers one frequency
         chunk of one sweep).
+    sm_fallbacks:
+        Grid points the fault simulator re-solved exactly because its
+        Sherman–Morrison certificate did not hold there; their
+        factorizations are also in ``factorizations``.
     """
 
     solves: int = 0
     factorizations: int = 0
     stacked_calls: int = 0
+    sm_fallbacks: int = 0
 
     def merge(self, other: "KernelStats") -> None:
         """Fold another run's counters into this one."""
         self.solves += other.solves
         self.factorizations += other.factorizations
         self.stacked_calls += other.stacked_calls
+        self.sm_fallbacks += other.sm_fallbacks
 
     def as_dict(self) -> Dict[str, int]:
         return {
             "solves": self.solves,
             "factorizations": self.factorizations,
             "stacked_calls": self.stacked_calls,
+            "sm_fallbacks": self.sm_fallbacks,
         }
 
 
@@ -152,18 +159,12 @@ class SweepRequest:
         Complex ``(n, k)`` right-hand side, shared by every frequency.
     title:
         Circuit title used in singularity error messages.
-    singular_what:
-        Message fragment between the title and the frequency range —
-        ``"MNA matrix singular"`` for plain sweeps (matching
-        ``MnaSystem.sweep_voltage``) or ``"singular"`` for the fast
-        engine's multi-RHS sweeps.
     """
 
     G: np.ndarray
     C: np.ndarray
     rhs: np.ndarray
     title: str
-    singular_what: str = "MNA matrix singular"
 
     def __post_init__(self) -> None:
         rhs = np.asarray(self.rhs, dtype=complex)
@@ -189,7 +190,7 @@ class SweepRequest:
     ) -> SingularCircuitError:
         """The error for a singular chunk of this sweep."""
         return SingularCircuitError(
-            f"{self.title}: {self.singular_what} within "
+            f"{self.title}: MNA matrix singular within "
             f"[{f_lo:g}, {f_hi:g}] Hz"
         )
 

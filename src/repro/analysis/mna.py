@@ -199,8 +199,8 @@ class MnaSystem:
         """This system as a kernel :class:`SweepRequest`.
 
         ``rhs`` defaults to the assembled excitation vector ``z``; the
-        fast fault engine passes a wider RHS (excitation plus one unit
-        node-pair column per faulted element).
+        fault simulator passes a wider RHS (the excitation plus the
+        identity, for ``A⁻¹``).
         """
         return SweepRequest(
             G=self.G,

@@ -40,7 +40,6 @@ from .executor import (
     execute_unit,
 )
 from .plan import (
-    ENGINES,
     CampaignPlan,
     WorkUnit,
     fault_signature,
@@ -65,7 +64,6 @@ from .tolerance import (
 __all__ = [
     "CampaignPlan",
     "CampaignTelemetry",
-    "ENGINES",
     "Executor",
     "ParallelExecutor",
     "ResultCache",

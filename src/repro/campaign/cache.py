@@ -1,7 +1,7 @@
 """Content-addressed on-disk result store for campaign work units.
 
 Every work unit carries a SHA-256 key over everything that determines
-its result (netlist, probe, grid, tolerance, criterion, engine, fault
+its result (netlist, probe, grid, tolerance, criterion, fault
 chunk — see :func:`repro.campaign.plan.unit_key`).  The cache maps that
 key to a pickled :class:`~repro.campaign.executor.UnitResult` on disk:
 

@@ -1,9 +1,8 @@
 """The campaign engine: plan → cache lookup → execute → assemble.
 
 :func:`run_campaign` is the one-call entry point used by
-:func:`repro.faults.simulator.simulate_faults` (``engine="standard"``),
-:func:`repro.faults.fast_simulator.simulate_faults_fast`
-(``engine="fast"``), the experiment runners and the CLI.  The pipeline:
+:func:`repro.faults.simulator.simulate_faults`, the experiment runners
+and the CLI.  The pipeline:
 
 1. :func:`~repro.campaign.plan.plan_campaign` decomposes the run into
    deterministic, content-hashed work units;
@@ -15,7 +14,7 @@
 4. the outcomes are assembled — **in plan order, regardless of
    completion order** — into the same
    :class:`~repro.faults.simulator.DetectabilityDataset` the in-process
-   engines produce, bit for bit.
+   loop produces, bit for bit.
 
 ``dataset.n_solves`` counts the AC solves *performed by this run*; a
 fully warm cache therefore yields ``n_solves == 0``, which the telemetry
@@ -39,7 +38,7 @@ from .executor import (
     SerialExecutor,
     UnitOutcome,
 )
-from .plan import STANDARD, CampaignPlan, plan_campaign
+from .plan import CampaignPlan, plan_campaign
 from .telemetry import CampaignTelemetry
 
 
@@ -48,7 +47,6 @@ def run_campaign(
     faults: Sequence[Fault],
     setup: SimulationSetup,
     configs: Optional[Sequence[Configuration]] = None,
-    engine: str = STANDARD,
     chunk_size: Optional[int] = None,
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
@@ -57,18 +55,14 @@ def run_campaign(
     """Run a fault × configuration campaign through the engine.
 
     Drop-in equivalent of
-    :func:`repro.faults.simulator.simulate_faults` (and, with
-    ``engine="fast"``, of
-    :func:`repro.faults.fast_simulator.simulate_faults_fast`) — the
-    returned dataset is bit-identical for every executor and
-    chunking.
+    :func:`repro.faults.simulator.simulate_faults` — the returned
+    dataset is bit-identical for every executor and chunking.
     """
     plan = plan_campaign(
         mcc,
         faults,
         setup,
         configs=configs,
-        engine=engine,
         chunk_size=chunk_size,
     )
     return execute_plan(
@@ -140,6 +134,7 @@ def assemble_dataset(
     results: Dict[Tuple[int, str], DetectabilityResult] = {}
     n_solves = 0
     n_factorizations = 0
+    sm_fallbacks = 0
     for unit in plan.units:
         outcome = outcomes[unit.unit_id]
         result = outcome.result
@@ -153,8 +148,8 @@ def assemble_dataset(
             results[(unit.config_index, label)] = result.results[label]
         if not outcome.from_cache:
             n_solves += result.n_solves
-            # campaign-v1 cache entries predate the counter
-            n_factorizations += getattr(result, "n_factorizations", 0)
+            n_factorizations += result.n_factorizations
+            sm_fallbacks += result.sm_fallbacks
     return DetectabilityDataset(
         configs=plan.configs,
         fault_labels=plan.fault_labels,
@@ -163,6 +158,7 @@ def assemble_dataset(
         results=results,
         n_solves=n_solves,
         n_factorizations=n_factorizations,
+        sm_fallbacks=sm_fallbacks,
     )
 
 

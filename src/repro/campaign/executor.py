@@ -51,9 +51,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..analysis.ac import FrequencyResponse
 from ..analysis.kernel import KernelStats
 from ..core.detectability import DetectabilityResult
-from ..faults.fast_simulator import simulate_configuration_fast
 from ..faults.simulator import simulate_configuration
-from .plan import FAST, WorkUnit
+from .plan import WorkUnit
 
 
 @dataclass
@@ -66,9 +65,10 @@ class UnitResult:
     nominal: FrequencyResponse
     results: Dict[str, DetectabilityResult]
     n_solves: int
-    #: LU factorizations the unit's sweeps performed (absent in
-    #: campaign-v1 cache entries)
+    #: LU factorizations the unit's sweeps performed
     n_factorizations: int = 0
+    #: grid points re-solved exactly (see ``KernelStats.sm_fallbacks``)
+    sm_fallbacks: int = 0
 
 
 @dataclass
@@ -97,8 +97,8 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
     """Simulate one work unit (runs in the parent or a worker process).
 
     A :class:`~repro.analysis.kernel.KernelStats` accumulator feeds the
-    factorization counter back into the result so campaign telemetry
-    can report it.
+    factorization and fallback counters back into the result so
+    campaign telemetry can report them.
     """
     if getattr(unit, "engine", None) == "tolerance":
         from .tolerance import execute_tolerance_unit
@@ -109,16 +109,10 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
 
         return execute_diagnosis_unit(unit)
     stats = KernelStats()
-    if unit.engine == FAST:
-        nominal, results, n_solves = simulate_configuration_fast(
-            unit.circuit, unit.output, unit.faults, unit.labels,
-            unit.setup, stats=stats,
-        )
-    else:
-        nominal, results, n_solves = simulate_configuration(
-            unit.circuit, unit.output, unit.faults, unit.labels,
-            unit.setup, stats=stats,
-        )
+    nominal, results, n_solves = simulate_configuration(
+        unit.circuit, unit.output, unit.faults, unit.labels,
+        unit.setup, stats=stats,
+    )
     return UnitResult(
         key=unit.key,
         unit_id=unit.unit_id,
@@ -127,6 +121,7 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
         results=results,
         n_solves=n_solves,
         n_factorizations=stats.factorizations,
+        sm_fallbacks=stats.sm_fallbacks,
     )
 
 

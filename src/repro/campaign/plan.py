@@ -10,8 +10,7 @@ one contiguous chunk of the fault universe — that are:
 * *content-addressed*: each unit carries a SHA-256 key derived from the
   emulated configuration's exact identity
   (:meth:`~repro.circuit.netlist.Circuit.identity`), the probe node, the
-  frequency grid,
-  the tolerance, the deviation criterion, the engine and the fault
+  frequency grid, the tolerance, the deviation criterion and the fault
   chunk.  The key is stable across processes and runs, so an on-disk
   :class:`~repro.campaign.cache.ResultCache` can resume an interrupted
   campaign or skip unchanged work after a partial edit;
@@ -22,7 +21,8 @@ one contiguous chunk of the fault universe — that are:
 Chunking trades scheduling granularity against per-unit overhead: the
 default (``chunk_size=None``) keeps all faults of a configuration in one
 unit — matching the serial engine's cost exactly — while ``chunk_size=1``
-maximises parallelism at the price of one extra nominal solve per fault.
+maximises parallelism at the price of one configuration sweep (one LU
+factorization per grid point) per fault.
 Campaign *results* are independent of the chunking (each
 (configuration, fault) pair is evaluated identically no matter which
 unit carries it); only the cache keys and the nominal-solve count vary.
@@ -45,13 +45,9 @@ from ..faults.universe import check_unique_names
 
 #: bumped whenever the unit result layout or key recipe changes, so stale
 #: cache entries from older library versions can never be misread
-#: (v2: unit results grew the ``n_factorizations`` counter)
-PLAN_FORMAT = "campaign-v2"
-
-#: supported simulation engines for a work unit
-STANDARD = "standard"
-FAST = "fast"
-ENGINES = (STANDARD, FAST)
+#: (v2: unit results grew the ``n_factorizations`` counter; v3: the
+#: engine left the key and unit results grew ``sm_fallbacks``)
+PLAN_FORMAT = "campaign-v3"
 
 
 def fault_signature(fault: Fault) -> str:
@@ -92,9 +88,6 @@ class WorkUnit:
         The fault chunk and the matrix column labels, aligned.
     setup:
         Shared grid / tolerance / criterion parameters.
-    engine:
-        ``"standard"`` (one AC sweep per fault) or ``"fast"``
-        (Sherman–Morrison rank-1 batch with per-fault fallback).
     key:
         SHA-256 content hash; the cache address of the unit's result.
     """
@@ -107,7 +100,6 @@ class WorkUnit:
     faults: Tuple[Fault, ...]
     labels: Tuple[str, ...]
     setup: SimulationSetup
-    engine: str = STANDARD
     key: str = ""
 
     @property
@@ -127,14 +119,12 @@ def unit_key(
     faults: Sequence[Fault],
     labels: Sequence[str],
     setup: SimulationSetup,
-    engine: str,
 ) -> str:
     """Content hash of one work unit (stable across processes and runs)."""
     grid = setup.grid
     payload = "\n".join(
         [
             PLAN_FORMAT,
-            f"engine:{engine}",
             f"output:{output}",
             f"grid:{grid.f_start!r}:{grid.f_stop!r}:{grid.points_per_decade}",
             f"epsilon:{setup.epsilon!r}",
@@ -158,7 +148,6 @@ class CampaignPlan:
     fault_labels: Tuple[str, ...]
     setup: SimulationSetup
     units: Tuple[WorkUnit, ...]
-    engine: str
     chunk_size: Optional[int]
 
     @property
@@ -182,7 +171,7 @@ class CampaignPlan:
         return (
             f"campaign plan: {self.n_configs} configuration(s) x "
             f"{self.n_faults} fault(s) -> {self.n_units} unit(s) "
-            f"(chunk {chunk}, engine {self.engine})"
+            f"(chunk {chunk})"
         )
 
 
@@ -199,20 +188,14 @@ def plan_campaign(
     faults: Sequence[Fault],
     setup: SimulationSetup,
     configs: Optional[Sequence[Configuration]] = None,
-    engine: str = STANDARD,
     chunk_size: Optional[int] = None,
 ) -> CampaignPlan:
     """Decompose a fault-simulation campaign into hashed work units.
 
     Parameters mirror :func:`repro.faults.simulator.simulate_faults`;
-    ``engine`` selects the per-unit simulation strategy and
     ``chunk_size`` bounds the number of faults per unit (``None`` keeps
     each configuration whole).
     """
-    if engine not in ENGINES:
-        raise CampaignError(
-            f"unknown campaign engine {engine!r}; use one of {ENGINES}"
-        )
     if chunk_size is not None and chunk_size < 1:
         raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
     check_unique_names(faults)
@@ -254,14 +237,12 @@ def plan_campaign(
                     faults=chunk_faults,
                     labels=chunk_labels,
                     setup=setup,
-                    engine=engine,
                     key=unit_key(
                         emulated,
                         output,
                         chunk_faults,
                         chunk_labels,
                         setup,
-                        engine,
                     ),
                 )
             )
@@ -271,6 +252,5 @@ def plan_campaign(
         fault_labels=tuple(labels),
         setup=setup,
         units=tuple(units),
-        engine=engine,
         chunk_size=chunk_size,
     )

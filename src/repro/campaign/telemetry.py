@@ -57,6 +57,7 @@ class CampaignTelemetry:
             "cache_hits": 0,
             "solves": 0,
             "factorizations": 0,
+            "sm_fallbacks": 0,
             "retries": 0,
             "failures": 0,
             "ndetect_covers": 0,
@@ -116,7 +117,6 @@ class CampaignTelemetry:
                     "units": plan.n_units,
                     "configs": plan.n_configs,
                     "faults": plan.n_faults,
-                    "engine": plan.engine,
                     "chunk_size": plan.chunk_size,
                     "executor": executor_name,
                     "jobs": jobs,
@@ -136,6 +136,9 @@ class CampaignTelemetry:
                 counters["factorizations"] += getattr(
                     outcome.result, "n_factorizations", 0
                 )
+                counters["sm_fallbacks"] += getattr(
+                    outcome.result, "sm_fallbacks", 0
+                )
             fields = {
                 "unit": outcome.unit.unit_id,
                 "config": outcome.unit.config_label,
@@ -149,6 +152,11 @@ class CampaignTelemetry:
                 ),
                 "factorizations": (
                     getattr(outcome.result, "n_factorizations", 0)
+                    if outcome.result is not None and not outcome.from_cache
+                    else 0
+                ),
+                "sm_fallbacks": (
+                    getattr(outcome.result, "sm_fallbacks", 0)
                     if outcome.result is not None and not outcome.from_cache
                     else 0
                 ),

@@ -277,9 +277,7 @@ def cmd_campaign(args) -> int:
     )
     setup = SimulationSetup(grid=grid, epsilon=args.epsilon)
 
-    plan = plan_campaign(
-        mcc, faults, setup, engine=args.engine, chunk_size=args.chunk
-    )
+    plan = plan_campaign(mcc, faults, setup, chunk_size=args.chunk)
     executor, cache, telemetry = _campaign_parts(args)
     if telemetry is None:
         telemetry = CampaignTelemetry()
@@ -451,7 +449,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Differential-oracle sweep: engines vs MNA vs transfer fit."""
+    """Differential-oracle sweep: production vs reference vs MNA vs fit."""
     from .verify import Tolerances, run_verification
 
     circuits = (
@@ -1002,10 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_campaign, netlist=False)
     campaign_flags(p_campaign)
     p_campaign.add_argument(
-        "--engine", choices=["standard", "fast"], default="standard",
-        help="per-unit simulation engine (default standard)",
-    )
-    p_campaign.add_argument(
         "--chunk", type=int, default=None,
         help="faults per work unit (default: whole configuration)",
     )
@@ -1061,8 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        help="differential oracle: engines vs MNA vs transfer fit + "
-        "metamorphic invariants",
+        help="differential oracle: production engine vs scalar reference "
+        "vs MNA vs transfer fit + metamorphic invariants",
     )
     p_verify.add_argument(
         "--circuits", default=None,
@@ -1093,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--no-invariants", action="store_true",
-        help="skip the metamorphic invariants (cross-engine checks only)",
+        help="skip the metamorphic invariants (differential checks only)",
     )
     p_verify.add_argument(
         "--progress", action="store_true",

@@ -20,9 +20,12 @@ from ..core.baselines import (
     exact_minimum_strategy,
     greedy_strategy,
 )
-from ..core.boolean_alg import MAX_TERMS
 from ..core.costs import AverageOmegaDetectability, ConfigurationCount
-from ..core.covering import branch_and_bound_cover, build_coverage_problem, solve_covering
+from ..core.covering import (
+    branch_and_bound_cover,
+    build_coverage_problem,
+    solve_covering,
+)
 from ..core.mapping import substitute_opamps
 from ..core.optimizer import DftOptimizer
 from ..faults.simulator import SimulationSetup, simulate_faults
@@ -37,21 +40,18 @@ def analyze_circuit(
     epsilon: float = 0.10,
     deviation: float = 0.20,
     points_per_decade: int = 40,
-    petrick_max_terms: int = MAX_TERMS,
-    engine: str = "fast",
     executor=None,
     cache=None,
     telemetry=None,
 ) -> dict:
     """Full DFT-optimization flow on one library circuit.
 
-    ``petrick_max_terms`` defaults to the budget of
-    :func:`~repro.core.covering.solve_covering`, within which every
-    catalog circuit expands (the 6-opamp cascade, 63 candidate
-    configurations, into 9,943 irredundant covers).  An expansion
-    beyond it falls back to the exact branch-and-bound minimum cover —
-    the same answer for the 2nd-order configuration-count requirement,
-    without enumerating every irredundant cover.
+    Every catalog circuit expands within the Petrick budget of
+    :func:`~repro.core.covering.solve_covering` (the 6-opamp cascade,
+    63 candidate configurations, into 9,943 irredundant covers).  An
+    expansion beyond it falls back to the exact branch-and-bound minimum
+    cover — the same answer for the 2nd-order configuration-count
+    requirement, without enumerating every irredundant cover.
     ``result["petrick_fallback"]`` records it.
     """
     from ..core.mapping import opamps_used_by
@@ -62,23 +62,16 @@ def analyze_circuit(
         bench.f0_hz, points_per_decade=points_per_decade
     )
     setup = SimulationSetup(grid=grid, epsilon=epsilon)
-    campaign_kwargs = dict(
-        executor=executor, cache=cache, telemetry=telemetry
+    dataset = simulate_faults(
+        mcc, faults, setup, executor=executor, cache=cache,
+        telemetry=telemetry,
     )
-    if engine == "fast":
-        from ..faults.fast_simulator import simulate_faults_fast
-
-        dataset = simulate_faults_fast(mcc, faults, setup, **campaign_kwargs)
-    elif engine == "standard":
-        dataset = simulate_faults(mcc, faults, setup, **campaign_kwargs)
-    else:
-        raise OptimizationError(f"unknown engine {engine!r}")
     matrix = dataset.detectability_matrix()
     table = dataset.omega_table()
 
     fallback = False
     try:
-        covering = solve_covering(matrix, max_terms=petrick_max_terms)
+        covering = solve_covering(matrix)
         optimizer = DftOptimizer(matrix, table)
         optimizer._covering = covering
         result = optimizer.optimize(

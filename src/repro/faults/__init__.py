@@ -1,7 +1,6 @@
 """Fault modelling, fault universes and the fault-simulation engine."""
 
 from .escape import EscapeAnalysis, escape_analysis, escape_tradeoff_curve
-from .fast_simulator import simulate_faults_fast
 from .model import (
     DeviationFault,
     Fault,
@@ -42,6 +41,5 @@ __all__ = [
     "escape_analysis",
     "escape_tradeoff_curve",
     "simulate_faults",
-    "simulate_faults_fast",
     "simulate_single_configuration",
 ]

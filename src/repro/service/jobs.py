@@ -48,7 +48,7 @@ from ..errors import (
 )
 
 #: bumped whenever the job param recipe or record layout changes
-SERVICE_FORMAT = "service-v3"
+SERVICE_FORMAT = "service-v4"
 
 # ----------------------------------------------------------------------
 # states
@@ -77,7 +77,6 @@ FAULTSIM_PARAMS: Dict[str, Tuple[type, Any]] = {
     "f0": (float, None),
     "decades": (float, 2.0),
     "ppd": (int, 50),
-    "engine": (str, "standard"),
     "chunk": (int, None),
     "n_detect": (int, 1),        # detection multiplicity of the cover
     "saturate": (bool, False),   # best-effort n-detect (clamp, don't raise)
@@ -197,11 +196,6 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
             raise JobValidationError(
                 "faultsim: exactly one of 'target' (catalog name) or "
                 "'netlist' (inline netlist text) is required"
-            )
-        if normalized["engine"] not in ("standard", "fast"):
-            raise JobValidationError(
-                f"faultsim: engine must be 'standard' or 'fast', got "
-                f"{normalized['engine']!r}"
             )
         if normalized["n_detect"] < 1:
             raise JobValidationError(
@@ -576,13 +570,7 @@ def run_faultsim(job: Job, runtime, telemetry: JobTelemetry) -> dict:
         points_per_decade=params["ppd"],
     )
     setup = SimulationSetup(grid=grid, epsilon=params["epsilon"])
-    plan = plan_campaign(
-        mcc,
-        faults,
-        setup,
-        engine=params["engine"],
-        chunk_size=params["chunk"],
-    )
+    plan = plan_campaign(mcc, faults, setup, chunk_size=params["chunk"])
     dataset = execute_plan(
         plan,
         executor=job_executor(job, runtime),
@@ -608,12 +596,12 @@ def run_faultsim(job: Job, runtime, telemetry: JobTelemetry) -> dict:
     return {
         "target": label,
         "f0_hz": f0,
-        "engine": params["engine"],
         "n_configs": plan.n_configs,
         "n_faults": plan.n_faults,
         "n_units": plan.n_units,
         "n_solves": dataset.n_solves,
         "n_factorizations": dataset.n_factorizations,
+        "sm_fallbacks": dataset.sm_fallbacks,
         "fault_coverage": matrix.fault_coverage(),
         "undetectable_faults": list(matrix.undetectable_faults()),
         "n_detect": n_detect,

@@ -133,6 +133,9 @@ class ServiceMetrics:
                 "cache_hits": "Work units satisfied from the result cache.",
                 "solves": "AC solves performed (0 on a fully warm cache).",
                 "factorizations": "LU factorizations performed by AC solves.",
+                "sm_fallbacks":
+                    "Grid points the fault simulator re-solved exactly "
+                    "where its Sherman-Morrison certificate did not hold.",
                 "retries": "Work-unit retry attempts.",
                 "failures": "Work units that failed terminally.",
                 "ndetect_covers": "n-Detection covers computed by jobs.",

@@ -1,10 +1,11 @@
 """Differential oracle & property-based verification subsystem.
 
 The simulation stack has four independent roads to the same number —
-the per-fault sweep engine (:mod:`repro.faults.simulator`), the rank-1
-Sherman–Morrison engine (:mod:`repro.faults.fast_simulator`), a direct
-unbatched MNA solve (:mod:`repro.analysis.mna`) and the rational
-transfer-function fit (:mod:`repro.analysis.transfer`).  This package
+the certified Sherman–Morrison fault simulator
+(:mod:`repro.faults.simulator`), its scalar per-fault reference
+``reference_dataset``, a direct unbatched MNA solve
+(:mod:`repro.analysis.mna`) and the rational transfer-function fit
+(:mod:`repro.analysis.transfer`).  This package
 cross-checks them against each other and against the paper's definitions
 on randomized circuits, faults, configurations and frequency grids:
 
@@ -28,6 +29,7 @@ the standing correctness gate for every optimization PR.
 
 from .generators import (
     VerifyCase,
+    build_ill_conditioned_case,
     build_random_case,
     catalog_cases,
     perturbed_circuit,
@@ -65,6 +67,7 @@ __all__ = [
     "Skipped",
     "Tolerances",
     "VerifyCase",
+    "build_ill_conditioned_case",
     "build_random_case",
     "catalog_cases",
     "check_case",

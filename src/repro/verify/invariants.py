@@ -32,12 +32,13 @@ definitions and from physics:
   :data:`NDETECT_PETRICK_TERMS`; an instance beyond the cap is reported
   as a skipped comparison, while the branch-and-bound comparisons run
   on every case.
-* **assembly ≡ scalar reference** — the production dataset (plane-by-
-  plane pencil fill, one stamp program per configuration's deviation
-  faults) equals a scalar reference that re-stamps every faulty
-  circuit, assembles ``G + jωC`` with the historical complex expression
-  and solves each sweep with one ``numpy.linalg.solve`` — zero
-  tolerance.
+* **production ≡ scalar reference** — the production dataset (plane-by-
+  plane pencil fill, certified Sherman–Morrison) equals a scalar
+  reference that re-stamps every faulty circuit, assembles ``G + jωC``
+  with the historical complex expression and solves each sweep with one
+  ``numpy.linalg.solve``: verdicts, masks, ω and nominal sweeps exactly,
+  peak deviations of Sherman–Morrison pairs within ``deviation_rtol``.
+  :func:`~repro.verify.oracle.check_case` runs it on every case.
 * **tolerance ≡ per-sample oracle** — the ε-calibration analyses obey
   the same contract: Monte Carlo deviations
   (:func:`~repro.analysis.montecarlo.monte_carlo_tolerance`) and corner
@@ -58,6 +59,7 @@ from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.ac import FrequencyResponse, ac_analysis
+from ..analysis.kernel import KernelStats
 from ..analysis.mna import MnaSystem
 from ..analysis.sweep import FrequencyGrid
 from ..core.baselines import exact_minimum_strategy, greedy_strategy
@@ -65,11 +67,13 @@ from ..core.boolean_alg import ProductTerm
 from ..core.covering import verify_cover
 from ..core.detectability import detection_intervals, evaluate_detectability
 from ..dft.configuration import Configuration
-from ..errors import OptimizationError
+from ..errors import OptimizationError, SingularCircuitError
 from ..faults.model import DeviationFault, Fault, OpenFault, ShortFault
 from ..faults.simulator import (
     DetectabilityDataset,
     _fault_label,
+    rank1_update,
+    simulate_configuration,
     simulate_faults,
 )
 
@@ -674,51 +678,6 @@ def check_ndetect_supersets(
     return mismatches
 
 
-def _dataset_delta(reference, candidate) -> Optional[Tuple[str, float]]:
-    """First exact-equality violation between two datasets, if any.
-
-    Returns ``(what, error)`` or ``None``.  Equality is bitwise — the
-    production path's contract is *exact* reproduction, not closeness.
-    """
-    ref_matrix = reference.detectability_matrix().data
-    cand_matrix = candidate.detectability_matrix().data
-    if not np.array_equal(ref_matrix, cand_matrix):
-        return (
-            "detectability matrix differs",
-            float(np.count_nonzero(ref_matrix != cand_matrix)),
-        )
-    ref_table = reference.omega_table().data
-    cand_table = candidate.omega_table().data
-    if not np.array_equal(ref_table, cand_table):
-        return (
-            "omega table differs",
-            float(np.max(np.abs(ref_table - cand_table))),
-        )
-    for index in reference.nominal:
-        delta = np.abs(
-            reference.nominal[index].values
-            - candidate.nominal[index].values
-        )
-        if np.any(delta != 0.0):
-            return (
-                f"nominal sweep differs in configuration {index}",
-                float(np.max(delta)),
-            )
-    # the peak deviation is continuous in the faulty sweep, so it
-    # exposes a last-bit difference that no verdict or ω cell shows
-    for key, result in reference.results.items():
-        other = candidate.results[key].max_deviation
-        if other != result.max_deviation and not (
-            np.isnan(other) and np.isnan(result.max_deviation)
-        ):
-            return (
-                f"peak deviation of {key[1]} differs in configuration "
-                f"{key[0]}",
-                abs(other - result.max_deviation),
-            )
-    return None
-
-
 def reference_absorb(terms: Iterable[ProductTerm]) -> FrozenSet[ProductTerm]:
     """All-pairs oracle of the absorption law ``X + X·Y = X``.
 
@@ -746,7 +705,10 @@ def reference_dataset(
     assembles its sweep with the historical complex expression
     ``G[None] + (2jπf)[:, None, None] · C[None]`` and solves it with one
     ``numpy.linalg.solve`` — none of the production path's plane fill,
-    stamp-program replay or frequency chunking.
+    Sherman–Morrison updates or frequency chunking.  A singular or
+    non-finite sweep raises :class:`~repro.errors.SingularCircuitError`
+    naming the circuit, as the production path does (without its
+    frequency chunk).
     """
     grid = setup.grid
     frequencies = grid.frequencies_hz
@@ -763,11 +725,20 @@ def reference_dataset(
             system.z[:, np.newaxis], (frequencies.size, system.size, 1)
         )
         index = system.index_of(probe)
-        values = (
-            np.linalg.solve(matrices, rhs)[:, index, 0]
-            if index >= 0
-            else np.zeros(frequencies.shape, dtype=complex)
-        )
+        if index < 0:
+            return FrequencyResponse(
+                grid=grid, values=np.zeros(frequencies.shape, dtype=complex)
+            )
+        try:
+            values = np.linalg.solve(matrices, rhs)[:, index, 0]
+        except np.linalg.LinAlgError:
+            raise SingularCircuitError(
+                f"{circuit.title}: MNA matrix singular"
+            ) from None
+        if not np.all(np.isfinite(values)):
+            raise SingularCircuitError(
+                f"{circuit.title}: non-finite response in sweep"
+            )
         return FrequencyResponse(grid=grid, values=values)
 
     nominal, results = {}, {}
@@ -791,37 +762,111 @@ def reference_dataset(
     )
 
 
+def _exact_pairs(case: "VerifyCase", dataset: DetectabilityDataset):
+    """(configuration, label) pairs the production engine swept exactly.
+
+    A fault outside the rank-1 class always takes the per-fault sweep.
+    When the dataset counts fallbacks, each rank-1 fault is re-simulated
+    alone — a pair's result does not depend on the other faults of its
+    configuration — and a pair whose every grid point fell back was
+    re-swept by the certificate.
+    """
+    mcc = case.mcc()
+    n_points = case.setup.grid.n_points
+    pairs = set()
+    for config in dataset.configs:
+        emulated = mcc.emulate(config)
+        probe = case.setup.output or emulated.output or mcc.base.output
+        for fault, label in zip(case.faults, dataset.fault_labels):
+            if rank1_update(fault, emulated) is None:
+                pairs.add((config.index, label))
+            elif dataset.sm_fallbacks:
+                stats = KernelStats()
+                simulate_configuration(
+                    emulated, probe, [fault], [label], case.setup, stats
+                )
+                if stats.sm_fallbacks == n_points:
+                    pairs.add((config.index, label))
+    return pairs
+
+
 def check_assembly(
     case: "VerifyCase",
     dataset: DetectabilityDataset,
     tol: Optional["Tolerances"] = None,
 ) -> List:
-    """The production assembly reproduces :func:`reference_dataset` exactly.
+    """The production engine reproduces :func:`reference_dataset`.
 
-    The Definition 1 matrix, the ω-table, every nominal sweep and every
-    peak deviation of the supplied dataset must equal the scalar
-    reference's bit for bit — tolerance 0.
+    Every nominal sweep, Definition 1 verdict, mask and ω-detectability
+    of the supplied dataset must equal the scalar reference's bit for
+    bit.  Peak deviations must too for pairs on the exact per-fault
+    sweep; a Sherman–Morrison pair's peak may differ by rounding, up to
+    ``deviation_rtol · max(peak, 1)``.
     """
+    tol = tol or _default_tolerances()
     reference = reference_dataset(
         case.mcc(), list(case.faults), case.setup, dataset.configs
     )
-    delta = _dataset_delta(reference, dataset)
-    if delta is None:
-        return []
-    what, error = delta
-    return [
-        _mismatch(
-            check="invariant-assembly",
-            circuit=case.name,
-            config="standard",
-            fault=None,
-            frequency_hz=None,
-            error=error,
-            tolerance=0.0,
-            seed=case.seed,
-            detail=f"production assembly deviates from the reference: {what}",
+    exact = _exact_pairs(case, dataset)
+    frequencies = case.setup.grid.frequencies_hz
+    mismatches: List = []
+
+    def report(config, fault, index, error, tolerance, detail):
+        mismatches.append(
+            _mismatch(
+                check="invariant-assembly",
+                circuit=case.name,
+                config=config.label,
+                fault=fault,
+                frequency_hz=float(frequencies[index]),
+                error=float(error),
+                tolerance=tolerance,
+                seed=case.seed,
+                detail=detail,
+            )
         )
-    ]
+
+    for config in dataset.configs:
+        expected = reference.nominal[config.index].values
+        delta = np.abs(dataset.nominal[config.index].values - expected)
+        if not np.array_equal(dataset.nominal[config.index].values, expected):
+            report(
+                config, None, int(np.argmax(delta)), np.max(delta), 0.0,
+                "nominal sweep differs from the scalar reference",
+            )
+        for label in dataset.fault_labels:
+            want = reference.results[(config.index, label)]
+            got = dataset.results[(config.index, label)]
+            if not (
+                np.array_equal(got.mask, want.mask)
+                and got.detectable == want.detectable
+                and got.omega_detectability == want.omega_detectability
+            ):
+                differs = np.flatnonzero(got.mask != want.mask)
+                report(
+                    config, label, int(differs[0]) if differs.size else 0,
+                    differs.size, 0.0,
+                    f"verdict/mask differs: production "
+                    f"{got.omega_detectability:.6g}, reference "
+                    f"{want.omega_detectability:.6g}",
+                )
+            tolerance = (
+                0.0
+                if (config.index, label) in exact
+                else tol.deviation_rtol * max(want.max_deviation, 1.0)
+            )
+            error = abs(got.max_deviation - want.max_deviation)
+            same = got.max_deviation == want.max_deviation or (
+                np.isnan(got.max_deviation) and np.isnan(want.max_deviation)
+            )
+            if not same and not error <= tolerance:
+                at = np.abs(frequencies - want.f_max_deviation_hz).argmin()
+                report(
+                    config, label, int(at), error, tolerance,
+                    f"peak deviation: production {got.max_deviation:.17g}, "
+                    f"reference {want.max_deviation:.17g}",
+                )
+    return mismatches
 
 
 def reference_scaled_responses(
@@ -1039,7 +1084,7 @@ def run_invariants(
     Returns ``(mismatches, n_checks, skipped)``: the
     :class:`~repro.verify.oracle.Skipped` records are comparisons that
     could not run and count neither as passed nor as mismatched.
-    ``dataset`` is re-simulated with the standard engine when not
+    ``dataset`` is simulated with :func:`simulate_faults` when not
     supplied.
     """
     tol = tolerances or _default_tolerances()
@@ -1059,7 +1104,6 @@ def run_invariants(
     mismatches += check_cover_strategies(case, dataset, tol)
     mismatches += check_ndetect_reduction(case, dataset, tol)
     mismatches += check_ndetect_supersets(case, dataset, tol)
-    mismatches += check_assembly(case, dataset, tol)
     mismatches += check_tolerance_kernel(case, tol)
     mismatches += check_trajectory_oracle(case, tol)
     n_checks = (
@@ -1070,7 +1114,6 @@ def run_invariants(
         + len(dataset.configs) * len(dataset.fault_labels)  # consistency
         + 2  # cover strategies
         + 2  # n-detect: n=1 reduction + superset ladder
-        + 1  # production assembly == scalar reference
         + 2  # tolerance == per-sample oracle, Monte Carlo + corners
         + 1  # trajectory == fault simulator
     )

@@ -3,9 +3,10 @@
 For every (circuit, fault universe, configuration, grid) case the oracle
 runs
 
-1. the per-fault sweep engine (:func:`repro.faults.simulator.simulate_faults`),
-2. the rank-1 Sherman–Morrison engine
-   (:func:`repro.faults.fast_simulator.simulate_faults_fast`),
+1. the production engine (:func:`repro.faults.simulator.simulate_faults`,
+   certified Sherman–Morrison),
+2. the scalar reference :func:`~repro.verify.invariants.reference_dataset`,
+   which re-stamps and sweeps every faulty circuit,
 3. a direct *unbatched* MNA solve (:meth:`repro.analysis.mna.MnaSystem.solve_at`
    point by point — a different LAPACK path than the batched sweep),
 4. the rational transfer-function fit
@@ -29,7 +30,6 @@ import numpy as np
 from ..analysis.mna import MnaSystem
 from ..analysis.transfer import extract_transfer_function
 from ..errors import ReproError
-from ..faults.fast_simulator import simulate_faults_fast
 from ..faults.simulator import DetectabilityDataset, simulate_faults
 from .generators import VerifyCase, catalog_cases, random_cases
 
@@ -46,23 +46,18 @@ class Tolerances:
     Attributes
     ----------
     engine_rtol:
-        Standard vs fast engine, per response sample.  The fast engine
-        is algebraically exact (Sherman–Morrison), so only rounding
-        separates the two.
+        Two simulations of the same circuit, per response sample: only
+        rounding separates them.
     mna_rtol:
         Batched sweep vs point-by-point MNA solve.
     transfer_rtol:
         AC sweep vs evaluated rational-fit transfer function.  The fit
         goes through a Vandermonde least-squares and polynomial root
         finding, hence the looser bound.
-    omega_atol:
-        Absolute ω-detectability disagreement between engines.
     deviation_rtol:
-        Peak-deviation disagreement between engines (relative).
-    borderline_margin:
-        Definition 1 verdicts are only compared when the peak deviation
-        clears ε by this relative margin — an exactly-at-threshold fault
-        may legitimately flip on the last bit.
+        Peak deviation of a Sherman–Morrison pair against the scalar
+        reference, relative to ``max(peak, 1)``; pairs on the exact
+        per-fault sweep must match bit for bit.
     mna_points:
         Number of spot frequencies per configuration for the unbatched
         MNA check.
@@ -71,9 +66,7 @@ class Tolerances:
     engine_rtol: float = 1e-9
     mna_rtol: float = 1e-9
     transfer_rtol: float = 1e-5
-    omega_atol: float = 1e-9
     deviation_rtol: float = 1e-7
-    borderline_margin: float = 1e-7
     mna_points: int = 7
 
 
@@ -228,133 +221,18 @@ class OracleReport:
 # per-case differential checks
 # ----------------------------------------------------------------------
 
-def _compare_datasets(
-    case: VerifyCase,
-    standard: DetectabilityDataset,
-    fast: DetectabilityDataset,
-    tol: Tolerances,
-) -> List[Mismatch]:
-    """Standard vs fast engine: responses, verdicts, ω, peak deviations."""
-    mismatches: List[Mismatch] = []
-    for config in standard.configs:
-        ref = standard.nominal[config.index]
-        alt = fast.nominal[config.index]
-        peak = float(np.max(ref.magnitude))
-        scale = peak if peak > 0 else 1.0
-        errors = np.abs(alt.values - ref.values) / scale
-        worst = int(np.argmax(errors))
-        if errors[worst] > tol.engine_rtol:
-            mismatches.append(
-                Mismatch(
-                    check="engine-nominal",
-                    circuit=case.name,
-                    config=config.label,
-                    fault=None,
-                    frequency_hz=float(ref.frequencies_hz[worst]),
-                    error=float(errors[worst]),
-                    tolerance=tol.engine_rtol,
-                    seed=case.seed,
-                    detail="fast vs standard nominal response",
-                )
-            )
-        for label in standard.fault_labels:
-            res_std = standard.results[(config.index, label)]
-            res_fast = fast.results[(config.index, label)]
-            clearance = abs(res_std.max_deviation - case.setup.epsilon)
-            borderline = clearance <= tol.borderline_margin * max(
-                case.setup.epsilon, 1.0
-            )
-            if (
-                res_std.detectable != res_fast.detectable
-                and not borderline
-            ):
-                mismatches.append(
-                    Mismatch(
-                        check="engine-detectable",
-                        circuit=case.name,
-                        config=config.label,
-                        fault=label,
-                        frequency_hz=res_std.f_max_deviation_hz,
-                        error=abs(
-                            res_std.max_deviation - res_fast.max_deviation
-                        ),
-                        tolerance=tol.borderline_margin,
-                        seed=case.seed,
-                        detail=(
-                            f"standard={res_std.detectable} "
-                            f"fast={res_fast.detectable}"
-                        ),
-                    )
-                )
-            omega_error = abs(
-                res_std.omega_detectability - res_fast.omega_detectability
-            )
-            # A borderline peak can move a grid cell across the ε edge;
-            # only a disagreement beyond one cell (plus slack) counts.
-            cell = 1.5 / max(
-                case.setup.grid.decades
-                * case.setup.grid.points_per_decade,
-                1.0,
-            )
-            omega_tolerance = (
-                cell if borderline else tol.omega_atol
-            )
-            if omega_error > omega_tolerance:
-                mismatches.append(
-                    Mismatch(
-                        check="engine-omega",
-                        circuit=case.name,
-                        config=config.label,
-                        fault=label,
-                        frequency_hz=res_std.f_max_deviation_hz,
-                        error=omega_error,
-                        tolerance=omega_tolerance,
-                        seed=case.seed,
-                        detail=(
-                            f"standard={res_std.omega_detectability:.6g} "
-                            f"fast={res_fast.omega_detectability:.6g}"
-                        ),
-                    )
-                )
-            deviation_scale = max(res_std.max_deviation, 1.0)
-            deviation_error = (
-                abs(res_std.max_deviation - res_fast.max_deviation)
-                / deviation_scale
-            )
-            if np.isfinite(deviation_error) and (
-                deviation_error > tol.deviation_rtol
-            ):
-                mismatches.append(
-                    Mismatch(
-                        check="engine-deviation",
-                        circuit=case.name,
-                        config=config.label,
-                        fault=label,
-                        frequency_hz=res_std.f_max_deviation_hz,
-                        error=float(deviation_error),
-                        tolerance=tol.deviation_rtol,
-                        seed=case.seed,
-                        detail=(
-                            f"standard={res_std.max_deviation:.6g} "
-                            f"fast={res_fast.max_deviation:.6g}"
-                        ),
-                    )
-                )
-    return mismatches
-
-
 def _check_mna(
     case: VerifyCase,
-    standard: DetectabilityDataset,
+    dataset: DetectabilityDataset,
     tol: Tolerances,
 ) -> List[Mismatch]:
     """Batched sweep vs independent point-by-point MNA solves."""
     mismatches: List[Mismatch] = []
     mcc = case.mcc()
-    for config in standard.configs:
+    for config in dataset.configs:
         emulated = mcc.emulate(config)
         output = case.setup.output or emulated.output or mcc.base.output
-        ref = standard.nominal[config.index]
+        ref = dataset.nominal[config.index]
         peak = float(np.max(ref.magnitude))
         scale = peak if peak > 0 else 1.0
         system = MnaSystem(emulated)
@@ -386,16 +264,16 @@ def _check_mna(
 
 def _check_transfer(
     case: VerifyCase,
-    standard: DetectabilityDataset,
+    dataset: DetectabilityDataset,
     tol: Tolerances,
 ) -> List[Mismatch]:
     """AC sweep vs the rational transfer-function fit, per configuration."""
     mismatches: List[Mismatch] = []
     mcc = case.mcc()
-    for config in standard.configs:
+    for config in dataset.configs:
         emulated = mcc.emulate(config)
         output = case.setup.output or emulated.output or mcc.base.output
-        ref = standard.nominal[config.index]
+        ref = dataset.nominal[config.index]
         peak = float(np.max(ref.magnitude))
         scale = peak if peak > 0 else 1.0
         try:
@@ -449,17 +327,18 @@ def check_case(
     invariants: bool = True,
 ) -> CaseOutcome:
     """Run the full differential oracle on one case."""
+    from .invariants import check_assembly
+
     tol = tolerances or Tolerances()
     mcc = case.mcc()
-    standard = simulate_faults(mcc, list(case.faults), case.setup)
-    fast = simulate_faults_fast(mcc, list(case.faults), case.setup)
+    production = simulate_faults(mcc, list(case.faults), case.setup)
 
-    mismatches = _compare_datasets(case, standard, fast, tol)
-    mismatches += _check_mna(case, standard, tol)
-    mismatches += _check_transfer(case, standard, tol)
+    mismatches = check_assembly(case, production, tol)
+    mismatches += _check_mna(case, production, tol)
+    mismatches += _check_transfer(case, production, tol)
 
-    n_configs = len(standard.configs)
-    n_pairs = n_configs * len(standard.fault_labels)
+    n_configs = len(production.configs)
+    n_pairs = n_configs * len(production.fault_labels)
     n_checks = n_configs + 3 * n_pairs + 2 * n_configs * tol.mna_points
 
     skipped: List[Skipped] = []
@@ -467,7 +346,7 @@ def check_case(
         from .invariants import run_invariants
 
         invariant_mismatches, invariant_checks, skipped = run_invariants(
-            case, standard, tolerances=tol
+            case, production, tolerances=tol
         )
         mismatches += invariant_mismatches
         n_checks += invariant_checks

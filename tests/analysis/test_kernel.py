@@ -205,18 +205,6 @@ class TestSolveRequests:
             "sick: MNA matrix singular within [1, 10] Hz"
         )
 
-    def test_singular_message_fragment_configurable(self):
-        sick = SweepRequest(
-            G=np.zeros((2, 2)),
-            C=np.zeros((2, 2)),
-            rhs=np.ones(2, dtype=complex),
-            title="fast sweep",
-            singular_what="singular",
-        )
-        with pytest.raises(SingularCircuitError) as info:
-            solve_sweep(sick, np.array([10.0, 20.0]))
-        assert str(info.value) == "fast sweep: singular within [10, 20] Hz"
-
     def test_stats_count_solves(self):
         rng = np.random.default_rng(6)
         requests = [random_request(rng, 3) for _ in range(4)]
@@ -230,12 +218,15 @@ class TestSolveRequests:
 
     def test_stats_merge_and_dict(self):
         a = KernelStats(solves=2, factorizations=1, stacked_calls=1)
-        b = KernelStats(solves=3, factorizations=2, stacked_calls=2)
+        b = KernelStats(
+            solves=3, factorizations=2, stacked_calls=2, sm_fallbacks=4
+        )
         a.merge(b)
         assert a.as_dict() == {
             "solves": 5,
             "factorizations": 3,
             "stacked_calls": 3,
+            "sm_fallbacks": 4,
         }
 
 

@@ -57,12 +57,13 @@ class TestDecomposition:
     def test_bad_engine_rejected(
         self, campaign_mcc, campaign_faults, campaign_setup
     ):
-        with pytest.raises(CampaignError):
+        """The engine knob is gone: any ``engine=`` is unknown."""
+        with pytest.raises(TypeError, match="engine"):
             plan_campaign(
                 campaign_mcc,
                 campaign_faults,
                 campaign_setup,
-                engine="warp",
+                engine="fast",
             )
 
     def test_bad_chunk_rejected(
@@ -144,17 +145,6 @@ class TestKeys:
             for i, (unit_id, diff) in enumerate(changed)
             if diff
         )
-
-    def test_engine_is_part_of_the_key(
-        self, campaign_mcc, campaign_faults, campaign_setup
-    ):
-        standard = plan_campaign(
-            campaign_mcc, campaign_faults, campaign_setup, engine="standard"
-        )
-        fast = plan_campaign(
-            campaign_mcc, campaign_faults, campaign_setup, engine="fast"
-        )
-        assert not set(standard.keys) & set(fast.keys)
 
     def test_values_beyond_netlist_digits_change_every_key(
         self, campaign_setup

@@ -41,7 +41,7 @@ class TestTrace:
         assert start["units"] == 7
         assert start["configs"] == 7
         assert start["faults"] == len(campaign_faults)
-        assert start["engine"] == "standard"
+        assert "engine" not in start
         assert start["executor"] == "serial"
 
         done = [e for e in events if e["event"] == "unit_done"]
@@ -117,6 +117,41 @@ class TestTrace:
         done = [e for e in events if e["event"] == "unit_done"]
         assert len(done) == 7
         assert events[0]["jobs"] == 2
+
+
+class TestFallbackCounter:
+    def test_fallbacks_reach_dataset_trace_and_counters(self, tmp_path):
+        """R1 and R3 a hair from −50 % leave configuration C6 of the
+        state-variable filter nearly singular: the certificate re-sweeps
+        both pairs, and every report of the work counts the re-solves."""
+        from repro.analysis import decade_grid
+        from repro.circuits import build
+        from repro.faults import DeviationFault, SimulationSetup
+
+        bench = build("state_variable")
+        setup = SimulationSetup(
+            grid=decade_grid(bench.f0_hz, 2, 2, points_per_decade=10)
+        )
+        faults = [
+            DeviationFault("R1", -0.5 * (1 + 1e-9)),
+            DeviationFault("R3", -0.5 * (1 + 1e-9)),
+        ]
+        trace = tmp_path / "fallbacks.jsonl"
+        telemetry = CampaignTelemetry(trace_path=trace)
+        dataset = run_campaign(
+            bench.dft(), faults, setup, telemetry=telemetry
+        )
+        telemetry.close()
+        n_points = setup.grid.n_points
+        assert dataset.sm_fallbacks == 2 * n_points
+        assert dataset.n_factorizations == (
+            len(dataset.configs) * n_points + dataset.sm_fallbacks
+        )
+        events = read_trace(trace)
+        done = [e for e in events if e["event"] == "unit_done"]
+        assert sum(e["sm_fallbacks"] for e in done) == dataset.sm_fallbacks
+        assert events[-1]["sm_fallbacks"] == dataset.sm_fallbacks
+        assert telemetry.snapshot()["sm_fallbacks"] == dataset.sm_fallbacks
 
 
 class TestCountersAndProgress:

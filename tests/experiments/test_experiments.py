@@ -231,41 +231,53 @@ class TestExtensionDrivers:
 
 class TestAnalyzeCircuitEngines:
     def test_fast_and_standard_agree(self):
+        """The production (Sherman–Morrison) flow sees the matrix the
+        standard per-fault sweep of the scalar reference gives."""
         import numpy as np
 
         from repro.circuits import build
         from repro.experiments.exp_scaling import analyze_circuit
+        from repro.faults import deviation_faults
+        from repro.verify import reference_dataset
 
         bench = build("sallen_key")
-        fast = analyze_circuit(bench, points_per_decade=10, engine="fast")
-        standard = analyze_circuit(
-            bench, points_per_decade=10, engine="standard"
+        outcome = analyze_circuit(bench, points_per_decade=10)
+        dataset = outcome["dataset"]
+        standard = reference_dataset(
+            bench.dft(),
+            deviation_faults(bench.circuit, 0.20),
+            dataset.setup,
+            dataset.configs,
         )
         assert np.array_equal(
-            fast["matrix"].data, standard["matrix"].data
+            outcome["matrix"].data, standard.detectability_matrix().data
         )
-        assert fast["optimized"].selected == standard[
-            "optimized"
-        ].selected
-        assert fast["dataset"].n_solves < standard["dataset"].n_solves
+        assert np.array_equal(
+            outcome["table"].data, standard.omega_table().data
+        )
 
     def test_unknown_engine_rejected(self):
+        """The engine knob is gone: any ``engine=`` is unknown."""
+        from repro.circuits import build
+        from repro.experiments.exp_scaling import analyze_circuit
+
+        with pytest.raises(TypeError, match="engine"):
+            analyze_circuit(build("sallen_key"), engine="fast")
+
+    def test_petrick_fallback_on_cascade(self, monkeypatch):
         from repro.circuits import build
         from repro.errors import OptimizationError
+        from repro.experiments import exp_scaling
         from repro.experiments.exp_scaling import analyze_circuit
 
-        with pytest.raises(OptimizationError):
-            analyze_circuit(build("sallen_key"), engine="warp")
+        def over_budget(matrix, **kwargs):
+            raise OptimizationError(
+                "Petrick expansion exceeded 1000 terms; "
+                "use branch_and_bound_cover for this instance"
+            )
 
-    def test_petrick_fallback_on_cascade(self):
-        from repro.circuits import build
-        from repro.experiments.exp_scaling import analyze_circuit
-
-        outcome = analyze_circuit(
-            build("cascade"),
-            points_per_decade=8,
-            petrick_max_terms=1_000,
-        )
+        monkeypatch.setattr(exp_scaling, "solve_covering", over_budget)
+        outcome = analyze_circuit(build("cascade"), points_per_decade=8)
         assert outcome["petrick_fallback"]
         matrix = outcome["matrix"]
         assert matrix.covers_all(sorted(outcome["optimized"].selected))

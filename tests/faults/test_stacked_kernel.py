@@ -22,7 +22,6 @@ from repro.faults import (
     SimulationSetup,
     deviation_faults,
     simulate_faults,
-    simulate_faults_fast,
 )
 from repro.faults.simulator import simulate_configuration
 from repro.verify import reference_dataset
@@ -82,9 +81,12 @@ class TestStandardEngine:
 
     def test_factorizations_accounted(self, mcc, faults, setup):
         production = simulate_faults(mcc, faults, setup)
-        # one LU per (configuration, variant, frequency) point
+        # one LU per (configuration, frequency) point: every biquad
+        # fault is a rank-1 update of its configuration's sweep
         n_points = setup.grid.frequencies_hz.size
-        assert production.n_factorizations == production.n_solves * n_points
+        assert production.n_factorizations == (
+            len(production.configs) * n_points
+        )
 
     def test_unknown_kernel_rejected(self, mcc, faults, setup):
         """The kernel option is gone: any ``kernel=`` is unknown."""
@@ -104,12 +106,12 @@ class TestStandardEngine:
 class TestFastEngine:
     def test_bit_identical_to_loop(self, mcc, faults, setup):
         """Matrix, ω-table and nominal sweeps equal the scalar oracle's."""
-        fast = simulate_faults_fast(mcc, faults, setup)
+        fast = simulate_faults(mcc, faults, setup)
         assert_identical(oracle(mcc, faults, setup, fast), fast)
         # every biquad fault is a rank-1 update: one sweep per config
-        assert fast.n_solves == len(fast.configs)
         n_points = setup.grid.frequencies_hz.size
-        assert fast.n_factorizations == fast.n_solves * n_points
+        assert fast.n_factorizations == len(fast.configs) * n_points
+        assert fast.sm_fallbacks == 0
 
     def test_catalog_parity(self, setup):
         bench = build("leapfrog")
@@ -117,7 +119,7 @@ class TestFastEngine:
         faults = deviation_faults(bench.circuit, 0.20)
         grid = decade_grid(bench.f0_hz, 2, 2, points_per_decade=10)
         setup = SimulationSetup(grid=grid)
-        fast = simulate_faults_fast(mcc, faults, setup)
+        fast = simulate_faults(mcc, faults, setup)
         assert_identical(oracle(mcc, faults, setup, fast), fast)
 
     def test_own_nominal_for_circuits_sharing_a_netlist(self, setup):
@@ -134,7 +136,7 @@ class TestFastEngine:
         nominals = []
         for variant in (bench, nudged):
             mcc = variant.dft()
-            fast = simulate_faults_fast(mcc, faults, setup)
+            fast = simulate_faults(mcc, faults, setup)
             reference = oracle(mcc, faults, setup, fast)
             for index in reference.nominal:
                 assert np.array_equal(

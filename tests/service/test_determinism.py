@@ -13,7 +13,8 @@ The same seeded job mix is run through a 1-worker scheduler and a
   (record bytes differ legitimately: ``JobRecord.wall_s`` measures
   wall-clock).
 
-Solver-effort counters (``n_solves``/``n_factorizations``) are
+Solver-effort counters (``n_solves``/``n_factorizations``/
+``sm_fallbacks``) are
 bookkeeping, not answers: the smoke mix's faultsim jobs share unit
 keys (ε is post-processing), so how much work each *job* did depends
 on which job warmed the shared cache first — that ordering is exactly
@@ -34,7 +35,7 @@ from repro.service.scheduler import JobScheduler, ServiceRuntime
 N_JOBS = 5
 
 #: effort bookkeeping — cache-warmth-dependent, excluded from identity
-EFFORT_KEYS = frozenset({"n_solves", "n_factorizations"})
+EFFORT_KEYS = frozenset({"n_solves", "n_factorizations", "sm_fallbacks"})
 
 
 def scrub(value):

@@ -24,7 +24,7 @@ class TestNormalizeParams:
         assert params["epsilon"] == 0.10
         assert params["deviation"] == 0.20
         assert params["ppd"] == 50
-        assert params["engine"] == "standard"
+        assert "engine" not in params
 
     def test_unknown_kind(self):
         with pytest.raises(JobValidationError, match="unknown job kind"):
@@ -65,7 +65,7 @@ class TestNormalizeParams:
     def test_domain_checks(self):
         with pytest.raises(JobValidationError, match="engine"):
             normalize_params(
-                "faultsim", {"target": "biquad", "engine": "warp"}
+                "faultsim", {"target": "biquad", "engine": "fast"}
             )
         with pytest.raises(JobValidationError, match="kernel"):
             normalize_params(

@@ -68,10 +68,14 @@ class TestRender:
 
     def test_help_and_type_preambles(self):
         metrics = ServiceMetrics()
-        text = metrics.render(telemetry_counters={"solves": 1})
+        text = metrics.render(
+            telemetry_counters={"solves": 1, "sm_fallbacks": 0}
+        )
         assert "# HELP repro_campaign_solves" in text
         assert "# TYPE repro_campaign_solves counter" in text
         assert "# TYPE repro_uptime_seconds gauge" in text
+        assert "# HELP repro_campaign_sm_fallbacks Grid points" in text
+        assert parse_metrics(text)["repro_campaign_sm_fallbacks"] == 0.0
 
     def test_request_series_keyed_by_route_template(self):
         metrics = ServiceMetrics()

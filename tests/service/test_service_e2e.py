@@ -90,6 +90,12 @@ class TestBasics:
         ):
             client.submit(kind, dict(params, kernel="stacked"))
 
+    def test_removed_engine_param_is_a_400(self, client):
+        with pytest.raises(
+            JobValidationError, match="unknown param\\(s\\) 'engine'"
+        ):
+            client.submit("faultsim", dict(FAULTSIM, engine="fast"))
+
     def test_result_before_done_is_409(self, service, client):
         service.scheduler.pause()
         try:

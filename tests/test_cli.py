@@ -263,16 +263,18 @@ class TestCampaign:
 
     def test_chunked_fast_engine(self, capsys):
         assert (
-            main(
-                [
-                    "campaign", "biquad", "--ppd", "12",
-                    "--engine", "fast", "--chunk", "2",
-                ]
-            )
+            main(["campaign", "biquad", "--ppd", "12", "--chunk", "2"])
             == 0
         )
         out = capsys.readouterr().out
         assert "28 unit(s)" in out  # 7 configs x ceil(8/2) chunks
+
+    def test_engine_flag_removed(self, capsys):
+        """One engine: ``--engine`` is an unknown flag (exit 2)."""
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "biquad", "--engine", "fast"])
+        assert info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_unknown_target(self, capsys):
         assert main(["campaign", "not-a-circuit"]) == 1

@@ -133,7 +133,6 @@ class TestNdetectInvariants:
         _, n_checks, _ = run_invariants(small_case, small_dataset)
         base = (
             2 + 3 + 2 + 2 + 2
-            + 1  # assembly == scalar reference
             + 2  # tolerance == per-sample oracle
             + 1  # trajectory == fault simulator
             + 2 * len(small_dataset.configs)

@@ -62,7 +62,7 @@ class TestInjectedMismatch:
     """A corrupted engine must be caught with a full replay recipe."""
 
     def test_corrupted_fast_engine_is_reported(self, monkeypatch):
-        real_fast = oracle_module.simulate_faults_fast
+        real_fast = oracle_module.simulate_faults
 
         def corrupted(mcc, faults, setup, **kwargs):
             dataset = real_fast(mcc, faults, setup, **kwargs)
@@ -75,9 +75,7 @@ class TestInjectedMismatch:
             )
             return dataset
 
-        monkeypatch.setattr(
-            oracle_module, "simulate_faults_fast", corrupted
-        )
+        monkeypatch.setattr(oracle_module, "simulate_faults", corrupted)
         report = run_verification(
             circuits=[], n_random=1, seed=13, invariants=False
         )

@@ -13,8 +13,11 @@ from hypothesis import settings as hypothesis_settings
 
 from repro.analysis import decade_grid
 from repro.circuits import benchmark_biquad
+from repro.errors import SingularCircuitError
 from repro.experiments.paper import PaperScenario
 from repro.faults import SimulationSetup, deviation_faults, simulate_faults
+from repro.verify import reference_dataset
+from repro.verify.invariants import check_assembly
 
 # Hypothesis profiles: "ci" is deterministic (derandomized, no deadline)
 # so CI failures are reproducible from the printed seed; "dev" keeps the
@@ -78,3 +81,29 @@ def mini_dataset():
     grid = decade_grid(bench.f0_hz, 2, 2, points_per_decade=15)
     setup = SimulationSetup(grid=grid, epsilon=0.10)
     return simulate_faults(mcc, faults, setup)
+
+
+def assert_matches_reference(case, dataset=None):
+    """The production engine against the scalar reference on ``case``.
+
+    ``dataset`` defaults to ``simulate_faults`` on the case.  Where that
+    raises :class:`SingularCircuitError`, :func:`reference_dataset` must
+    meet a singular sweep of the same circuit.  Otherwise the
+    ``invariant-assembly`` check must find nothing: every nominal sweep,
+    verdict, mask and ω equal to the reference's, and every peak too,
+    within ``deviation_rtol`` for Sherman–Morrison pairs and exactly for
+    pairs on an exact sweep.
+    """
+    if dataset is None:
+        mcc, faults = case.mcc(), list(case.faults)
+        try:
+            dataset = simulate_faults(mcc, faults, case.setup)
+        except SingularCircuitError as exc:
+            configs = mcc.configurations(
+                include_functional=True, include_transparent=False
+            )
+            with pytest.raises(SingularCircuitError) as info:
+                reference_dataset(mcc, faults, case.setup, configs)
+            assert str(exc).startswith(str(info.value))
+            return
+    assert check_assembly(case, dataset) == []

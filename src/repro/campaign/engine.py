@@ -77,6 +77,27 @@ def execute_plan(
     telemetry: Optional[CampaignTelemetry] = None,
 ) -> DetectabilityDataset:
     """Execute an already-planned campaign and assemble its dataset."""
+    return assemble_dataset(
+        plan, execute_units(plan, executor, cache, telemetry)
+    )
+
+
+def execute_units(
+    plan,
+    executor: Optional[Executor] = None,
+    cache: Optional[ResultCache] = None,
+    telemetry: Optional[CampaignTelemetry] = None,
+    noun: str = "work",
+) -> Dict[str, UnitOutcome]:
+    """Run every unit of a plan; ``unit_id -> outcome``.
+
+    The one unit loop of the three campaign kinds (fault simulation,
+    tolerance, diagnosis): cache lookup, executor fan-out with
+    write-back, telemetry observation, and fail-fast on any failed unit
+    (``noun`` names the kind in that error).  Each kind assembles its
+    result from the outcomes in plan order, so the result does not
+    depend on completion order.
+    """
     executor = executor or SerialExecutor()
     telemetry = telemetry or CampaignTelemetry()
     jobs = getattr(executor, "jobs", 1)
@@ -112,12 +133,11 @@ def execute_plan(
     if failed:
         first = failed[0]
         raise CampaignError(
-            f"{len(failed)} of {plan.n_units} work unit(s) failed "
+            f"{len(failed)} of {plan.n_units} {noun} unit(s) failed "
             f"(first: {first.unit.unit_id} after {first.attempts} "
             f"attempt(s): {first.error!r})"
         ) from first.error
-
-    return assemble_dataset(plan, outcomes)
+    return outcomes
 
 
 def assemble_dataset(
@@ -167,16 +187,12 @@ def make_executor(
     timeout: Optional[float] = None,
     retries: int = 1,
     persistent: bool = False,
-    batch_size: Optional[int] = None,
-    adaptive: bool = True,
 ) -> Executor:
     """Executor factory used by the CLI: serial for 1 job, else parallel.
 
     ``persistent=True`` keeps the process pool warm across
     ``execute()`` calls — the job server's mode; call
-    ``executor.close()`` to release the workers.  ``batch_size`` and
-    ``adaptive`` tune the parallel executor's dispatch granularity
-    (see :class:`~repro.campaign.executor.ParallelExecutor`).
+    ``executor.close()`` to release the workers.
     """
     if jobs is not None and jobs < 1:
         raise CampaignError(f"jobs must be >= 1, got {jobs}")
@@ -187,6 +203,4 @@ def make_executor(
         timeout=timeout,
         retries=retries,
         persistent=persistent,
-        batch_size=batch_size,
-        adaptive=adaptive,
     )

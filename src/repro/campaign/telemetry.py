@@ -104,6 +104,13 @@ class CampaignTelemetry:
         return round(time.perf_counter() - self._t0, 6)
 
     # ------------------------------------------------------------------
+    def checkpoint(self) -> None:
+        """Called between the steps of an operation; does nothing here.
+
+        The job service's telemetry raises from it when its job is
+        cancelled or past its deadline.
+        """
+
     def campaign_start(
         self, plan: CampaignPlan, executor_name: str, jobs: int = 1
     ) -> None:

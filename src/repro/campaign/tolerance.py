@@ -36,7 +36,8 @@ from ..circuit.netlist import Circuit
 from ..circuits.catalog import build, catalog
 from ..errors import CampaignError
 from .cache import ResultCache
-from .executor import Executor, SerialExecutor, UnitOutcome
+from .engine import execute_units
+from .executor import Executor
 from .telemetry import CampaignTelemetry
 
 #: engine tag :func:`repro.campaign.executor.execute_unit` dispatches on
@@ -411,50 +412,13 @@ def execute_tolerance_plan(
 ) -> ToleranceReport:
     """Execute an already-planned calibration and assemble its report.
 
-    The pipeline mirrors :func:`repro.campaign.engine.execute_plan`:
-    cache lookup, executor fan-out with write-back, telemetry
-    observation, fail-fast on any failed unit, and plan-order assembly
-    regardless of completion order.
+    The units run through :func:`repro.campaign.engine.execute_units`,
+    the loop every campaign kind shares; the assembly follows plan
+    order regardless of completion order.
     """
-    executor = executor or SerialExecutor()
-    telemetry = telemetry or CampaignTelemetry()
-    jobs = getattr(executor, "jobs", 1)
-    telemetry.campaign_start(plan, executor.name, jobs=jobs)
-
-    outcomes: Dict[str, UnitOutcome] = {}
-    pending = []
-    for unit in plan.units:
-        cached = cache.get(unit.key) if cache is not None else None
-        if cached is not None:
-            outcome = UnitOutcome(
-                unit=unit,
-                result=cached,
-                attempts=0,
-                from_cache=True,
-            )
-            outcomes[unit.unit_id] = outcome
-            telemetry.unit_outcome(outcome)
-        else:
-            pending.append(unit)
-
-    def on_outcome(outcome: UnitOutcome) -> None:
-        if cache is not None and outcome.result is not None:
-            cache.put(outcome.unit.key, outcome.result)
-        telemetry.unit_outcome(outcome)
-
-    for outcome in executor.execute(pending, callback=on_outcome):
-        outcomes[outcome.unit.unit_id] = outcome
-
-    telemetry.campaign_end()
-
-    failed = [o for o in outcomes.values() if not o.ok]
-    if failed:
-        first = failed[0]
-        raise CampaignError(
-            f"{len(failed)} of {plan.n_units} tolerance unit(s) failed "
-            f"(first: {first.unit.unit_id} after {first.attempts} "
-            f"attempt(s): {first.error!r})"
-        ) from first.error
+    outcomes = execute_units(
+        plan, executor, cache, telemetry, noun="tolerance"
+    )
 
     rows = []
     n_solves = 0

@@ -11,8 +11,14 @@
     python -m repro escape filter.sp --seed 7     # escape / yield-loss MC
     python -m repro montecarlo filter.sp          # process-tolerance MC
     python -m repro tolerance                     # catalog eps-calibration
+    python -m repro diagnose sallen_key --component R1a --fault-deviation 0.3
     python -m repro catalog                       # library circuits
     python -m repro demo biquad                   # flow on a library circuit
+
+``campaign``, ``tolerance``, ``diagnose`` and ``verify`` are generated
+from the declarations in :mod:`repro.operations` and run through the
+job service's ``normalize_params`` and the operation's ``run``, so they
+refuse, key and compute exactly as a submitted job does.
 
 Netlists use the dialect of :mod:`repro.circuit.netlist_io`; the DFT
 chain is discovered automatically (every opamp, in card order) and the
@@ -23,12 +29,15 @@ overrides it.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 from .analysis import ac_analysis, circuit_poles, decade_grid
 from .analysis.noise import noise_analysis
 from .analysis.transfer import extract_transfer_function
+from .campaign import CampaignTelemetry, tolerance_cache
 from .circuit import Circuit, parse_netlist, validate_circuit
 from .core import (
     AverageOmegaDetectability,
@@ -38,8 +47,16 @@ from .core import (
 )
 from .core.testprogram import generate_test_program
 from .dft import apply_multiconfiguration
-from .errors import ReproError
+from .diagnosis import diagnosis_cache
+from .errors import JobValidationError, ReproError
 from .faults import SimulationSetup, deviation_faults, simulate_faults
+from .operations import (
+    OPERATIONS,
+    Context,
+    center_frequency,
+    resolve_circuit,
+    violation,
+)
 from .reporting import render_detectability_matrix, render_omega_table
 
 
@@ -50,15 +67,9 @@ def _load_circuit(path: str) -> Circuit:
     return circuit
 
 
-def _center_frequency(circuit: Circuit, override: Optional[float]) -> float:
-    from .service.jobs import center_frequency
-
-    return center_frequency(circuit, override)
-
-
 def _grid(circuit: Circuit, args) -> object:
     return decade_grid(
-        _center_frequency(circuit, args.f0),
+        center_frequency(circuit, args.f0),
         decades_below=args.decades,
         decades_above=args.decades,
         points_per_decade=args.ppd,
@@ -105,7 +116,7 @@ def _campaign_parts(args, cache_factory=None, persistent=False):
     """(executor, cache, telemetry) from the campaign CLI flags.
 
     The one shared interpretation of ``campaign_flags`` — ``faultsim``,
-    ``optimize``, ``campaign``, ``tolerance`` and ``serve`` all build
+    ``campaign``, ``tolerance``, ``diagnose`` and ``serve`` all build
     their runtime pieces here, so the flags cannot drift between
     subcommands.  All three are ``None`` when no campaign flag was
     given, keeping the historical in-process path.
@@ -114,9 +125,10 @@ def _campaign_parts(args, cache_factory=None, persistent=False):
     ----------
     cache_factory:
         ``directory -> cache`` constructor (default
-        :class:`~repro.campaign.ResultCache`); the tolerance campaign
-        passes :func:`~repro.campaign.tolerance_cache` because its
-        payloads are not UnitResults.
+        :class:`~repro.campaign.ResultCache`); ``tolerance`` and
+        ``diagnose`` pass :func:`~repro.campaign.tolerance_cache` and
+        :func:`~repro.diagnosis.diagnosis_cache` because their payloads
+        are not UnitResults.
     persistent:
         Build a parallel executor whose process pool survives across
         runs (the job server's mode); call ``executor.close()`` when
@@ -142,8 +154,6 @@ def _campaign_parts(args, cache_factory=None, persistent=False):
 
         cache = cache_factory(cache_dir)
     if trace is not None or progress:
-        from .campaign import CampaignTelemetry
-
         telemetry = CampaignTelemetry(trace_path=trace, progress=progress)
     return executor, cache, telemetry
 
@@ -240,78 +250,6 @@ def _print_ndetect_cover(dataset, matrix, args) -> None:
     print(report.render())
 
 
-def _resolve_target(target: str, f0_override: Optional[float]):
-    """(circuit, f0) for a netlist path or catalog circuit name."""
-    import os.path
-
-    from .circuits import catalog
-
-    if os.path.exists(target):
-        circuit = _load_circuit(target)
-        return circuit, _center_frequency(circuit, f0_override)
-    if target in catalog():
-        from .circuits import build
-
-        bench = build(target)
-        f0 = f0_override if f0_override is not None else bench.f0_hz
-        return bench.circuit, f0
-    raise ReproError(
-        f"{target!r} is neither a netlist file nor a catalog "
-        f"circuit (see 'python -m repro catalog')"
-    )
-
-
-def cmd_campaign(args) -> int:
-    """Run a fault-simulation campaign through the campaign engine."""
-    from .campaign import CampaignTelemetry, plan_campaign, execute_plan
-
-    circuit, f0 = _resolve_target(args.target, args.f0)
-
-    mcc = apply_multiconfiguration(circuit)
-    faults = deviation_faults(circuit, deviation=args.deviation)
-    grid = decade_grid(
-        f0,
-        decades_below=args.decades,
-        decades_above=args.decades,
-        points_per_decade=args.ppd,
-    )
-    setup = SimulationSetup(grid=grid, epsilon=args.epsilon)
-
-    plan = plan_campaign(mcc, faults, setup, chunk_size=args.chunk)
-    executor, cache, telemetry = _campaign_parts(args)
-    if telemetry is None:
-        telemetry = CampaignTelemetry()
-    try:
-        dataset = execute_plan(
-            plan, executor=executor, cache=cache, telemetry=telemetry
-        )
-    finally:
-        telemetry.close()
-
-    print(plan.describe())
-    summary = telemetry.summary()
-    print(
-        f"done: {summary['units_done']}/{summary['units_total']} units, "
-        f"{summary['cache_hits']} cache hit(s), {summary['solves']} AC "
-        f"solve(s), {summary['retries']} retry(ies) in "
-        f"{summary['wall_s']:.2f}s wall / {summary['cpu_s']:.2f}s cpu"
-    )
-    if cache is not None:
-        print(f"cache: {cache!r}")
-    matrix = dataset.detectability_matrix()
-    coverage = matrix.fault_coverage()
-    print(
-        f"fault coverage (all configurations): {100 * coverage:.0f}% "
-        f"({matrix.n_faults - len(matrix.undetectable_faults())}"
-        f"/{matrix.n_faults} faults)"
-    )
-    if args.matrix:
-        print()
-        print(render_detectability_matrix(matrix))
-    _print_ndetect_cover(dataset, matrix, args)
-    return 0
-
-
 def cmd_optimize(args) -> int:
     circuit = _load_circuit(args.netlist)
     mcc, dataset = _campaign(circuit, args)
@@ -353,7 +291,9 @@ def cmd_ndetect(args) -> int:
         render_sweep,
     )
 
-    circuit, f0 = _resolve_target(args.target, args.f0)
+    circuit, f0, _ = resolve_circuit(
+        dict(_circuit_params(args.target), f0=args.f0)
+    )
     mcc = apply_multiconfiguration(circuit)
     faults = deviation_faults(circuit, deviation=args.deviation)
     grid = decade_grid(
@@ -448,39 +388,6 @@ def cmd_noise(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    """Differential-oracle sweep: production vs reference vs MNA vs fit."""
-    from .verify import Tolerances, run_verification
-
-    circuits = (
-        [name.strip() for name in args.circuits.split(",") if name.strip()]
-        if args.circuits is not None
-        else None
-    )
-    tolerances = Tolerances()
-
-    def progress(case):
-        print(f"checking {case.describe()}")
-
-    report = run_verification(
-        circuits=circuits,
-        n_random=args.random,
-        seed=args.seed,
-        case_seeds=args.case_seed,
-        epsilon=args.epsilon,
-        points_per_decade=args.ppd,
-        tolerances=tolerances,
-        invariants=not args.no_invariants,
-        progress=progress if args.progress else None,
-    )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"verification report written to {args.json}")
-    print(report.summary())
-    return 0 if report.passed else 1
-
-
 def cmd_escape(args) -> int:
     """Monte Carlo test-escape / yield-loss estimation."""
     from .faults import deviation_faults, escape_analysis
@@ -535,156 +442,119 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
-def cmd_tolerance(args) -> int:
-    """Catalog-scale ε-calibration campaign (suggested ε per circuit)."""
-    from .campaign import (
-        CampaignTelemetry,
-        execute_tolerance_plan,
-        plan_tolerance_campaign,
-        tolerance_cache,
-    )
+def _circuit_params(target: str) -> dict:
+    """A positional ``target``: a netlist file's text, else a catalog name."""
+    if os.path.exists(target):
+        with open(target, "r", encoding="utf-8") as handle:
+            return {"netlist": handle.read()}
+    return {"target": target}
 
-    names = (
-        [n.strip() for n in args.circuits.split(",") if n.strip()]
-        if args.circuits is not None
-        else None
-    )
-    plan = plan_tolerance_campaign(
-        names=names,
-        tolerance=args.tolerance,
-        n_samples=args.samples,
-        distribution=args.distribution,
-        seed=args.seed,
-        percentile=args.percentile,
-        decades=args.decades,
-        points_per_decade=args.ppd,
-        corners=not args.no_corners,
-        max_corner_components=args.max_corner_components,
-    )
-    # a dedicated cache factory: tolerance payloads are not UnitResults
+
+def cmd_operation(args) -> int:
+    """Run a declared operation (:mod:`repro.operations`) and show it.
+
+    ``campaign``, ``tolerance``, ``diagnose`` and ``verify`` go through
+    the job service's ``normalize_params`` and the operation's ``run``,
+    so they validate and compute exactly as a submitted job does; the
+    campaign flags only lend an executor, a cache and a trace.
+    """
+    from .service.jobs import normalize_params
+
+    params = {param.name: getattr(args, param.name) for param in args.declared}
+    if "target" in args:
+        params.update(_circuit_params(args.target))
+    params = normalize_params(args.kind, params)
     executor, cache, telemetry = _campaign_parts(
-        args, cache_factory=tolerance_cache
+        args, cache_factory=args.cache_factory
     )
-    if telemetry is None:
-        telemetry = CampaignTelemetry()
+    context = Context(
+        executor=executor,
+        cache=cache,
+        telemetry=telemetry or CampaignTelemetry(),
+        progress=_print_case if getattr(args, "print_cases", False) else None,
+        case_seeds=tuple(getattr(args, "case_seed", None) or ()),
+    )
     try:
-        report = execute_tolerance_plan(
-            plan, executor=executor, cache=cache, telemetry=telemetry
-        )
+        result, detail = OPERATIONS[args.kind].run(params, context)
     finally:
-        telemetry.close()
-    print(report.render())
-    if cache is not None:
-        print(f"cache: {cache!r}")
-    if args.json:
-        import json
+        context.telemetry.close()
+    return args.show(args, result, detail, context)
 
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2)
-        print(f"tolerance report written to {args.json}")
+
+def _print_case(case) -> None:
+    print(f"checking {case.describe()}")
+
+
+def _write_json(path: Optional[str], result: dict, what: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(result, handle, indent=2)
+        print(f"{what} written to {path}")
+
+
+def _show_campaign(args, result, detail, context) -> int:
+    print(detail["plan"].describe())
+    summary = context.telemetry.summary()
+    print(
+        f"done: {summary['units_done']}/{summary['units_total']} units, "
+        f"{summary['cache_hits']} cache hit(s), {summary['solves']} AC "
+        f"solve(s), {summary['retries']} retry(ies) in "
+        f"{summary['wall_s']:.2f}s wall / {summary['cpu_s']:.2f}s cpu"
+    )
+    if context.cache is not None:
+        print(f"cache: {context.cache!r}")
+    matrix = detail["matrix"]
+    print(
+        f"fault coverage (all configurations): "
+        f"{100 * result['fault_coverage']:.0f}% "
+        f"({matrix.n_faults - len(result['undetectable_faults'])}"
+        f"/{matrix.n_faults} faults)"
+    )
+    if args.matrix:
+        print()
+        print(render_detectability_matrix(matrix))
+    if result["n_detect"] > 1:
+        print()
+        print(detail["robustness"].render())
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    """Build a trajectory dictionary; optionally locate a seeded fault."""
-    from .campaign import CampaignTelemetry
-    from .diagnosis import (
-        deviation_grid,
-        diagnosis_cache,
-        execute_diagnosis_plan,
-        locate_fault,
-        plan_diagnosis_campaign,
-    )
-    from .faults.model import DeviationFault
+def _show_tolerance(args, result, detail, context) -> int:
+    print(detail["report"].render())
+    if context.cache is not None:
+        print(f"cache: {context.cache!r}")
+    _write_json(args.json, result, "tolerance report")
+    return 0
 
-    if (args.component is None) != (args.fault_deviation is None):
-        raise ReproError(
-            "--component and --fault-deviation describe one seeded "
-            "fault and must be given together"
-        )
 
-    circuit, f0 = _resolve_target(args.target, args.f0)
-    mcc = apply_multiconfiguration(circuit)
-    grid = decade_grid(
-        f0,
-        decades_below=args.decades,
-        decades_above=args.decades,
-        points_per_decade=args.ppd,
-    )
-    deviations = deviation_grid(span=args.span, steps=args.steps)
-    plan = plan_diagnosis_campaign(mcc, grid, deviations=deviations)
-    # diagnosis payloads are not UnitResults: dedicated cache factory
-    executor, cache, telemetry = _campaign_parts(
-        args, cache_factory=diagnosis_cache
-    )
-    if telemetry is None:
-        telemetry = CampaignTelemetry()
-    try:
-        dictionary = execute_diagnosis_plan(
-            plan, executor=executor, cache=cache, telemetry=telemetry
-        )
-    finally:
-        telemetry.close()
-
-    print(plan.describe())
+def _show_diagnose(args, result, detail, context) -> int:
+    print(detail["plan"].describe())
     print(
-        f"{dictionary.describe()}; {dictionary.n_solves} AC solve(s), "
-        f"{dictionary.n_factorizations} factorization(s), deviation "
-        f"step {dictionary.deviation_step:g}"
+        f"{detail['dictionary'].describe()}; {result['n_solves']} AC "
+        f"solve(s), {result['n_factorizations']} factorization(s), "
+        f"deviation step {result['deviation_step']:g}"
     )
-    if cache is not None:
-        print(f"cache: {cache!r}")
-
-    payload = {
-        "f0_hz": f0,
-        "distance": args.distance,
-        "n_configs": dictionary.n_configs,
-        "n_components": len(dictionary.components),
-        "n_deviations": len(dictionary.deviations),
-        "n_trajectory_points": dictionary.n_points,
-        "deviation_step": dictionary.deviation_step,
-        "n_solves": dictionary.n_solves,
-        "n_factorizations": dictionary.n_factorizations,
-        "diagnosis": None,
-    }
-    if args.component is not None:
-        if args.component not in dictionary.components:
-            raise ReproError(
-                f"component {args.component!r} is not a passive of the "
-                f"circuit (have {list(dictionary.components)})"
-            )
-        fault = DeviationFault(args.component, args.fault_deviation)
-        diagnosis = locate_fault(
-            dictionary,
-            mcc,
-            fault,
-            metric=args.distance,
-            ambiguity_tolerance=args.ambiguity,
-            epsilon=args.epsilon,
-        )
+    if context.cache is not None:
+        print(f"cache: {context.cache!r}")
+    if detail["diagnosis"] is not None:
         print()
         print(
             f"injected {args.component} {args.fault_deviation:+.1%}; "
             "located:"
         )
-        print(diagnosis.render())
-        report = diagnosis.to_json()
-        report["injected"] = diagnosis.evaluate(
-            args.component, args.fault_deviation
-        )
-        payload["diagnosis"] = report
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"diagnosis report written to {args.json}")
+        print(detail["diagnosis"].render())
+    _write_json(args.json, result, "diagnosis report")
     return 0
+
+
+def _show_verify(args, result, detail, context) -> int:
+    _write_json(args.json, result, "verification report")
+    print(result["summary"])
+    return 0 if result["passed"] else 1
 
 
 def cmd_serve(args) -> int:
     """Run the long-running job server over the campaign stack."""
-    from .campaign import CampaignTelemetry
     from .service import ReproService, ServiceRuntime
 
     # the serve runtime is built from the exact same campaign flags the
@@ -761,133 +631,6 @@ def cmd_route(args) -> int:
     return 0
 
 
-def _cmd_loadtest_replicated(args) -> int:
-    """The ``--replicas N`` path: self-hosted servers behind a router."""
-    import json
-    import time as time_module
-
-    from .service.loadtest import loadtest_document, run_replicated_loadtest
-
-    started_at = time_module.time()
-    replicated = run_replicated_loadtest(
-        replicas=args.replicas,
-        mix=args.mix,
-        n_jobs=args.count,
-        concurrency=args.concurrency,
-        seed=args.seed,
-        workers=args.workers,
-        job_timeout=args.job_timeout,
-        request_timeout=args.request_timeout,
-        baseline=not args.no_baseline,
-    )
-    report = replicated.report
-    latency = report.latency_ms
-    print(
-        f"{args.replicas} replica(s) x {args.workers} worker(s): "
-        f"{report.jobs_per_s:.3f} jobs/s, "
-        f"p50 {latency['p50']:.0f}ms p95 {latency['p95']:.0f}ms, "
-        f"states {report.states}"
-    )
-    hit = replicated.routing_hit_ratio
-    print(
-        "routing hit ratio: "
-        + (f"{hit:.3f}" if hit is not None else "n/a")
-    )
-    stats = replicated.router_stats
-    print(
-        f"  {stats.get('jobs_routed', 0):.0f} routed, "
-        f"{stats.get('ring_hits', 0):.0f} ring hits, "
-        f"{stats.get('failovers', 0):.0f} failovers, "
-        f"{stats.get('cross_lookups', 0):.0f} cross-replica lookups"
-    )
-    for url, jps in sorted(replicated.per_replica_jobs_per_s.items()):
-        routed = replicated.routed_by_replica.get(url, 0)
-        print(f"  {url}: {routed} job(s), {jps:.3f} jobs/s")
-    if replicated.scale_out_efficiency is not None:
-        print(
-            f"scale-out: baseline {replicated.baseline_jobs_per_s:.3f} "
-            f"jobs/s x1, efficiency "
-            f"{replicated.scale_out_efficiency:.3f}"
-        )
-    document = loadtest_document("replicated", [report], started_at)
-    document["replication"] = replicated.to_json()
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=2)
-        print(f"loadtest report written to {args.out}")
-    return 0 if report.ok else 1
-
-
-def cmd_loadtest(args) -> int:
-    """Replay a deterministic job mix against a running server."""
-    import json
-    import time as time_module
-
-    from .service.loadtest import loadtest_document, run_loadtest
-
-    if args.replicas is not None:
-        if args.url is not None:
-            from .errors import ServiceError
-
-            raise ServiceError(
-                "--replicas spawns its own servers; drop the url "
-                "argument (or drop --replicas to target a running "
-                "server)"
-            )
-        return _cmd_loadtest_replicated(args)
-    if args.url is None:
-        from .errors import ServiceError
-
-        raise ServiceError(
-            "a server url is required (or pass --replicas N for a "
-            "self-hosted replicated run)"
-        )
-
-    steps = (
-        [int(part) for part in args.ramp.split(",") if part.strip()]
-        if args.ramp
-        else [args.concurrency]
-    )
-    if not steps or any(step < 1 for step in steps):
-        from .errors import ServiceError
-
-        raise ServiceError(
-            f"--ramp must list concurrency steps >= 1, got {args.ramp!r}"
-        )
-    started_at = time_module.time()
-    runs = []
-    for step in steps:
-        report = run_loadtest(
-            args.url,
-            mix=args.mix,
-            n_jobs=args.count,
-            concurrency=step,
-            rps=args.rps,
-            seed=args.seed,
-            job_timeout=args.job_timeout,
-            request_timeout=args.request_timeout,
-        )
-        runs.append(report)
-        latency = report.latency_ms
-        print(
-            f"concurrency {step}: {report.jobs_per_s:.3f} jobs/s, "
-            f"p50 {latency['p50']:.0f}ms p95 {latency['p95']:.0f}ms "
-            f"p99 {latency['p99']:.0f}ms, "
-            f"{report.rejected_429} rejections, "
-            f"states {report.states}"
-        )
-    document = loadtest_document(args.url, runs, started_at)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=2)
-        print(f"loadtest report written to {args.out}")
-    print(
-        f"saturation: {document['saturation_jobs_per_s']:.3f} jobs/s; "
-        f"unit cache hit ratio: {document['unit_cache_hit_ratio']}"
-    )
-    return 0 if all(run.ok for run in runs) else 1
-
-
 def cmd_catalog(args) -> int:
     from .circuits import build, catalog
 
@@ -917,6 +660,47 @@ def cmd_demo(args) -> int:
     return 0
 
 
+def _names(text: str) -> list:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def declared_flags(p, kind: str, names: Sequence[str]) -> None:
+    """Add flags for the params ``names`` of operation ``kind``.
+
+    Type, default, help and choices come from the declaration in
+    :mod:`repro.operations`; :func:`main` applies its check to the
+    parsed value, on every subcommand that carries the flag.  A boolean
+    that defaults to true becomes a ``--no-...`` flag.
+    """
+    params = {param.name: param for param in OPERATIONS[kind].params}
+    for name in names:
+        param = params[name]
+        flag = "--" + name.replace("_", "-")
+        if param.type is bool and param.default:
+            p.add_argument(
+                "--no-" + flag[2:], dest=name, action="store_false",
+                help=f"skip {param.help}",
+            )
+        elif param.type is bool:
+            p.add_argument(flag, action="store_true", help=param.help)
+        else:
+            shown = param.default
+            if isinstance(shown, float):
+                shown = f"{shown:g}"
+            p.add_argument(
+                flag,
+                type=_names if param.type is list else param.type,
+                default=param.default,
+                choices=param.choices or None,
+                help=param.help
+                + ("" if shown is None else f" (default {shown})"),
+            )
+    p.set_defaults(
+        declared=(p.get_default("declared") or ())
+        + tuple(params[name] for name in names)
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -925,36 +709,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flag defaults come from the service job specs, so a `faultsim`
-    # shell run and a submitted faultsim job can never disagree
-    from .service.jobs import FAULTSIM_PARAMS
-
-    def job_default(name):
-        return FAULTSIM_PARAMS[name][1]
-
     def common(p, netlist=True):
         if netlist:
             p.add_argument("netlist", help="netlist file")
-        p.add_argument(
-            "--epsilon", type=float, default=job_default("epsilon"),
-            help=f"detection tolerance (default {job_default('epsilon')})",
-        )
-        p.add_argument(
-            "--deviation", type=float, default=job_default("deviation"),
-            help=f"fault deviation (default +{job_default('deviation')})",
-        )
-        p.add_argument(
-            "--f0", type=float, default=None,
-            help="reference-region centre in Hz (default: from poles)",
-        )
-        p.add_argument(
-            "--decades", type=float, default=job_default("decades"),
-            help=f"decades each side of f0 "
-            f"(default {job_default('decades'):g})",
-        )
-        p.add_argument(
-            "--ppd", type=int, default=job_default("ppd"),
-            help=f"grid points per decade (default {job_default('ppd')})",
+        declared_flags(
+            p, "faultsim", ("epsilon", "deviation", "f0", "decades", "ppd")
         )
 
     p_analyze = sub.add_parser("analyze", help="AC / pole / TF summary")
@@ -968,47 +727,41 @@ def build_parser() -> argparse.ArgumentParser:
             "entropy)",
         )
 
-    def ndetect_flags(p):
-        p.add_argument(
-            "--n-detect", dest="n_detect", type=int,
-            default=job_default("n_detect"), metavar="N",
-            help="require every fault to be detected by >= N retained "
-            f"configurations (default {job_default('n_detect')}; see "
-            "docs/ndetection.md)",
-        )
-        p.add_argument(
-            "--saturate", action="store_true",
-            help="best-effort n-detection: clamp a fault's requirement "
-            "to its detecting-configuration count instead of failing",
-        )
-
     p_faultsim = sub.add_parser(
         "faultsim", help="fault x configuration campaign"
     )
     common(p_faultsim)
     campaign_flags(p_faultsim)
-    ndetect_flags(p_faultsim)
+    declared_flags(p_faultsim, "faultsim", ("n_detect", "saturate"))
     p_faultsim.set_defaults(handler=cmd_faultsim)
 
-    p_campaign = sub.add_parser(
-        "campaign",
+    def operation(name, kind, show, cache_factory=None, **kwargs):
+        """The subcommand of one declared operation: its flags come
+        from the declaration, and ``cmd_operation`` runs it."""
+        p = sub.add_parser(name, **kwargs)
+        names = [param.name for param in OPERATIONS[kind].params]
+        if "target" in names:
+            p.add_argument(
+                "target", help="netlist file or catalog circuit name"
+            )
+        declared_flags(
+            p, kind, [n for n in names if n not in ("target", "netlist")]
+        )
+        p.set_defaults(
+            handler=cmd_operation, kind=kind, show=show,
+            cache_factory=cache_factory,
+        )
+        return p
+
+    p_campaign = operation(
+        "campaign", "faultsim", _show_campaign,
         help="planned / parallel / resumable fault-simulation campaign",
     )
-    p_campaign.add_argument(
-        "target", help="netlist file or catalog circuit name"
-    )
-    common(p_campaign, netlist=False)
     campaign_flags(p_campaign)
-    p_campaign.add_argument(
-        "--chunk", type=int, default=None,
-        help="faults per work unit (default: whole configuration)",
-    )
     p_campaign.add_argument(
         "--matrix", action="store_true",
         help="also print the detectability matrix",
     )
-    ndetect_flags(p_campaign)
-    p_campaign.set_defaults(handler=cmd_campaign)
 
     p_ndetect = sub.add_parser(
         "ndetect",
@@ -1028,21 +781,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver", choices=["exact", "greedy"], default="exact",
         help="cover solver per swept n (default exact)",
     )
-    p_ndetect.add_argument(
-        "--saturate", action="store_true",
-        help="best-effort n-detection: clamp a fault's requirement to "
-        "its detecting-configuration count instead of failing",
-    )
+    declared_flags(p_ndetect, "faultsim", ("saturate",))
     p_ndetect.add_argument(
         "--calibrate", choices=["none", "corners", "montecarlo"],
         default="none",
         help="derive the robustness noise floor from the tolerance "
         "engine (default none: floor 0)",
     )
-    p_ndetect.add_argument(
-        "--tolerance", type=float, default=0.05,
-        help="component tolerance for --calibrate (default 0.05)",
-    )
+    declared_flags(p_ndetect, "tolerance", ("tolerance",))
     p_ndetect.add_argument(
         "--report", action="store_true",
         help="also print the per-fault robustness report of each cover",
@@ -1053,20 +799,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ndetect.set_defaults(handler=cmd_ndetect)
 
-    p_verify = sub.add_parser(
-        "verify",
+    p_verify = operation(
+        "verify", "verify", _show_verify,
         help="differential oracle: production engine vs scalar reference "
         "vs MNA vs transfer fit + metamorphic invariants",
     )
-    p_verify.add_argument(
-        "--circuits", default=None,
-        help="comma-separated catalog names (default: whole catalog)",
-    )
-    p_verify.add_argument(
-        "--random", type=int, default=0, metavar="N",
-        help="append N randomized perturbed-circuit cases",
-    )
-    seed_flag(p_verify)
     p_verify.add_argument(
         "--case-seed", type=int, action="append", default=None,
         metavar="S",
@@ -1074,26 +811,13 @@ def build_parser() -> argparse.ArgumentParser:
         "seed=S (repeatable)",
     )
     p_verify.add_argument(
-        "--epsilon", type=float, default=0.10,
-        help="detection tolerance (default 0.10)",
-    )
-    p_verify.add_argument(
-        "--ppd", type=int, default=20,
-        help="grid points per decade for catalog cases (default 20)",
-    )
-    p_verify.add_argument(
         "--json", default=None,
-        help="write the structured mismatch report to this file",
+        help="write the report, with its mismatches, as JSON to this file",
     )
     p_verify.add_argument(
-        "--no-invariants", action="store_true",
-        help="skip the metamorphic invariants (differential checks only)",
-    )
-    p_verify.add_argument(
-        "--progress", action="store_true",
+        "--progress", dest="print_cases", action="store_true",
         help="print each case before it runs",
     )
-    p_verify.set_defaults(handler=cmd_verify)
 
     p_escape = sub.add_parser(
         "escape", help="Monte Carlo test-escape / yield-loss estimation"
@@ -1115,142 +839,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo process-tolerance analysis (the epsilon floor)",
     )
     common(p_montecarlo)
-    p_montecarlo.add_argument(
-        "--tolerance", type=float, default=0.05,
-        help="component tolerance to sample (default 0.05)",
-    )
-    p_montecarlo.add_argument(
-        "--samples", type=int, default=200,
-        help="Monte Carlo samples (default 200)",
-    )
-    p_montecarlo.add_argument(
-        "--distribution", choices=["uniform", "normal"],
-        default="uniform", help="sampling distribution (default uniform)",
+    declared_flags(
+        p_montecarlo, "tolerance", ("tolerance", "samples", "distribution")
     )
     seed_flag(p_montecarlo)
     p_montecarlo.set_defaults(handler=cmd_montecarlo)
 
-    p_tolerance = sub.add_parser(
-        "tolerance",
+    p_tolerance = operation(
+        "tolerance", "tolerance", _show_tolerance, tolerance_cache,
         help="catalog-scale epsilon-calibration campaign (batched "
         "tolerance engine)",
-    )
-    p_tolerance.add_argument(
-        "--circuits", default=None,
-        help="comma-separated catalog names (default: whole catalog)",
-    )
-    p_tolerance.add_argument(
-        "--tolerance", type=float, default=0.05,
-        help="component tolerance to sample (default 0.05)",
-    )
-    p_tolerance.add_argument(
-        "--samples", type=int, default=200,
-        help="Monte Carlo samples per circuit (default 200)",
-    )
-    p_tolerance.add_argument(
-        "--distribution", choices=["uniform", "normal"],
-        default="uniform", help="sampling distribution (default uniform)",
-    )
-    p_tolerance.add_argument(
-        "--percentile", type=float, default=95.0,
-        help="percentile of per-sample maxima for the suggested epsilon "
-        "(default 95)",
-    )
-    p_tolerance.add_argument(
-        "--seed", type=int, default=2026,
-        help="PRNG seed (fixed by default so cached units resume)",
-    )
-    p_tolerance.add_argument(
-        "--decades", type=float, default=1.0,
-        help="decades each side of each circuit's f0 (default 1)",
-    )
-    p_tolerance.add_argument(
-        "--ppd", type=int, default=10,
-        help="grid points per decade (default 10)",
-    )
-    p_tolerance.add_argument(
-        "--no-corners", action="store_true",
-        help="skip the 2^n corner-analysis pass",
-    )
-    p_tolerance.add_argument(
-        "--max-corner-components", type=int, default=10,
-        help="skip corners for circuits with more passives (default 10)",
     )
     p_tolerance.add_argument(
         "--json", default=None,
         help="write the calibration report as JSON to this file",
     )
     campaign_flags(p_tolerance)
-    p_tolerance.set_defaults(handler=cmd_tolerance)
 
-    # flag defaults come from the diagnose job spec, mirroring faultsim
-    from .service.jobs import DIAGNOSE_PARAMS
-
-    def diagnose_default(name):
-        return DIAGNOSE_PARAMS[name][1]
-
-    p_diagnose = sub.add_parser(
-        "diagnose",
+    p_diagnose = operation(
+        "diagnose", "diagnose", _show_diagnose, diagnosis_cache,
         help="parametric fault location: trajectory dictionary + "
         "nearest-trajectory matcher (see docs/diagnosis.md)",
-    )
-    p_diagnose.add_argument(
-        "target", help="netlist file or catalog circuit name"
-    )
-    p_diagnose.add_argument(
-        "--component", default=None,
-        help="seed a fault on this component and locate it",
-    )
-    p_diagnose.add_argument(
-        "--fault-deviation", type=float, default=None,
-        help="relative deviation of the seeded fault (e.g. 0.33)",
-    )
-    p_diagnose.add_argument(
-        "--epsilon", type=float, default=diagnose_default("epsilon"),
-        help=f"detection tolerance for the fault-free test "
-        f"(default {diagnose_default('epsilon')})",
-    )
-    p_diagnose.add_argument(
-        "--span", type=float, default=diagnose_default("span"),
-        help=f"deviation-grid half-width "
-        f"(default {diagnose_default('span')})",
-    )
-    p_diagnose.add_argument(
-        "--steps", type=int, default=diagnose_default("steps"),
-        help=f"deviation-grid points per side "
-        f"(default {diagnose_default('steps')})",
-    )
-    p_diagnose.add_argument(
-        "--distance", choices=["relative", "band"],
-        default=diagnose_default("distance"),
-        help="trajectory distance metric (default relative, the "
-        "paper's point-wise |dT/T|)",
-    )
-    p_diagnose.add_argument(
-        "--ambiguity", type=float, default=diagnose_default("ambiguity"),
-        help=f"ambiguity-set tolerance band "
-        f"(default {diagnose_default('ambiguity')})",
-    )
-    p_diagnose.add_argument(
-        "--f0", type=float, default=None,
-        help="reference-region centre in Hz (default: from poles)",
-    )
-    p_diagnose.add_argument(
-        "--decades", type=float, default=diagnose_default("decades"),
-        help=f"decades each side of f0 "
-        f"(default {diagnose_default('decades'):g})",
-    )
-    p_diagnose.add_argument(
-        "--ppd", type=int, default=diagnose_default("ppd"),
-        help=f"grid points per decade "
-        f"(default {diagnose_default('ppd')})",
     )
     p_diagnose.add_argument(
         "--json", default=None,
         help="write the dictionary summary + diagnosis as JSON",
     )
     campaign_flags(p_diagnose)
-    p_diagnose.set_defaults(handler=cmd_diagnose)
 
     p_optimize = sub.add_parser(
         "optimize", help="full optimization flow + test program"
@@ -1365,70 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_route.set_defaults(handler=cmd_route)
 
-    p_loadtest = sub.add_parser(
-        "loadtest",
-        help="replay a job mix against a running server and measure "
-        "tail latency / throughput (see docs/performance.md)",
-    )
-    p_loadtest.add_argument(
-        "url", nargs="?", default=None,
-        help="base URL of a running server (http://host:port); "
-        "omit with --replicas",
-    )
-    p_loadtest.add_argument(
-        "--replicas", type=int, default=None, metavar="N",
-        help="spawn N in-process servers behind a router and measure "
-        "routing hit ratio + scale-out efficiency (no url needed)",
-    )
-    p_loadtest.add_argument(
-        "--workers", type=int, default=2,
-        help="scheduler workers per spawned replica with --replicas "
-        "(default 2)",
-    )
-    p_loadtest.add_argument(
-        "--no-baseline", action="store_true",
-        help="with --replicas: skip the 1-replica baseline run used "
-        "for scale-out efficiency",
-    )
-    p_loadtest.add_argument(
-        "--mix", default="smoke", choices=("smoke", "standard"),
-        help="job mix to replay (default smoke)",
-    )
-    p_loadtest.add_argument(
-        "--count", type=int, default=10,
-        help="total jobs per concurrency step (default 10)",
-    )
-    p_loadtest.add_argument(
-        "--concurrency", type=int, default=2,
-        help="closed-loop clients keeping one job in flight (default 2)",
-    )
-    p_loadtest.add_argument(
-        "--ramp", default=None,
-        help="comma-separated concurrency steps (e.g. 1,2,4); "
-        "overrides --concurrency, saturation is the best step",
-    )
-    p_loadtest.add_argument(
-        "--rps", type=float, default=None,
-        help="cap global submission rate (default: unpaced closed loop)",
-    )
-    p_loadtest.add_argument(
-        "--seed", type=int, default=0,
-        help="mix shuffle seed (default 0; same seed = same job list)",
-    )
-    p_loadtest.add_argument(
-        "--job-timeout", type=float, default=300.0,
-        help="per-job wait budget in seconds (default 300)",
-    )
-    p_loadtest.add_argument(
-        "--request-timeout", type=float, default=30.0,
-        help="HTTP socket timeout in seconds (default 30)",
-    )
-    p_loadtest.add_argument(
-        "--out", default=None,
-        help="write the BENCH_service.json report here",
-    )
-    p_loadtest.set_defaults(handler=cmd_loadtest)
-
     p_catalog = sub.add_parser("catalog", help="list library circuits")
     p_catalog.set_defaults(handler=cmd_catalog)
 
@@ -1453,6 +1004,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for param in getattr(args, "declared", ()):
+            reason = violation(param, getattr(args, param.name))
+            if reason is not None:
+                raise JobValidationError(
+                    f"{args.command}: {param.name} {reason}"
+                )
         return args.handler(args)
     except ReproError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

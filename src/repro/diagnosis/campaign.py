@@ -32,7 +32,8 @@ from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
 from ..errors import AnalysisError, CampaignError
 from ..campaign.cache import ResultCache
-from ..campaign.executor import Executor, SerialExecutor, UnitOutcome
+from ..campaign.engine import execute_units
+from ..campaign.executor import Executor
 from ..campaign.telemetry import CampaignTelemetry
 from .trajectory import (
     TrajectoryDictionary,
@@ -258,52 +259,15 @@ def execute_diagnosis_plan(
 ) -> TrajectoryDictionary:
     """Execute a planned build and assemble the dictionary.
 
-    The pipeline mirrors :func:`repro.campaign.engine.execute_plan`:
-    cache lookup, executor fan-out with write-back, telemetry
-    observation, fail-fast on any failed unit, and plan-order assembly
-    regardless of completion order.  ``n_solves`` /
+    The units run through :func:`repro.campaign.engine.execute_units`,
+    the loop every campaign kind shares; the assembly follows plan
+    order regardless of completion order.  ``n_solves`` /
     ``n_factorizations`` count only the work *this* run performed —
     both are 0 on a fully warm cache.
     """
-    executor = executor or SerialExecutor()
-    telemetry = telemetry or CampaignTelemetry()
-    jobs = getattr(executor, "jobs", 1)
-    telemetry.campaign_start(plan, executor.name, jobs=jobs)
-
-    outcomes: Dict[str, UnitOutcome] = {}
-    pending = []
-    for unit in plan.units:
-        cached = cache.get(unit.key) if cache is not None else None
-        if cached is not None:
-            outcome = UnitOutcome(
-                unit=unit,
-                result=cached,
-                attempts=0,
-                from_cache=True,
-            )
-            outcomes[unit.unit_id] = outcome
-            telemetry.unit_outcome(outcome)
-        else:
-            pending.append(unit)
-
-    def on_outcome(outcome: UnitOutcome) -> None:
-        if cache is not None and outcome.result is not None:
-            cache.put(outcome.unit.key, outcome.result)
-        telemetry.unit_outcome(outcome)
-
-    for outcome in executor.execute(pending, callback=on_outcome):
-        outcomes[outcome.unit.unit_id] = outcome
-
-    telemetry.campaign_end()
-
-    failed = [o for o in outcomes.values() if not o.ok]
-    if failed:
-        first = failed[0]
-        raise CampaignError(
-            f"{len(failed)} of {plan.n_units} diagnosis unit(s) failed "
-            f"(first: {first.unit.unit_id} after {first.attempts} "
-            f"attempt(s): {first.error!r})"
-        ) from first.error
+    outcomes = execute_units(
+        plan, executor, cache, telemetry, noun="diagnosis"
+    )
 
     nominal: Dict[int, FrequencyResponse] = {}
     responses = {}

@@ -7,7 +7,8 @@ process startup, cold caches and cold worker pools per invocation.
 This package adds the serving tier, stdlib-only:
 
 * :mod:`~repro.service.jobs` — the job model: faultsim / tolerance /
-  verify payloads with validated params, content-hashed job records
+  diagnose / verify payloads whose params, checks and runners are
+  derived from :mod:`repro.operations`, content-hashed job records
   persisted through :class:`~repro.campaign.cache.ResultCache` (a
   restarted server answers repeat jobs from disk), and per-job
   telemetry with cooperative cancellation and deadlines;
@@ -45,12 +46,6 @@ from .jobs import (
     job_key,
     normalize_params,
 )
-from .loadtest import (
-    LoadTestReport,
-    ReplicatedReport,
-    run_loadtest,
-    run_replicated_loadtest,
-)
 from .metrics import ServiceMetrics, aggregate_metrics, parse_metrics
 from .router import HashRing, ReplicaRegistry, RouterService
 from .scheduler import ExecutorLeasePool, JobScheduler, ServiceRuntime
@@ -64,11 +59,9 @@ __all__ = [
     "JobRecord",
     "JobScheduler",
     "JobTombstone",
-    "LoadTestReport",
     "JobTelemetry",
     "PARAM_SPECS",
     "ReplicaRegistry",
-    "ReplicatedReport",
     "ReproService",
     "RouterService",
     "ServiceClient",
@@ -78,6 +71,4 @@ __all__ = [
     "job_key",
     "normalize_params",
     "parse_metrics",
-    "run_loadtest",
-    "run_replicated_loadtest",
 ]

@@ -6,11 +6,12 @@ A *job* is one unit of admission for the long-running server in
 differential-oracle verification sweep, described entirely by a
 JSON-able ``params`` dict.  This module owns
 
-* the **param specs** (:data:`PARAM_SPECS`): names, types and defaults
-  of every job kind's parameters.  The CLI imports these same defaults
-  for its flags, so serve-side payloads and shell flags cannot drift;
+* the **param specs** (:data:`PARAM_SPECS`): every job kind's params,
+  derived from the declarations in :mod:`repro.operations` (which the
+  CLI's flags are generated from too) plus the service-only
+  ``timeout_s`` envelope;
 * **normalisation** (:func:`normalize_params`): type coercion,
-  unknown-key rejection and domain validation, raising
+  unknown-key rejection and the declared checks, raising
   :class:`~repro.errors.JobValidationError` before a bad job is queued;
 * the **content key** (:func:`job_key`): a SHA-256 over the kind and
   the identity-relevant normalised params.  Completed jobs are persisted
@@ -20,8 +21,8 @@ JSON-able ``params`` dict.  This module owns
   without recomputing (and a live server deduplicates repeats);
 * the **lifecycle state machine** (:class:`Job`):
   ``queued → running → done | failed | cancelled``;
-* the **runners** (:func:`execute_job`): per-kind execution on top of
-  the campaign stack, observed by a :class:`JobTelemetry` that feeds
+* the **runners** (:func:`execute_job`): each kind's declared run on
+  top of the campaign stack, observed by a :class:`JobTelemetry` that feeds
   both the job's own progress counters and the server-wide telemetry,
   and that enforces cooperative cancellation and per-job deadlines at
   work-unit granularity.
@@ -38,7 +39,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..campaign.telemetry import CampaignTelemetry
 from ..errors import (
@@ -46,6 +47,7 @@ from ..errors import (
     JobTimeoutError,
     JobValidationError,
 )
+from ..operations import OPERATIONS, Context, Param, violation
 
 #: bumped whenever the job param recipe or record layout changes
 SERVICE_FORMAT = "service-v4"
@@ -64,76 +66,22 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 
 # ----------------------------------------------------------------------
-# param specs — the single source of truth for job parameters.  Each
-# entry maps ``name -> (type, default)``; ``None`` defaults mean
-# "optional / engine decides".  The CLI reads these defaults for its
-# flag declarations.
+# params — derived from the declarations in :mod:`repro.operations`,
+# plus the one service-only envelope field, ``timeout_s``
 
-FAULTSIM_PARAMS: Dict[str, Tuple[type, Any]] = {
-    "target": (str, None),       # catalog circuit name
-    "netlist": (str, None),      # inline netlist text (alternative)
-    "epsilon": (float, 0.10),
-    "deviation": (float, 0.20),
-    "f0": (float, None),
-    "decades": (float, 2.0),
-    "ppd": (int, 50),
-    "chunk": (int, None),
-    "n_detect": (int, 1),        # detection multiplicity of the cover
-    "saturate": (bool, False),   # best-effort n-detect (clamp, don't raise)
-    "timeout_s": (float, None),  # None -> the server's default budget
-}
+TIMEOUT_PARAM = Param(
+    "timeout_s", float, None,
+    "time budget in seconds (default: the server's --job-timeout)",
+    check="> 0", identity=False,
+)
 
-TOLERANCE_PARAMS: Dict[str, Tuple[type, Any]] = {
-    "circuits": (list, None),    # catalog names; None -> whole catalog
-    "tolerance": (float, 0.05),
-    "samples": (int, 200),
-    "distribution": (str, "uniform"),
-    "seed": (int, 2026),
-    "percentile": (float, 95.0),
-    "decades": (float, 1.0),
-    "ppd": (int, 10),
-    "corners": (bool, True),
-    "max_corner_components": (int, 10),
-    "timeout_s": (float, None),
-}
-
-DIAGNOSE_PARAMS: Dict[str, Tuple[type, Any]] = {
-    "target": (str, None),       # catalog circuit name
-    "netlist": (str, None),      # inline netlist text (alternative)
-    "component": (str, None),    # seeded injection: faulty component
-    "fault_deviation": (float, None),  # seeded injection: its deviation
-    "epsilon": (float, 0.10),
-    "span": (float, 0.5),        # deviation-grid half-width
-    "steps": (int, 4),           # grid points per side
-    "distance": (str, "relative"),
-    "ambiguity": (float, 0.02),
-    "f0": (float, None),
-    "decades": (float, 2.0),
-    "ppd": (int, 50),
-    "timeout_s": (float, None),
-}
-
-VERIFY_PARAMS: Dict[str, Tuple[type, Any]] = {
-    "circuits": (list, None),
-    "random": (int, 0),
-    "seed": (int, None),
-    "epsilon": (float, 0.10),
-    "ppd": (int, 20),
-    "invariants": (bool, True),
-    "timeout_s": (float, None),
-}
-
-PARAM_SPECS: Dict[str, Dict[str, Tuple[type, Any]]] = {
-    "faultsim": FAULTSIM_PARAMS,
-    "tolerance": TOLERANCE_PARAMS,
-    "diagnose": DIAGNOSE_PARAMS,
-    "verify": VERIFY_PARAMS,
+#: ``kind -> {name: Param}``, in declaration order
+PARAM_SPECS: Dict[str, Dict[str, Param]] = {
+    kind: {param.name: param for param in (*operation.params, TIMEOUT_PARAM)}
+    for kind, operation in OPERATIONS.items()
 }
 
 JOB_KINDS = tuple(PARAM_SPECS)
-
-#: params that never influence the result, excluded from the content key
-NON_IDENTITY_PARAMS = frozenset({"timeout_s"})
 
 
 def _coerce(kind: str, name: str, kind_type: type, value):
@@ -171,8 +119,10 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
     """Validated, default-filled copy of a submitted params dict.
 
     Raises :class:`~repro.errors.JobValidationError` on an unknown job
-    kind, unknown keys, type mismatches or domain violations — the
-    server turns that into an HTTP 400 before anything is queued.
+    kind, unknown keys, type mismatches, a value outside its declared
+    check or a broken cross-param rule — the server turns that into an
+    HTTP 400 before anything is queued, and the CLI into one ``error:``
+    line before anything is solved.
     """
     if kind not in PARAM_SPECS:
         raise JobValidationError(
@@ -187,73 +137,16 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
             f"expected a subset of {sorted(spec)}"
         )
     normalized = {}
-    for name, (kind_type, default) in spec.items():
-        value = params.get(name, default)
-        normalized[name] = _coerce(kind, name, kind_type, value)
-
-    if kind == "faultsim":
-        if (normalized["target"] is None) == (normalized["netlist"] is None):
-            raise JobValidationError(
-                "faultsim: exactly one of 'target' (catalog name) or "
-                "'netlist' (inline netlist text) is required"
-            )
-        if normalized["n_detect"] < 1:
-            raise JobValidationError(
-                f"faultsim: n_detect must be >= 1, got "
-                f"{normalized['n_detect']}"
-            )
-    if kind == "tolerance":
-        if normalized["distribution"] not in ("uniform", "normal"):
-            raise JobValidationError(
-                f"tolerance: distribution must be 'uniform' or 'normal', "
-                f"got {normalized['distribution']!r}"
-            )
-    if kind == "diagnose":
-        if (normalized["target"] is None) == (normalized["netlist"] is None):
-            raise JobValidationError(
-                "diagnose: exactly one of 'target' (catalog name) or "
-                "'netlist' (inline netlist text) is required"
-            )
-        if normalized["distance"] not in ("relative", "band"):
-            raise JobValidationError(
-                f"diagnose: distance must be 'relative' or 'band', got "
-                f"{normalized['distance']!r}"
-            )
-        if not 0.0 < normalized["span"] < 1.0:
-            raise JobValidationError(
-                f"diagnose: span must be in (0, 1), got "
-                f"{normalized['span']:g}"
-            )
-        if normalized["steps"] < 1:
-            raise JobValidationError("diagnose: steps must be >= 1")
-        if normalized["ambiguity"] < 0:
-            raise JobValidationError("diagnose: ambiguity must be >= 0")
-        if (normalized["component"] is None) != (
-            normalized["fault_deviation"] is None
-        ):
-            raise JobValidationError(
-                "diagnose: 'component' and 'fault_deviation' describe "
-                "one seeded fault and must be given together"
-            )
-        deviation = normalized["fault_deviation"]
-        if deviation is not None and (
-            deviation == 0.0 or deviation <= -1.0
-        ):
-            raise JobValidationError(
-                f"diagnose: fault_deviation must be nonzero and > -1, "
-                f"got {deviation:g}"
-            )
-    for name in ("epsilon", "deviation", "tolerance"):
-        value = normalized.get(name)
-        if value is not None and value <= 0:
-            raise JobValidationError(f"{kind}: {name} must be > 0")
-    for name in ("ppd", "samples", "random"):
-        value = normalized.get(name)
-        if value is not None and value < 0:
-            raise JobValidationError(f"{kind}: {name} must be >= 0")
-    timeout_s = normalized.get("timeout_s")
-    if timeout_s is not None and timeout_s <= 0:
-        raise JobValidationError(f"{kind}: timeout_s must be > 0")
+    for name, param in spec.items():
+        value = params.get(name, param.default)
+        value = _coerce(kind, name, param.type, value)
+        reason = violation(param, value)
+        if reason is not None:
+            raise JobValidationError(f"{kind}: {name} {reason}")
+        normalized[name] = value
+    for holds, reason in OPERATIONS[kind].rules:
+        if not holds(normalized):
+            raise JobValidationError(f"{kind}: {reason}")
     return normalized
 
 
@@ -263,10 +156,9 @@ def job_key(kind: str, params: dict) -> str:
     Only identity-relevant params participate — a different
     ``timeout_s`` budget must still hit the same cached record.
     """
+    spec = PARAM_SPECS[kind]
     identity = {
-        name: value
-        for name, value in params.items()
-        if name not in NON_IDENTITY_PARAMS
+        name: value for name, value in params.items() if spec[name].identity
     }
     payload = json.dumps(
         [SERVICE_FORMAT, kind, identity], sort_keys=True, separators=(",", ":")
@@ -496,259 +388,34 @@ class JobTelemetry(CampaignTelemetry):
 
 
 # ----------------------------------------------------------------------
-# runners — heavy imports stay local so the module imports in ~nothing
+# runners — each kind's declared run, lent the runtime's executor lease,
+# unit cache and the job's telemetry
 
 
-def center_frequency(circuit, override: Optional[float] = None) -> float:
-    """Reference-region centre: ``override`` or the geometric pole mean.
+def _job_runner(kind: str):
+    operation = OPERATIONS[kind]
 
-    Shared by the CLI netlist commands and the faultsim job runner.
-    """
-    if override is not None:
-        return override
-    import math
-
-    from ..analysis import circuit_poles
-    from ..errors import ReproError
-
-    poles = [p for p in circuit_poles(circuit) if abs(p) > 0]
-    if not poles:
-        raise ReproError(
-            "circuit has no poles; pass f0 to place the reference region"
+    def run(job: Job, runtime, telemetry: JobTelemetry) -> dict:
+        context = Context(
+            executor=job_executor(job, runtime),
+            cache=runtime.caches.get(kind),
+            telemetry=telemetry,
         )
-    magnitudes = [abs(p) for p in poles]
-    geometric = math.sqrt(min(magnitudes) * max(magnitudes))
-    return geometric / (2.0 * math.pi)
-
-
-def resolve_circuit(params: dict):
-    """(circuit, f0_hz, label) for a faultsim job's target.
-
-    ``params["netlist"]`` carries inline netlist text; otherwise
-    ``params["target"]`` names a catalog circuit.
-    """
-    from ..circuit import parse_netlist, validate_circuit
-
-    if params.get("netlist") is not None:
-        circuit = parse_netlist(params["netlist"])
-        validate_circuit(circuit)
-        f0 = center_frequency(circuit, params.get("f0"))
-        return circuit, f0, circuit.title or "netlist"
-
-    from ..circuits import catalog
-    from ..errors import JobValidationError
-
-    name = params["target"]
-    if name not in catalog():
-        raise JobValidationError(
-            f"{name!r} is not a catalog circuit (see GET /catalog)"
-        )
-    from ..circuits import build
-
-    bench = build(name)
-    f0 = params["f0"] if params.get("f0") is not None else bench.f0_hz
-    return bench.circuit, f0, name
-
-
-def run_faultsim(job: Job, runtime, telemetry: JobTelemetry) -> dict:
-    """Fault × configuration campaign through the shared runtime."""
-    from ..analysis import decade_grid
-    from ..campaign import execute_plan, plan_campaign
-    from ..dft import apply_multiconfiguration
-    from ..faults import SimulationSetup, deviation_faults
-    from ..reporting.export import dataset_to_json
-
-    params = job.params
-    circuit, f0, label = resolve_circuit(params)
-    telemetry.checkpoint()
-    mcc = apply_multiconfiguration(circuit)
-    faults = deviation_faults(circuit, deviation=params["deviation"])
-    grid = decade_grid(
-        f0,
-        decades_below=params["decades"],
-        decades_above=params["decades"],
-        points_per_decade=params["ppd"],
-    )
-    setup = SimulationSetup(grid=grid, epsilon=params["epsilon"])
-    plan = plan_campaign(mcc, faults, setup, chunk_size=params["chunk"])
-    dataset = execute_plan(
-        plan,
-        executor=job_executor(job, runtime),
-        cache=runtime.unit_cache,
-        telemetry=telemetry,
-    )
-    matrix = dataset.detectability_matrix()
-    n_detect = params["n_detect"]
-    from ..core.ndetect import evaluate_cover, ndetect_cover
-
-    cover = ndetect_cover(
-        matrix,
-        n_detect=n_detect,
-        solver="greedy",
-        saturate=params["saturate"],
-    )
-    robustness = evaluate_cover(
-        dataset, sorted(cover), n_detect=n_detect
-    )
-    telemetry.ndetect_cover(
-        n_detect, len(cover), robustness.n_fragile_entries
-    )
-    return {
-        "target": label,
-        "f0_hz": f0,
-        "n_configs": plan.n_configs,
-        "n_faults": plan.n_faults,
-        "n_units": plan.n_units,
-        "n_solves": dataset.n_solves,
-        "n_factorizations": dataset.n_factorizations,
-        "sm_fallbacks": dataset.sm_fallbacks,
-        "fault_coverage": matrix.fault_coverage(),
-        "undetectable_faults": list(matrix.undetectable_faults()),
-        "n_detect": n_detect,
-        "saturate": params["saturate"],
-        "cover": [
-            matrix.config_labels[matrix.row_of(i)] for i in sorted(cover)
-        ],
-        "cover_size": len(cover),
-        "worst_case_margin": robustness.worst_case_margin,
-        "fragile_faults": list(robustness.fragile_faults),
-        "dataset": json.loads(dataset_to_json(dataset)),
-    }
-
-
-def run_tolerance(job: Job, runtime, telemetry: JobTelemetry) -> dict:
-    """Catalog ε-calibration campaign through the shared runtime."""
-    from ..campaign import execute_tolerance_plan, plan_tolerance_campaign
-
-    params = job.params
-    plan = plan_tolerance_campaign(
-        names=params["circuits"],
-        tolerance=params["tolerance"],
-        n_samples=params["samples"],
-        distribution=params["distribution"],
-        seed=params["seed"],
-        percentile=params["percentile"],
-        decades=params["decades"],
-        points_per_decade=params["ppd"],
-        corners=params["corners"],
-        max_corner_components=params["max_corner_components"],
-    )
-    telemetry.checkpoint()
-    report = execute_tolerance_plan(
-        plan,
-        executor=job_executor(job, runtime),
-        cache=runtime.tolerance_cache,
-        telemetry=telemetry,
-    )
-    return report.to_json()
-
-
-def run_diagnose(job: Job, runtime, telemetry: JobTelemetry) -> dict:
-    """Trajectory-dictionary build (+ optional seeded fault location).
-
-    The dictionary is built as cacheable campaign units through the
-    shared runtime; when the job seeds a fault (``component`` +
-    ``fault_deviation``) the observed response is simulated and located
-    against the dictionary, and the matcher's verdict rides along in
-    the result.
-    """
-    from ..analysis import decade_grid
-    from ..dft import apply_multiconfiguration
-    from ..diagnosis import (
-        deviation_grid,
-        execute_diagnosis_plan,
-        locate_fault,
-        plan_diagnosis_campaign,
-    )
-    from ..faults.model import DeviationFault
-
-    params = job.params
-    circuit, f0, label = resolve_circuit(params)
-    telemetry.checkpoint()
-    mcc = apply_multiconfiguration(circuit)
-    grid = decade_grid(
-        f0,
-        decades_below=params["decades"],
-        decades_above=params["decades"],
-        points_per_decade=params["ppd"],
-    )
-    deviations = deviation_grid(span=params["span"], steps=params["steps"])
-    plan = plan_diagnosis_campaign(mcc, grid, deviations=deviations)
-    dictionary = execute_diagnosis_plan(
-        plan,
-        executor=job_executor(job, runtime),
-        cache=runtime.diagnosis_cache,
-        telemetry=telemetry,
-    )
-    result = {
-        "target": label,
-        "f0_hz": f0,
-        "distance": params["distance"],
-        "n_configs": dictionary.n_configs,
-        "n_components": len(dictionary.components),
-        "n_deviations": len(dictionary.deviations),
-        "n_trajectory_points": dictionary.n_points,
-        "deviation_step": dictionary.deviation_step,
-        "n_solves": dictionary.n_solves,
-        "n_factorizations": dictionary.n_factorizations,
-        "diagnosis": None,
-    }
-    if params["component"] is not None:
-        if params["component"] not in dictionary.components:
-            raise JobValidationError(
-                f"diagnose: component {params['component']!r} is not a "
-                f"passive of {label!r} (have "
-                f"{list(dictionary.components)})"
+        result, detail = operation.run(job.params, context)
+        robustness = detail.get("robustness")
+        if robustness is not None:  # a faultsim job's n-detect cover
+            telemetry.ndetect_cover(
+                robustness.n_detect,
+                result["cover_size"],
+                robustness.n_fragile_entries,
             )
-        fault = DeviationFault(
-            params["component"], params["fault_deviation"]
-        )
-        diagnosis = locate_fault(
-            dictionary,
-            mcc,
-            fault,
-            metric=params["distance"],
-            ambiguity_tolerance=params["ambiguity"],
-            epsilon=params["epsilon"],
-        )
-        payload = diagnosis.to_json()
-        payload["injected"] = diagnosis.evaluate(
-            params["component"], params["fault_deviation"]
-        )
-        result["diagnosis"] = payload
-    return result
+        return result
+
+    return run
 
 
-def run_verify(job: Job, runtime, telemetry: JobTelemetry) -> dict:
-    """Differential-oracle sweep; checkpoints between cases."""
-    from ..verify import run_verification
-
-    params = job.params
-
-    def progress(case) -> None:
-        telemetry.checkpoint()
-
-    report = run_verification(
-        circuits=params["circuits"],
-        n_random=params["random"],
-        seed=params["seed"],
-        epsilon=params["epsilon"],
-        points_per_decade=params["ppd"],
-        invariants=params["invariants"],
-        progress=progress,
-    )
-    payload = json.loads(report.to_json())
-    payload["passed"] = report.passed
-    payload["summary"] = report.summary()
-    return payload
-
-
-RUNNERS = {
-    "faultsim": run_faultsim,
-    "tolerance": run_tolerance,
-    "diagnose": run_diagnose,
-    "verify": run_verify,
-}
+#: ``kind -> runner(job, runtime, telemetry)``; tests swap entries
+RUNNERS = {kind: _job_runner(kind) for kind in OPERATIONS}
 
 
 def execute_job(job: Job, runtime, telemetry: JobTelemetry) -> dict:

@@ -702,7 +702,7 @@ class RouterService:
         )
 
     def stats_snapshot(self) -> dict:
-        """Routing counters + per-replica routed totals (loadtest hook)."""
+        """Routing counters + per-replica routed totals."""
         with self._lock:
             return {
                 **{name: value for name, value in self.stats.items()},

@@ -168,37 +168,29 @@ class ServiceRuntime:
         self.lease_pool = ExecutorLeasePool(self.executors)
         self.telemetry = telemetry or CampaignTelemetry()
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        #: job kind -> the unit cache its runs read and write
+        self.caches: Dict[str, ResultCache] = {}
+        self.job_cache: Optional[ResultCache] = None
         if self.cache_dir is not None:
-            self.unit_cache: Optional[ResultCache] = ResultCache(
-                self.cache_dir / "units"
-            )
             from ..campaign import ToleranceUnitResult
-
-            self.tolerance_cache: Optional[ResultCache] = ResultCache(
-                self.cache_dir / "tolerance",
-                payload_type=ToleranceUnitResult,
-            )
             from ..diagnosis import DiagnosisUnitResult
 
-            self.diagnosis_cache: Optional[ResultCache] = ResultCache(
-                self.cache_dir / "diagnosis",
-                payload_type=DiagnosisUnitResult,
-            )
-            self.job_cache: Optional[ResultCache] = ResultCache(
+            self.caches = {
+                "faultsim": ResultCache(self.cache_dir / "units"),
+                "tolerance": ResultCache(
+                    self.cache_dir / "tolerance",
+                    payload_type=ToleranceUnitResult,
+                ),
+                "diagnose": ResultCache(
+                    self.cache_dir / "diagnosis",
+                    payload_type=DiagnosisUnitResult,
+                ),
+            }
+            self.job_cache = ResultCache(
                 self.cache_dir / "jobs", payload_type=JobRecord
             )
-            for cache in (
-                self.unit_cache,
-                self.tolerance_cache,
-                self.diagnosis_cache,
-                self.job_cache,
-            ):
+            for cache in (*self.caches.values(), self.job_cache):
                 cache.sweep_stale()
-        else:
-            self.unit_cache = None
-            self.tolerance_cache = None
-            self.diagnosis_cache = None
-            self.job_cache = None
 
     @property
     def executor(self) -> Optional[Executor]:

@@ -1,6 +1,6 @@
 """1-vs-N worker determinism: scheduling must never change answers.
 
-The same seeded job mix is run through a 1-worker scheduler and a
+The same fixed job list is run through a 1-worker scheduler and a
 3-worker scheduler, each on its own cache directory.  The contract:
 
 * every job's **result payload is byte-identical** (compared as
@@ -15,8 +15,8 @@ The same seeded job mix is run through a 1-worker scheduler and a
 
 Solver-effort counters (``n_solves``/``n_factorizations``/
 ``sm_fallbacks``) are
-bookkeeping, not answers: the smoke mix's faultsim jobs share unit
-keys (ε is post-processing), so how much work each *job* did depends
+bookkeeping, not answers: the list's faultsim jobs share unit keys
+(ε is post-processing), so how much work each *job* did depends
 on which job warmed the shared cache first — that ordering is exactly
 what worker count changes.  The comparisons therefore scrub effort
 counters and assert byte-identity on everything else.
@@ -28,11 +28,23 @@ import json
 import pytest
 
 from repro.service.jobs import DONE
-from repro.service.loadtest import build_mix
 from repro.service.scheduler import JobScheduler, ServiceRuntime
 
-#: covers every kind in the smoke mix once (weighted length is 5)
-N_JOBS = 5
+#: every kind once, and three faultsim jobs that differ only in epsilon
+#: (so they share unit keys)
+JOBS = (
+    ("diagnose", {"target": "sallen_key", "ppd": 6, "decades": 1.0,
+                  "steps": 2, "epsilon": 0.1}),
+    ("faultsim", {"target": "sallen_key", "ppd": 6, "decades": 1.0,
+                  "epsilon": 0.1}),
+    ("tolerance", {"circuits": ["sallen_key"], "samples": 16, "ppd": 4,
+                   "decades": 0.5, "seed": 2026,
+                   "max_corner_components": 4, "percentile": 95.0}),
+    ("faultsim", {"target": "sallen_key", "ppd": 6, "decades": 1.0,
+                  "epsilon": 0.08}),
+    ("faultsim", {"target": "sallen_key", "ppd": 6, "decades": 1.0,
+                  "epsilon": 0.12}),
+)
 
 #: effort bookkeeping — cache-warmth-dependent, excluded from identity
 EFFORT_KEYS = frozenset({"n_solves", "n_factorizations", "sm_fallbacks"})
@@ -55,14 +67,14 @@ def canonical(result):
     return json.dumps(scrub(result), sort_keys=True)
 
 
-def run_mix(cache_dir, workers):
-    """Execute the seeded smoke mix; returns {job_key: result_json}."""
+def run_jobs(cache_dir, workers):
+    """Execute :data:`JOBS`; returns {job_key: result_json}."""
     runtime = ServiceRuntime(cache_dir=cache_dir)
     scheduler = JobScheduler(runtime, queue_limit=16, workers=workers)
     try:
         jobs = [
             scheduler.submit(kind, params)
-            for kind, params in build_mix("smoke", n_jobs=N_JOBS, seed=7)
+            for kind, params in JOBS
         ]
         assert scheduler.wait_idle(timeout=300.0)
         for job in jobs:
@@ -88,8 +100,8 @@ def cache_digest(cache_dir, subdir):
 def runs(tmp_path_factory):
     serial_dir = tmp_path_factory.mktemp("serial") / "cache"
     wide_dir = tmp_path_factory.mktemp("wide") / "cache"
-    serial = run_mix(serial_dir, workers=1)
-    wide = run_mix(wide_dir, workers=3)
+    serial = run_jobs(serial_dir, workers=1)
+    wide = run_jobs(wide_dir, workers=3)
     return serial_dir, wide_dir, serial, wide
 
 
@@ -105,7 +117,7 @@ def test_unit_caches_hold_identical_bytes(runs):
     for subdir in ("units", "tolerance", "diagnosis"):
         serial_entries = cache_digest(serial_dir, subdir)
         wide_entries = cache_digest(wide_dir, subdir)
-        assert serial_entries, f"{subdir}: the mix must populate it"
+        assert serial_entries, f"{subdir}: the jobs must populate it"
         assert serial_entries == wide_entries, subdir
 
 
@@ -127,7 +139,7 @@ def test_job_record_caches_agree_on_results(runs):
 
 
 def test_warm_cache_answers_the_whole_mix_without_solving(runs):
-    """Re-running the mix on either cache directory is answered fully
+    """Re-running the jobs on either cache directory is answered fully
     from the job-record cache — zero new simulation."""
     serial_dir, _, serial, _ = runs
     runtime = ServiceRuntime(cache_dir=serial_dir)
@@ -135,7 +147,7 @@ def test_warm_cache_answers_the_whole_mix_without_solving(runs):
     try:
         jobs = [
             scheduler.submit(kind, params)
-            for kind, params in build_mix("smoke", n_jobs=N_JOBS, seed=7)
+            for kind, params in JOBS
         ]
         for job in jobs:
             assert job.state == DONE

@@ -346,11 +346,11 @@ class TestAccessLog:
 
 class TestPersistentExecutor:
     def test_parallel_pool_is_released_on_stop(self, tmp_path):
-        from repro.campaign import make_executor
+        from repro.campaign import ParallelExecutor
 
         # adaptive=False forces the pooled path even on a 1-core host —
         # this test is about warm-pool lifecycle, not scheduling policy
-        executor = make_executor(jobs=2, persistent=True, adaptive=False)
+        executor = ParallelExecutor(jobs=2, persistent=True, adaptive=False)
         service = ReproService(
             port=0,
             runtime=ServiceRuntime(

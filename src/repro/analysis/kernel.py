@@ -80,12 +80,16 @@ class KernelStats:
         Grid points the fault simulator re-solved exactly because its
         Sherman–Morrison certificate did not hold there; their
         factorizations are also in ``factorizations``.
+    rhs_columns:
+        Right-hand-side columns solved: each dispatch adds its
+        frequencies times its columns.
     """
 
     solves: int = 0
     factorizations: int = 0
     stacked_calls: int = 0
     sm_fallbacks: int = 0
+    rhs_columns: int = 0
 
     def merge(self, other: "KernelStats") -> None:
         """Fold another run's counters into this one."""
@@ -93,6 +97,7 @@ class KernelStats:
         self.factorizations += other.factorizations
         self.stacked_calls += other.stacked_calls
         self.sm_fallbacks += other.sm_fallbacks
+        self.rhs_columns += other.rhs_columns
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -100,6 +105,7 @@ class KernelStats:
             "factorizations": self.factorizations,
             "stacked_calls": self.stacked_calls,
             "sm_fallbacks": self.sm_fallbacks,
+            "rhs_columns": self.rhs_columns,
         }
 
 
@@ -228,6 +234,7 @@ def solve_sweep(
             raise request.singular_error(freqs[0], freqs[-1]) from None
         stats.solves += freqs.size
         stats.factorizations += freqs.size
+        stats.rhs_columns += freqs.size * request.n_rhs
     return out
 
 

@@ -148,7 +148,8 @@ def assemble_dataset(
     Iteration follows plan order, so the result layout is independent of
     executor scheduling and chunk completion order.  Nominal responses
     are taken from the first unit of each configuration (chunks of one
-    configuration share the nominal by construction).
+    configuration share the nominal by construction).  The factorization
+    count adds the shared basis sweeps the run made.
     """
     nominal = {}
     results: Dict[Tuple[int, str], DetectabilityResult] = {}
@@ -168,7 +169,9 @@ def assemble_dataset(
             results[(unit.config_index, label)] = result.results[label]
         if not outcome.from_cache:
             n_solves += result.n_solves
-            n_factorizations += result.n_factorizations
+            n_factorizations += (
+                result.n_factorizations + outcome.basis_factorizations
+            )
             sm_fallbacks += result.sm_fallbacks
     return DetectabilityDataset(
         configs=plan.configs,

@@ -25,9 +25,10 @@ produces :class:`UnitOutcome`\\ s.  Two implementations ship:
     * **batching** (``batch_size``): units are shipped to workers in
       contiguous batches, so the per-task IPC cost (pickling the
       circuit, the fault chunk and the result arrays, plus a pool
-      scheduling round-trip) is amortised over several units instead of
-      being paid per unit.  The default picks a batch size that gives
-      each worker a few batches for load balance;
+      scheduling round-trip) and the functional circuit's sweep (the
+      :class:`~repro.faults.simulator.Basis` every configuration reuses)
+      are paid once per batch instead of once per unit.  The default
+      gives each worker one contiguous batch;
     * **adaptive in-process mode** (``adaptive``): when the pool cannot
       possibly help — one effective core, or a single worker requested —
       and no per-unit isolation timeout was asked for, units run in the
@@ -37,6 +38,14 @@ produces :class:`UnitOutcome`\\ s.  Two implementations ship:
 The module-level :func:`execute_unit` / :func:`execute_unit_batch` are
 the picklable worker entry points, so the spawn start method (macOS,
 Windows) works out of the box.
+
+Every unit an executor call runs in one process — the whole call for
+:class:`SerialExecutor` and the in-process paths, one batch in a worker
+— shares one :class:`Bases`: the functional circuit's sweep is made
+once there.  Its work is counted on the outcome of the unit that
+triggered it (``basis_factorizations``), never in the cacheable
+:class:`UnitResult`, so a unit's result does not depend on which units
+ran with it.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..analysis.ac import FrequencyResponse
 from ..analysis.kernel import KernelStats
 from ..core.detectability import DetectabilityResult
-from ..faults.simulator import simulate_configuration
+from ..faults.simulator import Basis, simulate_configuration
 from .plan import WorkUnit
 
 
@@ -87,18 +96,51 @@ class UnitOutcome:
     wall_s: float = 0.0
     from_cache: bool = False
     degraded: bool = False
+    #: LU factorizations of the shared basis sweep this unit triggered
+    #: (not part of the cacheable result)
+    basis_factorizations: int = 0
 
     @property
     def ok(self) -> bool:
         return self.result is not None
 
 
-def execute_unit(unit: WorkUnit) -> UnitResult:
+class Bases:
+    """The bases of the units run together in one process.
+
+    One :class:`~repro.faults.simulator.Basis` per functional circuit
+    and grid, swept on first use.  :attr:`factorizations` counts their
+    work.
+    """
+
+    def __init__(self):
+        self._bases: List[Basis] = []
+
+    def for_unit(self, unit: WorkUnit) -> Basis:
+        functional, grid = unit.functional, unit.setup.grid
+        for basis in self._bases:
+            if basis.circuit is functional and basis.grid == grid:
+                return basis
+        identity = functional.identity()
+        for basis in self._bases:
+            if basis.grid == grid and basis.circuit.identity() == identity:
+                return basis
+        self._bases.append(Basis(functional, grid))
+        return self._bases[-1]
+
+    @property
+    def factorizations(self) -> int:
+        return sum(basis.stats.factorizations for basis in self._bases)
+
+
+def execute_unit(unit: WorkUnit, bases: Optional[Bases] = None) -> UnitResult:
     """Simulate one work unit (runs in the parent or a worker process).
 
     A :class:`~repro.analysis.kernel.KernelStats` accumulator feeds the
     factorization and fallback counters back into the result so
-    campaign telemetry can report them.
+    campaign telemetry can report them.  A fault-simulation unit reuses
+    its functional circuit's basis from ``bases`` (a fresh
+    :class:`Bases` when ``None``), whose sweep is not counted here.
     """
     if getattr(unit, "engine", None) == "tolerance":
         from .tolerance import execute_tolerance_unit
@@ -109,9 +151,10 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
 
         return execute_diagnosis_unit(unit)
     stats = KernelStats()
+    basis = (bases if bases is not None else Bases()).for_unit(unit)
     nominal, results, n_solves = simulate_configuration(
         unit.circuit, unit.output, unit.faults, unit.labels,
-        unit.setup, stats=stats,
+        unit.setup, stats=stats, basis=basis,
     )
     return UnitResult(
         key=unit.key,
@@ -128,18 +171,23 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
 def execute_unit_batch(units):
     """Simulate a batch of work units inside one worker task.
 
-    Returns one ``(result, error)`` pair per unit, in order — a unit
-    that raises does not abort its batch siblings, and the parent
-    grants the failed unit its usual in-process retry budget.  Going
-    through the module-level :func:`execute_unit` keeps monkeypatched
-    test doubles effective under the fork start method.
+    Returns one ``(result, error, basis_factorizations)`` triple per
+    unit, in order — a unit that raises does not abort its batch
+    siblings, and the parent grants the failed unit its usual
+    in-process retry budget.  The batch's units share one
+    :class:`Bases`.  Going through the module-level :func:`execute_unit`
+    keeps monkeypatched test doubles effective under the fork start
+    method.
     """
+    bases = Bases()
     items = []
     for unit in units:
+        before = bases.factorizations
         try:
-            items.append((execute_unit(unit), None))
+            result, error = execute_unit(unit, bases), None
         except Exception as exc:  # noqa: BLE001 — reported per unit
-            items.append((None, exc))
+            result, error = None, exc
+        items.append((result, error, bases.factorizations - before))
     return items
 
 
@@ -179,13 +227,19 @@ class SerialExecutor(Executor):
         units: Sequence[WorkUnit],
         callback: Optional[OutcomeCallback] = None,
     ) -> List[UnitOutcome]:
-        outcomes = []
-        for unit in units:
-            outcome = _attempt(unit, 1 + self.retries)
-            outcomes.append(outcome)
-            if callback is not None:
-                callback(outcome)
-        return outcomes
+        return _run_inprocess(units, callback, 1 + self.retries)
+
+
+def _run_inprocess(units, callback, max_attempts, degraded=False):
+    """Run units in plan order in this process, sharing one :class:`Bases`."""
+    bases = Bases()
+    outcomes = []
+    for unit in units:
+        outcome = _attempt(unit, max_attempts, degraded=degraded, bases=bases)
+        outcomes.append(outcome)
+        if callback is not None:
+            callback(outcome)
+    return outcomes
 
 
 def _attempt(
@@ -194,25 +248,30 @@ def _attempt(
     attempts_so_far: int = 0,
     degraded: bool = False,
     last_error: Optional[BaseException] = None,
+    bases: Optional[Bases] = None,
 ) -> UnitOutcome:
     """Run ``unit`` in-process up to ``max_attempts`` more times.
 
     With ``max_attempts=0`` the unit is not re-run and the outcome
     reports ``last_error`` (a worker failure whose retry budget is
-    exhausted).
+    exhausted).  ``bases`` is shared with the other units the caller
+    runs in this process.
     """
+    bases = bases if bases is not None else Bases()
     attempts = attempts_so_far
     start = time.perf_counter()
+    before = bases.factorizations
     for _ in range(max(0, max_attempts)):
         attempts += 1
         try:
-            result = execute_unit(unit)
+            result = execute_unit(unit, bases)
             return UnitOutcome(
                 unit=unit,
                 result=result,
                 attempts=attempts,
                 wall_s=time.perf_counter() - start,
                 degraded=degraded,
+                basis_factorizations=bases.factorizations - before,
             )
         except Exception as exc:  # noqa: BLE001 — reported per unit
             last_error = exc
@@ -223,6 +282,7 @@ def _attempt(
         attempts=attempts,
         wall_s=time.perf_counter() - start,
         degraded=degraded,
+        basis_factorizations=bases.factorizations - before,
     )
 
 
@@ -250,10 +310,11 @@ class ParallelExecutor(Executor):
         abandoned pool is discarded and rebuilt on the next call.
     batch_size:
         Units shipped per worker task.  ``None`` (default) picks
-        ``ceil(n_units / (jobs * BATCHES_PER_WORKER))`` — enough batches
-        per worker to balance load, few enough to amortise the per-task
-        IPC cost.  ``1`` restores strict per-unit dispatch (finest
-        cancellation latency, highest overhead).
+        ``ceil(n_units / jobs)`` — one contiguous batch per worker, so
+        each worker pays the per-task IPC cost and the functional
+        circuit's sweep once.  ``1`` restores strict per-unit dispatch
+        (finest cancellation latency, highest overhead: a unit without
+        the functional configuration sweeps it again).
     adaptive:
         Skip the pool entirely and run in-process when it cannot help:
         a single effective core (``min(jobs, os.cpu_count())`` <= 1)
@@ -265,9 +326,6 @@ class ParallelExecutor(Executor):
     """
 
     name = "parallel"
-
-    #: target number of batches handed to each worker when auto-batching
-    BATCHES_PER_WORKER = 4
 
     def __init__(
         self,
@@ -334,8 +392,7 @@ class ParallelExecutor(Executor):
         if self.batch_size is not None:
             size = self.batch_size
         else:
-            slots = max(1, self.effective_jobs()) * self.BATCHES_PER_WORKER
-            size = max(1, -(-n_units // slots))
+            size = max(1, -(-n_units // max(1, self.effective_jobs())))
         return [
             range(start, min(start + size, n_units))
             for start in range(0, n_units, size)
@@ -357,41 +414,37 @@ class ParallelExecutor(Executor):
             # The pool cannot help (one effective core or one worker)
             # and no isolation timeout was requested: run in-process.
             # This is the optimal strategy, not a degradation.
-            return self._all_inprocess(units, callback)
+            return _run_inprocess(units, callback, 1 + self.retries)
         try:
             pool = self._acquire_pool(len(units))
         except Exception:
             # The platform cannot host a process pool at all: degrade the
             # whole campaign to the serial path.
-            return self._all_serial(units, callback)
+            return _run_inprocess(
+                units, callback, 1 + self.retries, degraded=True
+            )
 
         batches = self._batch_bounds(len(units))
         batched = any(len(bounds) > 1 for bounds in batches)
+        # the bases of the units re-run here once the pool broke
+        bases = Bases()
         outcomes: List[UnitOutcome] = []
         broken = False
         abandoned = False
         aborted = False
         futures = []
         try:
-            if batched:
-                futures = [
-                    (
-                        [units[i] for i in bounds],
-                        pool.submit(
-                            execute_unit_batch, [units[i] for i in bounds]
-                        ),
-                    )
-                    for bounds in batches
-                ]
-            else:
-                futures = [
-                    ([unit], pool.submit(execute_unit, unit))
-                    for unit in units
-                ]
+            futures = [
+                (batch, pool.submit(execute_unit_batch, batch))
+                for batch in ([units[i] for i in bounds] for bounds in batches)
+            ]
             for batch, future in futures:
                 if broken:
                     batch_outcomes = [
-                        _attempt(unit, 1 + self.retries, degraded=True)
+                        _attempt(
+                            unit, 1 + self.retries, degraded=True,
+                            bases=bases,
+                        )
                         for unit in batch
                     ]
                 elif batched:
@@ -426,57 +479,15 @@ class ParallelExecutor(Executor):
         return outcomes
 
     def _harvest(self, unit, future):
-        """Collect one future; fall back to the parent on any trouble.
+        """Collect one unit's future: a batch of one.
 
         Returns ``(outcome, broken, timed_out)``: ``broken`` poisons the
         pool for every remaining unit; ``timed_out`` marks a unit whose
         worker may still be running it, which forces the final shutdown
         to abandon the pool rather than join a hung worker.
         """
-        start = time.perf_counter()
-        try:
-            result = future.result(timeout=self.timeout)
-            return (
-                UnitOutcome(
-                    unit=unit,
-                    result=result,
-                    attempts=1,
-                    wall_s=time.perf_counter() - start,
-                ),
-                False,
-                False,
-            )
-        except concurrent.futures.TimeoutError as exc:
-            # cancel() only succeeds while the unit is still queued; a
-            # future already *running* keeps its worker busy regardless,
-            # so flag the pool as abandoned in that case.
-            timed_out = not future.cancel()
-            return (
-                _attempt(
-                    unit, self.retries, 1, degraded=True, last_error=exc
-                ),
-                False,
-                timed_out,
-            )
-        except concurrent.futures.process.BrokenProcessPool:
-            # The pool is unusable; this unit and all remaining ones run
-            # serially in the parent.
-            return (
-                _attempt(unit, 1 + self.retries, degraded=True),
-                True,
-                False,
-            )
-        except Exception as exc:
-            # The worker raised a genuine simulation error; grant the
-            # retry budget in-parent (deterministic errors fail again
-            # and surface with a proper traceback).
-            return (
-                _attempt(
-                    unit, self.retries, 1, degraded=True, last_error=exc
-                ),
-                False,
-                False,
-            )
+        [outcome], broken, timed_out = self._harvest_batch([unit], future)
+        return outcome, broken, timed_out
 
     def _harvest_batch(self, batch, future):
         """Collect one batch future; degrade failed units to the parent.
@@ -485,9 +496,11 @@ class ParallelExecutor(Executor):
         raised inside a unit reports per-unit ``(None, error)`` items
         (its batch siblings are unaffected), a timed-out or broken
         batch falls back unit by unit in the parent.  The per-unit
-        ``timeout`` budget is scaled by the batch length.
+        ``timeout`` budget is scaled by the batch length.  The batch's
+        units re-run in the parent share one :class:`Bases`.
         """
         start = time.perf_counter()
+        bases = Bases()
         timeout = (
             self.timeout * len(batch) if self.timeout is not None else None
         )
@@ -499,7 +512,7 @@ class ParallelExecutor(Executor):
                 [
                     _attempt(
                         unit, self.retries, 1, degraded=True,
-                        last_error=exc,
+                        last_error=exc, bases=bases,
                     )
                     for unit in batch
                 ],
@@ -509,7 +522,9 @@ class ParallelExecutor(Executor):
         except concurrent.futures.process.BrokenProcessPool:
             return (
                 [
-                    _attempt(unit, 1 + self.retries, degraded=True)
+                    _attempt(
+                        unit, 1 + self.retries, degraded=True, bases=bases
+                    )
                     for unit in batch
                 ],
                 True,
@@ -522,7 +537,7 @@ class ParallelExecutor(Executor):
                 [
                     _attempt(
                         unit, self.retries, 1, degraded=True,
-                        last_error=exc,
+                        last_error=exc, bases=bases,
                     )
                     for unit in batch
                 ],
@@ -531,7 +546,7 @@ class ParallelExecutor(Executor):
             )
         wall_each = (time.perf_counter() - start) / max(1, len(batch))
         outcomes = []
-        for unit, (result, error) in zip(batch, items):
+        for unit, (result, error, basis_factorizations) in zip(batch, items):
             if result is not None:
                 outcomes.append(
                     UnitOutcome(
@@ -539,13 +554,14 @@ class ParallelExecutor(Executor):
                         result=result,
                         attempts=1,
                         wall_s=wall_each,
+                        basis_factorizations=basis_factorizations,
                     )
                 )
             else:
                 outcomes.append(
                     _attempt(
                         unit, self.retries, 1, degraded=True,
-                        last_error=error,
+                        last_error=error, bases=bases,
                     )
                 )
         return outcomes, False, False
@@ -593,22 +609,3 @@ class ParallelExecutor(Executor):
         if pool is self._pool:
             return
         pool.shutdown(wait=not aborted, cancel_futures=aborted)
-
-    def _all_serial(self, units, callback):
-        outcomes = []
-        for unit in units:
-            outcome = _attempt(unit, 1 + self.retries, degraded=True)
-            outcomes.append(outcome)
-            if callback is not None:
-                callback(outcome)
-        return outcomes
-
-    def _all_inprocess(self, units, callback):
-        """The adaptive serial path: deliberate, so not ``degraded``."""
-        outcomes = []
-        for unit in units:
-            outcome = _attempt(unit, 1 + self.retries)
-            outcomes.append(outcome)
-            if callback is not None:
-                callback(outcome)
-        return outcomes

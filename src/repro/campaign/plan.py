@@ -9,14 +9,17 @@ one contiguous chunk of the fault universe — that are:
   in any process, yields the same units in the same order;
 * *content-addressed*: each unit carries a SHA-256 key derived from the
   emulated configuration's exact identity
-  (:meth:`~repro.circuit.netlist.Circuit.identity`), the probe node, the
-  frequency grid, the tolerance, the deviation criterion and the fault
-  chunk.  The key is stable across processes and runs, so an on-disk
+  (:meth:`~repro.circuit.netlist.Circuit.identity`), the functional
+  circuit's, the probe node, the frequency grid, the tolerance, the
+  deviation criterion and the fault chunk.  The key is stable across
+  processes and runs, so an on-disk
   :class:`~repro.campaign.cache.ResultCache` can resume an interrupted
   campaign or skip unchanged work after a partial edit;
 * *self-contained*: a unit holds the already-emulated configuration
-  circuit and everything needed to simulate it, so it can be shipped to
-  a worker process as a single picklable value.
+  circuit, the campaign's functional circuit (whose sweep is the
+  :class:`~repro.faults.simulator.Basis` every configuration reuses) and
+  everything else needed to simulate it, so it can be shipped to a
+  worker process as a single picklable value.
 
 Chunking trades scheduling granularity against per-unit overhead: the
 default (``chunk_size=None``) keeps all faults of a configuration in one
@@ -40,14 +43,18 @@ from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
 from ..errors import CampaignError
 from ..faults.model import Fault, MultipleFault
-from ..faults.simulator import SimulationSetup, _fault_label
-from ..faults.universe import check_unique_names
+from ..faults.simulator import (
+    SimulationSetup,
+    fault_labels,
+    functional_circuit,
+)
 
 #: bumped whenever the unit result layout or key recipe changes, so stale
 #: cache entries from older library versions can never be misread
 #: (v2: unit results grew the ``n_factorizations`` counter; v3: the
-#: engine left the key and unit results grew ``sm_fallbacks``)
-PLAN_FORMAT = "campaign-v3"
+#: engine left the key and unit results grew ``sm_fallbacks``; v4: units
+#: reuse the functional circuit's sweep, whose identity joins the key)
+PLAN_FORMAT = "campaign-v4"
 
 
 def fault_signature(fault: Fault) -> str:
@@ -82,6 +89,9 @@ class WorkUnit:
         The emulated configuration's identity.
     circuit:
         The configuration-emulated circuit (DFT already applied).
+    functional:
+        The campaign's functional circuit C0, whose sweep the unit's
+        configuration reuses (the same object as ``circuit`` for C0).
     output:
         Probe node for every sweep of the unit.
     faults, labels:
@@ -96,6 +106,7 @@ class WorkUnit:
     config_index: int
     config_label: str
     circuit: Circuit
+    functional: Circuit
     output: Optional[str]
     faults: Tuple[Fault, ...]
     labels: Tuple[str, ...]
@@ -119,6 +130,7 @@ def unit_key(
     faults: Sequence[Fault],
     labels: Sequence[str],
     setup: SimulationSetup,
+    functional: Circuit,
 ) -> str:
     """Content hash of one work unit (stable across processes and runs)."""
     grid = setup.grid
@@ -135,6 +147,7 @@ def unit_key(
                 for label, fault in zip(labels, faults)
             ),
             circuit.identity(),
+            functional.identity(),
         ]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -198,7 +211,7 @@ def plan_campaign(
     """
     if chunk_size is not None and chunk_size < 1:
         raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
-    check_unique_names(faults)
+    labels = fault_labels(faults, setup.fault_name_style, CampaignError)
     if configs is None:
         configs = mcc.configurations(
             include_functional=True, include_transparent=False
@@ -208,19 +221,11 @@ def plan_campaign(
     if not faults:
         raise CampaignError("no faults to simulate")
 
-    labels = [
-        _fault_label(fault, setup.fault_name_style) for fault in faults
-    ]
-    if len(set(labels)) != len(labels):
-        raise CampaignError(
-            "fault labels collide; use fault_name_style='full' for "
-            "universes with several faults per component"
-        )
-
     faults = tuple(faults)
+    functional = functional_circuit(mcc)
     units: List[WorkUnit] = []
     for config in configs:
-        emulated = mcc.emulate(config)
+        emulated = functional if config.is_functional else mcc.emulate(config)
         output = setup.output or emulated.output or mcc.base.output
         for ordinal, (start, stop) in enumerate(
             _chunked(len(faults), chunk_size)
@@ -233,6 +238,7 @@ def plan_campaign(
                     config_index=config.index,
                     config_label=config.label,
                     circuit=emulated,
+                    functional=functional,
                     output=output,
                     faults=chunk_faults,
                     labels=chunk_labels,
@@ -243,6 +249,7 @@ def plan_campaign(
                         chunk_faults,
                         chunk_labels,
                         setup,
+                        functional,
                     ),
                 )
             )

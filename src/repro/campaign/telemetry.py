@@ -142,7 +142,7 @@ class CampaignTelemetry:
                 counters["solves"] += outcome.result.n_solves
                 counters["factorizations"] += getattr(
                     outcome.result, "n_factorizations", 0
-                )
+                ) + outcome.basis_factorizations
                 counters["sm_fallbacks"] += getattr(
                     outcome.result, "sm_fallbacks", 0
                 )
@@ -159,6 +159,7 @@ class CampaignTelemetry:
                 ),
                 "factorizations": (
                     getattr(outcome.result, "n_factorizations", 0)
+                    + outcome.basis_factorizations
                     if outcome.result is not None and not outcome.from_cache
                     else 0
                 ),

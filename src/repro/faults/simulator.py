@@ -12,10 +12,17 @@ MNA matrix by a rank-1 update ``A' = A + δ(ω)·u·uᵀ`` with
 
     ``x'_out = x_out − δ·(uᵀx) / (1 + δ·uᵀA⁻¹u) · (A⁻¹u)_out``
 
-follows from the nominal solve.  Per configuration the engine makes
-**one** multi-RHS sweep of ``[z, I]`` — the nominal solution and ``A⁻¹``
-at every grid point, one LU factorization each — and evaluates every
-rank-1 fault from it.  A certificate bounds each (fault, grid point):
+follows from the nominal solve and a few entries of ``A⁻¹``.  Every
+configuration of the multi-configuration DFT is the functional circuit
+C0 with some opamps in follower mode, so its pencil differs from C0's
+in a few rows S: ``A_c = A₀ + E_S·D_Sᵀ``.  A campaign therefore makes
+**one** multi-RHS sweep of ``[z, I]`` over C0 (a :class:`Basis`: the
+nominal solution and ``Y = A₀⁻¹`` at every grid point), and every other
+configuration sweeps only ``[z, E_S]`` — its exact nominal solution and
+``Z = A_c⁻¹E_S`` — from which ``A_c⁻¹ = Y − Z·(D_SᵀY)`` gives the
+entries each fault reads.  Every configuration keeps its own LU, one
+factorization per grid point.  A certificate bounds each (fault, grid
+point):
 
 * a pair whose denominator cancels — cancellation factor
   ``(1 + |δ·uᵀA⁻¹u|) / |1 + δ·uᵀA⁻¹u|`` beyond
@@ -120,6 +127,26 @@ def _fault_label(fault: Fault, style: str) -> str:
     if style == "short" and hasattr(fault, "short_name"):
         return fault.short_name  # type: ignore[attr-defined]
     return fault.name
+
+
+def fault_labels(
+    faults: Sequence[Fault], style: str, error=AnalysisError
+) -> List[str]:
+    """Matrix column labels of a fault universe, one per fault.
+
+    Raises :func:`~repro.faults.universe.check_unique_names`'s error on
+    repeated fault names, and ``error`` when two labels collide: the
+    ``"short"`` style names a column after its component, so a universe
+    with several faults per component needs ``"full"``.
+    """
+    check_unique_names(faults)
+    labels = [_fault_label(fault, style) for fault in faults]
+    if len(set(labels)) != len(labels):
+        raise error(
+            "fault labels collide; use fault_name_style='full' for "
+            "universes with several faults per component"
+        )
+    return labels
 
 
 @dataclass
@@ -282,18 +309,302 @@ def _exact_values(
     return system.sweep_voltage(probe, frequencies, stats)
 
 
+def functional_circuit(mcc: MultiConfigurationCircuit) -> Circuit:
+    """The functional configuration C0 of ``mcc``: no opamp a follower."""
+    return mcc.emulate(Configuration(0, mcc.n_opamps))
+
+
+def _pencil_norm(system: MnaSystem, omega: np.ndarray) -> np.ndarray:
+    """``max_r Σ_c (|G_rc| + ω|C_rc|) ≥ ‖G + jωC‖∞`` at every ω."""
+    row_g = np.abs(system.G).sum(axis=1)
+    row_c = np.abs(system.C).sum(axis=1)
+    return (
+        row_g[np.newaxis, :] + omega[:, np.newaxis] * row_c[np.newaxis, :]
+    ).max(axis=1)
+
+
+def _magnitudes(inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row sums and column maxima of ``|A⁻¹|`` at every grid point.
+
+    ``|re| + |im|`` bounds each entry; the copy is taken one frequency
+    chunk at a time so the temporary stays within ``STACK_BUDGET``.
+    """
+    points, n = inverse.shape[:2]
+    row_sum = np.empty((points, n))
+    col_max = np.empty((points, n))
+    chunk = frequency_chunk(n)
+    for start in range(0, points, chunk):
+        parts = np.abs(inverse[start:start + chunk].view(float))
+        row_sum[start:start + chunk] = (
+            parts.reshape(-1, 2 * n) @ np.ones(2 * n)
+        ).reshape(-1, n)
+        col_max[start:start + chunk] = (
+            parts.max(axis=1).reshape(-1, n, 2).sum(axis=2)
+        )
+    return row_sum, col_max
+
+
+class Basis:
+    """The ``[z, I]`` sweep of one circuit, which its variants reuse.
+
+    A campaign's basis is its functional configuration C0: the sweep
+    gives C0's nominal solution and ``Y = A₀⁻¹`` at every grid point,
+    plus the row sums and column maxima of ``|Y|`` and ``‖A₀‖∞`` for the
+    certificate.  It runs on first use (:meth:`solve`) and its work is
+    counted in :attr:`stats`.  Whoever runs several configurations
+    together — :func:`simulate_faults`, an executor, a worker batch —
+    passes them one basis; every basis of a campaign is the same sweep,
+    so no result depends on which configurations shared one.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        grid: FrequencyGrid,
+        stats: Optional[KernelStats] = None,
+        system: Optional[MnaSystem] = None,
+    ):
+        self.circuit = circuit
+        self.grid = grid
+        self.stats = stats if stats is not None else KernelStats()
+        self._system = system
+        self._sweep = None
+        self._error: Optional[SingularCircuitError] = None
+
+    @property
+    def system(self) -> MnaSystem:
+        """The basis circuit's stamp, made once."""
+        if self._system is None:
+            self._system = MnaSystem(self.circuit)
+        return self._system
+
+    def solve(self):
+        """``(solutions, row_sum, col_max, a_norm)`` of the sweep.
+
+        ``solutions`` is the ``(P, n, 1+n)`` block of ``[z, I]``.
+        Raises the sweep's :class:`SingularCircuitError` (every call,
+        solving once).
+        """
+        if self._error is not None:
+            raise self._error
+        if self._sweep is None:
+            system = self.system
+            rhs = np.hstack([system.z[:, np.newaxis], np.eye(system.size)])
+            frequencies = self.grid.frequencies_hz
+            try:
+                solutions = solve_sweep(
+                    system.sweep_request(rhs), frequencies, self.stats
+                )
+            except SingularCircuitError as exc:
+                self._error = exc
+                raise
+            with np.errstate(invalid="ignore", over="ignore"):
+                row_sum, col_max = _magnitudes(solutions[:, :, 1:])
+            self._sweep = (
+                solutions,
+                row_sum,
+                col_max,
+                _pencil_norm(system, 2.0 * np.pi * frequencies),
+            )
+        return self._sweep
+
+
+def _pencil_change(system: MnaSystem, basis: MnaSystem):
+    """The rows in which ``system``'s pencil differs from ``basis``'s.
+
+    Rows and columns are matched by node name and branch key.  Returns
+    ``(index, rows, dg, dc)``: ``index`` maps each row of ``system`` to
+    the basis row of the same node or branch (``None`` where both number
+    them alike), ``rows`` lists the rows of ``system`` whose G or C
+    differ, and ``dg``, ``dc`` are those rows of ``G − G₀`` and
+    ``C − C₀`` in the basis's column order.  ``None`` when the two
+    systems do not have the same nodes and branches.
+    """
+    if (
+        len(system.node_index) != len(basis.node_index)
+        or len(system.branch_index) != len(basis.branch_index)
+    ):
+        return None
+    g0, c0 = basis.G, basis.C
+    index = None
+    if list(system.node_index) != list(basis.node_index) or list(
+        system.branch_index
+    ) != list(basis.branch_index):
+        try:
+            index = np.array(
+                [basis.node_index[node] for node in system.node_index]
+                + [basis.branch_index[key] for key in system.branch_index]
+            )
+        except KeyError:
+            return None
+        g0, c0 = g0[np.ix_(index, index)], c0[np.ix_(index, index)]
+    rows = np.flatnonzero(
+        np.any(system.G != g0, axis=1) | np.any(system.C != c0, axis=1)
+    )
+    dg = system.G[rows] - g0[rows]
+    dc = system.C[rows] - c0[rows]
+    if index is not None:
+        dg[:, index], dc[:, index] = dg.copy(), dc.copy()
+    return index, rows, dg, dc
+
+
+class _Inverse:
+    """Entries of one configuration's ``A⁻¹`` and bounds on ``|A⁻¹|``.
+
+    ``inverse`` is a basis's ``Y``, with the row sums and column maxima
+    of ``|Y|``.  A configuration whose pencil differs from the basis's
+    in rows S also carries ``index`` (its rows in the basis's
+    numbering), ``z = A⁻¹E_S`` (its own numbering) and ``w = D_SᵀY``
+    (the basis's), both stored one column or row of S at a time as
+    ``(|S|, P, n)`` arrays, so that ``A⁻¹ = Y − Z·W`` and, entrywise,
+    ``|A⁻¹| ≤ |Y| + |Z|·|W|``.  Row and column arguments are in the
+    configuration's numbering, −1 for ground; ``|re| + |im|`` bounds
+    each magnitude.
+    """
+
+    def __init__(self, inverse, row_sum, col_max, index=None, z=None, w=None):
+        self.inverse = inverse
+        self.row_sum = row_sum
+        self.col_max = col_max
+        self.index = index
+        self.z = self.w = self.z_abs = self.z_max = ()
+        self.w_abs = self.w_row_sum = ()
+        if z is not None:
+            self.z, self.w = z, w
+            self.z_abs = np.abs(z.real) + np.abs(z.imag)
+            self.z_max = self.z_abs.max(axis=2)
+            self.w_abs = np.abs(w.real) + np.abs(w.imag)
+            self.w_row_sum = self.w_abs.sum(axis=2)
+
+    def _basis(self, index: np.ndarray) -> np.ndarray:
+        return index if self.index is None else self.index[index]
+
+    def rank1(
+        self, rows: np.ndarray, cols: np.ndarray, out: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``uᵀA⁻¹u`` and ``(A⁻¹u)_out`` of each ``u = e_rows − e_cols``."""
+        outs = np.full(rows.shape, out)
+        r = np.concatenate([rows, rows, cols, cols, outs, outs])
+        c = np.concatenate([rows, cols, rows, cols, rows, cols])
+        # every entry of Y the updates read, gathered in one pass
+        entry = self.inverse[:, self._basis(r), self._basis(c)]
+        entry[:, (r < 0) | (c < 0)] = 0.0
+        entry = entry.reshape(-1, 6, rows.size)
+        uw = entry[:, 0] - entry[:, 1] - entry[:, 2] + entry[:, 3]
+        w_out = entry[:, 4] - entry[:, 5]
+        basis_rows, basis_cols = self._basis(rows), self._basis(cols)
+        for z, w in zip(self.z, self.w):
+            zu = _ground(z[:, rows], rows) - _ground(z[:, cols], cols)
+            wu = _ground(w[:, basis_rows], rows) - _ground(
+                w[:, basis_cols], cols
+            )
+            uw -= zu * wu
+            w_out -= z[:, out, np.newaxis] * wu
+        return uw, w_out
+
+    def row_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Upper bounds of ``Σ_c |A⁻¹[r, c]|`` for each row ``r``."""
+        bound = self.row_sum[:, self._basis(rows)]
+        for z_abs, w_sum in zip(self.z_abs, self.w_row_sum):
+            bound += z_abs[:, rows] * w_sum[:, np.newaxis]
+        return bound
+
+    def col_maxima(self, cols: np.ndarray) -> np.ndarray:
+        """Upper bounds of ``max_r |A⁻¹[r, c]|`` for each column ``c``."""
+        basis_cols = self._basis(cols)
+        bound = self.col_max[:, basis_cols]
+        for z_max, w_abs in zip(self.z_max, self.w_abs):
+            bound += z_max[:, np.newaxis] * w_abs[:, basis_cols]
+        return bound
+
+
+def _ground(picked: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``picked`` with the columns of ground (index −1) zeroed."""
+    picked[:, index < 0] = 0.0
+    return picked
+
+
+def _configuration_inverse(
+    system: MnaSystem,
+    basis: Basis,
+    stats: KernelStats,
+    omega: np.ndarray,
+):
+    """``(x, inverse, a_norm, solves)`` of one configuration.
+
+    ``x`` is the configuration's exact ``(P, n)`` nominal solution,
+    ``inverse`` an :class:`_Inverse`, ``a_norm`` the bound of ``‖A‖∞``
+    the certificate charges and ``solves`` the LU solves whose backward
+    error it adds up.  The basis's system itself reads the basis sweep.
+    Any other system sweeps ``[z, E_S]`` over the rows S where its
+    pencil differs, and its ``A⁻¹`` entries come from the identity
+    ``A⁻¹ = Y − Z·(D_SᵀY)``; the bound then also charges the basis LU
+    and takes ``max(‖A₀‖∞, ‖A‖∞)``.  A system with other nodes or
+    branches than the basis's, or any system when the basis is
+    singular, becomes its own basis.
+    """
+    change = None
+    if system is not basis.system:
+        change = _pencil_change(system, basis.system)
+        try:
+            shared = change is not None and basis.solve()
+        except SingularCircuitError:
+            shared = None
+        if not shared:
+            basis = Basis(system.circuit, basis.grid, stats, system)
+            change = None
+        elif change[0] is None and not change[1].size and np.array_equal(
+            system.z, basis.system.z
+        ):
+            change = None  # the basis's own pencil and excitation
+    solutions, row_sum, col_max, a_norm = basis.solve()
+    y = solutions[:, :, 1:]
+    if change is None:
+        return (
+            solutions[:, :, 0],
+            _Inverse(y, row_sum, col_max),
+            a_norm,
+            SOLVES_COMPARED,
+        )
+    index, rows, dg, dc = change
+    rhs = np.hstack([system.z[:, np.newaxis], np.eye(system.size)[:, rows]])
+    own = solve_sweep(
+        system.sweep_request(rhs), basis.grid.frequencies_hz, stats
+    )
+    # W = D_SᵀY over the columns D_S touches, as (|S|, P, n)
+    used = np.flatnonzero(np.any(dg, axis=0) | np.any(dc, axis=0))
+    y_used = y.transpose(1, 0, 2)[used].reshape(used.size, -1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = (dg[:, used] @ y_used).reshape(rows.size, *y.shape[::2])
+        if np.any(dc):
+            w += (dc[:, used] @ y_used).reshape(w.shape) * (
+                1j * omega[:, np.newaxis]
+            )
+        return (
+            own[:, :, 0],
+            _Inverse(
+                y, row_sum, col_max, index,
+                np.moveaxis(own[:, :, 1:], 2, 0), w,
+            ),
+            np.maximum(a_norm, _pencil_norm(system, omega)),
+            SOLVES_COMPARED + 1,
+        )
+
+
 def _certified_rank1(
-    solutions: np.ndarray,
+    x: np.ndarray,
     out: int,
     updates: Sequence[Tuple[int, int, float, float]],
-    system: MnaSystem,
+    inverse: _Inverse,
+    a_norm: np.ndarray,
+    solves: int,
     omega: np.ndarray,
     setup: SimulationSetup,
 ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
     """Sherman–Morrison responses of rank-1 faults, with their certificate.
 
-    ``solutions`` is the ``(P, n, 1+n)`` sweep of ``[z, I]``: the
-    nominal solution ``x`` and ``A⁻¹`` at every grid point.  Each update
+    ``x`` is the ``(P, n)`` nominal solution, and ``inverse``, ``a_norm``
+    and ``solves`` come from :func:`_configuration_inverse`.  Each update
     is ``(i, j, Δg, Δc)`` with node indices (−1 for ground).  For fault
     ``f`` at grid point ``k``
 
@@ -307,34 +618,18 @@ def _certified_rank1(
     deviation lies within its error bound of ε, to be re-solved
     exactly.  The bound is derived in ``docs/performance.md``.
     """
-    n = system.size
-    x = solutions[:, :, 0]
-    inv = solutions[:, :, 1:]
+    n = x.shape[1]
     rows = np.array([update[0] for update in updates])
     cols = np.array([update[1] for update in updates])
-    outs = np.full(rows.shape, out)
     delta = (
         np.array([update[2] for update in updates])[np.newaxis, :]
         + 1j * omega[:, np.newaxis]
         * np.array([update[3] for update in updates])[np.newaxis, :]
     )
 
-    def node(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-        picked = values[:, index]
-        picked[:, index < 0] = 0.0
-        return picked
-
-    def entry(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        picked = inv[:, r, c]
-        picked[:, (r < 0) | (c < 0)] = 0.0
-        return picked
-
     x_out = x[:, out]
-    ux = node(x, rows) - node(x, cols)
-    uw = entry(rows, rows) - entry(rows, cols) - entry(cols, rows) + entry(
-        cols, cols
-    )
-    w_out = entry(outs, rows) - entry(outs, cols)
+    ux = _ground(x[:, rows], rows) - _ground(x[:, cols], cols)
+    uw, w_out = inverse.rank1(rows, cols, out)
     du = delta * uw
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denominator = 1.0 + du
@@ -343,32 +638,18 @@ def _certified_rank1(
         kappa = (1.0 + np.abs(du)) / np.abs(denominator)
 
         # first-order forward-error bound of the faulty output, shared by
-        # this update and the exact solve of A' = A + δuuᵀ it replaces;
-        # |re| + |im| bounds each |A⁻¹| entry, taken one frequency chunk
-        # at a time so the temporary stays within STACK_BUDGET
-        row_sum = np.empty((omega.size, n))
-        col_max = np.empty((omega.size, n))
-        chunk = frequency_chunk(n)
-        for start in range(0, omega.size, chunk):
-            parts = np.abs(inv[start:start + chunk].view(float))
-            row_sum[start:start + chunk] = (
-                parts.reshape(-1, 2 * n) @ np.ones(2 * n)
-            ).reshape(-1, n)
-            col_max[start:start + chunk] = (
-                parts.max(axis=1).reshape(-1, n, 2).sum(axis=2)
-            )
+        # this update and the exact solve of A' = A + δuuᵀ it replaces
+        sums = inverse.row_sums(np.concatenate([[out], rows, cols]))
+        maxima = inverse.col_maxima(np.concatenate([rows, cols]))
+        f = rows.size
         x_norm = np.abs(x).max(axis=1)[:, np.newaxis] + np.abs(coef) * (
-            node(col_max, rows) + node(col_max, cols)
+            _ground(maxima[:, :f], rows) + _ground(maxima[:, f:], cols)
         )
-        row_norm = row_sum[:, out, np.newaxis] + np.abs(
-            delta * w_out / denominator
-        ) * (node(row_sum, rows) + node(row_sum, cols))
-        row_g = np.abs(system.G).sum(axis=1)
-        row_c = np.abs(system.C).sum(axis=1)
-        a_norm = (
-            row_g[np.newaxis, :] + omega[:, np.newaxis] * row_c[np.newaxis, :]
-        ).max(axis=1)[:, np.newaxis] + 2.0 * np.abs(delta)
-        bound = SOLVES_COMPARED * n * EPS * row_norm * a_norm * x_norm + (
+        row_norm = sums[:, :1] + np.abs(delta * w_out / denominator) * (
+            _ground(sums[:, 1:1 + f], rows) + _ground(sums[:, 1 + f:], cols)
+        )
+        a_bound = a_norm[:, np.newaxis] + 2.0 * np.abs(delta)
+        bound = solves * n * EPS * row_norm * a_bound * x_norm + (
             ROUNDING_GAIN * EPS * (
                 np.abs(x_out)[:, np.newaxis] + kappa * np.abs(coef * w_out)
             )
@@ -416,6 +697,7 @@ def simulate_configuration(
     labels: Sequence[str],
     setup: SimulationSetup,
     stats: Optional[KernelStats] = None,
+    basis: Optional[Basis] = None,
 ) -> Tuple[FrequencyResponse, Dict[str, DetectabilityResult], int]:
     """One configuration's share of a campaign.
 
@@ -425,15 +707,18 @@ def simulate_configuration(
     campaign engine per work unit, so both paths give identical
     results.
 
-    One multi-RHS sweep of ``[z, I]`` gives the nominal response and
-    ``A⁻¹`` at every grid point; every rank-1 fault
-    (:func:`rank1_update`) then follows by Sherman–Morrison, certified
-    by :func:`_certified_rank1`.  A pair the certificate rejects is
+    ``basis`` is the campaign's :class:`Basis` (its functional
+    circuit), shared with the other configurations its caller runs;
+    ``None`` makes the circuit its own basis.  Every rank-1 fault
+    (:func:`rank1_update`) follows by Sherman–Morrison from the entries
+    of ``A⁻¹`` that :func:`_configuration_inverse` gives, certified by
+    :func:`_certified_rank1`.  A pair the certificate rejects is
     re-swept exactly, and a grid point within its error bound of ε is
     re-solved exactly; both count as ``stats.sm_fallbacks``.  Other
     faults get the exact per-fault sweep.  Faults are finished in
     order, so the first error raised is the one a sweep per fault
-    would raise.
+    would raise.  The basis sweep's work is counted in
+    ``basis.stats``, everything else in ``stats``.
     """
     probe = output or circuit.output
     if probe is None:
@@ -443,7 +728,12 @@ def simulate_configuration(
     stats = stats if stats is not None else KernelStats()
     grid = setup.grid
     frequencies = grid.frequencies_hz
-    system = MnaSystem(circuit)
+    if basis is not None and circuit is basis.circuit:
+        system = basis.system
+    else:
+        system = MnaSystem(circuit)
+        if basis is None:
+            basis = Basis(circuit, grid, stats, system)
     out = system.index_of(probe)
 
     updates: Dict[int, Tuple[int, int, float, float]] = {}
@@ -458,13 +748,18 @@ def simulate_configuration(
                 updates[index] = (
                     system.index_of(n1), system.index_of(n2), dg, dc
                 )
-        rhs = system.z[:, np.newaxis]
+        omega = 2.0 * np.pi * frequencies
         if updates:
-            rhs = np.hstack([rhs, np.eye(system.size)])
-        solutions = solve_sweep(system.sweep_request(rhs), frequencies, stats)
-        # a copy, not a view: the response must not keep the whole
-        # (P, n, 1+n) solution block alive
-        nominal_values = solutions[:, out, 0].copy()
+            x, inverse, a_norm, solves = _configuration_inverse(
+                system, basis, stats, omega
+            )
+        else:
+            x = solve_sweep(system.sweep_request(), frequencies, stats)[
+                :, :, 0
+            ]
+        # a copy, not a view: the response must not keep the solution
+        # block alive
+        nominal_values = x[:, out].copy()
         if not np.all(np.isfinite(nominal_values)):
             raise SingularCircuitError(
                 f"{circuit.title}: non-finite response in sweep"
@@ -474,8 +769,8 @@ def simulate_configuration(
                 zip(
                     updates,
                     _certified_rank1(
-                        solutions, out, list(updates.values()), system,
-                        2.0 * np.pi * frequencies, setup,
+                        x, out, list(updates.values()), inverse, a_norm,
+                        solves, omega, setup,
                     ),
                 )
             )
@@ -561,7 +856,7 @@ def simulate_faults(
             telemetry=telemetry,
         )
 
-    check_unique_names(faults)
+    labels = fault_labels(faults, setup.fault_name_style)
     if configs is None:
         configs = mcc.configurations(
             include_functional=True, include_transparent=False
@@ -569,29 +864,22 @@ def simulate_faults(
     if not configs:
         raise AnalysisError("no configurations to simulate")
 
-    labels = [
-        _fault_label(fault, setup.fault_name_style) for fault in faults
-    ]
-    if len(set(labels)) != len(labels):
-        raise AnalysisError(
-            "fault labels collide; use fault_name_style='full' for "
-            "universes with several faults per component"
-        )
-
     stats = KernelStats()
     nominal: Dict[int, FrequencyResponse] = {}
     results: Dict[Tuple[int, str], DetectabilityResult] = {}
     n_solves = 0
+    functional = functional_circuit(mcc)
+    basis = Basis(functional, setup.grid, stats)
 
     for config in configs:
-        emulated = mcc.emulate(config)
+        emulated = functional if config.is_functional else mcc.emulate(config)
         # Probe priority: explicit setup override, then the emulated
         # circuit's own output (parasitics may move it to the external
         # pin), then the base circuit's.
         output = setup.output or emulated.output or mcc.base.output
         nominal_response, config_results, config_solves = (
             simulate_configuration(
-                emulated, output, faults, labels, setup, stats
+                emulated, output, faults, labels, setup, stats, basis
             )
         )
         nominal[config.index] = nominal_response
@@ -621,10 +909,7 @@ def simulate_single_configuration(
 
     Used for the initial-testability studies (paper §2, Graph 1).
     """
-    check_unique_names(faults)
-    labels = [
-        _fault_label(fault, setup.fault_name_style) for fault in faults
-    ]
+    labels = fault_labels(faults, setup.fault_name_style)
     stats = KernelStats()
     nominal_response, results, n_solves = simulate_configuration(
         circuit, setup.output or circuit.output, faults, labels, setup,

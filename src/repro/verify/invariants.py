@@ -70,8 +70,10 @@ from ..dft.configuration import Configuration
 from ..errors import OptimizationError, SingularCircuitError
 from ..faults.model import DeviationFault, Fault, OpenFault, ShortFault
 from ..faults.simulator import (
+    Basis,
     DetectabilityDataset,
     _fault_label,
+    functional_circuit,
     rank1_update,
     simulate_configuration,
     simulate_faults,
@@ -767,12 +769,13 @@ def _exact_pairs(case: "VerifyCase", dataset: DetectabilityDataset):
 
     A fault outside the rank-1 class always takes the per-fault sweep.
     When the dataset counts fallbacks, each rank-1 fault is re-simulated
-    alone — a pair's result does not depend on the other faults of its
-    configuration — and a pair whose every grid point fell back was
-    re-swept by the certificate.
+    alone against the campaign's basis — a pair's result does not depend
+    on the other faults of its configuration — and a pair whose every
+    grid point fell back was re-swept by the certificate.
     """
     mcc = case.mcc()
     n_points = case.setup.grid.n_points
+    basis = Basis(functional_circuit(mcc), case.setup.grid)
     pairs = set()
     for config in dataset.configs:
         emulated = mcc.emulate(config)
@@ -783,7 +786,8 @@ def _exact_pairs(case: "VerifyCase", dataset: DetectabilityDataset):
             elif dataset.sm_fallbacks:
                 stats = KernelStats()
                 simulate_configuration(
-                    emulated, probe, [fault], [label], case.setup, stats
+                    emulated, probe, [fault], [label], case.setup, stats,
+                    basis,
                 )
                 if stats.sm_fallbacks == n_points:
                     pairs.add((config.index, label))

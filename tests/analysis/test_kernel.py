@@ -215,11 +215,13 @@ class TestSolveRequests:
         assert stats.solves == 4 * 7
         assert stats.factorizations == 4 * 7
         assert stats.stacked_calls == 4
+        assert stats.rhs_columns == 7 * sum(r.n_rhs for r in requests)
 
     def test_stats_merge_and_dict(self):
         a = KernelStats(solves=2, factorizations=1, stacked_calls=1)
         b = KernelStats(
-            solves=3, factorizations=2, stacked_calls=2, sm_fallbacks=4
+            solves=3, factorizations=2, stacked_calls=2, sm_fallbacks=4,
+            rhs_columns=6,
         )
         a.merge(b)
         assert a.as_dict() == {
@@ -227,6 +229,7 @@ class TestSolveRequests:
             "factorizations": 3,
             "stacked_calls": 3,
             "sm_fallbacks": 4,
+            "rhs_columns": 6,
         }
 
 

@@ -30,7 +30,7 @@ class FlakyWorker:
         self.n_failures = n_failures
         self.calls = 0
 
-    def __call__(self, unit):
+    def __call__(self, unit, bases=None):
         self.calls += 1
         if self.calls <= self.n_failures:
             raise RuntimeError("transient failure")
@@ -63,7 +63,7 @@ class HangingWorker:
         self.poison_id = poison_id
         self.parent_pid = os.getpid()
 
-    def __call__(self, unit):
+    def __call__(self, unit, bases=None):
         if (
             unit.unit_id == self.poison_id
             and os.getpid() != self.parent_pid
@@ -164,9 +164,9 @@ class TestParallelExecutor:
                     return super()._harvest(unit, poisoned)
                 return super()._harvest(unit, future)
 
-        outcomes = Poisoned(jobs=2, retries=1, adaptive=False).execute(
-            plan.units[:3]
-        )
+        outcomes = Poisoned(
+            jobs=2, retries=1, adaptive=False, batch_size=1
+        ).execute(plan.units[:3])
         assert all(o.ok for o in outcomes)
         degraded = {o.unit.unit_id: o.degraded for o in outcomes}
         assert degraded["C0#0"] is True
@@ -197,9 +197,9 @@ class TestParallelExecutor:
                 )
                 return super()._harvest(unit, broken)
 
-        outcomes = Broken(jobs=2, retries=1, adaptive=False).execute(
-            plan.units[:3]
-        )
+        outcomes = Broken(
+            jobs=2, retries=1, adaptive=False, batch_size=1
+        ).execute(plan.units[:3])
         assert all(o.ok for o in outcomes)
         assert all(o.degraded for o in outcomes)
 
@@ -313,7 +313,7 @@ class TestBatchedDispatch:
         poison_id = plan.units[1].unit_id
 
         class PoisonOne:
-            def __call__(self, unit):
+            def __call__(self, unit, bases=None):
                 if unit.unit_id == poison_id:
                     raise RuntimeError("poisoned unit")
                 return FlakyWorker._real(unit)
@@ -341,3 +341,26 @@ class TestBatchedDispatch:
     def test_rejects_bad_batch_size(self):
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=2, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [None, 1])
+    def test_each_batch_without_c0_sweeps_the_basis_once(
+        self, plan, batch_size
+    ):
+        """A worker batch shares one basis: the batch holding C0 sweeps
+        it as C0's own sweep, every other batch once more.  The default
+        ships one batch per effective worker."""
+        executor = ParallelExecutor(
+            jobs=2, batch_size=batch_size, adaptive=False
+        )
+        batches = executor._batch_bounds(plan.n_units)
+        if batch_size is None:
+            assert len(batches) == executor.effective_jobs(plan.n_units)
+        outcomes = executor.execute(plan.units)
+        n_points = plan.setup.grid.n_points
+        assert all(o.ok and not o.degraded for o in outcomes)
+        assert sum(o.result.n_factorizations for o in outcomes) == (
+            (plan.n_units - 1) * n_points
+        )
+        assert sum(o.basis_factorizations for o in outcomes) == (
+            len(batches) * n_points
+        )

@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign import (
     ParallelExecutor,
+    ResultCache,
     SerialExecutor,
     run_campaign,
 )
@@ -180,3 +181,117 @@ class TestSimulatorRouting:
             campaign_mcc, campaign_faults, campaign_setup, chunk_size=2
         )
         assert _answers(routed) == _answers(serial_dataset)
+
+
+def _bits(dataset):
+    """Every answer of a dataset, to the bit: nominal sweeps, masks,
+    verdicts, ω, peak deviations and their frequencies."""
+    return (
+        dataset.config_labels,
+        dataset.fault_labels,
+        {
+            index: response.values.tobytes()
+            for index, response in dataset.nominal.items()
+        },
+        {
+            key: (
+                result.mask.tobytes(),
+                bool(result.detectable),
+                np.float64(result.omega_detectability).tobytes(),
+                np.float64(result.max_deviation).tobytes(),
+                np.float64(result.f_max_deviation_hz).tobytes(),
+            )
+            for key, result in dataset.results.items()
+        },
+    )
+
+
+EXECUTORS = {
+    "in-process": lambda: None,
+    "serial": SerialExecutor,
+    "parallel": lambda: ParallelExecutor(jobs=2, adaptive=False),
+    "parallel-per-unit": lambda: ParallelExecutor(
+        jobs=2, batch_size=1, adaptive=False
+    ),
+}
+
+
+class TestSharedBasisParity:
+    """Units that run together share one basis — the functional
+    circuit's sweep — and a batch without C0 sweeps it again.  Every
+    grouping gives the in-process loop's dataset, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def in_process(self, campaign_mcc, campaign_faults, campaign_setup):
+        return simulate_faults(campaign_mcc, campaign_faults, campaign_setup)
+
+    @pytest.mark.parametrize("chunk_size", [None, 1])
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_every_grouping_is_bit_identical(
+        self,
+        campaign_mcc,
+        campaign_faults,
+        campaign_setup,
+        in_process,
+        executor,
+        chunk_size,
+    ):
+        dataset = simulate_faults(
+            campaign_mcc,
+            campaign_faults,
+            campaign_setup,
+            executor=EXECUTORS[executor](),
+            chunk_size=chunk_size,
+        )
+        assert _bits(dataset) == _bits(in_process)
+
+    def test_pending_units_without_the_functional_configuration(
+        self,
+        campaign_mcc,
+        campaign_faults,
+        campaign_setup,
+        in_process,
+        tmp_path,
+    ):
+        """A partly warm cache leaves only units without C0 to run: they
+        sweep the functional circuit once more, which the dataset counts
+        and no cached unit result holds."""
+        cache = ResultCache(tmp_path)
+        configs = list(in_process.configs)
+        run_campaign(
+            campaign_mcc,
+            campaign_faults,
+            campaign_setup,
+            configs=configs[:2],
+            cache=cache,
+        )
+        warm = run_campaign(
+            campaign_mcc, campaign_faults, campaign_setup, cache=cache
+        )
+        assert _bits(warm) == _bits(in_process)
+        n_points = campaign_setup.grid.n_points
+        assert warm.n_factorizations == (len(configs) - 2 + 1) * n_points
+
+    def test_unit_cache_files_do_not_depend_on_grouping(
+        self, campaign_mcc, campaign_faults, campaign_setup, tmp_path
+    ):
+        """Serial and per-unit parallel runs share bases differently, yet
+        write byte-identical unit results."""
+        contents = []
+        for name in ("serial", "parallel-per-unit"):
+            root = tmp_path / name
+            run_campaign(
+                campaign_mcc,
+                campaign_faults,
+                campaign_setup,
+                executor=EXECUTORS[name](),
+                cache=ResultCache(root),
+            )
+            contents.append(
+                {
+                    path.relative_to(root).as_posix(): path.read_bytes()
+                    for path in sorted(root.rglob("*"))
+                    if path.is_file()
+                }
+            )
+        assert contents[0] and contents[0] == contents[1]

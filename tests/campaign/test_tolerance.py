@@ -218,6 +218,7 @@ class TestExecute:
         )
         row = report.row_for("biquad")
         assert row.suggested_epsilon == direct.suggested_epsilon(95.0)
+        assert row.suggested_epsilon > 0.0
         assert row.max_deviation == float(
             np.max(direct.max_deviation_per_sample())
         )

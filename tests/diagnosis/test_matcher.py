@@ -57,6 +57,25 @@ class TestSeededRecovery:
         assert not diagnosis.fault_free
         assert any(diagnosis.signature)
 
+    def test_off_grid_fault_is_the_best_match(self):
+        """R1a at +30 % on a 6-points-per-decade ``sallen_key``
+        dictionary (±50 % in four steps a side): R1a ranks first,
+        within one grid step."""
+        from repro.diagnosis import observe_fault, run_diagnosis_campaign
+
+        bench, mcc = make_mcc("sallen_key")
+        grid = decade_grid(bench.f0_hz, 1, 1, points_per_decade=6)
+        dictionary = run_diagnosis_campaign(
+            mcc, grid, deviations=deviation_grid(span=0.5, steps=4)
+        )
+        observed = observe_fault(mcc, DeviationFault("R1a", 0.30), grid)
+        diagnosis = match_response(dictionary, observed)
+        assert diagnosis.best.component == "R1a"
+        assert abs(diagnosis.best.deviation - 0.30) <= (
+            dictionary.deviation_step
+        )
+        assert "R1a" in diagnosis.ambiguity
+
     def test_on_grid_fault_matches_exactly(self):
         mcc, dictionary = small_dictionary("sallen_key")
         fault = DeviationFault("C1a", +0.25)

@@ -9,12 +9,18 @@ it bit for bit too.  All of it at one factorization per configuration
 and grid point.
 """
 
+import dataclasses
+from typing import Optional, Tuple
+
 import numpy as np
 import pytest
 
-from repro.analysis import ac_analysis, decade_grid
+from repro.analysis import KernelStats, MnaSystem, ac_analysis, decade_grid
 from repro.campaign import run_campaign
+from repro.circuit import IDEAL_OPAMP, Circuit
 from repro.circuits import benchmark_biquad, build, catalog
+from repro.circuits.catalog import BenchmarkCircuit
+from repro.dft import Configuration, SwitchParasitics
 from repro.core.detectability import deviation_profile
 from repro.errors import CampaignError, SingularCircuitError
 from repro.faults import (
@@ -41,6 +47,37 @@ def resweeps(monkeypatch):
 
     monkeypatch.setattr(simulator, "_exact_values", spy)
     return calls
+
+
+#: right-hand-side columns of a catalog circuit's campaign at +20 %, 50
+#: points per decade over ±2 decades (P = 201): P·(1 + n) for the
+#: functional configuration's ``[z, I]`` plus P·(1 + |S_c|) for every
+#: other configuration c, whose pencil differs from C0's in the |S_c|
+#: rows of its followers; 113,163 for the catalog, where one ``[z, I]``
+#: sweep per configuration solved 489,837
+CATALOG_RHS_COLUMNS = {
+    "akerberg_mossberg": 201 * (12 + 6 + 9),
+    "bandpass_mfb": 201 * (11 + 2 + 2),
+    "biquad": 201 * (12 + 6 + 9),
+    "cascade": 201 * (21 + 62 + 186),
+    "leapfrog": 201 * (18 + 30 + 75),
+    "multistage": 201 * (15 + 14 + 28),
+    "sallen_key": 201 * (13 + 2 + 2),
+    "state_variable": 201 * (13 + 6 + 9),
+}
+
+
+def kernel_stats(monkeypatch):
+    """Every :class:`KernelStats` the simulator makes from now on."""
+    made = []
+
+    class Recorded(KernelStats):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(simulator, "KernelStats", Recorded)
+    return made
 
 
 def run(bench, faults, name_style="short", ppd=25, epsilon=0.10):
@@ -250,19 +287,27 @@ class TestSolveCount:
         assert dataset.sm_fallbacks == 0
 
     @pytest.mark.parametrize("name", catalog())
-    def test_catalog_counters(self, name):
+    def test_catalog_counters(self, name, monkeypatch):
         """The benchmark's operating point: every catalog circuit at
         +20 %, ε 0.10, 50 points per decade over ±2 decades costs one
-        factorization per configuration and grid point, and the
-        certificate re-solves nothing."""
+        factorization per configuration and grid point, solves
+        :data:`CATALOG_RHS_COLUMNS` right-hand-side columns, and the
+        certificate re-solves nothing, at +30 % and +50 % too."""
         bench = build(name)
         faults = deviation_faults(bench.circuit, 0.20)
+        made = kernel_stats(monkeypatch)
         _, dataset = run(bench, faults, ppd=50)
         setup = dataset.setup
         n_configs = len(dataset.configs)
         assert dataset.n_solves == n_configs * (1 + len(faults))
         assert dataset.n_factorizations == n_configs * setup.grid.n_points
         assert dataset.sm_fallbacks == 0
+        assert sum(stats.rhs_columns for stats in made) == (
+            CATALOG_RHS_COLUMNS[name]
+        )
+        for deviation in (0.30, 0.50):
+            faults = deviation_faults(bench.circuit, deviation)
+            assert run(bench, faults, ppd=50)[1].sm_fallbacks == 0
 
 
 class TestSingularVariant:
@@ -298,3 +343,127 @@ class TestSingularVariant:
             run_campaign(mcc, faults, setup, chunk_size=1)
         assert isinstance(info.value.__cause__, SingularCircuitError)
         assert str(info.value.__cause__) == self.MESSAGE
+
+
+@dataclasses.dataclass(frozen=True)
+class DftCase(VerifyCase):
+    """A case under a variant of its benchmark's DFT."""
+
+    parasitics: Optional[SwitchParasitics] = None
+    configurable: Optional[Tuple[int, ...]] = None
+
+    def mcc(self):
+        mcc = self.bench.dft(self.parasitics)
+        if self.configurable is None:
+            return mcc
+        return mcc.restrict(self.configurable)
+
+
+def setup_for(bench, ppd=10):
+    return SimulationSetup(
+        grid=decade_grid(bench.f0_hz, 2, 2, points_per_decade=ppd)
+    )
+
+
+class TestSharedBasis:
+    """Every configuration reuses the functional circuit's ``[z, I]``
+    sweep and solves only ``[z, E_S]``, S its rows that differ from
+    C0's.  The cases below are the ones the catalog does not exercise;
+    each is held to the scalar reference, every nominal sweep bit for
+    bit."""
+
+    @pytest.mark.parametrize("name", ["biquad", "leapfrog"])
+    @pytest.mark.parametrize(
+        "parasitics, configurable",
+        [
+            (SwitchParasitics(), None),
+            (None, (1, 2)),
+            (SwitchParasitics(), (1, 3)),
+        ],
+        ids=["parasitics", "partial", "partial-parasitics"],
+    )
+    def test_dft_variants(self, name, parasitics, configurable):
+        bench = build(name)
+        case = DftCase(
+            name=name,
+            bench=bench,
+            circuit=bench.circuit,
+            faults=tuple(deviation_faults(bench.circuit, 0.20)),
+            setup=setup_for(bench),
+            parasitics=parasitics,
+            configurable=configurable,
+        )
+        dataset = simulate_faults(case.mcc(), list(case.faults), case.setup)
+        assert_matches_reference(case, dataset)
+
+    def test_parasitic_follower_changes_more_than_its_opamp_row(
+        self, monkeypatch
+    ):
+        """Under switch parasitics a follower also drops its mux's
+        leakage switch, so its configuration sweeps more columns than
+        one per follower."""
+        bench = build("biquad")
+        faults = deviation_faults(bench.circuit, 0.20)
+        setup = setup_for(bench)
+        columns = []
+        for parasitics in (None, SwitchParasitics()):
+            made = kernel_stats(monkeypatch)
+            simulate_faults(bench.dft(parasitics), faults, setup)
+            columns.append(sum(stats.rhs_columns for stats in made))
+        assert columns[1] > columns[0]
+
+    def test_configs_without_the_functional_configuration(self):
+        """The basis is the functional circuit's sweep even when C0 is
+        not simulated: one extra ``[z, I]`` sweep, P factorizations."""
+        bench = benchmark_biquad()
+        faults = deviation_faults(bench.circuit, 0.20)
+        case, _ = run(bench, faults, ppd=10)
+        configs = [Configuration(index, 3) for index in (1, 3, 6)]
+        dataset = simulate_faults(
+            case.mcc(), faults, case.setup, configs=configs
+        )
+        assert dataset.config_labels == ("C1", "C3", "C6")
+        assert_matches_reference(case, dataset)
+        n_points = case.setup.grid.n_points
+        assert dataset.n_factorizations == (len(configs) + 1) * n_points
+
+    def test_follower_numbering_differs_from_the_functional(self):
+        """Each opamp comes before the elements on its input nodes, so
+        a follower (which drops the inverting input) numbers the nodes
+        in another order than C0; rows and columns are matched by node
+        name and branch key."""
+        circuit = Circuit("reordered", output="o2")
+        circuit.voltage_source("Vin", "in")
+        circuit.opamp("OP1", "0", "n1", "o1", IDEAL_OPAMP)
+        circuit.resistor("R1", "in", "n1", 1e3)
+        circuit.resistor("R2", "n1", "o1", 2e3)
+        circuit.capacitor("C1", "n1", "o1", 10e-9)
+        circuit.opamp("OP2", "0", "n2", "o2", IDEAL_OPAMP)
+        circuit.resistor("R3", "o1", "n2", 1e3)
+        circuit.resistor("R4", "n2", "o2", 1e3)
+        circuit.capacitor("C2", "n2", "o2", 10e-9)
+        bench = BenchmarkCircuit(
+            circuit=circuit,
+            chain=("OP1", "OP2"),
+            input_node="in",
+            f0_hz=8e3,
+        )
+        faults = deviation_faults(circuit, 0.20)
+        case, dataset = run(bench, faults, ppd=10)
+        mcc = case.mcc()
+        orders = [
+            list(MnaSystem(mcc.emulate(config)).node_index)
+            for config in dataset.configs
+        ]
+        assert len(orders) == 3
+        assert orders[1] != orders[0] and orders[2] != orders[0]
+        assert_matches_reference(case, dataset)
+
+    @pytest.mark.parametrize(
+        "seed", [1, 2, 3, 4, 5, 11, 13, 14, 21, 25, 29, 34, 65, 1138]
+    )
+    def test_ill_conditioned_cases(self, seed):
+        """Component spreads, deep deviations, opens and shorts, and the
+        near-singular ``state_variable`` followers (seeds 3, 11, 25, 29
+        match, seeds 34 and 65 raise where the reference does)."""
+        assert_matches_reference(build_ill_conditioned_case(seed))

@@ -8,6 +8,7 @@ from repro.circuits import benchmark_biquad
 from repro.dft import Configuration
 from repro.errors import AnalysisError
 from repro.faults import (
+    DeviationFault,
     SimulationSetup,
     bidirectional_deviation_faults,
     deviation_faults,
@@ -134,3 +135,14 @@ class TestSingleConfiguration:
         matrix = dataset.detectability_matrix()
         assert set(matrix.faults_detected_by("C0")) == {"fR1", "fR4"}
         assert matrix.fault_coverage(["C0"]) == pytest.approx(0.25)
+
+    def test_label_collision_detected(self, mini_dataset):
+        """±20 % on R1 share the short label ``fR1``: the bare circuit
+        refuses them as the campaign does, instead of keeping one of the
+        two results under it."""
+        bench = benchmark_biquad()
+        faults = [DeviationFault("R1", 0.20), DeviationFault("R1", -0.20)]
+        with pytest.raises(AnalysisError, match="collide"):
+            simulate_single_configuration(
+                bench.circuit, faults, mini_dataset.setup
+            )

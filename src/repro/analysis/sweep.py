@@ -33,6 +33,8 @@ class FrequencyGrid:
     f_stop: float
     points_per_decade: int = 100
     frequencies_hz: np.ndarray = field(init=False, repr=False, compare=False)
+    #: log-frequency width, in decades, of the cell each point owns
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.f_start <= 0 or self.f_stop <= self.f_start:
@@ -48,6 +50,22 @@ class FrequencyGrid:
             np.log10(self.f_start), np.log10(self.f_stop), n_points
         )
         object.__setattr__(self, "frequencies_hz", grid)
+        # Each point owns the cell around it in log-frequency (midpoint
+        # rule); the end cells are clamped to the grid limits so that the
+        # measure of the full grid is exactly `decades`.
+        log_f = np.log10(grid)
+        edges = np.empty(log_f.size + 1)
+        edges[1:-1] = 0.5 * (log_f[1:] + log_f[:-1])
+        edges[0] = log_f[0]
+        edges[-1] = log_f[-1]
+        object.__setattr__(self, "widths", np.diff(edges))
+
+    def __reduce__(self):
+        # Rebuilt from its parameters, not unpickled: arrays derived from
+        # an unpickled grid would carry another dtype object than a fresh
+        # grid's, and a pickled unit result's bytes would then depend on
+        # whether a worker process computed it.
+        return type(self), (self.f_start, self.f_stop, self.points_per_decade)
 
     @property
     def decades(self) -> float:
@@ -74,19 +92,28 @@ class FrequencyGrid:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.frequencies_hz.shape:
             raise AnalysisError("mask shape does not match the grid")
-        log_f = np.log10(self.frequencies_hz)
-        edges = np.empty(log_f.size + 1)
-        edges[1:-1] = 0.5 * (log_f[1:] + log_f[:-1])
-        # End cells are clamped to the grid limits so that the measure of
-        # the full grid is exactly `decades`.
-        edges[0] = log_f[0]
-        edges[-1] = log_f[-1]
-        widths = np.diff(edges)
-        return float(np.sum(widths[mask]))
+        return float(np.sum(self.widths[mask]))
 
     def fraction(self, mask: np.ndarray) -> float:
         """Fraction of the grid's log-measure selected by ``mask`` (0..1)."""
         return self.log_measure(mask) / self.decades
+
+    def fractions(self, masks: np.ndarray) -> np.ndarray:
+        """:meth:`fraction` of every row of a ``(..., P)`` mask stack.
+
+        Each row sums its own selected widths, as :meth:`fraction` does,
+        so every value equals it bit for bit.  A matrix product with the
+        widths, or a row sum over zero-padded widths, adds in another
+        order and moves some values by an ulp.
+        """
+        masks = np.asarray(masks, dtype=bool)
+        if masks.shape[-1:] != self.frequencies_hz.shape:
+            raise AnalysisError("mask shape does not match the grid")
+        rows = masks.reshape(-1, self.n_points)
+        sums = np.fromiter(
+            (self.widths[row].sum() for row in rows), float, len(rows)
+        )
+        return (sums / self.decades).reshape(masks.shape[:-1])
 
 
 def decade_grid(

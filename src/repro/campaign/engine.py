@@ -23,9 +23,11 @@ trace corroborates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from ..core.detectability import DetectabilityResult
+import numpy as np
+
+from ..core.detectability import Detections
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
 from ..errors import CampaignError
@@ -145,14 +147,24 @@ def assemble_dataset(
 ) -> DetectabilityDataset:
     """Fold unit outcomes into a dataset, deterministically.
 
-    Iteration follows plan order, so the result layout is independent of
-    executor scheduling and chunk completion order.  Nominal responses
-    are taken from the first unit of each configuration (chunks of one
-    configuration share the nominal by construction).  The factorization
-    count adds the shared basis sweeps the run made.
+    Each unit's detections fill the rows of its configuration and the
+    columns of its labels, and iteration follows plan order, so the
+    result is independent of executor scheduling and chunk completion
+    order.  Nominal responses are taken from the first unit of each
+    configuration (chunks of one configuration share the nominal by
+    construction).  The factorization count adds the shared basis
+    sweeps the run made.
     """
+    rows = {config.index: i for i, config in enumerate(plan.configs)}
+    columns = {label: j for j, label in enumerate(plan.fault_labels)}
+    shape = (plan.n_configs, plan.n_faults)
+    arrays = Detections(
+        masks=np.empty(shape + (plan.setup.grid.n_points,), dtype=bool),
+        omega_detectability=np.empty(shape),
+        max_deviation=np.empty(shape),
+        f_max_deviation_hz=np.empty(shape),
+    )
     nominal = {}
-    results: Dict[Tuple[int, str], DetectabilityResult] = {}
     n_solves = 0
     n_factorizations = 0
     sm_fallbacks = 0
@@ -165,8 +177,12 @@ def assemble_dataset(
             )
         if unit.config_index not in nominal:
             nominal[unit.config_index] = result.nominal
-        for label in unit.labels:
-            results[(unit.config_index, label)] = result.results[label]
+        pairs = (
+            rows[unit.config_index],
+            [columns[label] for label in unit.labels],
+        )
+        for array, part in zip(arrays, result.detections):
+            array[pairs] = part
         if not outcome.from_cache:
             n_solves += result.n_solves
             n_factorizations += (
@@ -178,7 +194,7 @@ def assemble_dataset(
         fault_labels=plan.fault_labels,
         setup=plan.setup,
         nominal=nominal,
-        results=results,
+        **arrays._asdict(),
         n_solves=n_solves,
         n_factorizations=n_factorizations,
         sm_fallbacks=sm_fallbacks,

@@ -55,11 +55,11 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..analysis.ac import FrequencyResponse
 from ..analysis.kernel import KernelStats
-from ..core.detectability import DetectabilityResult
+from ..core.detectability import Detections
 from ..faults.simulator import Basis, simulate_configuration
 from .plan import WorkUnit
 
@@ -72,7 +72,8 @@ class UnitResult:
     unit_id: str
     config_index: int
     nominal: FrequencyResponse
-    results: Dict[str, DetectabilityResult]
+    #: Definitions 1 and 2 of the unit's faults, one row per label
+    detections: Detections
     n_solves: int
     #: LU factorizations the unit's sweeps performed
     n_factorizations: int = 0
@@ -152,7 +153,7 @@ def execute_unit(unit: WorkUnit, bases: Optional[Bases] = None) -> UnitResult:
         return execute_diagnosis_unit(unit)
     stats = KernelStats()
     basis = (bases if bases is not None else Bases()).for_unit(unit)
-    nominal, results, n_solves = simulate_configuration(
+    nominal, detections, n_solves = simulate_configuration(
         unit.circuit, unit.output, unit.faults, unit.labels,
         unit.setup, stats=stats, basis=basis,
     )
@@ -161,7 +162,7 @@ def execute_unit(unit: WorkUnit, bases: Optional[Bases] = None) -> UnitResult:
         unit_id=unit.unit_id,
         config_index=unit.config_index,
         nominal=nominal,
-        results=results,
+        detections=detections,
         n_solves=n_solves,
         n_factorizations=stats.factorizations,
         sm_fallbacks=stats.sm_fallbacks,
@@ -171,23 +172,31 @@ def execute_unit(unit: WorkUnit, bases: Optional[Bases] = None) -> UnitResult:
 def execute_unit_batch(units):
     """Simulate a batch of work units inside one worker task.
 
-    Returns one ``(result, error, basis_factorizations)`` triple per
-    unit, in order — a unit that raises does not abort its batch
+    Returns one ``(result, error, basis_factorizations, wall_s)`` item
+    per unit, in order — a unit that raises does not abort its batch
     siblings, and the parent grants the failed unit its usual
-    in-process retry budget.  The batch's units share one
-    :class:`Bases`.  Going through the module-level :func:`execute_unit`
-    keeps monkeypatched test doubles effective under the fork start
-    method.
+    in-process retry budget.  ``wall_s`` is the unit's own time in the
+    worker.  The batch's units share one :class:`Bases`.  Going through
+    the module-level :func:`execute_unit` keeps monkeypatched test
+    doubles effective under the fork start method.
     """
     bases = Bases()
     items = []
     for unit in units:
+        start = time.perf_counter()
         before = bases.factorizations
         try:
             result, error = execute_unit(unit, bases), None
         except Exception as exc:  # noqa: BLE001 — reported per unit
             result, error = None, exc
-        items.append((result, error, bases.factorizations - before))
+        items.append(
+            (
+                result,
+                error,
+                bases.factorizations - before,
+                time.perf_counter() - start,
+            )
+        )
     return items
 
 
@@ -496,10 +505,10 @@ class ParallelExecutor(Executor):
         raised inside a unit reports per-unit ``(None, error)`` items
         (its batch siblings are unaffected), a timed-out or broken
         batch falls back unit by unit in the parent.  The per-unit
-        ``timeout`` budget is scaled by the batch length.  The batch's
-        units re-run in the parent share one :class:`Bases`.
+        ``timeout`` budget is scaled by the batch length.  A unit the
+        worker ran reports the worker's time for it as ``wall_s``.  The
+        batch's units re-run in the parent share one :class:`Bases`.
         """
-        start = time.perf_counter()
         bases = Bases()
         timeout = (
             self.timeout * len(batch) if self.timeout is not None else None
@@ -544,16 +553,17 @@ class ParallelExecutor(Executor):
                 False,
                 False,
             )
-        wall_each = (time.perf_counter() - start) / max(1, len(batch))
         outcomes = []
-        for unit, (result, error, basis_factorizations) in zip(batch, items):
+        for unit, (result, error, basis_factorizations, wall_s) in zip(
+            batch, items
+        ):
             if result is not None:
                 outcomes.append(
                     UnitOutcome(
                         unit=unit,
                         result=result,
                         attempts=1,
-                        wall_s=wall_each,
+                        wall_s=wall_s,
                         basis_factorizations=basis_factorizations,
                     )
                 )

@@ -53,8 +53,9 @@ from ..faults.simulator import (
 #: cache entries from older library versions can never be misread
 #: (v2: unit results grew the ``n_factorizations`` counter; v3: the
 #: engine left the key and unit results grew ``sm_fallbacks``; v4: units
-#: reuse the functional circuit's sweep, whose identity joins the key)
-PLAN_FORMAT = "campaign-v4"
+#: reuse the functional circuit's sweep, whose identity joins the key;
+#: v5: unit results carry their Definitions 1 and 2 as arrays)
+PLAN_FORMAT = "campaign-v5"
 
 
 def fault_signature(fault: Fault) -> str:

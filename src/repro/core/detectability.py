@@ -14,7 +14,10 @@ Definition 1 into "how easily" the fault is detected.
 Both definitions are evaluated on sampled frequency responses
 (:class:`~repro.analysis.ac.FrequencyResponse`); the measure is taken in
 log-frequency, matching the paper's "orders of magnitude" reference
-region.
+region.  :func:`evaluate_block` evaluates a whole ``(F, P)`` block of
+faulty responses against one nominal response at once — the fault
+simulator's path — and :func:`evaluate_detectability` one pair, the
+reference it is held to bit for bit.
 
 Two deviation criteria are supported (``criterion`` argument):
 
@@ -35,11 +38,12 @@ The choice is ablated in ``benchmarks/test_bench_ablations.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.ac import FrequencyResponse
+from ..analysis.batched import band_deviation_rows, relative_deviation_rows
 from ..errors import AnalysisError
 
 
@@ -141,7 +145,11 @@ def evaluate_detectability(
     epsilon: float,
     criterion: str = BAND,
 ) -> DetectabilityResult:
-    """Full Definition 1 + Definition 2 evaluation of one faulty response."""
+    """Full Definition 1 + Definition 2 evaluation of one faulty response.
+
+    The per-pair reference of :func:`evaluate_block`, which the fault
+    simulator runs; ``repro.verify`` builds its reference dataset with it.
+    """
     if epsilon <= 0:
         raise AnalysisError("tolerance epsilon must be > 0")
     profile = deviation_profile(nominal, faulty, criterion)
@@ -154,6 +162,69 @@ def evaluate_detectability(
         max_deviation=max_dev,
         f_max_deviation_hz=float(nominal.frequencies_hz[peak_index]),
         mask=mask,
+    )
+
+
+class Detections(NamedTuple):
+    """Definitions 1 and 2 of a block of faults, as arrays.
+
+    The fields of :class:`DetectabilityResult`, one row per fault:
+    ``masks`` is ``(..., F, P)`` bool over the grid's ``P`` points, the
+    other three drop the grid axis.  The Definition 1 verdict is
+    ``masks.any(axis=-1)``.
+    """
+
+    masks: np.ndarray
+    omega_detectability: np.ndarray
+    max_deviation: np.ndarray
+    f_max_deviation_hz: np.ndarray
+
+    @classmethod
+    def stack(cls, blocks: Sequence["Detections"]) -> "Detections":
+        """Blocks of equal shape stacked along a new leading axis."""
+        return cls(*(np.stack(parts) for parts in zip(*blocks)))
+
+
+def deviation_rows(
+    nominal: FrequencyResponse, values: np.ndarray, criterion: str = BAND
+) -> np.ndarray:
+    """:func:`deviation_profile` of every row of a ``(F, P)`` block."""
+    if criterion == BAND:
+        return band_deviation_rows(nominal, values)
+    if criterion == RELATIVE:
+        return relative_deviation_rows(nominal, values)
+    raise AnalysisError(f"unknown deviation criterion {criterion!r}")
+
+
+def evaluate_block(
+    nominal: FrequencyResponse,
+    faulty: np.ndarray,
+    epsilon: float,
+    criterion: str = BAND,
+) -> Detections:
+    """Definitions 1 and 2 of every row of a ``(F, P)`` block of faulty
+    responses.
+
+    Row ``f`` equals :func:`evaluate_detectability` of ``faulty[f]``
+    bit for bit: the deviations are the same elementwise expressions,
+    the peak is the first maximum of the row, and ω sums each row's
+    cell widths on its own
+    (:meth:`~repro.analysis.sweep.FrequencyGrid.fractions`).  The
+    ``(F, P)`` deviation profile is a temporary.
+    """
+    if epsilon <= 0:
+        raise AnalysisError("tolerance epsilon must be > 0")
+    if len(faulty):
+        profile = deviation_rows(nominal, faulty, criterion)
+    else:  # nothing to evaluate, so a zero band nominal does not raise
+        profile = np.empty(np.shape(faulty))
+    masks = profile > epsilon
+    peaks = np.argmax(profile, axis=1)
+    return Detections(
+        masks=masks,
+        omega_detectability=nominal.grid.fractions(masks),
+        max_deviation=profile[np.arange(len(profile)), peaks],
+        f_max_deviation_hz=nominal.frequencies_hz[peaks],
     )
 
 

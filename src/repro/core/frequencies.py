@@ -130,19 +130,17 @@ def select_test_frequencies(
     grid = dataset.setup.grid
     frequencies = grid.frequencies_hz[::candidate_stride]
     n_freq = frequencies.size
+    # (fault, configuration position, candidate frequency)
+    masks = dataset.restricted(configs).masks[:, :, ::candidate_stride]
+    masks = masks.transpose(1, 0, 2)
 
     clauses: List[Tuple[str, FrozenSet[int]]] = []
     uncoverable: List[str] = []
-    for fault in dataset.fault_labels:
-        covering: set = set()
-        for position, config in enumerate(configs):
-            mask = dataset.detection_mask(config, fault)[::candidate_stride]
-            for freq_index in np.nonzero(mask)[0]:
-                covering.add(
-                    _measurement_id(position, int(freq_index), n_freq)
-                )
-        if covering:
-            clauses.append((fault, frozenset(covering)))
+    for fault, mask in zip(dataset.fault_labels, masks):
+        positions, freq_indices = np.nonzero(mask)
+        if positions.size:
+            covering = _measurement_id(positions, freq_indices, n_freq)
+            clauses.append((fault, frozenset(covering.tolist())))
         else:
             uncoverable.append(fault)
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import OptimizationError
 from .covering import (
     branch_and_bound_cover,
@@ -161,11 +163,12 @@ def robustness_margins(
     are *fragile*: an in-tolerance good circuit could shift the
     response enough to push the deviation back under ε.
     """
-    epsilon = dataset.setup.epsilon
+    margins = dataset.max_deviation - (dataset.setup.epsilon + noise_floor)
     return {
-        key: float(result.max_deviation) - (epsilon + noise_floor)
-        for key, result in dataset.results.items()
-        if result.detectable
+        (dataset.configs[i].index, dataset.fault_labels[j]): float(
+            margins[i, j]
+        )
+        for i, j in zip(*np.nonzero(dataset.detectable))
     }
 
 

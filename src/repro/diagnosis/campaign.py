@@ -46,8 +46,10 @@ from .trajectory import (
 #: engine tag :func:`repro.campaign.executor.execute_unit` dispatches on
 DIAGNOSIS = "diagnosis"
 
-#: bumped whenever the result layout or key recipe changes
-DIAGNOSIS_FORMAT = "diagnosis-v1"
+#: bumped whenever the result layout or key recipe changes (v2: the
+#: responses' frequency grids carry their cell widths and pickle as
+#: their parameters, so a v1 entry would load grids without widths)
+DIAGNOSIS_FORMAT = "diagnosis-v2"
 
 
 @dataclass(frozen=True, eq=False)

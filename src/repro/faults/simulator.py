@@ -40,10 +40,12 @@ Both count as ``sm_fallbacks``.  Faults outside the rank-1 class
 per-fault sweep.  ``docs/performance.md`` derives the bound and the
 constants.
 
-The result is a :class:`DetectabilityDataset` from which the
-fault-detectability matrix (Fig. 5), the ω-detectability table (Table 2)
-and the per-pair detection masks (for test-frequency selection) are all
-derived.
+Definitions 1 and 2 are evaluated once per configuration, over the
+``(F, P)`` block of its faulty responses.  The result is a
+:class:`DetectabilityDataset` of ``(C, F, P)`` masks and ``(C, F)``
+values, of which the fault-detectability matrix (Fig. 5), the
+ω-detectability table (Table 2) and the per-pair detection masks (for
+test-frequency selection) are slices.
 """
 
 from __future__ import annotations
@@ -59,7 +61,12 @@ from ..analysis.mna import MnaSystem
 from ..analysis.sweep import FrequencyGrid
 from ..circuit.components import Capacitor, Resistor
 from ..circuit.netlist import Circuit
-from ..core.detectability import DetectabilityResult, evaluate_detectability
+from ..core.detectability import (
+    DetectabilityResult,
+    Detections,
+    deviation_rows,
+    evaluate_block,
+)
 from ..core.matrix import FaultDetectabilityMatrix, OmegaDetectabilityTable
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
@@ -149,27 +156,58 @@ def fault_labels(
     return labels
 
 
+def _read_only(array, dtype, shape: Tuple[int, ...]) -> np.ndarray:
+    """A read-only view of ``array`` as ``dtype``, checked to be ``shape``."""
+    view = np.asarray(array, dtype=dtype).view()
+    if view.shape != shape:
+        raise AnalysisError(
+            f"dataset array of shape {view.shape}, expected {shape}"
+        )
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class DetectabilityDataset:
-    """All raw results of one fault-simulation campaign."""
+    """All results of one fault-simulation campaign, as arrays.
+
+    Row ``i`` of every array is ``configs[i]`` and column ``j`` is
+    ``fault_labels[j]``; ``P`` is the grid's point count.  The arrays
+    are read-only, and so is every view the accessors return.
+    """
 
     configs: Tuple[Configuration, ...]
     fault_labels: Tuple[str, ...]
     setup: SimulationSetup
     nominal: Dict[int, FrequencyResponse]
-    results: Dict[Tuple[int, str], DetectabilityResult]
+    #: ``(C, F, P)`` Definition 1 detection region of each pair
+    masks: np.ndarray
+    #: ``(C, F)`` Definition 2 value of each pair, in ``[0, 1]``
+    omega_detectability: np.ndarray
+    #: ``(C, F)`` peak deviation of each pair
+    max_deviation: np.ndarray
+    #: ``(C, F)`` frequency of each pair's peak deviation
+    f_max_deviation_hz: np.ndarray
     n_solves: int = 0
     #: LU factorizations the sweeps performed (one per solved grid point)
     n_factorizations: int = 0
     #: grid points re-solved exactly where the Sherman–Morrison
     #: certificate did not hold (a re-swept pair counts every point)
     sm_fallbacks: int = 0
-    _matrix: Optional[FaultDetectabilityMatrix] = field(
-        default=None, repr=False
-    )
-    _table: Optional[OmegaDetectabilityTable] = field(
-        default=None, repr=False
-    )
+    #: ``(C, F)`` Definition 1 verdict of each pair: its mask is not empty
+    detectable: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shape = (len(self.configs), len(self.fault_labels))
+        self.masks = _read_only(
+            self.masks, bool, shape + (self.setup.grid.n_points,)
+        )
+        for name in ("omega_detectability", "max_deviation",
+                     "f_max_deviation_hz"):
+            setattr(self, name, _read_only(getattr(self, name), float, shape))
+        self.detectable = _read_only(self.masks.any(axis=2), bool, shape)
+        self._rows = {c.index: i for i, c in enumerate(self.configs)}
+        self._columns = {f: j for j, f in enumerate(self.fault_labels)}
 
     # ------------------------------------------------------------------
     @property
@@ -180,63 +218,51 @@ class DetectabilityDataset:
     def config_indices(self) -> Tuple[int, ...]:
         return tuple(c.index for c in self.configs)
 
+    def _pair(self, config: Configuration, label: str) -> Tuple[int, int]:
+        return self._rows[config.index], self._columns[label]
+
     def result(self, config: Configuration, fault_label: str) -> DetectabilityResult:
-        return self.results[(config.index, fault_label)]
+        """One pair's Definitions 1 and 2, read from the arrays."""
+        pair = self._pair(config, fault_label)
+        return DetectabilityResult(
+            detectable=bool(self.detectable[pair]),
+            omega_detectability=float(self.omega_detectability[pair]),
+            max_deviation=float(self.max_deviation[pair]),
+            f_max_deviation_hz=float(self.f_max_deviation_hz[pair]),
+            mask=self.masks[pair],
+        )
 
     # ------------------------------------------------------------------
     def detectability_matrix(self) -> FaultDetectabilityMatrix:
         """Boolean Definition 1 matrix (paper Fig. 5)."""
-        if self._matrix is None:
-            data = np.array(
-                [
-                    [
-                        self.results[(c.index, fault)].detectable
-                        for fault in self.fault_labels
-                    ]
-                    for c in self.configs
-                ],
-                dtype=bool,
-            )
-            self._matrix = FaultDetectabilityMatrix(
-                config_labels=self.config_labels,
-                fault_names=self.fault_labels,
-                data=data,
-                config_indices=self.config_indices,
-            )
-        return self._matrix
+        return FaultDetectabilityMatrix(
+            config_labels=self.config_labels,
+            fault_names=self.fault_labels,
+            data=self.detectable,
+            config_indices=self.config_indices,
+        )
 
     def omega_table(self) -> OmegaDetectabilityTable:
         """ω-detectability table (paper Table 2)."""
-        if self._table is None:
-            data = np.array(
-                [
-                    [
-                        self.results[(c.index, fault)].omega_detectability
-                        for fault in self.fault_labels
-                    ]
-                    for c in self.configs
-                ],
-                dtype=float,
-            )
-            self._table = OmegaDetectabilityTable(
-                config_labels=self.config_labels,
-                fault_names=self.fault_labels,
-                data=data,
-                config_indices=self.config_indices,
-            )
-        return self._table
+        return OmegaDetectabilityTable(
+            config_labels=self.config_labels,
+            fault_names=self.fault_labels,
+            data=self.omega_detectability,
+            config_indices=self.config_indices,
+        )
 
     def detection_mask(
         self, config: Configuration, fault_label: str
     ) -> np.ndarray:
         """Per-frequency detectability of one pair (for ω-domain covers)."""
-        return self.results[(config.index, fault_label)].mask
+        return self.masks[self._pair(config, fault_label)]
 
     def restricted(
         self, configs: Sequence[Configuration]
     ) -> "DetectabilityDataset":
         """Dataset keeping only ``configs`` (e.g. a partial DFT's)."""
         keep = tuple(configs)
+        rows = [self._rows[c.index] for c in keep]
         keep_indices = {c.index for c in keep}
         return DetectabilityDataset(
             configs=keep,
@@ -245,11 +271,10 @@ class DetectabilityDataset:
             nominal={
                 i: r for i, r in self.nominal.items() if i in keep_indices
             },
-            results={
-                key: r
-                for key, r in self.results.items()
-                if key[0] in keep_indices
-            },
+            masks=self.masks[rows],
+            omega_detectability=self.omega_detectability[rows],
+            max_deviation=self.max_deviation[rows],
+            f_max_deviation_hz=self.f_max_deviation_hz[rows],
             n_solves=self.n_solves,
             n_factorizations=self.n_factorizations,
             sm_fallbacks=self.sm_fallbacks,
@@ -600,7 +625,7 @@ def _certified_rank1(
     solves: int,
     omega: np.ndarray,
     setup: SimulationSetup,
-) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sherman–Morrison responses of rank-1 faults, with their certificate.
 
     ``x`` is the ``(P, n)`` nominal solution, and ``inverse``, ``a_norm``
@@ -610,13 +635,14 @@ def _certified_rank1(
 
     ``y' = x_out − δ·(uᵀx)/(1 + δ·uᵀA⁻¹u) · (A⁻¹u)_out``
 
-    Returns one entry per update: ``None`` when the pair must be
-    re-swept exactly (a cancellation factor beyond
+    Returns ``(values, near, resweep)``, one column per update:
+    ``values`` is the ``(P, U)`` block of faulty outputs, ``near`` marks
+    the grid points whose deviation lies within its error bound of ε, to
+    be re-solved exactly, and ``resweep`` the ``U`` pairs to re-sweep
+    exactly instead (a cancellation factor beyond
     :data:`CANCELLATION_LIMIT`, a peak-deviation error bound beyond
-    :data:`PEAK_LIMIT` or a non-finite value), otherwise
-    ``(values, near)`` where ``near`` indexes the grid points whose
-    deviation lies within its error bound of ε, to be re-solved
-    exactly.  The bound is derived in ``docs/performance.md``.
+    :data:`PEAK_LIMIT` or a non-finite value).  The bound is derived in
+    ``docs/performance.md``.
     """
     n = x.shape[1]
     rows = np.array([update[0] for update in updates])
@@ -682,12 +708,7 @@ def _certified_rank1(
             | ~np.all(np.isfinite(bound), axis=0)
             | (peak_error > PEAK_LIMIT * np.maximum(top, 1.0))
         )
-    return [
-        None
-        if resweep[column]
-        else (values[:, column], np.flatnonzero(near[:, column]))
-        for column in range(len(updates))
-    ]
+    return values, near, resweep
 
 
 def simulate_configuration(
@@ -698,14 +719,15 @@ def simulate_configuration(
     setup: SimulationSetup,
     stats: Optional[KernelStats] = None,
     basis: Optional[Basis] = None,
-) -> Tuple[FrequencyResponse, Dict[str, DetectabilityResult], int]:
+) -> Tuple[FrequencyResponse, Detections, int]:
     """One configuration's share of a campaign.
 
-    Returns ``(nominal_response, {label: result}, n_solves)``, where
-    ``n_solves`` is the logical sweep count ``1 + len(faults)``.  This
-    is the work :func:`simulate_faults` does per configuration and the
-    campaign engine per work unit, so both paths give identical
-    results.
+    Returns ``(nominal_response, detections, n_solves)``: the
+    :class:`~repro.core.detectability.Detections` of ``faults``, one row
+    per label in order, and ``n_solves``, the logical sweep count
+    ``1 + len(faults)``.  This is the work :func:`simulate_faults` does
+    per configuration and the campaign engine per work unit, so both
+    paths give identical results.
 
     ``basis`` is the campaign's :class:`Basis` (its functional
     circuit), shared with the other configurations its caller runs;
@@ -715,10 +737,12 @@ def simulate_configuration(
     :func:`_certified_rank1`.  A pair the certificate rejects is
     re-swept exactly, and a grid point within its error bound of ε is
     re-solved exactly; both count as ``stats.sm_fallbacks``.  Other
-    faults get the exact per-fault sweep.  Faults are finished in
-    order, so the first error raised is the one a sweep per fault
-    would raise.  The basis sweep's work is counted in
-    ``basis.stats``, everything else in ``stats``.
+    faults get the exact per-fault sweep.  Definitions 1 and 2 are then
+    evaluated once over the ``(F, P)`` block of faulty responses
+    (:func:`~repro.core.detectability.evaluate_block`).  Faults are
+    finished in order, so the first error raised is the one a sweep and
+    evaluation per fault would raise.  The basis sweep's work is
+    counted in ``basis.stats``, everything else in ``stats``.
     """
     probe = output or circuit.output
     if probe is None:
@@ -736,8 +760,8 @@ def simulate_configuration(
             basis = Basis(circuit, grid, stats, system)
     out = system.index_of(probe)
 
+    block = np.empty((len(faults), frequencies.size), dtype=complex)
     updates: Dict[int, Tuple[int, int, float, float]] = {}
-    certified: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
     if out < 0:
         nominal_values = np.zeros(frequencies.shape, dtype=complex)
     else:
@@ -765,45 +789,45 @@ def simulate_configuration(
                 f"{circuit.title}: non-finite response in sweep"
             )
         if updates:
-            certified = dict(
-                zip(
-                    updates,
-                    _certified_rank1(
-                        x, out, list(updates.values()), inverse, a_norm,
-                        solves, omega, setup,
-                    ),
-                )
+            values, near, resweep = _certified_rank1(
+                x, out, list(updates.values()), inverse, a_norm, solves,
+                omega, setup,
             )
+            block[list(updates)] = values.T
+            refine = near.any(axis=0)
     nominal_response = FrequencyResponse(
         grid=grid, values=nominal_values, label=f"{circuit.title}:V({probe})"
     )
 
-    results: Dict[str, DetectabilityResult] = {}
-    for index, (fault, label) in enumerate(zip(faults, labels)):
-        values = None
-        if certified.get(index) is not None:
-            values, near = certified[index]
-            if near.size:
-                stats.sm_fallbacks += near.size
-                try:
-                    values[near] = _exact_values(
-                        circuit, fault, probe, frequencies[near], stats
-                    )
-                except SingularCircuitError:
-                    # the whole sweep raises the error a per-fault
-                    # sweep raises, naming the right frequency chunk
-                    values = None
-        if values is None:
-            if index in updates:
+    columns = {index: column for column, index in enumerate(updates)}
+    for index, fault in enumerate(faults):
+        column = columns.get(index)
+        exact = column is None or resweep[column]
+        if not exact and refine[column]:
+            points = np.flatnonzero(near[:, column])
+            stats.sm_fallbacks += points.size
+            try:
+                block[index, points] = _exact_values(
+                    circuit, fault, probe, frequencies[points], stats
+                )
+            except SingularCircuitError:
+                # the whole sweep raises the error a per-fault sweep
+                # raises, naming the right frequency chunk
+                exact = True
+        if exact:
+            if column is not None:
                 stats.sm_fallbacks += frequencies.size
-            values = _exact_values(circuit, fault, probe, frequencies, stats)
-        results[label] = evaluate_detectability(
-            nominal_response,
-            FrequencyResponse(grid=grid, values=values),
-            setup.epsilon,
-            setup.criterion,
-        )
-    return nominal_response, results, 1 + len(faults)
+            block[index] = _exact_values(
+                circuit, fault, probe, frequencies, stats
+            )
+        if index == 0:
+            # a zero nominal under the band criterion raised at the
+            # first fault's evaluation, before the second fault's sweep
+            deviation_rows(nominal_response, block[:1], setup.criterion)
+    detections = evaluate_block(
+        nominal_response, block, setup.epsilon, setup.criterion
+    )
+    return nominal_response, detections, 1 + len(faults)
 
 
 def simulate_faults(
@@ -866,7 +890,7 @@ def simulate_faults(
 
     stats = KernelStats()
     nominal: Dict[int, FrequencyResponse] = {}
-    results: Dict[Tuple[int, str], DetectabilityResult] = {}
+    blocks: List[Detections] = []
     n_solves = 0
     functional = functional_circuit(mcc)
     basis = Basis(functional, setup.grid, stats)
@@ -877,22 +901,19 @@ def simulate_faults(
         # circuit's own output (parasitics may move it to the external
         # pin), then the base circuit's.
         output = setup.output or emulated.output or mcc.base.output
-        nominal_response, config_results, config_solves = (
-            simulate_configuration(
-                emulated, output, faults, labels, setup, stats, basis
-            )
+        nominal_response, detections, config_solves = simulate_configuration(
+            emulated, output, faults, labels, setup, stats, basis
         )
         nominal[config.index] = nominal_response
+        blocks.append(detections)
         n_solves += config_solves
-        for label, result in config_results.items():
-            results[(config.index, label)] = result
 
     return DetectabilityDataset(
         configs=tuple(configs),
         fault_labels=tuple(labels),
         setup=setup,
         nominal=nominal,
-        results=results,
+        **Detections.stack(blocks)._asdict(),
         n_solves=n_solves,
         n_factorizations=stats.factorizations,
         sm_fallbacks=stats.sm_fallbacks,
@@ -911,20 +932,16 @@ def simulate_single_configuration(
     """
     labels = fault_labels(faults, setup.fault_name_style)
     stats = KernelStats()
-    nominal_response, results, n_solves = simulate_configuration(
+    nominal_response, detections, n_solves = simulate_configuration(
         circuit, setup.output or circuit.output, faults, labels, setup,
         stats,
     )
-    config = Configuration(0, 1)
     return DetectabilityDataset(
-        configs=(config,),
+        configs=(Configuration(0, 1),),
         fault_labels=tuple(labels),
         setup=setup,
         nominal={0: nominal_response},
-        results={
-            (0, fault_label): result
-            for fault_label, result in results.items()
-        },
+        **Detections.stack([detections])._asdict(),
         n_solves=n_solves,
         n_factorizations=stats.factorizations,
         sm_fallbacks=stats.sm_fallbacks,

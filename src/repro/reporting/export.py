@@ -100,14 +100,22 @@ def dataset_to_json(dataset) -> str:
     ω-detectability, peak deviation and its frequency — not the raw
     masks (use the matrices for the grid-level data).
     """
-    results = {}
-    for (config_index, fault), result in sorted(dataset.results.items()):
-        results.setdefault(f"C{config_index}", {})[fault] = {
-            "detectable": bool(result.detectable),
-            "omega_detectability": float(result.omega_detectability),
-            "max_deviation": float(result.max_deviation),
-            "f_max_deviation_hz": float(result.f_max_deviation_hz),
+    results = {
+        f"C{config.index}": {
+            fault: {
+                "detectable": bool(dataset.detectable[i, j]),
+                "omega_detectability": float(
+                    dataset.omega_detectability[i, j]
+                ),
+                "max_deviation": float(dataset.max_deviation[i, j]),
+                "f_max_deviation_hz": float(
+                    dataset.f_max_deviation_hz[i, j]
+                ),
+            }
+            for j, fault in enumerate(dataset.fault_labels)
         }
+        for i, config in enumerate(dataset.configs)
+    }
     payload = {
         "epsilon": dataset.setup.epsilon,
         "criterion": dataset.setup.criterion,

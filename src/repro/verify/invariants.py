@@ -65,7 +65,11 @@ from ..analysis.sweep import FrequencyGrid
 from ..core.baselines import exact_minimum_strategy, greedy_strategy
 from ..core.boolean_alg import ProductTerm
 from ..core.covering import verify_cover
-from ..core.detectability import detection_intervals, evaluate_detectability
+from ..core.detectability import (
+    Detections,
+    detection_intervals,
+    evaluate_detectability,
+)
 from ..dft.configuration import Configuration
 from ..errors import OptimizationError, SingularCircuitError
 from ..faults.model import DeviationFault, Fault, OpenFault, ShortFault
@@ -314,8 +318,8 @@ def check_impedance_scaling(
     mismatches: List = []
     for config in dataset.configs:
         for label in dataset.fault_labels:
-            reference = dataset.results[(config.index, label)]
-            image = scaled.results[(config.index, label)]
+            reference = dataset.result(config, label)
+            image = scaled.result(config, label)
             error = abs(
                 reference.omega_detectability - image.omega_detectability
             )
@@ -427,7 +431,7 @@ def check_matrix_table_consistency(
     mismatches: List = []
     for i, config in enumerate(dataset.configs):
         for j, label in enumerate(dataset.fault_labels):
-            result = dataset.results[(config.index, label)]
+            result = dataset.result(config, label)
             omega = float(table.data[i, j])
             flags = {
                 "matrix vs omega support": bool(matrix.data[i, j])
@@ -707,10 +711,13 @@ def reference_dataset(
     assembles its sweep with the historical complex expression
     ``G[None] + (2jπf)[:, None, None] · C[None]`` and solves it with one
     ``numpy.linalg.solve`` — none of the production path's plane fill,
-    Sherman–Morrison updates or frequency chunking.  A singular or
-    non-finite sweep raises :class:`~repro.errors.SingularCircuitError`
-    naming the circuit, as the production path does (without its
-    frequency chunk).
+    Sherman–Morrison updates or frequency chunking — and evaluates
+    each pair alone with
+    :func:`~repro.core.detectability.evaluate_detectability`, where the
+    production path evaluates a configuration's faults as one block.
+    A singular or non-finite sweep raises
+    :class:`~repro.errors.SingularCircuitError` naming the circuit, as
+    the production path does (without its frequency chunk).
     """
     grid = setup.grid
     frequencies = grid.frequencies_hz
@@ -743,24 +750,42 @@ def reference_dataset(
             )
         return FrequencyResponse(grid=grid, values=values)
 
-    nominal, results = {}, {}
+    nominal, blocks = {}, []
     for config in configs:
         emulated = mcc.emulate(config)
         probe = setup.output or emulated.output or mcc.base.output
         nominal[config.index] = sweep(emulated, probe)
-        for fault, label in zip(faults, labels):
-            results[(config.index, label)] = evaluate_detectability(
+        results = [
+            evaluate_detectability(
                 nominal[config.index],
                 sweep(fault.apply(emulated), probe),
                 setup.epsilon,
                 setup.criterion,
             )
+            for fault in faults
+        ]
+        blocks.append(
+            Detections(
+                masks=np.array(
+                    [r.mask for r in results], dtype=bool
+                ).reshape(len(results), grid.n_points),
+                omega_detectability=np.array(
+                    [r.omega_detectability for r in results], dtype=float
+                ),
+                max_deviation=np.array(
+                    [r.max_deviation for r in results], dtype=float
+                ),
+                f_max_deviation_hz=np.array(
+                    [r.f_max_deviation_hz for r in results], dtype=float
+                ),
+            )
+        )
     return DetectabilityDataset(
         configs=tuple(configs),
         fault_labels=tuple(labels),
         setup=setup,
         nominal=nominal,
-        results=results,
+        **Detections.stack(blocks)._asdict(),
     )
 
 
@@ -839,8 +864,8 @@ def check_assembly(
                 "nominal sweep differs from the scalar reference",
             )
         for label in dataset.fault_labels:
-            want = reference.results[(config.index, label)]
-            got = dataset.results[(config.index, label)]
+            want = reference.result(config, label)
+            got = dataset.result(config, label)
             if not (
                 np.array_equal(got.mask, want.mask)
                 and got.detectable == want.detectable

@@ -41,7 +41,7 @@ def make_result(key: str, stamp: int) -> UnitResult:
         unit_id=f"unit-{stamp}",
         config_index=stamp,
         nominal=[float(stamp)] * 2048,
-        results={},
+        detections=None,
         n_solves=stamp,
     )
 

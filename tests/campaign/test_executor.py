@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -40,7 +41,7 @@ class FlakyWorker:
     def _real(unit):
         from repro.faults.simulator import simulate_configuration
 
-        nominal, results, n_solves = simulate_configuration(
+        nominal, detections, n_solves = simulate_configuration(
             unit.circuit, unit.output, unit.faults, unit.labels, unit.setup
         )
         return executor_module.UnitResult(
@@ -48,7 +49,7 @@ class FlakyWorker:
             unit_id=unit.unit_id,
             config_index=unit.config_index,
             nominal=nominal,
-            results=results,
+            detections=detections,
             n_solves=n_solves,
         )
 
@@ -281,7 +282,10 @@ class TestAdaptiveInProcess:
         ]
         for left, right in zip(serial, adaptive):
             assert left.result.n_solves == right.result.n_solves
-            assert left.result.results.keys() == right.result.results.keys()
+            for ours, theirs in zip(
+                left.result.detections, right.result.detections
+            ):
+                assert np.array_equal(ours, theirs)
 
 
 class TestBatchedDispatch:
@@ -329,6 +333,33 @@ class TestBatchedDispatch:
         assert isinstance(by_id[poison_id].error, RuntimeError)
         others = [o for uid, o in by_id.items() if uid != poison_id]
         assert all(not o.degraded for o in others)
+
+    def test_each_unit_of_a_batch_reports_its_own_time(
+        self, plan, monkeypatch
+    ):
+        """The worker times each unit of its batch: a slow unit's
+        ``wall_s`` shows its delay, and its batch siblings' do not."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork to share the monkeypatched worker")
+        slow_id = plan.units[1].unit_id
+        delay_s = 1.0
+
+        def slow_one(unit, bases=None):
+            if unit.unit_id == slow_id:
+                time.sleep(delay_s)
+            return FlakyWorker._real(unit)
+
+        monkeypatch.setattr(executor_module, "execute_unit", slow_one)
+        executor = ParallelExecutor(
+            jobs=2, batch_size=3, adaptive=False, start_method="fork"
+        )
+        outcomes = executor.execute(plan.units[:3])
+        assert all(o.ok and not o.degraded for o in outcomes)
+        by_id = {o.unit.unit_id: o for o in outcomes}
+        assert by_id[slow_id].wall_s >= delay_s
+        for unit_id, outcome in by_id.items():
+            if unit_id != slow_id:
+                assert outcome.wall_s < delay_s / 2
 
     def test_auto_batching_covers_every_unit(self, plan):
         """Auto batch sizing must partition the unit list exactly."""

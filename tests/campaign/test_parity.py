@@ -194,14 +194,16 @@ def _bits(dataset):
             for index, response in dataset.nominal.items()
         },
         {
-            key: (
+            (config.index, label): (
                 result.mask.tobytes(),
                 bool(result.detectable),
                 np.float64(result.omega_detectability).tobytes(),
                 np.float64(result.max_deviation).tobytes(),
                 np.float64(result.f_max_deviation_hz).tobytes(),
             )
-            for key, result in dataset.results.items()
+            for config in dataset.configs
+            for label in dataset.fault_labels
+            for result in [dataset.result(config, label)]
         },
     )
 

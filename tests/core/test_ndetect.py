@@ -214,8 +214,9 @@ class TestQualityMetrics:
 
     def test_margins_only_for_detectable_entries(self, mfb_dataset):
         margins = robustness_margins(mfb_dataset)
-        for key, margin in margins.items():
-            result = mfb_dataset.results[key]
+        configs = {config.index: config for config in mfb_dataset.configs}
+        for (index, fault), margin in margins.items():
+            result = mfb_dataset.result(configs[index], fault)
             assert result.detectable
             assert margin == pytest.approx(
                 result.max_deviation - mfb_dataset.setup.epsilon

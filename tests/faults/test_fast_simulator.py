@@ -205,7 +205,7 @@ class TestFallback:
         case, first = run(bench, faults, ppd=10)
         config = first.configs[0]
         nominal = first.nominal[config.index]
-        k = int(np.argmax(first.results[(config.index, "fR1")].mask))
+        k = int(np.argmax(first.detection_mask(config, "fR1")))
         # ε exactly on the exact deviation of one grid point
         faulty = ac_analysis(
             faults[0].apply(case.mcc().emulate(config)), case.setup.grid
@@ -255,9 +255,8 @@ class TestFallback:
         monkeypatch.setattr(simulator, "frequency_chunk", lambda n: 7)
         chunked = simulate_faults(mcc, faults, case.setup)
         assert chunked.sm_fallbacks == whole.sm_fallbacks > 0
-        for key, result in whole.results.items():
-            assert np.array_equal(chunked.results[key].mask, result.mask)
-            assert chunked.results[key].max_deviation == result.max_deviation
+        assert np.array_equal(chunked.masks, whole.masks)
+        assert np.array_equal(chunked.max_deviation, whole.max_deviation)
 
 
 class TestSolveCount:

@@ -1,9 +1,13 @@
 """Tests for the fault × configuration simulation engine."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.core.detectability as detectability_module
 from repro.analysis import decade_grid
+from repro.campaign import run_campaign
 from repro.circuits import benchmark_biquad
 from repro.dft import Configuration
 from repro.errors import AnalysisError
@@ -41,7 +45,16 @@ class TestSimulateFaults:
     def test_campaign_shape(self, mini_dataset):
         assert len(mini_dataset.configs) == 7
         assert len(mini_dataset.fault_labels) == 8
-        assert len(mini_dataset.results) == 56
+        assert mini_dataset.masks.shape == (
+            7, 8, mini_dataset.setup.grid.n_points
+        )
+        for array in (
+            mini_dataset.detectable,
+            mini_dataset.omega_detectability,
+            mini_dataset.max_deviation,
+            mini_dataset.f_max_deviation_hz,
+        ):
+            assert array.shape == (7, 8)
 
     def test_solve_count(self, mini_dataset):
         # 7 configurations x (1 nominal + 8 faulty) sweeps
@@ -103,12 +116,102 @@ class TestSimulateFaults:
     def test_restricted(self, mini_dataset):
         subset = mini_dataset.restricted(mini_dataset.configs[:3])
         assert len(subset.configs) == 3
-        assert len(subset.results) == 3 * 8
+        assert subset.masks.shape[:2] == (3, 8)
+        assert np.array_equal(subset.masks, mini_dataset.masks[:3])
+        assert np.array_equal(
+            subset.omega_detectability, mini_dataset.omega_detectability[:3]
+        )
 
     def test_result_accessor(self, mini_dataset):
         result = mini_dataset.result(mini_dataset.configs[0], "fR1")
         assert result.detectable
         assert 0.0 < result.omega_detectability <= 1.0
+
+
+class TestDefinitionsAsArrays:
+    def test_views_are_read_only(self, mini_dataset):
+        config = mini_dataset.configs[0]
+        views = [
+            mini_dataset.masks,
+            mini_dataset.detectable,
+            mini_dataset.omega_detectability,
+            mini_dataset.max_deviation,
+            mini_dataset.f_max_deviation_hz,
+            mini_dataset.detectability_matrix().data,
+            mini_dataset.omega_table().data,
+            mini_dataset.detection_mask(config, "fR1"),
+            mini_dataset.result(config, "fR1").mask,
+            mini_dataset.restricted(mini_dataset.configs[:2]).masks,
+        ]
+        for view in views:
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0
+
+    def test_slices_agree_with_result(self, mini_dataset):
+        matrix = mini_dataset.detectability_matrix()
+        table = mini_dataset.omega_table()
+        for i, config in enumerate(mini_dataset.configs):
+            for j, label in enumerate(mini_dataset.fault_labels):
+                result = mini_dataset.result(config, label)
+                assert matrix.data[i, j] == result.detectable
+                assert table.data[i, j] == result.omega_detectability
+                assert np.array_equal(
+                    mini_dataset.detection_mask(config, label), result.mask
+                )
+                assert result.detectable == bool(result.mask.any())
+
+    @pytest.fixture
+    def grounded(self):
+        """The biquad probed at ground: its nominal is identically zero."""
+        bench = benchmark_biquad()
+        grid = decade_grid(bench.f0_hz, 1, 1, points_per_decade=10)
+        return bench.dft(), deviation_faults(bench.circuit, 0.20), grid
+
+    def test_zero_nominal_band_raises(self, grounded):
+        mcc, faults, grid = grounded
+        setup = SimulationSetup(grid=grid, output="0")
+        with pytest.raises(AnalysisError) as excinfo:
+            simulate_faults(mcc, faults, setup)
+        assert str(excinfo.value) == (
+            "nominal response is identically zero; band deviation undefined"
+        )
+
+    def test_zero_nominal_relative_detects_nothing(self, grounded):
+        mcc, faults, grid = grounded
+        setup = SimulationSetup(grid=grid, output="0", criterion="relative")
+        dataset = simulate_faults(mcc, faults, setup)
+        assert dataset.detectability_matrix().data.shape == (7, 8)
+        assert not dataset.detectability_matrix().data.any()
+        assert not dataset.omega_table().data.any()
+        assert dataset.n_factorizations == 0
+
+    def test_production_makes_no_per_pair_evaluation(
+        self, mini_dataset, monkeypatch
+    ):
+        """Definitions 1 and 2 run once per configuration block; the
+        per-pair evaluation is left to the reference dataset."""
+        calls = []
+        real = detectability_module.evaluate_detectability
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "evaluate_detectability", None) is real:
+                monkeypatch.setattr(module, "evaluate_detectability", spy)
+        bench = benchmark_biquad()
+        mcc = bench.dft()
+        faults = deviation_faults(bench.circuit, 0.20)
+        simulate_faults(mcc, faults, mini_dataset.setup)
+        run_campaign(mcc, faults, mini_dataset.setup, chunk_size=1)
+        assert calls == []
+        # the spy sees the reference's per-pair calls
+        from repro.verify import reference_dataset
+
+        configs = mini_dataset.configs[:1]
+        reference_dataset(mcc, faults[:1], mini_dataset.setup, configs)
+        assert calls == [1]
 
 
 class TestSingleConfiguration:

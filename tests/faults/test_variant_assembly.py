@@ -133,7 +133,7 @@ def test_rejected_element_keeps_per_fault_path(biquad_setup):
             biquad_setup.epsilon,
             biquad_setup.criterion,
         )
-        result = dataset.results[(0, fault.name)]
+        result = dataset.result(dataset.configs[0], fault.name)
         assert np.array_equal(result.mask, expected.mask)
         if fault.target == "RQ":
             assert result.max_deviation == expected.max_deviation

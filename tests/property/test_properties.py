@@ -326,6 +326,27 @@ class TestMeasureProperties:
             np.ones(grid.n_points, dtype=bool)
         ) == pytest.approx(1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=1e-2, max_value=1e6),
+        st.floats(min_value=0.5, max_value=6.0),
+        st.integers(2, 300),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fractions_equal_fraction_bit_for_bit(
+        self, f_start, decades, ppd, density, seed
+    ):
+        """Definition 2 over a stack of masks, as the fault simulator
+        reduces it, equals the per-mask fraction to the bit."""
+        grid = FrequencyGrid(f_start, f_start * 10.0**decades, ppd)
+        rng = np.random.default_rng(seed)
+        masks = rng.random((4, 8, grid.n_points)) < density
+        expected = np.array(
+            [[grid.fraction(mask) for mask in row] for row in masks]
+        )
+        assert grid.fractions(masks).tobytes() == expected.tobytes()
+
 
 # ----------------------------------------------------------------------
 # circuit-level properties (lighter example counts: each runs a solve)

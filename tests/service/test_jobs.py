@@ -276,7 +276,7 @@ class TestJobTelemetry:
 
         result = UnitResult(
             key="k" * 64, unit_id="u0", config_index=0,
-            nominal=None, results={}, n_solves=7,
+            nominal=None, detections=None, n_solves=7,
         )
         outcome = UnitOutcome(unit=_Unit(), result=result)
         telemetry.unit_outcome(outcome)

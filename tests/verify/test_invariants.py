@@ -73,19 +73,10 @@ class TestInvariantsFire:
     def test_consistency_catches_corrupt_mask(
         self, small_case, small_dataset
     ):
-        key = next(
-            k
-            for k, r in small_dataset.results.items()
-            if r.detectable
-        )
-        results = dict(small_dataset.results)
-        results[key] = dataclasses.replace(
-            results[key],
-            mask=np.zeros_like(results[key].mask),
-        )
-        corrupt = dataclasses.replace(
-            small_dataset, results=results
-        )
+        pair = tuple(np.argwhere(small_dataset.detectable)[0])
+        masks = small_dataset.masks.copy()
+        masks[pair] = False
+        corrupt = dataclasses.replace(small_dataset, masks=masks)
         mismatches = check_matrix_table_consistency(
             small_case, corrupt
         )
@@ -97,18 +88,11 @@ class TestInvariantsFire:
     def test_consistency_catches_corrupt_verdict(
         self, small_case, small_dataset
     ):
-        key = next(
-            k
-            for k, r in small_dataset.results.items()
-            if r.detectable
-        )
-        results = dict(small_dataset.results)
-        results[key] = dataclasses.replace(
-            results[key], detectable=False
-        )
-        corrupt = dataclasses.replace(
-            small_dataset, results=results
-        )
+        pair = tuple(np.argwhere(small_dataset.detectable)[0])
+        corrupt = dataclasses.replace(small_dataset)
+        verdicts = corrupt.detectable.copy()
+        verdicts[pair] = False
+        corrupt.detectable = verdicts
         mismatches = check_matrix_table_consistency(
             small_case, corrupt
         )

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+import numpy as np
+
 import repro.verify.oracle as oracle_module
 from repro.verify import (
     build_random_case,
@@ -66,14 +68,16 @@ class TestInjectedMismatch:
 
         def corrupted(mcc, faults, setup, **kwargs):
             dataset = real_fast(mcc, faults, setup, **kwargs)
-            key = sorted(dataset.results)[0]
-            result = dataset.results[key]
-            dataset.results[key] = dataclasses.replace(
-                result,
-                detectable=not result.detectable,
-                max_deviation=result.max_deviation + 5.0,
+            i = int(np.argmin(dataset.config_indices))
+            j = dataset.fault_labels.index(min(dataset.fault_labels))
+            masks = dataset.masks.copy()
+            # flip the pair's Definition 1 verdict
+            masks[i, j] = not dataset.detectable[i, j]
+            peaks = dataset.max_deviation.copy()
+            peaks[i, j] += 5.0
+            return dataclasses.replace(
+                dataset, masks=masks, max_deviation=peaks
             )
-            return dataset
 
         monkeypatch.setattr(oracle_module, "simulate_faults", corrupted)
         report = run_verification(

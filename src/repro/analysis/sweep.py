@@ -61,10 +61,9 @@ class FrequencyGrid:
         object.__setattr__(self, "widths", np.diff(edges))
 
     def __reduce__(self):
-        # Rebuilt from its parameters, not unpickled: arrays derived from
-        # an unpickled grid would carry another dtype object than a fresh
-        # grid's, and a pickled unit result's bytes would then depend on
-        # whether a worker process computed it.
+        # Rebuilt from its parameters, not unpickled: a grid shipped to a
+        # worker process then carries the arrays a fresh grid computes,
+        # not copies with another dtype object.
         return type(self), (self.f_start, self.f_stop, self.points_per_decade)
 
     @property

@@ -5,12 +5,14 @@ the fault-detectability matrix "implies extensive fault simulation" —
 every fault × every configuration × a dense AC sweep.  This package
 turns that sweep into a *campaign*:
 
-* :mod:`~repro.campaign.plan` — deterministic decomposition into
-  content-hashed work units (configuration × fault chunk);
-* :mod:`~repro.campaign.executor` — pluggable executors: in-process
+* :mod:`~repro.campaign.executor` — the unit protocol every campaign
+  kind declares itself in (:class:`UnitKind`, :class:`Unit`,
+  :class:`UnitResult`) and pluggable executors: in-process
   :class:`SerialExecutor` (default, bit-identical to the historical
   loop) and process-pool :class:`ParallelExecutor` with per-unit
   timeout, bounded retry and graceful degradation to serial;
+* :mod:`~repro.campaign.plan` — deterministic decomposition of a fault
+  campaign into content-hashed units (configuration × fault chunk);
 * :mod:`~repro.campaign.cache` — content-addressed on-disk
   :class:`ResultCache` enabling resume and incremental re-runs;
 * :mod:`~repro.campaign.telemetry` — :class:`CampaignTelemetry`
@@ -35,50 +37,48 @@ from .executor import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
+    Unit,
+    UnitKind,
     UnitOutcome,
     UnitResult,
+    content_key,
     execute_unit,
 )
 from .plan import (
+    FAULTSIM_KIND,
     CampaignPlan,
-    WorkUnit,
     fault_signature,
     plan_campaign,
-    unit_key,
 )
 from .telemetry import CampaignTelemetry
 from .tolerance import (
-    TOLERANCE,
+    TOLERANCE_KIND,
     TolerancePlan,
     ToleranceReport,
-    ToleranceUnit,
-    ToleranceUnitResult,
     execute_tolerance_plan,
-    execute_tolerance_unit,
     plan_tolerance_campaign,
     run_tolerance_campaign,
-    tolerance_cache,
-    tolerance_unit_key,
 )
 
 __all__ = [
     "CampaignPlan",
     "CampaignTelemetry",
     "Executor",
+    "FAULTSIM_KIND",
     "ParallelExecutor",
     "ResultCache",
     "SerialExecutor",
-    "TOLERANCE",
+    "TOLERANCE_KIND",
     "TolerancePlan",
     "ToleranceReport",
-    "ToleranceUnit",
-    "ToleranceUnitResult",
+    "Unit",
+    "UnitKind",
     "UnitOutcome",
     "UnitResult",
     "assemble_dataset",
+    "content_key",
     "execute_plan",
     "execute_tolerance_plan",
-    "execute_tolerance_unit",
     "execute_unit",
     "fault_signature",
     "make_executor",
@@ -86,7 +86,4 @@ __all__ = [
     "plan_tolerance_campaign",
     "run_campaign",
     "run_tolerance_campaign",
-    "tolerance_cache",
-    "tolerance_unit_key",
-    "unit_key",
 ]

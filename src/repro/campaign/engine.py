@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.ac import FrequencyResponse
 from ..core.detectability import Detections
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
@@ -96,9 +97,10 @@ def execute_units(
     The one unit loop of the three campaign kinds (fault simulation,
     tolerance, diagnosis): cache lookup, executor fan-out with
     write-back, telemetry observation, and fail-fast on any failed unit
-    (``noun`` names the kind in that error).  Each kind assembles its
-    result from the outcomes in plan order, so the result does not
-    depend on completion order.
+    (``noun`` names the kind in that error).  A cached result counts
+    only if it holds the arrays and values its unit's kind declares.
+    Each kind assembles its result from the outcomes in plan order, so
+    the result does not depend on completion order.
     """
     executor = executor or SerialExecutor()
     telemetry = telemetry or CampaignTelemetry()
@@ -108,8 +110,10 @@ def execute_units(
     outcomes: Dict[str, UnitOutcome] = {}
     pending = []
     for unit in plan.units:
-        cached = cache.get(unit.key) if cache is not None else None
-        if cached is not None:
+        cached = None
+        if cache is not None:
+            cached = cache.get(unit.key, unit.kind.name)
+        if cached is not None and unit.kind.produced(cached):
             outcome = UnitOutcome(
                 unit=unit,
                 result=cached,
@@ -147,16 +151,14 @@ def assemble_dataset(
 ) -> DetectabilityDataset:
     """Fold unit outcomes into a dataset, deterministically.
 
-    Each unit's detections fill the rows of its configuration and the
-    columns of its labels, and iteration follows plan order, so the
+    Each unit's detections fill the row of its configuration and the
+    columns of its fault chunk, and iteration follows plan order, so the
     result is independent of executor scheduling and chunk completion
     order.  Nominal responses are taken from the first unit of each
     configuration (chunks of one configuration share the nominal by
     construction).  The factorization count adds the shared basis
     sweeps the run made.
     """
-    rows = {config.index: i for i, config in enumerate(plan.configs)}
-    columns = {label: j for j, label in enumerate(plan.fault_labels)}
     shape = (plan.n_configs, plan.n_faults)
     arrays = Detections(
         masks=np.empty(shape + (plan.setup.grid.n_points,), dtype=bool),
@@ -168,21 +170,26 @@ def assemble_dataset(
     n_solves = 0
     n_factorizations = 0
     sm_fallbacks = 0
-    for unit in plan.units:
+    slots = (
+        (row, config, columns)
+        for row, config in enumerate(plan.configs)
+        for columns in plan.chunks()
+    )
+    for unit, (row, config, (start, stop)) in zip(plan.units, slots):
         outcome = outcomes[unit.unit_id]
         result = outcome.result
         if result is None:
             raise CampaignError(
                 f"work unit {unit.unit_id} has no result to assemble"
             )
-        if unit.config_index not in nominal:
-            nominal[unit.config_index] = result.nominal
-        pairs = (
-            rows[unit.config_index],
-            [columns[label] for label in unit.labels],
-        )
-        for array, part in zip(arrays, result.detections):
-            array[pairs] = part
+        if config.index not in nominal:
+            nominal[config.index] = FrequencyResponse(
+                grid=plan.setup.grid,
+                values=result.arrays["nominal"],
+                label=result.values["label"],
+            )
+        for name, array in zip(Detections._fields, arrays):
+            array[row, start:stop] = result.arrays[name]
         if not outcome.from_cache:
             n_solves += result.n_solves
             n_factorizations += (

@@ -1,7 +1,17 @@
-"""Pluggable campaign executors — serial and process-parallel.
+"""The unit protocol and the executors that run units.
 
-An executor consumes :class:`~repro.campaign.plan.WorkUnit`\\ s and
-produces :class:`UnitOutcome`\\ s.  Two implementations ship:
+Every campaign kind — fault simulation (:mod:`repro.campaign.plan`),
+ε-calibration (:mod:`repro.campaign.tolerance`) and trajectory
+dictionaries (:mod:`repro.diagnosis.campaign`) — declares itself once
+as a :class:`UnitKind`: its key format and fields, the module-level
+function that runs one unit and the named arrays and JSON values that
+function returns.  Its planner cuts a campaign into :class:`Unit`\\ s,
+each the kind plus the keyword arguments of one call, and every unit
+comes back as one :class:`UnitResult`.  The engine, the executors, the
+telemetry and the cache handle only these two types and never branch
+on the kind.
+
+Two executors ship:
 
 :class:`SerialExecutor`
     Runs units in-process, in plan order — bit-identical to the
@@ -16,28 +26,23 @@ produces :class:`UnitOutcome`\\ s.  Two implementations ship:
     process; if the pool itself cannot be created or breaks, every
     remaining unit falls back to the serial path.  Determinism is
     preserved by construction — outcomes are harvested in submission
-    order and every (configuration, fault) pair is evaluated by the
-    exact same code the serial engine uses.
+    order and every unit is run by the exact same code the serial
+    engine uses.
 
-    Two granularity controls keep process parallelism from *losing* to
-    the serial path on real campaigns:
-
-    * **batching** (``batch_size``): units are shipped to workers in
-      contiguous batches, so the per-task IPC cost (pickling the
-      circuit, the fault chunk and the result arrays, plus a pool
-      scheduling round-trip) and the functional circuit's sweep (the
-      :class:`~repro.faults.simulator.Basis` every configuration reuses)
-      are paid once per batch instead of once per unit.  The default
-      gives each worker one contiguous batch;
-    * **adaptive in-process mode** (``adaptive``): when the pool cannot
-      possibly help — one effective core, or a single worker requested —
-      and no per-unit isolation timeout was asked for, units run in the
-      parent process instead, making ``ParallelExecutor`` no slower
-      than :class:`SerialExecutor` on hardware that cannot parallelise.
+    Units are shipped in one contiguous batch per effective worker, so
+    each worker pays the per-task IPC cost (pickling the units and
+    their results plus a pool round-trip) and the functional circuit's
+    sweep (the :class:`~repro.faults.simulator.Basis` every
+    configuration reuses) once.  When the pool cannot help — one
+    effective core, or a single worker requested — and no per-unit
+    isolation timeout was asked for, units run in the parent process
+    instead, so ``ParallelExecutor`` is no slower than
+    :class:`SerialExecutor` on hardware that cannot parallelise.
 
 The module-level :func:`execute_unit` / :func:`execute_unit_batch` are
-the picklable worker entry points, so the spawn start method (macOS,
-Windows) works out of the box.
+the picklable worker entry points, and a unit names its run function
+by import path, so the spawn start method (macOS, Windows) works out of
+the box.
 
 Every unit an executor call runs in one process — the whole call for
 :class:`SerialExecutor` and the in-process paths, one batch in a worker
@@ -51,46 +56,155 @@ ran with it.
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..analysis.ac import FrequencyResponse
+import numpy as np
+
 from ..analysis.kernel import KernelStats
-from ..core.detectability import Detections
-from ..faults.simulator import Basis, simulate_configuration
-from .plan import WorkUnit
+from ..errors import CampaignError
+from ..faults.simulator import Basis
 
 
-@dataclass
-class UnitResult:
-    """The simulation payload of one completed work unit (cacheable)."""
+def content_key(format: str, *parts: str) -> str:
+    """SHA-256 of a key format and its parts (stable across processes)."""
+    payload = "\n".join((format,) + parts)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    key: str
+
+class UnitKind(NamedTuple):
+    """One campaign kind, declared once.
+
+    ``run(bases=, stats=, **args)`` runs one unit and returns
+    ``(n_solves, arrays, values)``: the logical sweep count, the named
+    arrays and the named JSON values of :attr:`arrays` and
+    :attr:`values`, in that order.  ``bases`` is the :class:`Bases` the
+    unit shares with the units run alongside it and ``stats`` the
+    :class:`~repro.analysis.kernel.KernelStats` its factorizations and
+    fallbacks are counted in.  ``run`` is a module-level function, so a
+    unit pickles to a worker by reference.
+    """
+
+    name: str
+    #: the first line of every key; bumped when the key recipe or the
+    #: result layout changes
+    format: str
+    #: the inputs a unit's key covers, in order
+    key_fields: Tuple[str, ...]
+    run: Callable
+    arrays: Tuple[str, ...]
+    values: Tuple[str, ...]
+
+    def unit(
+        self, unit_id: str, label: str, size: int, args: Dict[str, Any],
+        **key: str,
+    ) -> "Unit":
+        """A unit of this kind; ``key`` gives the text of each key field."""
+        if tuple(key) != self.key_fields:
+            raise CampaignError(
+                f"{self.name} key fields are {self.key_fields}, "
+                f"got {tuple(key)}"
+            )
+        return Unit(
+            kind=self,
+            unit_id=unit_id,
+            label=label,
+            size=size,
+            key=content_key(
+                self.format, *(f"{name}:{text}" for name, text in key.items())
+            ),
+            args=args,
+        )
+
+    def produced(self, result: "UnitResult") -> bool:
+        """Whether ``result`` holds exactly this kind's names."""
+        return (
+            result.kind == self.name
+            and tuple(result.arrays) == self.arrays
+            and tuple(result.values) == self.values
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Unit:
+    """One schedulable quantum of any campaign kind.
+
+    Attributes
+    ----------
+    kind:
+        The :class:`UnitKind` that runs it.
+    unit_id:
+        Human-readable plan-unique id (``"C3#0"``, ``"biquad"``).
+    label:
+        What the unit covers, for telemetry: a configuration label or a
+        circuit name.
+    size:
+        Faults or trajectory points the unit simulates (0 for a
+        tolerance unit), for telemetry.
+    key:
+        SHA-256 content hash; the cache address of the unit's result.
+    args:
+        The keyword arguments of ``kind.run``.
+    """
+
+    kind: UnitKind
     unit_id: str
-    config_index: int
-    nominal: FrequencyResponse
-    #: Definitions 1 and 2 of the unit's faults, one row per label
-    detections: Detections
-    n_solves: int
+    label: str
+    size: int
+    key: str
+    args: Dict[str, Any]
+
+    def __repr__(self) -> str:
+        return (
+            f"Unit({self.kind.name} {self.unit_id}, size {self.size}, "
+            f"key={self.key[:8]})"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class UnitResult:
+    """What one completed unit returns and the cache stores.
+
+    ``arrays`` are read-only; ``values`` are JSON-native.  A job
+    record of :mod:`repro.service` is a result of kind ``"job"`` with
+    values only.
+    """
+
+    kind: str
+    key: str
+    #: logical sweeps the unit ran
+    n_solves: int = 0
     #: LU factorizations the unit's sweeps performed
     n_factorizations: int = 0
     #: grid points re-solved exactly (see ``KernelStats.sm_fallbacks``)
     sm_fallbacks: int = 0
+    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
+    values: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
 class UnitOutcome:
-    """How one work unit fared: its result or its terminal error.
+    """How one unit fared: its result or its terminal error.
 
-    ``attempts`` counts simulation attempts (0 for a cache hit);
-    ``degraded`` marks units that fell back from a worker process to the
-    parent's serial path.
+    ``attempts`` counts run attempts (0 for a cache hit); ``degraded``
+    marks units that fell back from a worker process to the parent's
+    serial path.
     """
 
-    unit: WorkUnit
+    unit: Unit
     result: Optional[UnitResult]
     error: Optional[BaseException] = None
     attempts: int = 1
@@ -117,8 +231,7 @@ class Bases:
     def __init__(self):
         self._bases: List[Basis] = []
 
-    def for_unit(self, unit: WorkUnit) -> Basis:
-        functional, grid = unit.functional, unit.setup.grid
+    def get(self, functional, grid) -> Basis:
         for basis in self._bases:
             if basis.circuit is functional and basis.grid == grid:
                 return basis
@@ -134,43 +247,43 @@ class Bases:
         return sum(basis.stats.factorizations for basis in self._bases)
 
 
-def execute_unit(unit: WorkUnit, bases: Optional[Bases] = None) -> UnitResult:
-    """Simulate one work unit (runs in the parent or a worker process).
+def execute_unit(unit: Unit, bases: Optional[Bases] = None) -> UnitResult:
+    """Run one unit (in the parent or a worker process).
 
-    A :class:`~repro.analysis.kernel.KernelStats` accumulator feeds the
-    factorization and fallback counters back into the result so
-    campaign telemetry can report them.  A fault-simulation unit reuses
-    its functional circuit's basis from ``bases`` (a fresh
-    :class:`Bases` when ``None``), whose sweep is not counted here.
+    Calls the unit's declared run with its args, a
+    :class:`~repro.analysis.kernel.KernelStats` whose factorization and
+    fallback counters go into the result, and ``bases`` (a fresh
+    :class:`Bases` when ``None``), whose sweeps are not counted here.
     """
-    if getattr(unit, "engine", None) == "tolerance":
-        from .tolerance import execute_tolerance_unit
-
-        return execute_tolerance_unit(unit)
-    if getattr(unit, "engine", None) == "diagnosis":
-        from ..diagnosis.campaign import execute_diagnosis_unit
-
-        return execute_diagnosis_unit(unit)
+    kind = unit.kind
     stats = KernelStats()
-    basis = (bases if bases is not None else Bases()).for_unit(unit)
-    nominal, detections, n_solves = simulate_configuration(
-        unit.circuit, unit.output, unit.faults, unit.labels,
-        unit.setup, stats=stats, basis=basis,
+    n_solves, arrays, values = kind.run(
+        bases=bases if bases is not None else Bases(),
+        stats=stats,
+        **unit.args,
     )
-    return UnitResult(
+    for array in arrays.values():
+        array.setflags(write=False)
+    result = UnitResult(
+        kind=kind.name,
         key=unit.key,
-        unit_id=unit.unit_id,
-        config_index=unit.config_index,
-        nominal=nominal,
-        detections=detections,
         n_solves=n_solves,
         n_factorizations=stats.factorizations,
         sm_fallbacks=stats.sm_fallbacks,
+        arrays=arrays,
+        values=values,
     )
+    if not kind.produced(result):
+        raise CampaignError(
+            f"{kind.name} unit {unit.unit_id} returned arrays "
+            f"{tuple(arrays)} and values {tuple(values)}, not the "
+            f"declared {kind.arrays} and {kind.values}"
+        )
+    return result
 
 
 def execute_unit_batch(units):
-    """Simulate a batch of work units inside one worker task.
+    """Run a batch of units inside one worker task.
 
     Returns one ``(result, error, basis_factorizations, wall_s)`` item
     per unit, in order — a unit that raises does not abort its batch
@@ -205,13 +318,13 @@ OutcomeCallback = Callable[[UnitOutcome], None]
 
 
 class Executor:
-    """Executor interface: turn work units into outcomes, in plan order."""
+    """Executor interface: turn units into outcomes, in plan order."""
 
     name = "executor"
 
     def execute(
         self,
-        units: Sequence[WorkUnit],
+        units: Sequence[Unit],
         callback: Optional[OutcomeCallback] = None,
     ) -> List[UnitOutcome]:
         raise NotImplementedError
@@ -233,7 +346,7 @@ class SerialExecutor(Executor):
 
     def execute(
         self,
-        units: Sequence[WorkUnit],
+        units: Sequence[Unit],
         callback: Optional[OutcomeCallback] = None,
     ) -> List[UnitOutcome]:
         return _run_inprocess(units, callback, 1 + self.retries)
@@ -252,7 +365,7 @@ def _run_inprocess(units, callback, max_attempts, degraded=False):
 
 
 def _attempt(
-    unit: WorkUnit,
+    unit: Unit,
     max_attempts: int,
     attempts_so_far: int = 0,
     degraded: bool = False,
@@ -317,21 +430,13 @@ class ParallelExecutor(Executor):
         worker warmup) over its whole lifetime instead of paying it per
         job; call :meth:`close` to release the workers.  A broken or
         abandoned pool is discarded and rebuilt on the next call.
-    batch_size:
-        Units shipped per worker task.  ``None`` (default) picks
-        ``ceil(n_units / jobs)`` — one contiguous batch per worker, so
-        each worker pays the per-task IPC cost and the functional
-        circuit's sweep once.  ``1`` restores strict per-unit dispatch
-        (finest cancellation latency, highest overhead: a unit without
-        the functional configuration sweeps it again).
-    adaptive:
-        Skip the pool entirely and run in-process when it cannot help:
-        a single effective core (``min(jobs, os.cpu_count())`` <= 1)
-        and no per-unit ``timeout`` (in-process execution cannot
-        enforce worker isolation timeouts, so asking for one always
-        keeps the pool).  Outcomes of the in-process path are *not*
-        marked ``degraded`` — it is the optimal strategy there, not a
-        fallback.
+
+    Units go to the workers in one contiguous batch per effective
+    worker (:meth:`effective_jobs`).  With one effective worker and no
+    ``timeout`` (in-process execution cannot enforce a worker isolation
+    timeout), units run in the parent instead, and their outcomes are
+    *not* marked ``degraded`` — it is the best strategy there, not a
+    fallback.
     """
 
     name = "parallel"
@@ -343,22 +448,16 @@ class ParallelExecutor(Executor):
         retries: int = 1,
         start_method: Optional[str] = None,
         persistent: bool = False,
-        batch_size: Optional[int] = None,
-        adaptive: bool = True,
     ):
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.jobs = jobs or os.cpu_count() or 1
         self.timeout = timeout
         self.retries = retries
         self.start_method = start_method
         self.persistent = persistent
-        self.batch_size = batch_size
-        self.adaptive = adaptive
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
@@ -398,10 +497,7 @@ class ParallelExecutor(Executor):
 
     def _batch_bounds(self, n_units: int) -> List[range]:
         """Contiguous unit-index batches for one :meth:`execute` call."""
-        if self.batch_size is not None:
-            size = self.batch_size
-        else:
-            size = max(1, -(-n_units // max(1, self.effective_jobs())))
+        size = max(1, -(-n_units // self.effective_jobs()))
         return [
             range(start, min(start + size, n_units))
             for start in range(0, n_units, size)
@@ -409,17 +505,13 @@ class ParallelExecutor(Executor):
 
     def execute(
         self,
-        units: Sequence[WorkUnit],
+        units: Sequence[Unit],
         callback: Optional[OutcomeCallback] = None,
     ) -> List[UnitOutcome]:
         units = list(units)
         if not units:
             return []
-        if (
-            self.adaptive
-            and self.timeout is None
-            and self.effective_jobs(len(units)) <= 1
-        ):
+        if self.timeout is None and self.effective_jobs(len(units)) <= 1:
             # The pool cannot help (one effective core or one worker)
             # and no isolation timeout was requested: run in-process.
             # This is the optimal strategy, not a degradation.
@@ -434,7 +526,6 @@ class ParallelExecutor(Executor):
             )
 
         batches = self._batch_bounds(len(units))
-        batched = any(len(bounds) > 1 for bounds in batches)
         # the bases of the units re-run here once the pool broke
         bases = Bases()
         outcomes: List[UnitOutcome] = []
@@ -456,16 +547,10 @@ class ParallelExecutor(Executor):
                         )
                         for unit in batch
                     ]
-                elif batched:
+                else:
                     batch_outcomes, broken, timed_out = self._harvest_batch(
                         batch, future
                     )
-                    abandoned = abandoned or timed_out
-                else:
-                    outcome, broken, timed_out = self._harvest(
-                        batch[0], future
-                    )
-                    batch_outcomes = [outcome]
                     abandoned = abandoned or timed_out
                 for outcome in batch_outcomes:
                     outcomes.append(outcome)
@@ -487,24 +572,16 @@ class ParallelExecutor(Executor):
             self._release_pool(pool, broken, abandoned, aborted)
         return outcomes
 
-    def _harvest(self, unit, future):
-        """Collect one unit's future: a batch of one.
-
-        Returns ``(outcome, broken, timed_out)``: ``broken`` poisons the
-        pool for every remaining unit; ``timed_out`` marks a unit whose
-        worker may still be running it, which forces the final shutdown
-        to abandon the pool rather than join a hung worker.
-        """
-        [outcome], broken, timed_out = self._harvest_batch([unit], future)
-        return outcome, broken, timed_out
-
     def _harvest_batch(self, batch, future):
         """Collect one batch future; degrade failed units to the parent.
 
-        Mirrors :meth:`_harvest` at batch granularity: a worker that
-        raised inside a unit reports per-unit ``(None, error)`` items
-        (its batch siblings are unaffected), a timed-out or broken
-        batch falls back unit by unit in the parent.  The per-unit
+        Returns ``(outcomes, broken, timed_out)``: ``broken`` poisons
+        the pool for every remaining batch; ``timed_out`` marks a batch
+        whose worker may still be running, which forces the final
+        shutdown to abandon the pool rather than join a hung worker.  A
+        worker that raised inside a unit reports per-unit ``(None,
+        error)`` items (its batch siblings are unaffected), a timed-out
+        or broken batch falls back unit by unit in the parent.  The per-unit
         ``timeout`` budget is scaled by the batch length.  A unit the
         worker ran reports the worker's time for it as ``wall_s``.  The
         batch's units re-run in the parent share one :class:`Bases`.

@@ -1,9 +1,10 @@
-"""Campaign planning — deterministic decomposition into hashed work units.
+"""Campaign planning — deterministic decomposition into hashed units.
 
 A fault-simulation campaign multiplies three axes: every fault of a
 universe, through every DFT configuration, over a dense AC grid.  The
-planner cuts that product into **work units** — one configuration times
-one contiguous chunk of the fault universe — that are:
+planner cuts that product into :data:`FAULTSIM_KIND` units — one
+configuration times one contiguous chunk of the fault universe — that
+are:
 
 * *deterministic*: planning the same ``(circuit, faults, setup)`` twice,
   in any process, yields the same units in the same order;
@@ -15,11 +16,11 @@ one contiguous chunk of the fault universe — that are:
   processes and runs, so an on-disk
   :class:`~repro.campaign.cache.ResultCache` can resume an interrupted
   campaign or skip unchanged work after a partial edit;
-* *self-contained*: a unit holds the already-emulated configuration
-  circuit, the campaign's functional circuit (whose sweep is the
-  :class:`~repro.faults.simulator.Basis` every configuration reuses) and
-  everything else needed to simulate it, so it can be shipped to a
-  worker process as a single picklable value.
+* *self-contained*: a unit's args hold the already-emulated
+  configuration circuit, the campaign's functional circuit (whose sweep
+  is the :class:`~repro.faults.simulator.Basis` every configuration
+  reuses) and everything else needed to simulate it, so it can be
+  shipped to a worker process as a single picklable value.
 
 Chunking trades scheduling granularity against per-unit overhead: the
 default (``chunk_size=None``) keeps all faults of a configuration in one
@@ -34,11 +35,9 @@ unit carries it); only the cache keys and the nominal-solve count vary.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..circuit.netlist import Circuit
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
 from ..errors import CampaignError
@@ -47,7 +46,9 @@ from ..faults.simulator import (
     SimulationSetup,
     fault_labels,
     functional_circuit,
+    simulate_configuration,
 )
+from .executor import Unit, UnitKind
 
 #: bumped whenever the unit result layout or key recipe changes, so stale
 #: cache entries from older library versions can never be misread
@@ -77,91 +78,57 @@ def fault_signature(fault: Fault) -> str:
     return f"{type(fault).__name__}({fault.name})"
 
 
-@dataclass(frozen=True, eq=False)
-class WorkUnit:
-    """One schedulable quantum: a configuration × a chunk of faults.
+def run_fault_unit(
+    bases, stats, circuit, functional, output, faults, labels, setup
+):
+    """Simulate one configuration's fault chunk (:data:`FAULTSIM_KIND`).
 
-    Attributes
-    ----------
-    unit_id:
-        Human-readable plan-unique id, ``"C3#0"`` (configuration label,
-        chunk ordinal).
-    config_index, config_label:
-        The emulated configuration's identity.
-    circuit:
-        The configuration-emulated circuit (DFT already applied).
-    functional:
-        The campaign's functional circuit C0, whose sweep the unit's
-        configuration reuses (the same object as ``circuit`` for C0).
-    output:
-        Probe node for every sweep of the unit.
-    faults, labels:
-        The fault chunk and the matrix column labels, aligned.
-    setup:
-        Shared grid / tolerance / criterion parameters.
-    key:
-        SHA-256 content hash; the cache address of the unit's result.
+    The configuration reuses its functional circuit's basis from
+    ``bases``.  Returns the nominal response and the chunk's
+    Definitions 1 and 2, one row per label.
     """
-
-    unit_id: str
-    config_index: int
-    config_label: str
-    circuit: Circuit
-    functional: Circuit
-    output: Optional[str]
-    faults: Tuple[Fault, ...]
-    labels: Tuple[str, ...]
-    setup: SimulationSetup
-    key: str = ""
-
-    @property
-    def n_faults(self) -> int:
-        return len(self.faults)
-
-    def __repr__(self) -> str:
-        return (
-            f"WorkUnit({self.unit_id}, {self.n_faults} fault(s), "
-            f"key={self.key[:8]})"
-        )
-
-
-def unit_key(
-    circuit: Circuit,
-    output: Optional[str],
-    faults: Sequence[Fault],
-    labels: Sequence[str],
-    setup: SimulationSetup,
-    functional: Circuit,
-) -> str:
-    """Content hash of one work unit (stable across processes and runs)."""
-    grid = setup.grid
-    payload = "\n".join(
-        [
-            PLAN_FORMAT,
-            f"output:{output}",
-            f"grid:{grid.f_start!r}:{grid.f_stop!r}:{grid.points_per_decade}",
-            f"epsilon:{setup.epsilon!r}",
-            f"criterion:{setup.criterion}",
-            "faults:"
-            + ";".join(
-                f"{label}={fault_signature(fault)}"
-                for label, fault in zip(labels, faults)
-            ),
-            circuit.identity(),
-            functional.identity(),
-        ]
+    nominal, detections, n_solves = simulate_configuration(
+        circuit, output, faults, labels, setup, stats=stats,
+        basis=bases.get(functional, setup.grid),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    arrays = {"nominal": nominal.values, **detections._asdict()}
+    return n_solves, arrays, {"label": nominal.label}
+
+
+#: a configuration times a chunk of the fault universe
+FAULTSIM_KIND = UnitKind(
+    name="faultsim",
+    format=PLAN_FORMAT,
+    key_fields=(
+        "output", "grid", "epsilon", "criterion", "faults", "circuit",
+        "functional",
+    ),
+    run=run_fault_unit,
+    arrays=(
+        "nominal", "masks", "omega_detectability", "max_deviation",
+        "f_max_deviation_hz",
+    ),
+    values=("label",),
+)
+
+
+def grid_key(grid) -> str:
+    """A frequency grid's key text."""
+    return f"{grid.f_start!r}:{grid.f_stop!r}:{grid.points_per_decade}"
 
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """A fully planned campaign: ordered work units plus shared context."""
+    """A fully planned campaign: ordered units plus shared context.
+
+    ``units`` run configuration by configuration, each configuration's
+    faults in :meth:`chunks` order.
+    """
 
     configs: Tuple[Configuration, ...]
     fault_labels: Tuple[str, ...]
     setup: SimulationSetup
-    units: Tuple[WorkUnit, ...]
+    units: Tuple[Unit, ...]
     chunk_size: Optional[int]
 
     @property
@@ -180,6 +147,10 @@ class CampaignPlan:
     def keys(self) -> Tuple[str, ...]:
         return tuple(unit.key for unit in self.units)
 
+    def chunks(self) -> List[Tuple[int, int]]:
+        """``[start, stop)`` bounds of each configuration's fault chunks."""
+        return _chunked(self.n_faults, self.chunk_size)
+
     def describe(self) -> str:
         chunk = self.chunk_size if self.chunk_size else self.n_faults
         return (
@@ -191,8 +162,6 @@ class CampaignPlan:
 
 def _chunked(n: int, chunk_size: Optional[int]) -> List[Tuple[int, int]]:
     """``[start, stop)`` chunk bounds over ``range(n)``."""
-    if n == 0:
-        return []
     size = n if chunk_size is None else chunk_size
     return [(start, min(start + size, n)) for start in range(0, n, size)]
 
@@ -204,11 +173,13 @@ def plan_campaign(
     configs: Optional[Sequence[Configuration]] = None,
     chunk_size: Optional[int] = None,
 ) -> CampaignPlan:
-    """Decompose a fault-simulation campaign into hashed work units.
+    """Decompose a fault-simulation campaign into hashed units.
 
     Parameters mirror :func:`repro.faults.simulator.simulate_faults`;
     ``chunk_size`` bounds the number of faults per unit (``None`` keeps
-    each configuration whole).
+    each configuration whole).  The key text shared by every unit —
+    grid, tolerance, criterion, the functional circuit's identity and
+    each fault's signature — is derived once per plan.
     """
     if chunk_size is not None and chunk_size < 1:
         raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -224,37 +195,42 @@ def plan_campaign(
 
     faults = tuple(faults)
     functional = functional_circuit(mcc)
-    units: List[WorkUnit] = []
+    grid = grid_key(setup.grid)
+    functional_identity = functional.identity()
+    signatures = [
+        f"{label}={fault_signature(fault)}"
+        for label, fault in zip(labels, faults)
+    ]
+    units: List[Unit] = []
     for config in configs:
         emulated = functional if config.is_functional else mcc.emulate(config)
         output = setup.output or emulated.output or mcc.base.output
+        identity = emulated.identity()
         for ordinal, (start, stop) in enumerate(
             _chunked(len(faults), chunk_size)
         ):
-            chunk_faults = faults[start:stop]
-            chunk_labels = tuple(labels[start:stop])
             units.append(
-                WorkUnit(
+                FAULTSIM_KIND.unit(
                     unit_id=f"{config.label}#{ordinal}",
-                    config_index=config.index,
-                    config_label=config.label,
-                    circuit=emulated,
-                    functional=functional,
-                    output=output,
-                    faults=chunk_faults,
-                    labels=chunk_labels,
-                    setup=setup,
-                    key=unit_key(
-                        emulated,
-                        output,
-                        chunk_faults,
-                        chunk_labels,
-                        setup,
-                        functional,
+                    label=config.label,
+                    size=stop - start,
+                    args=dict(
+                        circuit=emulated,
+                        functional=functional,
+                        output=output,
+                        faults=faults[start:stop],
+                        labels=tuple(labels[start:stop]),
+                        setup=setup,
                     ),
+                    output=str(output),
+                    grid=grid,
+                    epsilon=repr(setup.epsilon),
+                    criterion=setup.criterion,
+                    faults=";".join(signatures[start:stop]),
+                    circuit=identity,
+                    functional=functional_identity,
                 )
             )
-
     return CampaignPlan(
         configs=tuple(configs),
         fault_labels=tuple(labels),

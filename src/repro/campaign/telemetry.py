@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import IO, Optional, Union
 
 from .executor import UnitOutcome
-from .plan import CampaignPlan
 
 
 class CampaignTelemetry:
@@ -111,68 +110,55 @@ class CampaignTelemetry:
         cancelled or past its deadline.
         """
 
-    def campaign_start(
-        self, plan: CampaignPlan, executor_name: str, jobs: int = 1
-    ) -> None:
+    def campaign_start(self, plan, executor_name: str, jobs: int = 1) -> None:
+        """Record the start of any kind's plan (its units and describe())."""
         with self._lock:
             self._t0 = time.perf_counter()
             self._cpu0 = time.process_time()
-            self.counters["units_total"] += plan.n_units
+            self.counters["units_total"] += len(plan.units)
             self._emit_locked(
                 "campaign_start",
                 {
-                    "units": plan.n_units,
-                    "configs": plan.n_configs,
-                    "faults": plan.n_faults,
-                    "chunk_size": plan.chunk_size,
+                    "units": len(plan.units),
+                    "plan": plan.describe(),
                     "executor": executor_name,
                     "jobs": jobs,
                 },
             )
 
     def unit_outcome(self, outcome: UnitOutcome) -> None:
-        """Record one finished (or failed) work unit."""
+        """Record one finished (or failed) unit."""
+        result, unit = outcome.result, outcome.unit
+        work = result is not None and not outcome.from_cache
+        solves = result.n_solves if work else 0
+        factorizations = (
+            result.n_factorizations + outcome.basis_factorizations
+            if work
+            else 0
+        )
+        sm_fallbacks = result.sm_fallbacks if work else 0
         with self._lock:
             counters = self.counters
             counters["units_done"] += 1
             counters["retries"] += max(0, outcome.attempts - 1)
-            if outcome.from_cache:
-                counters["cache_hits"] += 1
-            elif outcome.result is not None:
-                counters["solves"] += outcome.result.n_solves
-                counters["factorizations"] += getattr(
-                    outcome.result, "n_factorizations", 0
-                ) + outcome.basis_factorizations
-                counters["sm_fallbacks"] += getattr(
-                    outcome.result, "sm_fallbacks", 0
-                )
+            counters["cache_hits"] += int(outcome.from_cache)
+            counters["solves"] += solves
+            counters["factorizations"] += factorizations
+            counters["sm_fallbacks"] += sm_fallbacks
             fields = {
-                "unit": outcome.unit.unit_id,
-                "config": outcome.unit.config_label,
-                "key": outcome.unit.key[:12],
-                "n_faults": outcome.unit.n_faults,
+                "unit": unit.unit_id,
+                "config": unit.label,
+                "key": unit.key[:12],
+                "n_faults": unit.size,
                 "cache_hit": outcome.from_cache,
-                "solves": (
-                    outcome.result.n_solves
-                    if outcome.result is not None and not outcome.from_cache
-                    else 0
-                ),
-                "factorizations": (
-                    getattr(outcome.result, "n_factorizations", 0)
-                    + outcome.basis_factorizations
-                    if outcome.result is not None and not outcome.from_cache
-                    else 0
-                ),
-                "sm_fallbacks": (
-                    getattr(outcome.result, "sm_fallbacks", 0)
-                    if outcome.result is not None and not outcome.from_cache
-                    else 0
-                ),
+                "solves": solves,
+                "factorizations": factorizations,
+                "sm_fallbacks": sm_fallbacks,
                 "attempts": outcome.attempts,
                 "degraded": outcome.degraded,
                 "wall_s": round(outcome.wall_s, 6),
             }
-            if outcome.result is None:
+            if result is None:
                 counters["failures"] += 1
                 fields["error"] = repr(outcome.error)
                 self._emit_locked("unit_failed", fields)

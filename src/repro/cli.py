@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from .analysis import ac_analysis, circuit_poles, decade_grid
 from .analysis.noise import noise_analysis
 from .analysis.transfer import extract_transfer_function
-from .campaign import CampaignTelemetry, tolerance_cache
+from .campaign import CampaignTelemetry
 from .circuit import Circuit, parse_netlist, validate_circuit
 from .core import (
     AverageOmegaDetectability,
@@ -47,7 +47,6 @@ from .core import (
 )
 from .core.testprogram import generate_test_program
 from .dft import apply_multiconfiguration
-from .diagnosis import diagnosis_cache
 from .errors import JobValidationError, ReproError
 from .faults import SimulationSetup, deviation_faults, simulate_faults
 from .operations import (
@@ -112,7 +111,7 @@ def _resolve_cache_dir(args) -> Optional[str]:
     return cache_dir
 
 
-def _campaign_parts(args, cache_factory=None, persistent=False):
+def _campaign_parts(args, persistent=False):
     """(executor, cache, telemetry) from the campaign CLI flags.
 
     The one shared interpretation of ``campaign_flags`` — ``faultsim``,
@@ -123,12 +122,6 @@ def _campaign_parts(args, cache_factory=None, persistent=False):
 
     Parameters
     ----------
-    cache_factory:
-        ``directory -> cache`` constructor (default
-        :class:`~repro.campaign.ResultCache`); ``tolerance`` and
-        ``diagnose`` pass :func:`~repro.campaign.tolerance_cache` and
-        :func:`~repro.diagnosis.diagnosis_cache` because their payloads
-        are not UnitResults.
     persistent:
         Build a parallel executor whose process pool survives across
         runs (the job server's mode); call ``executor.close()`` when
@@ -149,10 +142,9 @@ def _campaign_parts(args, cache_factory=None, persistent=False):
             persistent=persistent,
         )
     if cache_dir is not None:
-        if cache_factory is None:
-            from .campaign import ResultCache as cache_factory
+        from .campaign import ResultCache
 
-        cache = cache_factory(cache_dir)
+        cache = ResultCache(cache_dir)
     if trace is not None or progress:
         telemetry = CampaignTelemetry(trace_path=trace, progress=progress)
     return executor, cache, telemetry
@@ -464,9 +456,7 @@ def cmd_operation(args) -> int:
     if "target" in args:
         params.update(_circuit_params(args.target))
     params = normalize_params(args.kind, params)
-    executor, cache, telemetry = _campaign_parts(
-        args, cache_factory=args.cache_factory
-    )
+    executor, cache, telemetry = _campaign_parts(args)
     context = Context(
         executor=executor,
         cache=cache,
@@ -735,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     declared_flags(p_faultsim, "faultsim", ("n_detect", "saturate"))
     p_faultsim.set_defaults(handler=cmd_faultsim)
 
-    def operation(name, kind, show, cache_factory=None, **kwargs):
+    def operation(name, kind, show, **kwargs):
         """The subcommand of one declared operation: its flags come
         from the declaration, and ``cmd_operation`` runs it."""
         p = sub.add_parser(name, **kwargs)
@@ -747,10 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
         declared_flags(
             p, kind, [n for n in names if n not in ("target", "netlist")]
         )
-        p.set_defaults(
-            handler=cmd_operation, kind=kind, show=show,
-            cache_factory=cache_factory,
-        )
+        p.set_defaults(handler=cmd_operation, kind=kind, show=show)
         return p
 
     p_campaign = operation(
@@ -846,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_montecarlo.set_defaults(handler=cmd_montecarlo)
 
     p_tolerance = operation(
-        "tolerance", "tolerance", _show_tolerance, tolerance_cache,
+        "tolerance", "tolerance", _show_tolerance,
         help="catalog-scale epsilon-calibration campaign (batched "
         "tolerance engine)",
     )
@@ -857,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_flags(p_tolerance)
 
     p_diagnose = operation(
-        "diagnose", "diagnose", _show_diagnose, diagnosis_cache,
+        "diagnose", "diagnose", _show_diagnose,
         help="parametric fault location: trajectory dictionary + "
         "nearest-trajectory matcher (see docs/diagnosis.md)",
     )

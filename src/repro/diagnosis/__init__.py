@@ -19,15 +19,10 @@ See ``docs/diagnosis.md`` for the full walk-through.
 """
 
 from .campaign import (
-    DIAGNOSIS,
     DIAGNOSIS_FORMAT,
+    DIAGNOSIS_KIND,
     DiagnosisPlan,
-    DiagnosisUnit,
-    DiagnosisUnitResult,
-    diagnosis_cache,
-    diagnosis_unit_key,
     execute_diagnosis_plan,
-    execute_diagnosis_unit,
     plan_diagnosis_campaign,
     run_diagnosis_campaign,
 )
@@ -50,22 +45,17 @@ from .trajectory import (
 )
 
 __all__ = [
-    "DIAGNOSIS",
     "DIAGNOSIS_FORMAT",
+    "DIAGNOSIS_KIND",
     "DISTANCES",
     "DISTANCE_METRICS",
     "DiagnosisPlan",
-    "DiagnosisUnit",
-    "DiagnosisUnitResult",
     "TrajectoryDiagnosis",
     "TrajectoryDictionary",
     "TrajectoryMatch",
     "build_trajectory_dictionary",
     "deviation_grid",
-    "diagnosis_cache",
-    "diagnosis_unit_key",
     "execute_diagnosis_plan",
-    "execute_diagnosis_unit",
     "locate_fault",
     "match_response",
     "observe_fault",

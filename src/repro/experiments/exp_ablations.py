@@ -191,8 +191,11 @@ def corner_vs_montecarlo() -> ExperimentReport:
 
     Both quantify the fault-free deviation the tolerance ε must absorb;
     corners bound it exactly (for vertex-extremal responses), Monte
-    Carlo estimates its distribution.  The corner floor must dominate
-    any sampled percentile.
+    Carlo estimates its distribution.  Each floor is compared with what
+    is measured in its own normalisation: the point-wise corner floor
+    ``|ΔT/T|`` must dominate the point-wise Monte Carlo percentile, and
+    the paper's ε = 10 %, which the reproduced flow applies under the
+    band criterion ``|ΔT|/max|T|``, is compared with the band floor.
     """
     from ..analysis.corners import corner_analysis
     from ..analysis.montecarlo import monte_carlo_tolerance
@@ -214,15 +217,21 @@ def corner_vs_montecarlo() -> ExperimentReport:
             [
                 f"{100 * tolerance:.0f}%",
                 f"{100 * corners.epsilon_floor():.2f}%",
+                f"{100 * corners.band_epsilon_floor():.2f}%",
                 corners.describe_worst().split(":")[1].strip(),
             ]
         )
         report.add_value(
             f"corner_floor@tol={tolerance:g}", corners.epsilon_floor()
         )
+        report.add_value(
+            f"band_floor@tol={tolerance:g}", corners.band_epsilon_floor()
+        )
     report.add_section(
         "guaranteed epsilon floor per component tolerance",
-        render_table(["tolerance", "corner floor", "worst corner"], rows),
+        render_table(
+            ["tolerance", "corner floor", "band floor", "worst corner"], rows
+        ),
     )
 
     corners = corner_analysis(circuit, grid, 0.02)
@@ -230,9 +239,9 @@ def corner_vs_montecarlo() -> ExperimentReport:
     report.add_value("corner_floor@2pct", corners.epsilon_floor())
     report.add_value("mc_p95@2pct", mc.suggested_epsilon(95.0))
     report.add_comparison(
-        "paper_epsilon_above_2pct_corner_floor",
+        "paper_epsilon_above_2pct_band_floor",
         paper_value=1.0,
-        measured_value=float(0.10 > corners.epsilon_floor()),
+        measured_value=float(0.10 > corners.band_epsilon_floor()),
     )
     return report
 

@@ -38,12 +38,13 @@ put ``python -m repro route --replica ...`` in front of several.
 from .client import ServiceClient
 from .jobs import (
     JOB_KINDS,
+    JOB_RECORD,
     PARAM_SPECS,
     Job,
-    JobRecord,
     JobTelemetry,
     JobTombstone,
     job_key,
+    job_record,
     normalize_params,
 )
 from .metrics import ServiceMetrics, aggregate_metrics, parse_metrics
@@ -55,8 +56,8 @@ __all__ = [
     "ExecutorLeasePool",
     "HashRing",
     "JOB_KINDS",
+    "JOB_RECORD",
     "Job",
-    "JobRecord",
     "JobScheduler",
     "JobTombstone",
     "JobTelemetry",
@@ -69,6 +70,7 @@ __all__ = [
     "ServiceRuntime",
     "aggregate_metrics",
     "job_key",
+    "job_record",
     "normalize_params",
     "parse_metrics",
 ]

@@ -15,7 +15,7 @@ JSON-able ``params`` dict.  This module owns
   :class:`~repro.errors.JobValidationError` before a bad job is queued;
 * the **content key** (:func:`job_key`): a SHA-256 over the kind and
   the identity-relevant normalised params.  Completed jobs are persisted
-  as :class:`JobRecord` entries in a
+  as job records (:func:`job_record`) in a
   :class:`~repro.campaign.cache.ResultCache` under that key, so a
   restarted server answers a re-submitted identical job from disk
   without recomputing (and a live server deduplicates repeats);
@@ -41,6 +41,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from ..campaign.executor import UnitResult
 from ..campaign.telemetry import CampaignTelemetry
 from ..errors import (
     JobCancelledError,
@@ -200,20 +201,27 @@ def job_executor(job: "Job", runtime):
     return job.executor
 
 
-@dataclass
-class JobRecord:
-    """The persisted payload of one completed job (cacheable).
+#: the cache kind of a completed job's record
+JOB_RECORD = "job"
 
-    Stored in a :class:`~repro.campaign.cache.ResultCache` constructed
-    with ``payload_type=JobRecord``; the cache validates ``key`` on the
-    way out, so a corrupted or mismatched record reads as a miss.
+
+def job_record(job: "Job") -> UnitResult:
+    """The persisted record of a completed job (cacheable).
+
+    A :class:`~repro.campaign.executor.UnitResult` of kind
+    :data:`JOB_RECORD` whose JSON values are the job's ``params``, its
+    ``result`` and ``wall_s``; the cache checks the kind and the key on
+    the way out, so a corrupted or mismatched record reads as a miss.
     """
-
-    key: str
-    kind: str
-    params: dict
-    result: dict
-    wall_s: float = 0.0
+    return UnitResult(
+        kind=JOB_RECORD,
+        key=job.key,
+        values={
+            "params": job.params,
+            "result": job.result,
+            "wall_s": job.wall_s,
+        },
+    )
 
 
 @dataclass
@@ -398,7 +406,7 @@ def _job_runner(kind: str):
     def run(job: Job, runtime, telemetry: JobTelemetry) -> dict:
         context = Context(
             executor=job_executor(job, runtime),
-            cache=runtime.caches.get(kind),
+            cache=runtime.cache,
             telemetry=telemetry,
         )
         result, detail = operation.run(job.params, context)

@@ -5,9 +5,8 @@ Three pieces:
 :class:`ServiceRuntime`
     The shared compute substrate every job runs on — the campaign
     executor(s) (optionally persistent process pools that stay warm
-    across jobs), **one** set of result caches (campaign units,
-    tolerance units, diagnosis units and completed job records) and
-    **one** server-wide
+    across jobs), **one** unit cache (the units of every campaign kind),
+    **one** job-record cache and **one** server-wide
     :class:`~repro.campaign.telemetry.CampaignTelemetry` feeding
     ``/metrics``.  This replaces the per-invocation setup the CLI does:
     a server that has simulated a circuit once answers the next
@@ -38,7 +37,7 @@ Three pieces:
 
 Concurrency model: up to ``workers`` jobs execute at once, each on the
 executor lease it could grab (or serially in its worker thread).  All
-of them share the unit caches — safe by the
+of them share the unit cache — safe by the
 :class:`~repro.campaign.cache.ResultCache` consistency contract — so
 concurrent jobs over the same circuit de-duplicate work through the
 cache even while racing.
@@ -69,11 +68,12 @@ from .jobs import (
     FAILED,
     QUEUED,
     RUNNING,
+    JOB_RECORD,
     Job,
-    JobRecord,
     JobTelemetry,
     JobTombstone,
     execute_job,
+    job_record,
     normalize_params,
 )
 
@@ -140,13 +140,11 @@ class ServiceRuntime:
         scheduler pool-per-worker parallelism; ``None`` runs every job
         serially in its scheduler worker thread.
     cache_dir:
-        Root directory for the four result caches; ``None`` disables
+        Root directory for the two result caches; ``None`` disables
         persistence (jobs still share the executors and telemetry).
-        Layout: ``<dir>/units`` (fault-simulation unit results),
-        ``<dir>/tolerance`` (tolerance unit results),
-        ``<dir>/diagnosis`` (trajectory-dictionary unit results),
-        ``<dir>/jobs`` (completed job records).  Stale ``.tmp`` residue
-        of crashed writers is swept at startup.
+        Layout: ``<dir>/units`` (the unit results of every campaign
+        kind), ``<dir>/jobs`` (completed job records).  Stale ``.tmp``
+        residue of crashed writers is swept at startup.
     telemetry:
         Server-wide telemetry instance (defaults to a fresh one); give
         it a ``trace_path`` to keep a JSONL event log of every unit the
@@ -168,28 +166,13 @@ class ServiceRuntime:
         self.lease_pool = ExecutorLeasePool(self.executors)
         self.telemetry = telemetry or CampaignTelemetry()
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        #: job kind -> the unit cache its runs read and write
-        self.caches: Dict[str, ResultCache] = {}
+        #: the unit cache every job's campaign reads and writes
+        self.cache: Optional[ResultCache] = None
         self.job_cache: Optional[ResultCache] = None
         if self.cache_dir is not None:
-            from ..campaign import ToleranceUnitResult
-            from ..diagnosis import DiagnosisUnitResult
-
-            self.caches = {
-                "faultsim": ResultCache(self.cache_dir / "units"),
-                "tolerance": ResultCache(
-                    self.cache_dir / "tolerance",
-                    payload_type=ToleranceUnitResult,
-                ),
-                "diagnose": ResultCache(
-                    self.cache_dir / "diagnosis",
-                    payload_type=DiagnosisUnitResult,
-                ),
-            }
-            self.job_cache = ResultCache(
-                self.cache_dir / "jobs", payload_type=JobRecord
-            )
-            for cache in (*self.caches.values(), self.job_cache):
+            self.cache = ResultCache(self.cache_dir / "units")
+            self.job_cache = ResultCache(self.cache_dir / "jobs")
+            for cache in (self.cache, self.job_cache):
                 cache.sweep_stale()
 
     @property
@@ -313,9 +296,9 @@ class JobScheduler:
 
         record = None
         if job.cacheable and self.runtime.job_cache is not None:
-            record = self.runtime.job_cache.get(job.key)
+            record = self.runtime.job_cache.get(job.key, JOB_RECORD)
         if record is not None:
-            job.result = record.result
+            job.result = record.values["result"]
             job.from_cache = True
             job.started_at = job.finished_at = time.time()
             job.state = DONE
@@ -430,13 +413,13 @@ class JobScheduler:
         ):
             record = None
             if entry.cacheable and self.runtime.job_cache is not None:
-                record = self.runtime.job_cache.get(entry.key)
+                record = self.runtime.job_cache.get(entry.key, JOB_RECORD)
             if record is None:
                 raise JobNotFoundError(
                     f"job {job_id!r} was pruned and its result record "
                     "is no longer cached"
                 )
-            view["result"] = record.result
+            view["result"] = record.values["result"]
         return view
 
     def tombstone_count(self) -> int:
@@ -639,16 +622,7 @@ class JobScheduler:
             and self.runtime.job_cache is not None
         ):
             try:
-                self.runtime.job_cache.put(
-                    job.key,
-                    JobRecord(
-                        key=job.key,
-                        kind=job.kind,
-                        params=job.params,
-                        result=job.result,
-                        wall_s=job.wall_s,
-                    ),
-                )
+                self.runtime.job_cache.put(job.key, job_record(job))
             except OSError:
                 pass  # a full/read-only disk must not fail the job
         job.state = state

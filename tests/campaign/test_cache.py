@@ -1,5 +1,7 @@
 """Cache correctness: key stability, invalidation, corruption recovery."""
 
+import dataclasses
+import os
 import pickle
 
 import numpy as np
@@ -13,7 +15,20 @@ from repro.campaign import (
     plan_campaign,
     run_campaign,
 )
+from repro.campaign.cache import encode
 from repro.faults import SimulationSetup
+
+KIND = "faultsim"
+
+
+class Planted:
+    """A pickle that makes a directory when it is unpickled."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
 
 
 @pytest.fixture
@@ -32,18 +47,21 @@ class TestStore:
             campaign_mcc, campaign_faults, campaign_setup
         )
         for unit in plan.units:
-            stored = cache.get(unit.key)
+            stored = cache.get(unit.key, KIND)
             assert isinstance(stored, UnitResult)
             assert stored.key == unit.key
+            assert unit.kind.produced(stored)
+            assert len(stored.arrays["nominal"]) == plan.setup.grid.n_points
             assert all(
-                len(array) == len(unit.labels)
-                for array in stored.detections
+                len(stored.arrays[name]) == len(unit.args["labels"])
+                for name in unit.kind.arrays[1:]
             )
+            assert not any(a.flags.writeable for a in stored.arrays.values())
         assert cache.writes == plan.n_units
         assert dataset.n_solves > 0
 
     def test_missing_key_is_a_miss(self, cache):
-        assert cache.get("0" * 64) is None
+        assert cache.get("0" * 64, KIND) is None
         assert cache.misses == 1
 
     def test_clear(self, cache, campaign_mcc, campaign_faults, campaign_setup):
@@ -62,7 +80,7 @@ class TestStore:
         run_campaign(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
-        shard = sorted(cache.directory.glob("*/*.pkl"))[0].parent
+        shard = sorted(cache.directory.glob("*/*.entry"))[0].parent
         stale = shard / "orphaned0000.tmp"
         stale.write_bytes(b"half-written entry")
         assert cache.clear() == 7  # .tmp files don't count as entries
@@ -173,7 +191,7 @@ class TestResume:
 
 class TestCorruption:
     def _any_entry(self, cache):
-        paths = sorted(cache.directory.glob("*/*.pkl"))
+        paths = sorted(cache.directory.glob("*/*.entry"))
         assert paths
         return paths[0]
 
@@ -183,7 +201,8 @@ class TestCorruption:
         baseline = run_campaign(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
-        self._any_entry(cache).write_bytes(b"\x80\x04 not a pickle")
+        path = self._any_entry(cache)
+        path.write_bytes(path.read_bytes()[:-9])
         telemetry = CampaignTelemetry()
         recovered = run_campaign(
             campaign_mcc,
@@ -202,16 +221,30 @@ class TestCorruption:
     def test_wrong_payload_type_is_a_miss(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
+        """A well-formed entry of another kind under the key is a miss."""
         run_campaign(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         path = self._any_entry(cache)
-        path.write_bytes(pickle.dumps({"not": "a unit result"}))
         key = path.stem
-        assert cache.get(key) is None
+        stored = cache.get(key, KIND)
+        path.write_bytes(encode(dataclasses.replace(stored, kind="tolerance")))
+        assert cache.get(key, KIND) is None
         assert cache.corrupt == 1
         # the corrupted entry was evicted
         assert not path.exists()
+
+    def test_planted_pickle_is_never_unpickled(self, cache, tmp_path):
+        """Whatever sits at an entry's path is parsed as data: a pickle
+        planted there is a miss, and its payload never runs."""
+        key = "ab" * 32
+        sentinel = tmp_path / "sentinel"
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pickle.dumps(Planted(sentinel)))
+        assert cache.get(key, KIND) is None
+        assert cache.corrupt == 1
+        assert not sentinel.exists()
 
     def test_key_mismatch_is_a_miss(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
@@ -219,26 +252,28 @@ class TestCorruption:
         run_campaign(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
-        paths = sorted(cache.directory.glob("*/*.pkl"))
+        paths = sorted(cache.directory.glob("*/*.entry"))
         first, second = paths[0], paths[1]
         second.write_bytes(first.read_bytes())
-        assert cache.get(second.stem) is None
+        assert cache.get(second.stem, KIND) is None
         assert cache.corrupt == 1
 
     def test_contains_agrees_with_get_on_corrupt_entry(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
-        """``key in cache`` must never promise a hit that ``get`` would
+        """``contains`` must never promise a hit that ``get`` would
         then refuse: membership runs the same validation."""
         run_campaign(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         path = self._any_entry(cache)
         key = path.stem
-        assert key in cache  # healthy entry: both agree it is present
-        path.write_bytes(b"\x80\x04 not a pickle")
-        assert key not in cache  # corrupt: membership says absent...
-        assert cache.get(key) is None  # ...exactly as get() does
+        # healthy entry: both agree it is present
+        assert cache.contains(key, KIND)
+        path.write_bytes(b"\x80\x04 not an entry")
+        # corrupt: membership says absent...
+        assert not cache.contains(key, KIND)
+        assert cache.get(key, KIND) is None  # ...exactly as get() does
         assert not path.exists()  # and the probe evicted it
 
     def test_contains_does_not_skew_hit_miss_counters(
@@ -249,8 +284,8 @@ class TestCorruption:
         )
         hits, misses = cache.hits, cache.misses
         key = self._any_entry(cache).stem
-        assert key in cache
-        assert ("f" * 64) not in cache
+        assert cache.contains(key, KIND)
+        assert not cache.contains("f" * 64, KIND)
         assert (cache.hits, cache.misses) == (hits, misses)
 
     def test_unreadable_entry_is_a_miss(
@@ -264,4 +299,4 @@ class TestCorruption:
         key = path.stem
         path.unlink()
         path.mkdir()
-        assert cache.get(key) is None
+        assert cache.get(key, KIND) is None

@@ -1,7 +1,7 @@
 """Multi-process ResultCache contention: the consistency contract, lived.
 
 N processes hammer one shared cache directory with interleaved
-``put``/``get``/``__contains__``/``clear`` over a small key-space.  The
+``put``/``get``/``contains``/``clear`` over a small key-space.  The
 contract under test (see ``repro/campaign/cache.py``):
 
 * **no torn reads** — ``get`` returns ``None`` or a complete, valid
@@ -10,7 +10,7 @@ contract under test (see ``repro/campaign/cache.py``):
 * **no stale ``.tmp`` leakage** — clean writers leave no temp residue,
   and :meth:`sweep_stale` reclaims crashed writers' residue without
   touching fresh files;
-* **``__contains__`` ≡ ``get()``** — membership and retrieval agree
+* **``contains`` ≡ ``get()``** — membership and retrieval agree
   once the dust settles (mid-race they may legitimately disagree about
   a key another process is publishing or clearing *right now*, but
   neither may ever crash or observe a torn entry);
@@ -20,29 +20,30 @@ contract under test (see ``repro/campaign/cache.py``):
 
 import multiprocessing
 import os
-import pickle
 import random
 import time
 
+import numpy as np
 import pytest
 
-from repro.campaign.cache import ResultCache
+from repro.campaign.cache import ResultCache, encode
 from repro.campaign.executor import UnitResult
 
 #: deterministic key-space: shards 00..07, hex-ish tails
 KEYS = [f"{index:02d}" + "ab" * 31 for index in range(8)]
 
+KIND = "faultsim"
+
 
 def make_result(key: str, stamp: int) -> UnitResult:
     """A payload whose content identifies its writer (torn-read bait:
-    the filler list widens the write window)."""
+    the filler array widens the write window)."""
     return UnitResult(
+        kind=KIND,
         key=key,
-        unit_id=f"unit-{stamp}",
-        config_index=stamp,
-        nominal=[float(stamp)] * 2048,
-        detections=None,
         n_solves=stamp,
+        arrays={"nominal": np.full(2048, float(stamp))},
+        values={"stamp": stamp},
     )
 
 
@@ -62,17 +63,18 @@ def hammer(directory, worker_id, n_ops, failures):
             if roll < 0.45:
                 cache.put(key, make_result(key, worker_id * n_ops + op_index))
             elif roll < 0.85:
-                result = cache.get(key)
+                result = cache.get(key, KIND)
                 if result is not None:
                     assert result.key == key, "torn/mismatched payload"
-                    assert result.n_solves == result.config_index, (
+                    assert result.n_solves == result.values["stamp"], (
                         "payload fields from two different writes"
                     )
-                    assert result.nominal[0] == result.nominal[-1], (
+                    nominal = result.arrays["nominal"]
+                    assert nominal[0] == nominal[-1] == result.n_solves, (
                         "torn filler"
                     )
             elif roll < 0.97:
-                present = key in cache
+                present = cache.contains(key, KIND)
                 assert isinstance(present, bool)
             else:
                 cache.clear()
@@ -112,13 +114,13 @@ def test_multiprocess_contention(tmp_path):
     assert list(cache.directory.glob("*/*.tmp")) == []
     # membership and retrieval agree for every key once quiescent
     for key in KEYS:
-        assert (key in cache) == (cache.get(key) is not None)
+        assert cache.contains(key, KIND) == (cache.get(key, KIND) is not None)
     # surviving entries are complete and self-consistent
     for key in KEYS:
-        result = cache.get(key)
+        result = cache.get(key, KIND)
         if result is not None:
             assert result.key == key
-            assert result.n_solves == result.config_index
+            assert result.n_solves == result.values["stamp"]
 
 
 def test_contains_matches_get_for_corrupt_entry(tmp_path):
@@ -126,9 +128,9 @@ def test_contains_matches_get_for_corrupt_entry(tmp_path):
     key = KEYS[0]
     path = cache.path_for(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"definitely not a pickle")
-    assert key not in cache  # evicts
-    assert cache.get(key) is None
+    path.write_bytes(b"definitely not an entry")
+    assert not cache.contains(key, KIND)  # evicts
+    assert cache.get(key, KIND) is None
     assert not path.exists()
 
 
@@ -137,7 +139,7 @@ def test_sweep_stale_removes_only_old_tmp(tmp_path):
     shard = cache.directory / "00"
     shard.mkdir(parents=True, exist_ok=True)
     old = shard / "crashed-writer.tmp"
-    old.write_bytes(b"half a pickle")
+    old.write_bytes(b"half an entry")
     ancient = time.time() - 3600.0
     os.utime(old, (ancient, ancient))
     fresh = shard / "live-writer.tmp"
@@ -177,7 +179,7 @@ def test_eviction_spares_a_concurrently_republished_entry(tmp_path):
     # the racing reader now tries to evict based on its stale stat
     ResultCache._evict_if_unchanged(path, stale_stat)
     assert path.exists(), "fresh entry must survive the stale eviction"
-    result = cache.get(key)
+    result = cache.get(key, KIND)
     assert result is not None and result.n_solves == 7
 
     # ...but with an up-to-date stat the eviction does fire
@@ -188,13 +190,10 @@ def test_eviction_spares_a_concurrently_republished_entry(tmp_path):
 
 def test_concurrent_writers_same_key_last_writer_wins(tmp_path):
     """Interleaved puts on one key: the entry is always one writer's
-    complete payload (pickle bytes equal to a clean dump of it)."""
+    complete payload (bytes equal to a clean encoding of it)."""
     cache = ResultCache(tmp_path / "cache")
     key = KEYS[2]
     for stamp in range(5):
         cache.put(key, make_result(key, stamp))
     raw = cache.path_for(key).read_bytes()
-    expected = pickle.dumps(
-        make_result(key, 4), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    assert raw == expected
+    assert raw == encode(make_result(key, 4))

@@ -23,6 +23,17 @@ def plan(campaign_mcc, campaign_faults, campaign_setup):
     return plan_campaign(campaign_mcc, campaign_faults, campaign_setup)
 
 
+@pytest.fixture
+def many_cores(monkeypatch):
+    """Four cores, so two workers are effective even on a 1-core host
+    and the pooled path runs."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+#: the real worker entry point, for test doubles to delegate to
+real_execute_unit = executor_module.execute_unit
+
+
 class FlakyWorker:
     """Fails the first ``n_failures`` calls, then delegates to the real
     worker."""
@@ -35,23 +46,7 @@ class FlakyWorker:
         self.calls += 1
         if self.calls <= self.n_failures:
             raise RuntimeError("transient failure")
-        return self._real(unit)
-
-    @staticmethod
-    def _real(unit):
-        from repro.faults.simulator import simulate_configuration
-
-        nominal, detections, n_solves = simulate_configuration(
-            unit.circuit, unit.output, unit.faults, unit.labels, unit.setup
-        )
-        return executor_module.UnitResult(
-            key=unit.key,
-            unit_id=unit.unit_id,
-            config_index=unit.config_index,
-            nominal=nominal,
-            detections=detections,
-            n_solves=n_solves,
-        )
+        return real_execute_unit(unit)
 
 
 class HangingWorker:
@@ -70,7 +65,7 @@ class HangingWorker:
             and os.getpid() != self.parent_pid
         ):
             time.sleep(self.HANG_S)
-        return FlakyWorker._real(unit)
+        return real_execute_unit(unit)
 
 
 class TestSerialExecutor:
@@ -131,7 +126,7 @@ class TestParallelExecutor:
         assert ParallelExecutor(jobs=2).execute([]) == []
 
     def test_degrades_to_serial_when_pool_unavailable(
-        self, plan, monkeypatch
+        self, plan, monkeypatch, many_cores
     ):
         """If the platform cannot host a process pool, the campaign still
         completes — every unit runs serially in the parent."""
@@ -142,53 +137,47 @@ class TestParallelExecutor:
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", refuse
         )
-        outcomes = ParallelExecutor(jobs=2, adaptive=False).execute(
-            plan.units[:3]
-        )
+        outcomes = ParallelExecutor(jobs=2).execute(plan.units[:3])
         assert all(o.ok for o in outcomes)
         assert all(o.degraded for o in outcomes)
 
-    def test_worker_exception_falls_back_to_parent(self, plan):
+    def test_worker_exception_falls_back_to_parent(self, plan, many_cores):
         """A unit whose worker raises is retried serially in the parent.
 
-        The fork start method shares the parent's (monkeypatched) module
-        state, so poisoning a specific unit in a subclass exercises the
-        fallback deterministically.
+        Two units on two workers make one batch each; poisoning one
+        batch's future in a subclass exercises the fallback
+        deterministically.
         """
 
         class Poisoned(ParallelExecutor):
-            def _harvest(self, unit, future):
-                if unit.unit_id == "C0#0":
+            def _harvest_batch(self, batch, future):
+                if batch[0].unit_id == "C0#0":
                     # simulate the worker's crash for this unit
                     poisoned = concurrent.futures.Future()
                     poisoned.set_exception(RuntimeError("worker died"))
-                    return super()._harvest(unit, poisoned)
-                return super()._harvest(unit, future)
+                    return super()._harvest_batch(batch, poisoned)
+                return super()._harvest_batch(batch, future)
 
-        outcomes = Poisoned(
-            jobs=2, retries=1, adaptive=False, batch_size=1
-        ).execute(plan.units[:3])
+        outcomes = Poisoned(jobs=2, retries=1).execute(plan.units[:2])
         assert all(o.ok for o in outcomes)
         degraded = {o.unit.unit_id: o.degraded for o in outcomes}
         assert degraded["C0#0"] is True
-        assert degraded["C2#0"] is False
+        assert degraded["C1#0"] is False
 
-    def test_zero_retries_surface_worker_error(self, plan):
+    def test_zero_retries_surface_worker_error(self, plan, many_cores):
         class Poisoned(ParallelExecutor):
-            def _harvest(self, unit, future):
+            def _harvest_batch(self, batch, future):
                 poisoned = concurrent.futures.Future()
                 poisoned.set_exception(RuntimeError("worker died"))
-                return super()._harvest(unit, poisoned)
+                return super()._harvest_batch(batch, poisoned)
 
-        outcomes = Poisoned(jobs=2, retries=0, adaptive=False).execute(
-            plan.units[:1]
-        )
-        assert not outcomes[0].ok
+        outcomes = Poisoned(jobs=2, retries=0).execute(plan.units[:2])
+        assert not any(o.ok for o in outcomes)
         assert isinstance(outcomes[0].error, RuntimeError)
 
-    def test_broken_pool_degrades_remaining_units(self, plan):
+    def test_broken_pool_degrades_remaining_units(self, plan, many_cores):
         class Broken(ParallelExecutor):
-            def _harvest(self, unit, future):
+            def _harvest_batch(self, batch, future):
                 future.cancel()
                 broken = concurrent.futures.Future()
                 broken.set_exception(
@@ -196,11 +185,9 @@ class TestParallelExecutor:
                         "pool collapsed"
                     )
                 )
-                return super()._harvest(unit, broken)
+                return super()._harvest_batch(batch, broken)
 
-        outcomes = Broken(
-            jobs=2, retries=1, adaptive=False, batch_size=1
-        ).execute(plan.units[:3])
+        outcomes = Broken(jobs=2, retries=1).execute(plan.units[:2])
         assert all(o.ok for o in outcomes)
         assert all(o.degraded for o in outcomes)
 
@@ -282,19 +269,19 @@ class TestAdaptiveInProcess:
         ]
         for left, right in zip(serial, adaptive):
             assert left.result.n_solves == right.result.n_solves
-            for ours, theirs in zip(
-                left.result.detections, right.result.detections
-            ):
-                assert np.array_equal(ours, theirs)
+            for name, ours in left.result.arrays.items():
+                assert np.array_equal(ours, right.result.arrays[name])
 
 
 class TestBatchedDispatch:
-    def test_explicit_batch_size_preserves_order_and_results(self, plan):
-        """batch_size=2 ships units in pairs; outcomes still arrive in
-        plan order with per-unit results intact."""
-        executor = ParallelExecutor(
-            jobs=2, batch_size=2, adaptive=False
-        )
+    def test_explicit_batch_size_preserves_order_and_results(
+        self, plan, many_cores
+    ):
+        """Three units on two workers ship as a pair and a single;
+        outcomes still arrive in plan order with per-unit results
+        intact."""
+        executor = ParallelExecutor(jobs=2)
+        assert [len(b) for b in executor._batch_bounds(3)] == [2, 1]
         seen = []
         outcomes = executor.execute(plan.units[:3], callback=seen.append)
         assert [o.unit.unit_id for o in outcomes] == [
@@ -308,7 +295,9 @@ class TestBatchedDispatch:
         for left, right in zip(serial, outcomes):
             assert left.result.n_solves == right.result.n_solves
 
-    def test_failed_unit_does_not_poison_its_batch(self, plan, monkeypatch):
+    def test_failed_unit_does_not_poison_its_batch(
+        self, plan, monkeypatch, many_cores
+    ):
         """One raising unit inside a batch is retried in the parent;
         its batch siblings keep their worker results."""
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -320,13 +309,13 @@ class TestBatchedDispatch:
             def __call__(self, unit, bases=None):
                 if unit.unit_id == poison_id:
                     raise RuntimeError("poisoned unit")
-                return FlakyWorker._real(unit)
+                return real_execute_unit(unit)
 
         monkeypatch.setattr(executor_module, "execute_unit", PoisonOne())
         executor = ParallelExecutor(
-            jobs=2, batch_size=3, retries=0, adaptive=False,
-            start_method="fork",
+            jobs=2, retries=0, start_method="fork"
         )
+        # the pair of the first batch holds the poisoned unit
         outcomes = executor.execute(plan.units[:3])
         by_id = {o.unit.unit_id: o for o in outcomes}
         assert not by_id[poison_id].ok
@@ -335,7 +324,7 @@ class TestBatchedDispatch:
         assert all(not o.degraded for o in others)
 
     def test_each_unit_of_a_batch_reports_its_own_time(
-        self, plan, monkeypatch
+        self, plan, monkeypatch, many_cores
     ):
         """The worker times each unit of its batch: a slow unit's
         ``wall_s`` shows its delay, and its batch siblings' do not."""
@@ -347,12 +336,11 @@ class TestBatchedDispatch:
         def slow_one(unit, bases=None):
             if unit.unit_id == slow_id:
                 time.sleep(delay_s)
-            return FlakyWorker._real(unit)
+            return real_execute_unit(unit)
 
         monkeypatch.setattr(executor_module, "execute_unit", slow_one)
-        executor = ParallelExecutor(
-            jobs=2, batch_size=3, adaptive=False, start_method="fork"
-        )
+        executor = ParallelExecutor(jobs=2, start_method="fork")
+        # the slow unit shares the first batch with the fast C0
         outcomes = executor.execute(plan.units[:3])
         assert all(o.ok and not o.degraded for o in outcomes)
         by_id = {o.unit.unit_id: o for o in outcomes}
@@ -361,36 +349,34 @@ class TestBatchedDispatch:
             if unit_id != slow_id:
                 assert outcome.wall_s < delay_s / 2
 
-    def test_auto_batching_covers_every_unit(self, plan):
+    def test_auto_batching_covers_every_unit(self, plan, many_cores):
         """Auto batch sizing must partition the unit list exactly."""
-        executor = ParallelExecutor(jobs=2, adaptive=False)
+        executor = ParallelExecutor(jobs=2)
         for n in (1, 2, 3, 5):
             bounds = executor._batch_bounds(n)
             flat = [i for bound in bounds for i in bound]
             assert flat == list(range(n))
 
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=2, batch_size=0)
-
     @pytest.mark.parametrize("batch_size", [None, 1])
     def test_each_batch_without_c0_sweeps_the_basis_once(
-        self, plan, batch_size
+        self, plan, batch_size, many_cores
     ):
         """A worker batch shares one basis: the batch holding C0 sweeps
-        it as C0's own sweep, every other batch once more.  The default
-        ships one batch per effective worker."""
-        executor = ParallelExecutor(
-            jobs=2, batch_size=batch_size, adaptive=False
-        )
-        batches = executor._batch_bounds(plan.n_units)
-        if batch_size is None:
-            assert len(batches) == executor.effective_jobs(plan.n_units)
-        outcomes = executor.execute(plan.units)
+        it as C0's own sweep, every other batch once more.  The executor
+        ships one batch per effective worker: several units each
+        (``None``: the whole plan on two workers) or one each (``1``:
+        as many units as workers)."""
+        units = plan.units if batch_size is None else plan.units[:2]
+        executor = ParallelExecutor(jobs=2)
+        batches = executor._batch_bounds(len(units))
+        assert len(batches) == executor.effective_jobs(len(units)) == 2
+        if batch_size == 1:
+            assert all(len(bounds) == 1 for bounds in batches)
+        outcomes = executor.execute(units)
         n_points = plan.setup.grid.n_points
         assert all(o.ok and not o.degraded for o in outcomes)
         assert sum(o.result.n_factorizations for o in outcomes) == (
-            (plan.n_units - 1) * n_points
+            (len(units) - 1) * n_points
         )
         assert sum(o.basis_factorizations for o in outcomes) == (
             len(batches) * n_points

@@ -8,6 +8,7 @@ engine's output exactly — not approximately.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -208,13 +209,19 @@ def _bits(dataset):
     )
 
 
+class PerUnitExecutor(ParallelExecutor):
+    """Ships every unit as its own batch, as two workers do with two
+    units, whatever the plan's size."""
+
+    def _batch_bounds(self, n_units):
+        return [range(i, i + 1) for i in range(n_units)]
+
+
 EXECUTORS = {
     "in-process": lambda: None,
     "serial": SerialExecutor,
-    "parallel": lambda: ParallelExecutor(jobs=2, adaptive=False),
-    "parallel-per-unit": lambda: ParallelExecutor(
-        jobs=2, batch_size=1, adaptive=False
-    ),
+    "parallel": lambda: ParallelExecutor(jobs=2),
+    "parallel-per-unit": lambda: PerUnitExecutor(jobs=2),
 }
 
 
@@ -222,6 +229,12 @@ class TestSharedBasisParity:
     """Units that run together share one basis — the functional
     circuit's sweep — and a batch without C0 sweeps it again.  Every
     grouping gives the in-process loop's dataset, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def many_cores(self, monkeypatch):
+        """Two effective workers even on a 1-core host, so the parallel
+        groupings run in the pool."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     @pytest.fixture(scope="class")
     def in_process(self, campaign_mcc, campaign_faults, campaign_setup):

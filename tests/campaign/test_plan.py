@@ -20,7 +20,7 @@ class TestDecomposition:
         plan = plan_campaign(campaign_mcc, campaign_faults, campaign_setup)
         assert plan.n_units == plan.n_configs == 7
         assert plan.n_faults == len(campaign_faults)
-        assert all(u.n_faults == plan.n_faults for u in plan.units)
+        assert all(u.size == plan.n_faults for u in plan.units)
 
     def test_chunked_decomposition(
         self, campaign_mcc, campaign_faults, campaign_setup
@@ -31,8 +31,8 @@ class TestDecomposition:
         # 8 faults in chunks of 3 -> 3 chunks per configuration
         assert plan.n_units == 7 * 3
         # chunks of one configuration cover the fault list exactly once
-        c0 = [u for u in plan.units if u.config_label == "C0"]
-        covered = [label for unit in c0 for label in unit.labels]
+        c0 = [u for u in plan.units if u.label == "C0"]
+        covered = [label for unit in c0 for label in unit.args["labels"]]
         assert covered == list(plan.fault_labels)
 
     def test_chunk_size_one(
@@ -42,7 +42,7 @@ class TestDecomposition:
             campaign_mcc, campaign_faults, campaign_setup, chunk_size=1
         )
         assert plan.n_units == 7 * len(campaign_faults)
-        assert all(u.n_faults == 1 for u in plan.units)
+        assert all(u.size == 1 for u in plan.units)
 
     def test_unit_ids_unique_and_ordered(
         self, campaign_mcc, campaign_faults, campaign_setup
@@ -141,7 +141,7 @@ class TestKeys:
         # exactly the fR1 unit of each configuration is invalidated
         assert len(flipped) == 7
         assert all(
-            base.units[i].labels == ("fR1",)
+            base.units[i].args["labels"] == ("fR1",)
             for i, (unit_id, diff) in enumerate(changed)
             if diff
         )
@@ -162,6 +162,38 @@ class TestKeys:
         base = plan_campaign(bench.dft(), faults, campaign_setup)
         other = plan_campaign(nudged.dft(), faults, campaign_setup)
         assert set(base.keys).isdisjoint(other.keys)
+
+    def test_shared_key_parts_are_derived_once(
+        self, campaign_mcc, campaign_faults, campaign_setup, monkeypatch
+    ):
+        """A plan of C configurations and F faults takes C + 1 circuit
+        identities (each configuration's and the functional circuit's)
+        and F fault signatures, however finely it is chunked."""
+        from repro.campaign import plan as plan_module
+        from repro.circuit.netlist import Circuit
+
+        calls = {"identity": 0, "signature": 0}
+        identity = Circuit.identity
+        signature = plan_module.fault_signature
+
+        def counted_identity(circuit):
+            calls["identity"] += 1
+            return identity(circuit)
+
+        def counted_signature(fault):
+            calls["signature"] += 1
+            return signature(fault)
+
+        monkeypatch.setattr(Circuit, "identity", counted_identity)
+        monkeypatch.setattr(plan_module, "fault_signature", counted_signature)
+        plan = plan_campaign(
+            campaign_mcc, campaign_faults, campaign_setup, chunk_size=1
+        )
+        assert plan.n_units == plan.n_configs * plan.n_faults
+        assert calls == {
+            "identity": plan.n_configs + 1,
+            "signature": plan.n_faults,
+        }
 
     def test_keys_stable_across_processes(
         self, campaign_mcc, campaign_faults, campaign_setup

@@ -39,8 +39,10 @@ class TestTrace:
 
         start = events[0]
         assert start["units"] == 7
-        assert start["configs"] == 7
-        assert start["faults"] == len(campaign_faults)
+        assert start["plan"] == (
+            f"campaign plan: 7 configuration(s) x {len(campaign_faults)} "
+            f"fault(s) -> 7 unit(s) (chunk {len(campaign_faults)})"
+        )
         assert "engine" not in start
         assert start["executor"] == "serial"
 

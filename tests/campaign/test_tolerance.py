@@ -8,13 +8,15 @@ import pytest
 from repro.analysis import ac_analysis, sample_factors
 
 from repro.campaign import (
+    TOLERANCE_KIND,
     CampaignTelemetry,
+    ResultCache,
     SerialExecutor,
+    UnitResult,
     execute_tolerance_plan,
     execute_unit,
     plan_tolerance_campaign,
     run_tolerance_campaign,
-    tolerance_cache,
 )
 from repro.errors import CampaignError
 from repro.verify import reference_scaled_responses
@@ -25,7 +27,7 @@ FAST = dict(n_samples=12, points_per_decade=8)
 
 @pytest.fixture
 def cache(tmp_path):
-    return tolerance_cache(tmp_path / "cache")
+    return ResultCache(tmp_path / "cache")
 
 
 class TestPlan:
@@ -48,15 +50,15 @@ class TestPlan:
         from repro.circuits import catalog
 
         plan = plan_tolerance_campaign(**FAST)
-        assert [u.circuit_name for u in plan.units] == list(catalog())
+        assert [u.label for u in plan.units] == list(catalog())
 
     def test_corner_pass_capped_by_component_count(self):
         plan = plan_tolerance_campaign(
             names=["biquad", "leapfrog"], **FAST
         )
-        by_name = {u.circuit_name: u for u in plan.units}
-        assert by_name["biquad"].corners  # 8 passives
-        assert not by_name["leapfrog"].corners  # 17 passives
+        by_name = {u.label: u.args for u in plan.units}
+        assert by_name["biquad"]["corners"]  # 8 passives
+        assert not by_name["leapfrog"]["corners"]  # 17 passives
 
     def test_validation(self):
         with pytest.raises(CampaignError):
@@ -73,13 +75,15 @@ class TestPlan:
             plan_tolerance_campaign(names=[])
 
     def test_telemetry_compatible_properties(self):
+        """Telemetry reads the generic unit fields: one circuit per
+        unit, labelled by its name, simulating no fault."""
         plan = plan_tolerance_campaign(names=NAMES, **FAST)
-        assert plan.n_units == plan.n_configs == 2
-        assert plan.n_faults == 0
-        assert plan.chunk_size is None
+        assert plan.n_units == 2
+        assert plan.describe().startswith("tolerance plan: 2 circuit(s)")
         unit = plan.units[0]
-        assert unit.config_label == unit.circuit_name
-        assert unit.n_faults == 0
+        assert unit.kind is TOLERANCE_KIND
+        assert unit.label == unit.unit_id == "biquad"
+        assert unit.size == 0
 
 
 class TestExecute:
@@ -89,12 +93,12 @@ class TestExecute:
         plan = plan_tolerance_campaign(names=["biquad"], **FAST)
         result = execute_unit(plan.units[0])
         assert result.key == plan.units[0].key
-        assert result.suggested_epsilon > 0.0
-        assert result.n_solves == 1 + 12 + 1 + result.n_corners
+        assert result.values["suggested_epsilon"] > 0.0
+        assert result.n_solves == 1 + 12 + 1 + result.values["n_corners"]
 
     def test_report_assembles_in_plan_order(self):
         report = run_tolerance_campaign(names=NAMES, **FAST)
-        assert [row.circuit_name for row in report.rows] == NAMES
+        assert [row["name"] for row in report.rows] == NAMES
         assert report.n_solves > 0
         rendered = report.render()
         for name in NAMES:
@@ -108,7 +112,8 @@ class TestExecute:
         plan = plan_tolerance_campaign(names=NAMES, **FAST)
         report = execute_tolerance_plan(plan)
         for unit, row in zip(plan.units, report.rows):
-            circuit, grid = unit.circuit, unit.grid
+            args = unit.args
+            circuit, grid = args["circuit"], args["grid"]
             names = [e.name for e in circuit.passives()]
             nominal = ac_analysis(circuit, grid)
 
@@ -123,40 +128,48 @@ class TestExecute:
                 )
 
             factors = sample_factors(
-                np.random.default_rng(unit.seed), unit.n_samples,
-                len(names), unit.tolerance, unit.distribution,
+                np.random.default_rng(args["seed"]), args["n_samples"],
+                len(names), args["tolerance"], args["distribution"],
             )
             maxima = rows(factors, nominal.relative_deviation).max(axis=1)
-            assert row.suggested_epsilon == float(
-                np.percentile(maxima, unit.percentile)
+            assert row["suggested_epsilon"] == float(
+                np.percentile(maxima, args["percentile"])
             )
-            assert row.max_deviation == float(maxima.max())
-            if unit.corners:
+            assert row["max_deviation"] == float(maxima.max())
+            if args["corners"]:
                 signs = np.asarray(list(product((-1, 1), repeat=len(names))))
-                corners = 1.0 + signs * unit.tolerance
-                assert row.epsilon_floor == float(
+                corners = 1.0 + signs * args["tolerance"]
+                assert row["epsilon_floor"] == float(
                     rows(corners, nominal.relative_deviation).max()
                 )
-                assert row.band_epsilon_floor == float(
+                assert row["band_epsilon_floor"] == float(
                     rows(corners, nominal.band_deviation).max()
                 )
         assert report.n_factorizations > 0
 
-    def test_keys_use_exact_circuit_identity(self):
+    def test_keys_use_exact_circuit_identity(self, monkeypatch):
         """Values that differ beyond the netlist's 6 printed digits give
         different unit keys, so a cache never serves one for the other."""
-        from repro.campaign import tolerance_unit_key
+        import dataclasses
+
+        from repro.campaign import tolerance as tolerance_module
 
         unit = plan_tolerance_campaign(names=["sallen_key"], **FAST).units[0]
-        first = unit.circuit.passives()[0].name
-        nudged = unit.circuit.with_scaled(first, 1.0 + 1e-7)
-        assert nudged.netlist() == unit.circuit.netlist()
-        args = (
-            unit.output, unit.grid, unit.tolerance, unit.n_samples,
-            unit.distribution, unit.seed, unit.percentile, unit.corners,
+        circuit = unit.args["circuit"]
+        first = circuit.passives()[0].name
+        nudged = circuit.with_scaled(first, 1.0 + 1e-7)
+        assert nudged.netlist() == circuit.netlist()
+        build = tolerance_module.build
+        monkeypatch.setattr(
+            tolerance_module,
+            "build",
+            lambda name: dataclasses.replace(build(name), circuit=nudged),
         )
-        assert tolerance_unit_key(nudged, *args) != unit.key
-        assert tolerance_unit_key(unit.circuit, *args) == unit.key
+        other = plan_tolerance_campaign(names=["sallen_key"], **FAST).units[0]
+        assert other.key != unit.key
+        monkeypatch.undo()
+        again = plan_tolerance_campaign(names=["sallen_key"], **FAST).units[0]
+        assert again.key == unit.key
 
     def test_warm_cache_resumes_with_zero_solves(self, cache):
         telemetry = CampaignTelemetry()
@@ -173,20 +186,15 @@ class TestExecute:
         counters = warm_telemetry.snapshot()
         assert counters["cache_hits"] == counters["units_total"] == 2
         assert counters["solves"] == 0
-        for a, b in zip(cold.rows, warm.rows):
-            assert a.suggested_epsilon == b.suggested_epsilon
+        assert warm.rows == cold.rows
 
     def test_wrong_payload_type_is_a_miss(self, cache):
-        """A fault-simulation ``UnitResult`` squatting on a tolerance key
-        is corruption, not a hit."""
-        import pickle
-
+        """A fault-simulation result squatting on a tolerance key is
+        corruption, not a hit."""
         plan = plan_tolerance_campaign(names=["biquad"], **FAST)
         key = plan.units[0].key
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"not": "a tolerance result"}))
-        assert key not in cache
+        cache.put(key, UnitResult(kind="faultsim", key=key))
+        assert not cache.contains(key, "tolerance")
         report = execute_tolerance_plan(plan, cache=cache)
         assert report.n_solves > 0
         assert cache.corrupt == 1
@@ -217,8 +225,8 @@ class TestExecute:
             bench.circuit, grid, tolerance=0.05, n_samples=12, seed=2026
         )
         row = report.row_for("biquad")
-        assert row.suggested_epsilon == direct.suggested_epsilon(95.0)
-        assert row.suggested_epsilon > 0.0
-        assert row.max_deviation == float(
+        assert row["suggested_epsilon"] == direct.suggested_epsilon(95.0)
+        assert row["suggested_epsilon"] > 0.0
+        assert row["max_deviation"] == float(
             np.max(direct.max_deviation_per_sample())
         )

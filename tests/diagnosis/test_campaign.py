@@ -7,13 +7,15 @@ from repro.analysis import ac_analysis, decade_grid
 from repro.campaign import (
     CampaignTelemetry,
     ParallelExecutor,
+    ResultCache,
     SerialExecutor,
+    UnitResult,
     execute_unit,
 )
+from repro.dft import apply_multiconfiguration
 from repro.diagnosis import (
+    DIAGNOSIS_KIND,
     build_trajectory_dictionary,
-    diagnosis_cache,
-    diagnosis_unit_key,
     execute_diagnosis_plan,
     plan_diagnosis_campaign,
     run_diagnosis_campaign,
@@ -36,7 +38,7 @@ def context():
 
 @pytest.fixture
 def cache(tmp_path):
-    return diagnosis_cache(tmp_path / "cache")
+    return ResultCache(tmp_path / "cache")
 
 
 def plan_for(context, **kwargs):
@@ -69,13 +71,22 @@ class TestPlan:
     def test_keys_use_exact_circuit_identity(self, context):
         """Values that differ beyond the netlist's 6 printed digits give
         different unit keys, so a cache never serves one for the other."""
+        _, grid = context
         unit = plan_for(context).units[0]
-        first = unit.circuit.passives()[0].name
-        nudged = unit.circuit.with_scaled(first, 1.0 + 1e-7)
-        assert nudged.netlist() == unit.circuit.netlist()
-        args = (unit.output, unit.grid, unit.components, unit.deviations)
-        assert diagnosis_unit_key(nudged, *args) != unit.key
-        assert diagnosis_unit_key(unit.circuit, *args) == unit.key
+        bench, _ = make_mcc("sallen_key")
+        first = bench.circuit.passives()[0].name
+        nudged = apply_multiconfiguration(
+            bench.circuit.with_scaled(first, 1.0 + 1e-7),
+            chain=bench.chain,
+            input_node=bench.input_node,
+        )
+        other = plan_diagnosis_campaign(
+            nudged, grid, components=COMPONENTS, deviations=DEVIATIONS
+        ).units[0]
+        circuit = unit.args["circuit"]
+        assert other.args["circuit"].netlist() == circuit.netlist()
+        assert other.key != unit.key
+        assert plan_for(context).units[0].key == unit.key
 
     def test_content_changes_invalidate(self, context):
         mcc, grid = context
@@ -92,26 +103,30 @@ class TestPlan:
             assert set(base.keys).isdisjoint(other.keys)
 
     def test_telemetry_compatible_properties(self, context):
+        """Telemetry reads the generic unit fields: one configuration per
+        unit, sized by its trajectory points."""
         plan = plan_for(context)
-        assert plan.n_units == plan.n_configs == 3
-        assert plan.n_faults == len(COMPONENTS) * len(DEVIATIONS)
-        assert plan.chunk_size is None
+        assert plan.n_units == 3
+        assert plan.describe().startswith("diagnosis plan: 3 configuration")
         unit = plan.units[0]
-        assert unit.config_label == unit.unit_id == "C0"
-        assert unit.n_faults == plan.n_faults
-        assert "DiagnosisUnit" in repr(unit)
+        assert unit.kind is DIAGNOSIS_KIND
+        assert unit.label == unit.unit_id == "C0"
+        assert unit.size == len(COMPONENTS) * len(DEVIATIONS)
+        assert "diagnosis C0" in repr(unit)
 
 
 class TestExecute:
     def test_executor_dispatch(self, context):
         """The shared ``execute_unit`` entry point routes diagnosis units
         to the trajectory engine (this is what worker processes call)."""
+        _, grid = context
         plan = plan_for(context)
         result = execute_unit(plan.units[0])
+        n_points = len(COMPONENTS) * len(DEVIATIONS)
         assert result.key == plan.units[0].key
-        assert result.config_label == "C0"
-        assert result.n_solves == 1 + plan.n_faults
-        assert len(result.responses) == plan.n_faults
+        assert result.kind == "diagnosis"
+        assert result.n_solves == 1 + n_points
+        assert result.arrays["responses"].shape == (n_points, grid.n_points)
 
     def test_campaign_matches_direct_build(self, context):
         mcc, grid = context
@@ -129,17 +144,18 @@ class TestExecute:
         mcc, grid = context
         plan = plan_for(context)
         dictionary = execute_diagnosis_plan(plan)
-        for unit in plan.units:
+        for unit, index in zip(plan.units, plan.config_indices):
+            circuit, output = unit.args["circuit"], unit.args["output"]
             assert np.array_equal(
-                dictionary.nominal[unit.config_index].values,
-                ac_analysis(unit.circuit, grid, output=unit.output).values,
+                dictionary.nominal[index].values,
+                ac_analysis(circuit, grid, output=output).values,
             )
             for fault in trajectory_faults(COMPONENTS, DEVIATIONS):
                 expected = ac_analysis(
-                    fault.apply(unit.circuit), grid, output=unit.output
+                    fault.apply(circuit), grid, output=output
                 )
                 stored = dictionary.response(
-                    unit.config_index, fault.target, fault.deviation
+                    index, fault.target, fault.deviation
                 )
                 assert np.array_equal(stored.values, expected.values)
         assert dictionary.n_factorizations == (
@@ -179,14 +195,12 @@ class TestExecute:
         assert_dictionaries_equal(cold, warm)
 
     def test_wrong_payload_type_is_a_miss(self, context, cache):
-        import pickle
-
+        """A tolerance result squatting on a diagnosis key is
+        corruption, not a hit."""
         plan = plan_for(context)
         key = plan.units[0].key
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"not": "a diagnosis result"}))
-        assert key not in cache
+        cache.put(key, UnitResult(kind="tolerance", key=key))
+        assert not cache.contains(key, "diagnosis")
         dictionary = execute_diagnosis_plan(plan, cache=cache)
         assert dictionary.n_solves > 0
         assert cache.corrupt == 1

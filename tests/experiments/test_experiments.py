@@ -218,6 +218,24 @@ class TestExtensionDrivers:
             <= v["avg_escape@eps=0.25"]
         )
 
+    def test_corner_ablation_compares_epsilon_with_the_band_floor(self):
+        """The paper's eps=10 % is applied under the band criterion, so
+        the ablation holds it to the band floor; the point-wise floor is
+        held to the point-wise Monte Carlo percentile."""
+        from repro.analysis import corner_analysis, decade_grid
+        from repro.circuits.biquad import BiquadDesign, tow_thomas_biquad
+        from repro.experiments import exp_ablations
+
+        v = exp_ablations.corner_vs_montecarlo().values
+        design = BiquadDesign()
+        grid = decade_grid(design.f0_hz, 2, 2, points_per_decade=12)
+        corners = corner_analysis(tow_thomas_biquad(design), grid, 0.02)
+        assert v["band_floor@tol=0.02"] == corners.band_epsilon_floor()
+        assert v["corner_floor@tol=0.02"] == corners.epsilon_floor()
+        assert v["paper_epsilon_above_2pct_band_floor.measured"] == 1.0
+        assert v["band_floor@tol=0.02"] < 0.10 < v["corner_floor@tol=0.02"]
+        assert v["corner_floor@2pct"] >= v["mc_p95@2pct"]
+
     def test_run_all_collects_everything(self, paper_scenario):
         from repro.experiments.runner import run_paper_experiments
 

@@ -7,10 +7,9 @@ The same fixed job list is run through a 1-worker scheduler and a
   canonical JSON) across scheduler widths;
 * the **unit caches hold identical contents** — same relative paths,
   same file bytes — because unit keys are content hashes over inputs
-  only, and pickled results of deterministic simulations are
-  byte-stable;
+  only, and the entries of deterministic simulations are byte-stable;
 * the **job-record caches agree** on key-set and result payloads
-  (record bytes differ legitimately: ``JobRecord.wall_s`` measures
+  (record bytes differ legitimately: a record's ``wall_s`` measures
   wall-clock).
 
 Solver-effort counters (``n_solves``/``n_factorizations``/
@@ -27,7 +26,8 @@ import json
 
 import pytest
 
-from repro.service.jobs import DONE
+from repro.campaign.cache import decode
+from repro.service.jobs import DONE, JOB_RECORD
 from repro.service.scheduler import JobScheduler, ServiceRuntime
 
 #: every kind once, and three faultsim jobs that differ only in epsilon
@@ -92,7 +92,7 @@ def cache_digest(cache_dir, subdir):
         str(path.relative_to(root)): hashlib.sha256(
             path.read_bytes()
         ).hexdigest()
-        for path in sorted(root.glob("**/*.pkl"))
+        for path in sorted(root.glob("**/*.entry"))
     }
 
 
@@ -113,23 +113,26 @@ def test_results_are_byte_identical(runs):
 
 
 def test_unit_caches_hold_identical_bytes(runs):
+    """One unit cache holds every kind's units, byte for byte alike."""
     serial_dir, wide_dir, _, _ = runs
-    for subdir in ("units", "tolerance", "diagnosis"):
-        serial_entries = cache_digest(serial_dir, subdir)
-        wide_entries = cache_digest(wide_dir, subdir)
-        assert serial_entries, f"{subdir}: the jobs must populate it"
-        assert serial_entries == wide_entries, subdir
+    serial_entries = cache_digest(serial_dir, "units")
+    wide_entries = cache_digest(wide_dir, "units")
+    kinds = {
+        json.loads(path.read_bytes().split(b"\n", 2)[1])["kind"]
+        for path in (serial_dir / "units").glob("**/*.entry")
+    }
+    assert kinds == {"faultsim", "tolerance", "diagnosis"}
+    assert serial_entries == wide_entries
 
 
 def test_job_record_caches_agree_on_results(runs):
     serial_dir, wide_dir, _, _ = runs
-    import pickle
 
     def records(cache_dir):
         entries = {}
-        for path in sorted((cache_dir / "jobs").glob("**/*.pkl")):
-            record = pickle.loads(path.read_bytes())
-            entries[record.key] = canonical(record.result)
+        for path in sorted((cache_dir / "jobs").glob("**/*.entry")):
+            record = decode(path.read_bytes(), JOB_RECORD, path.stem)
+            entries[record.key] = canonical(record.values["result"])
         return entries
 
     serial_records = records(serial_dir)

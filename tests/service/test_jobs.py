@@ -8,12 +8,13 @@ from repro.service.jobs import (
     DONE,
     JOB_KINDS,
     PARAM_SPECS,
+    JOB_RECORD,
     QUEUED,
     Job,
-    JobRecord,
     JobTelemetry,
     is_cacheable,
     job_key,
+    job_record,
     normalize_params,
 )
 
@@ -203,28 +204,26 @@ class TestCacheability:
 
 class TestJobRecordCache:
     def test_round_trip_through_result_cache(self, tmp_path):
-        cache = ResultCache(tmp_path, payload_type=JobRecord)
+        cache = ResultCache(tmp_path)
         params = normalize_params("faultsim", {"target": "biquad"})
-        key = job_key("faultsim", params)
-        record = JobRecord(
-            key=key, kind="faultsim", params=params,
-            result={"fault_coverage": 1.0}, wall_s=1.5,
-        )
-        cache.put(key, record)
-        loaded = cache.get(key)
+        job = Job("faultsim", params)
+        job.result = {"fault_coverage": 1.0, "cover": ["C0", "C3"]}
+        cache.put(job.key, job_record(job))
+        loaded = cache.get(job.key, JOB_RECORD)
         assert loaded is not None
-        assert loaded.result == {"fault_coverage": 1.0}
+        assert loaded.values == {
+            "params": job.params, "result": job.result, "wall_s": 0.0,
+        }
+        assert list(loaded.values["result"]) == ["fault_coverage", "cover"]
 
     def test_wrong_payload_type_is_a_miss(self, tmp_path):
-        from repro.campaign import UnitResult
-
-        cache = ResultCache(tmp_path, payload_type=JobRecord)
-        strict = ResultCache(tmp_path, payload_type=UnitResult)
-        params = normalize_params("verify", {"circuits": []})
-        key = job_key("verify", params)
-        cache.put(key, JobRecord(key=key, kind="verify", params=params,
-                                 result={}))
-        assert strict.get(key) is None
+        """A job record read as a unit result is corruption, not a hit."""
+        cache = ResultCache(tmp_path)
+        job = Job("verify", normalize_params("verify", {"circuits": []}))
+        job.result = {}
+        cache.put(job.key, job_record(job))
+        assert cache.get(job.key, "faultsim") is None
+        assert cache.corrupt == 1
 
 
 class TestJobLifecycle:
@@ -270,14 +269,11 @@ class TestJobTelemetry:
 
         class _Unit:
             unit_id = "u0"
-            config_label = "C0"
+            label = "C0"
             key = "k" * 64
-            n_faults = 1
+            size = 1
 
-        result = UnitResult(
-            key="k" * 64, unit_id="u0", config_index=0,
-            nominal=None, detections=None, n_solves=7,
-        )
+        result = UnitResult(kind="faultsim", key="k" * 64, n_solves=7)
         outcome = UnitOutcome(unit=_Unit(), result=result)
         telemetry.unit_outcome(outcome)
         assert telemetry.snapshot()["solves"] == 7

@@ -123,7 +123,7 @@ class TestTerminalViews:
             assert terminal and terminal[-1]["state"] == DONE
             for view in terminal:
                 assert view["finished_at"] is not None, view
-            assert records[0].wall_s == job.wall_s
+            assert records[0].values["wall_s"] == job.wall_s
         finally:
             release.set()
             scheduler.shutdown(drain=False, timeout=5.0)

@@ -15,6 +15,8 @@ catalog.  Covered acceptance criteria:
 """
 
 import json
+import os
+import pickle
 import time
 
 import pytest
@@ -287,6 +289,38 @@ class TestWarmRestart:
             warm.stop(drain=True, timeout=30.0)
 
 
+    def test_planted_job_record_pickle_runs_the_job(self, tmp_path):
+        """A pickle planted at a job's record path in a served cache
+        directory is never unpickled: resubmitting the job runs it."""
+
+        class Planted:
+            def __reduce__(self):
+                return (os.mkdir, (str(tmp_path / "sentinel"),))
+
+        runtime = ServiceRuntime(cache_dir=tmp_path / "cache")
+        served = ReproService(port=0, runtime=runtime).start()
+        try:
+            client = ServiceClient(served.url, timeout=10.0)
+            first = client.wait(
+                client.submit("faultsim", FAULTSIM)["id"], timeout=120.0
+            )
+            assert first["state"] == DONE
+            path = runtime.job_cache.path_for(first["key"])
+            assert path.exists()
+            path.write_bytes(pickle.dumps(Planted()))
+            again = client.wait(
+                client.submit("faultsim", FAULTSIM)["id"], timeout=120.0
+            )
+            assert again["state"] == DONE
+            assert not again["from_cache"]
+            assert not (tmp_path / "sentinel").exists()
+            for view in (first, again):  # the rerun hits the unit cache
+                view["result"]["dataset"].pop("n_solves")
+            assert again["result"]["dataset"] == first["result"]["dataset"]
+        finally:
+            served.stop(drain=True, timeout=30.0)
+
+
 class TestGracefulShutdown:
     def test_shutdown_drains_in_flight_jobs(self, tmp_path):
         service = ReproService(
@@ -345,12 +379,15 @@ class TestAccessLog:
 
 
 class TestPersistentExecutor:
-    def test_parallel_pool_is_released_on_stop(self, tmp_path):
+    def test_parallel_pool_is_released_on_stop(self, tmp_path, monkeypatch):
+        import os
+
         from repro.campaign import ParallelExecutor
 
-        # adaptive=False forces the pooled path even on a 1-core host —
-        # this test is about warm-pool lifecycle, not scheduling policy
-        executor = ParallelExecutor(jobs=2, persistent=True, adaptive=False)
+        # four cores force the pooled path even on a 1-core host — this
+        # test is about warm-pool lifecycle, not scheduling policy
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        executor = ParallelExecutor(jobs=2, persistent=True)
         service = ReproService(
             port=0,
             runtime=ServiceRuntime(

@@ -5,7 +5,6 @@ from .batched import (
     StampProgram,
     band_deviation_rows,
     relative_deviation_rows,
-    scaled_responses,
     scaled_values,
 )
 from .corners import CornerAnalysis, corner_analysis
@@ -88,7 +87,6 @@ __all__ = [
     "rank_components",
     "relative_deviation_rows",
     "sample_factors",
-    "scaled_responses",
     "scaled_values",
     "sensitivity_map",
     "sine",

@@ -38,7 +38,6 @@ import numpy as np
 from ..circuit.components import Stamper, TwoTerminal
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError, SingularCircuitError
-from .ac import FrequencyResponse
 from .kernel import KernelStats, SweepRequest, solve_sweep
 from .mna import MnaSystem
 from .sweep import FrequencyGrid
@@ -276,61 +275,49 @@ def scaled_values(
     return values
 
 
-def scaled_responses(
-    circuit: Circuit,
-    grid: FrequencyGrid,
-    components: Sequence[str],
-    factors: np.ndarray,
-    output: Optional[str] = None,
-    stats: Optional[KernelStats] = None,
-) -> List[FrequencyResponse]:
-    """:func:`scaled_values` wrapped as one :class:`FrequencyResponse` per row."""
-    probe = output or circuit.output
-    values = scaled_values(
-        circuit, grid, components, factors, output=output, stats=stats
-    )
-    label = f"{circuit.title}:V({probe})"
-    return [
-        FrequencyResponse(grid=grid, values=row, label=label)
-        for row in values
-    ]
-
-
 def relative_deviation_rows(
-    nominal: FrequencyResponse, values: np.ndarray
+    reference: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """Definition 1 deviations ``|ΔT/T|`` of every response row.
+    """Definition 1 deviations ``|ΔT/T|`` of response rows from
+    reference rows.
 
     The vectorized twin of
-    :meth:`~repro.analysis.ac.FrequencyResponse.relative_deviation`:
-    the same elementwise expression applied to the whole ``(S, F)``
-    matrix at once, so each row is bit-identical to the per-response
-    call (including the machine-epsilon floor near nominal zeros).
+    :meth:`~repro.analysis.ac.FrequencyResponse.relative_deviation`.
+    ``reference`` and ``values`` hold complex responses along their
+    last (frequency) axis and broadcast against each other: one nominal
+    against an ``(S, P)`` block of samples, or an ``(R, P)`` block of
+    reference rows against one observation.  The machine-epsilon floor
+    near zeros is taken per reference row, so every row is
+    bit-identical to the per-response call.
     """
-    reference = nominal.magnitude[np.newaxis, :]
-    delta = np.abs(np.abs(values) - reference)
-    tiny = np.finfo(float).eps * float(np.max(nominal.magnitude))
+    magnitude = np.abs(reference)
+    delta = np.abs(np.abs(values) - magnitude)
+    tiny = np.finfo(float).eps * np.max(magnitude, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(
-            reference > tiny,
-            delta / reference,
+            magnitude > tiny,
+            delta / magnitude,
             np.where(delta > tiny, np.inf, 0.0),
         )
 
 
 def band_deviation_rows(
-    nominal: FrequencyResponse, values: np.ndarray
+    reference: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """Band deviations ``|ΔT|/max|T|`` of every response row.
+    """Band deviations ``|ΔT|/max|T|`` of response rows from reference
+    rows.
 
     Vectorized twin of
-    :meth:`~repro.analysis.ac.FrequencyResponse.band_deviation`,
-    bit-identical per row.
+    :meth:`~repro.analysis.ac.FrequencyResponse.band_deviation`, with
+    the shapes of :func:`relative_deviation_rows`; the peak is taken
+    per reference row, and every row is bit-identical to the
+    per-response call.
     """
-    reference = float(np.max(nominal.magnitude))
-    if reference <= 0.0:
+    magnitude = np.abs(reference)
+    peak = np.max(magnitude, axis=-1, keepdims=True)
+    if np.any(peak <= 0.0):
         raise AnalysisError(
             "nominal response is identically zero; band deviation "
             "undefined"
         )
-    return np.abs(np.abs(values) - nominal.magnitude[np.newaxis, :]) / reference
+    return np.abs(np.abs(values) - magnitude) / peak

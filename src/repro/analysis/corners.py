@@ -152,8 +152,8 @@ def corner_analysis(
     values = scaled_values(
         circuit, grid, names, factors, output=output, stats=stats
     )
-    deviation_rows = relative_deviation_rows(nominal, values)
-    band_rows = band_deviation_rows(nominal, values)
+    deviation_rows = relative_deviation_rows(nominal.values, values)
+    band_rows = band_deviation_rows(nominal.values, values)
 
     corner_deviation: Dict[Tuple[int, ...], float] = {}
     band_corner_deviation: Dict[Tuple[int, ...], float] = {}

@@ -13,9 +13,8 @@ LAPACK whole frequency stacks instead of one small dense solve per
   ``(G + jω_k C)``.  LAPACK walks the leading dimension in C, so a whole
   sweep costs one Python call per frequency chunk.
 * :func:`solve_reusing_lu` factors a matrix once (``scipy``'s
-  ``lu_factor`` when available, plain ``numpy`` otherwise) and reuses
-  the factors for every subsequent right-hand side at the same complex
-  frequency.
+  ``lu_factor``) and reuses the factors for every subsequent
+  right-hand side at the same complex frequency.
 
 Bit-compatibility is a hard contract, not an aspiration: LAPACK's
 ``zgesv`` factors each matrix of a stack independently and solves each
@@ -39,18 +38,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import AnalysisError, SingularCircuitError
-
-try:  # pragma: no cover - exercised indirectly on hosts with scipy
-    from scipy.linalg import lu_factor as _scipy_lu_factor
-    from scipy.linalg import lu_solve as _scipy_lu_solve
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - scipy genuinely absent
-    _scipy_lu_factor = None
-    _scipy_lu_solve = None
-    HAVE_SCIPY = False
 
 #: complex128 workspace budget (matrix entries) per stacked dispatch —
 #: ~32 MB; matches the historical per-sweep chunking, so chunk
@@ -248,29 +238,22 @@ def solve_reusing_lu(
     """Solve ``matrix @ x = rhs`` reusing a cached LU factorization.
 
     On the first call for ``key`` the matrix is factored (``scipy``'s
-    ``lu_factor`` when installed, falling back to a plain
-    ``numpy.linalg.solve`` otherwise) and the factors are stored in
-    ``cache``; subsequent calls with the same key skip straight to the
-    triangular solves.  The cache is FIFO-bounded at
-    :data:`LU_CACHE_LIMIT` entries.
+    ``lu_factor``) and the factors are stored in ``cache``; subsequent
+    calls with the same key skip straight to the triangular solves.
+    The cache is FIFO-bounded at :data:`LU_CACHE_LIMIT` entries.
 
-    Raises ``numpy.linalg.LinAlgError`` on a singular matrix regardless
-    of backend — scipy's ``lu_factor`` only *warns* on an exactly zero
-    pivot, so the pivot check here restores ``numpy.linalg.solve``'s
-    exception semantics (callers translate it to
+    Raises ``numpy.linalg.LinAlgError`` on a singular matrix — scipy's
+    ``lu_factor`` only *warns* on an exactly zero pivot, so the pivot
+    check here restores ``numpy.linalg.solve``'s exception semantics
+    (callers translate it to
     :class:`~repro.errors.SingularCircuitError`).
     """
     stats = stats if stats is not None else KernelStats()
-    if not HAVE_SCIPY:
-        stats.solves += 1
-        stats.factorizations += 1
-        return np.linalg.solve(matrix, rhs)
-
     factors = cache.get(key)
     if factors is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            factors = _scipy_lu_factor(matrix, check_finite=False)
+            factors = lu_factor(matrix, check_finite=False)
         lu = factors[0]
         if not np.all(np.isfinite(lu)) or np.any(
             np.diagonal(lu) == 0.0
@@ -283,4 +266,4 @@ def solve_reusing_lu(
             cache.pop(next(iter(cache)))
         cache[key] = factors
     stats.solves += 1
-    return _scipy_lu_solve(factors, rhs, check_finite=False)
+    return lu_solve(factors, rhs, check_finite=False)

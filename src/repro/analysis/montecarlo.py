@@ -167,7 +167,7 @@ def monte_carlo_tolerance(
     values = scaled_values(
         circuit, grid, components, factors, output=output, stats=stats
     )
-    deviations = relative_deviation_rows(nominal, values)
+    deviations = relative_deviation_rows(nominal.values, values)
 
     return ToleranceAnalysis(
         grid=grid,

@@ -111,14 +111,8 @@ def _resolve_cache_dir(args) -> Optional[str]:
     return cache_dir
 
 
-def _campaign_parts(args, persistent=False):
-    """(executor, cache, telemetry) from the campaign CLI flags.
-
-    The one shared interpretation of ``campaign_flags`` — ``faultsim``,
-    ``campaign``, ``tolerance``, ``diagnose`` and ``serve`` all build
-    their runtime pieces here, so the flags cannot drift between
-    subcommands.  All three are ``None`` when no campaign flag was
-    given, keeping the historical in-process path.
+def _make_executor(args, persistent=False):
+    """The campaign executor ``--jobs``/``--timeout`` ask for, or ``None``.
 
     Parameters
     ----------
@@ -128,26 +122,39 @@ def _campaign_parts(args, persistent=False):
         done.
     """
     jobs = getattr(args, "jobs", None)
+    if jobs is None:
+        return None
+    from .campaign import make_executor
+
+    return make_executor(
+        jobs=jobs,
+        timeout=getattr(args, "timeout", None),
+        persistent=persistent,
+    )
+
+
+def _campaign_parts(args):
+    """(executor, cache, telemetry) from the campaign CLI flags.
+
+    The one shared interpretation of ``campaign_flags`` — ``faultsim``,
+    ``campaign``, ``tolerance`` and ``diagnose`` build their runtime
+    pieces here, and ``serve`` its executor through
+    :func:`_make_executor`, so the flags cannot drift between
+    subcommands.  All three are ``None`` when no campaign flag was
+    given, keeping the historical in-process path.
+    """
     cache_dir = _resolve_cache_dir(args)
     trace = getattr(args, "trace", None)
     progress = bool(getattr(args, "progress", False))
 
-    executor = cache = telemetry = None
-    if jobs is not None:
-        from .campaign import make_executor
-
-        executor = make_executor(
-            jobs=jobs,
-            timeout=getattr(args, "timeout", None),
-            persistent=persistent,
-        )
+    cache = telemetry = None
     if cache_dir is not None:
         from .campaign import ResultCache
 
         cache = ResultCache(cache_dir)
     if trace is not None or progress:
         telemetry = CampaignTelemetry(trace_path=trace, progress=progress)
-    return executor, cache, telemetry
+    return _make_executor(args), cache, telemetry
 
 
 def campaign_flags(p):
@@ -547,20 +554,10 @@ def cmd_serve(args) -> int:
     """Run the long-running job server over the campaign stack."""
     from .service import ReproService, ServiceRuntime
 
-    # the serve runtime is built from the exact same campaign flags the
-    # batch subcommands use, via the same helper — no drift possible
-    executor, _, _ = _campaign_parts(args, persistent=True)
-    if args.pool_per_worker and args.workers > 1 and executor is not None:
-        from .campaign import make_executor
-
-        executor = [executor] + [
-            make_executor(
-                jobs=args.jobs,
-                timeout=getattr(args, "timeout", None),
-                persistent=True,
-            )
-            for _ in range(args.workers - 1)
-        ]
+    # the executor comes from the same campaign flags the batch
+    # subcommands use; the runtime keeps its own caches below
+    # --cache-dir, so no batch cache is built here
+    executor = _make_executor(args, persistent=True)
     telemetry = CampaignTelemetry(trace_path=args.trace)
     runtime = ServiceRuntime(
         executor=executor,
@@ -579,7 +576,7 @@ def cmd_serve(args) -> int:
         tombstone_ttl=args.tombstone_ttl,
         access_log=args.access_log,
     )
-    pools = len(runtime.executors)
+    pools = 0 if executor is None else 1
     print(
         f"repro service listening on {service.url} "
         f"({args.workers} worker(s), {pools} executor pool(s), "
@@ -903,12 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="scheduler worker threads executing jobs concurrently "
         "(default 1)",
-    )
-    p_serve.add_argument(
-        "--pool-per-worker", action="store_true",
-        help="give every worker its own persistent process pool of "
-        "--jobs workers (default: one shared pool, leased to one "
-        "job at a time)",
     )
     p_serve.add_argument(
         "--keep-jobs", type=int, default=256,

@@ -474,33 +474,12 @@ def greedy_cover(problem: CoverageProblem) -> FrozenSet[int]:
     Honours the problem's ``n_detect`` multiplicity: a clause counts as
     unsatisfied until the chosen set supplies its required number of
     detections, and an already-chosen configuration contributes nothing
-    further to a clause.  ``n_detect=1`` runs the historical code
-    verbatim.
+    further to a clause.
     """
     if any(not clause for _, clause in problem.clauses):
         raise InfeasibleCoverError("a fault has an empty covering clause")
-    if problem.n_detect != 1 or problem.saturate:
-        return _greedy_cover_n(problem)
-    unsatisfied = [clause for _, clause in problem.clauses]
-    chosen: Set[int] = set()
-    while unsatisfied:
-        counts: Dict[int, int] = {}
-        for clause in unsatisfied:
-            for config in clause:
-                counts[config] = counts.get(config, 0) + 1
-        pick = min(
-            counts, key=lambda config: (-counts[config], config)
-        )
-        chosen.add(pick)
-        unsatisfied = [c for c in unsatisfied if pick not in c]
-    return frozenset(chosen)
-
-
-def _greedy_cover_n(problem: CoverageProblem) -> FrozenSet[int]:
-    """Greedy n-detection cover (the ``n_detect > 1`` path)."""
-    requirements = detection_requirements(problem)
     deficits: List[Tuple[FrozenSet[int], int]] = [
-        (clause, need) for _, clause, need in requirements
+        (clause, need) for _, clause, need in detection_requirements(problem)
     ]
     chosen: Set[int] = set()
     while True:
@@ -538,8 +517,6 @@ def verify_cover(
     ``saturate=True``).  Faults with empty columns are excluded, as in
     :meth:`~repro.core.matrix.FaultDetectabilityMatrix.covers_all`.
     """
-    if n_detect == 1:
-        return matrix.covers_all(configs)
     if not matrix.covers_all(configs):
         return False
     rows = [matrix.row_of(c) for c in configs]

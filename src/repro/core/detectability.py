@@ -186,13 +186,19 @@ class Detections(NamedTuple):
 
 
 def deviation_rows(
-    nominal: FrequencyResponse, values: np.ndarray, criterion: str = BAND
+    reference: np.ndarray, values: np.ndarray, criterion: str = BAND
 ) -> np.ndarray:
-    """:func:`deviation_profile` of every row of a ``(F, P)`` block."""
+    """:func:`deviation_profile` of response rows from reference rows.
+
+    ``reference`` and ``values`` broadcast as in
+    :func:`~repro.analysis.batched.relative_deviation_rows`: a nominal
+    against a ``(F, P)`` block, or a block of references against one
+    observation.
+    """
     if criterion == BAND:
-        return band_deviation_rows(nominal, values)
+        return band_deviation_rows(reference, values)
     if criterion == RELATIVE:
-        return relative_deviation_rows(nominal, values)
+        return relative_deviation_rows(reference, values)
     raise AnalysisError(f"unknown deviation criterion {criterion!r}")
 
 
@@ -215,7 +221,7 @@ def evaluate_block(
     if epsilon <= 0:
         raise AnalysisError("tolerance epsilon must be > 0")
     if len(faulty):
-        profile = deviation_rows(nominal, faulty, criterion)
+        profile = deviation_rows(nominal.values, faulty, criterion)
     else:  # nothing to evaluate, so a zero band nominal does not raise
         profile = np.empty(np.shape(faulty))
     masks = profile > epsilon

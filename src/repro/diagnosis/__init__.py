@@ -5,15 +5,16 @@ classifies a fault; this subsystem *locates* it — component and
 estimated deviation magnitude — following the fault-trajectory approach
 (Savioli et al., PAPERS.md):
 
-* :mod:`repro.diagnosis.trajectory` — dictionary construction: sweep
-  every component over a deviation grid in every DFT configuration,
-  each configuration's grid assembled as one stamp-program family;
-* :mod:`repro.diagnosis.matcher` — nearest-trajectory search with
-  pluggable distances, ranked candidates, ambiguity sets and the
-  bridge back to the boolean-signature verdicts;
+* :mod:`repro.diagnosis.trajectory` — the dictionary: every component
+  swept over a deviation grid in every DFT configuration, each
+  configuration's grid assembled as one stamp-program family, stored
+  as one ``(C, K·D, P)`` array;
 * :mod:`repro.diagnosis.campaign` — the build as content-hashed,
   cacheable, parallel campaign units (``repro diagnose`` CLI and the
-  service's ``diagnose`` job run on top of this).
+  service's ``diagnose`` job run on top of this);
+* :mod:`repro.diagnosis.matcher` — nearest-trajectory search, one
+  pass per configuration's block, ranked candidates, ambiguity sets
+  and the bridge back to the boolean-signature verdicts.
 
 See ``docs/diagnosis.md`` for the full walk-through.
 """
@@ -22,22 +23,19 @@ from .campaign import (
     DIAGNOSIS_FORMAT,
     DIAGNOSIS_KIND,
     DiagnosisPlan,
+    build_trajectory_dictionary,
     execute_diagnosis_plan,
     plan_diagnosis_campaign,
-    run_diagnosis_campaign,
 )
 from .matcher import (
     DISTANCES,
-    DISTANCE_METRICS,
     TrajectoryDiagnosis,
     TrajectoryMatch,
     locate_fault,
     match_response,
-    response_distance,
 )
 from .trajectory import (
     TrajectoryDictionary,
-    build_trajectory_dictionary,
     deviation_grid,
     observe_fault,
     trajectory_faults,
@@ -48,7 +46,6 @@ __all__ = [
     "DIAGNOSIS_FORMAT",
     "DIAGNOSIS_KIND",
     "DISTANCES",
-    "DISTANCE_METRICS",
     "DiagnosisPlan",
     "TrajectoryDiagnosis",
     "TrajectoryDictionary",
@@ -60,8 +57,6 @@ __all__ = [
     "match_response",
     "observe_fault",
     "plan_diagnosis_campaign",
-    "response_distance",
-    "run_diagnosis_campaign",
     "trajectory_faults",
     "trajectory_responses",
 ]

@@ -1,10 +1,11 @@
 """Dictionary construction as a resumable, parallel campaign.
 
 A trajectory dictionary is the expensive half of fault location — the
-matcher itself is a cheap array scan.  This module decomposes the build
-into one content-hashed :data:`DIAGNOSIS_KIND` unit per
-configuration and runs it through the shared campaign machinery,
-exactly like the fault simulator and the ε-calibration engine:
+matcher itself is a cheap array scan.  This module is the one build:
+it decomposes the dictionary into one content-hashed
+:data:`DIAGNOSIS_KIND` unit per configuration and runs it through the
+shared campaign machinery, exactly like the fault simulator and the
+ε-calibration engine:
 
 * units execute through any :class:`~repro.campaign.executor.Executor`
   (serial or process-parallel) via the shared
@@ -28,7 +29,7 @@ from ..analysis.ac import FrequencyResponse
 from ..analysis.sweep import FrequencyGrid
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
-from ..errors import AnalysisError, CampaignError
+from ..errors import AnalysisError, CampaignError, FaultModelError
 from ..campaign.cache import ResultCache
 from ..campaign.engine import execute_units
 from ..campaign.executor import Executor, Unit, UnitKind
@@ -36,7 +37,6 @@ from ..campaign.plan import grid_key
 from ..campaign.telemetry import CampaignTelemetry
 from .trajectory import (
     TrajectoryDictionary,
-    _resolve_components,
     deviation_grid,
     trajectory_responses,
     validate_deviations,
@@ -59,11 +59,8 @@ def run_diagnosis_unit(
     nominal, responses, n_solves = trajectory_responses(
         circuit, output, components, deviations, grid, stats=stats
     )
-    arrays = {
-        "nominal": nominal.values,
-        "responses": np.array([r.values for r in responses.values()]),
-    }
-    return n_solves, arrays, {"label": nominal.label}
+    arrays = {"nominal": nominal, "responses": responses}
+    return n_solves, arrays, {"label": f"{circuit.title}:V({output})"}
 
 
 #: one configuration's trajectories over every component and deviation
@@ -75,6 +72,26 @@ DIAGNOSIS_KIND = UnitKind(
     arrays=("nominal", "responses"),
     values=("label",),
 )
+
+
+def _resolve_components(
+    circuit, components: Optional[Sequence[str]]
+) -> Tuple[str, ...]:
+    known = [e.name for e in circuit.passives()]
+    if components is None:
+        return tuple(known)
+    resolved = tuple(components)
+    if not resolved:
+        raise FaultModelError("no components to build trajectories for")
+    if len(set(resolved)) != len(resolved):
+        raise FaultModelError("trajectory components must be unique")
+    unknown = [name for name in resolved if name not in known]
+    if unknown:
+        raise FaultModelError(
+            f"unknown passive component(s) {', '.join(unknown)}; "
+            f"expected a subset of {known}"
+        )
+    return resolved
 
 
 @dataclass(frozen=True)
@@ -114,10 +131,11 @@ def plan_diagnosis_campaign(
 ) -> DiagnosisPlan:
     """Decompose a dictionary build into hashed per-configuration units.
 
-    Defaults mirror :func:`~repro.diagnosis.trajectory.
-    build_trajectory_dictionary`: every passive component, the default
-    :func:`~repro.diagnosis.trajectory.deviation_grid`, every
-    non-transparent configuration.
+    ``components`` defaults to every passive of the base circuit,
+    ``deviations`` to :func:`~repro.diagnosis.trajectory.
+    deviation_grid`'s default, ``configs`` to every non-transparent
+    configuration (functional included — the diagnosis configuration
+    set of the paper's flow).
     """
     resolved_components = _resolve_components(mcc.base, components)
     resolved_deviations = validate_deviations(
@@ -173,8 +191,9 @@ def execute_diagnosis_plan(
     """Execute a planned build and assemble the dictionary.
 
     The units run through :func:`repro.campaign.engine.execute_units`,
-    the loop every campaign kind shares; the assembly follows plan
-    order regardless of completion order.  ``n_solves`` /
+    the loop every campaign kind shares; each unit's nominal and
+    ``(K·D, P)`` response block are copied into its configuration's row
+    in plan order, regardless of completion order.  ``n_solves`` /
     ``n_factorizations`` count only the work *this* run performed —
     both are 0 on a fully warm cache.
     """
@@ -182,30 +201,33 @@ def execute_diagnosis_plan(
         plan, executor, cache, telemetry, noun="diagnosis"
     )
 
-    points = [
-        (component, deviation)
-        for component in plan.components
-        for deviation in plan.deviations
-    ]
+    responses = np.empty(
+        (
+            plan.n_units,
+            len(plan.components) * len(plan.deviations),
+            plan.grid.n_points,
+        ),
+        dtype=complex,
+    )
     nominal: Dict[int, FrequencyResponse] = {}
-    responses = {}
     n_solves = 0
     n_factorizations = 0
-    for unit, index in zip(plan.units, plan.config_indices):
+    for row, (unit, index) in enumerate(
+        zip(plan.units, plan.config_indices)
+    ):
         outcome = outcomes[unit.unit_id]
         result = outcome.result
         if result is None:
             raise CampaignError(
                 f"diagnosis unit {unit.unit_id} has no result to assemble"
             )
-        label = result.values["label"]
+        # copies, so the dictionary keeps no unit result's buffer alive
         nominal[index] = FrequencyResponse(
-            plan.grid, result.arrays["nominal"], label
+            plan.grid,
+            result.arrays["nominal"].copy(),
+            result.values["label"],
         )
-        for point, row in zip(points, result.arrays["responses"]):
-            responses[(index,) + point] = FrequencyResponse(
-                plan.grid, row, label
-            )
+        responses[row] = result.arrays["responses"]
         if not outcome.from_cache:
             n_solves += result.n_solves
             n_factorizations += result.n_factorizations
@@ -223,7 +245,7 @@ def execute_diagnosis_plan(
     )
 
 
-def run_diagnosis_campaign(
+def build_trajectory_dictionary(
     mcc: MultiConfigurationCircuit,
     grid: FrequencyGrid,
     components: Optional[Sequence[str]] = None,
@@ -234,7 +256,13 @@ def run_diagnosis_campaign(
     cache: Optional[ResultCache] = None,
     telemetry: Optional[CampaignTelemetry] = None,
 ) -> TrajectoryDictionary:
-    """One-call dictionary build: plan → execute → assemble."""
+    """One-call dictionary build: plan → execute → assemble.
+
+    The defaults of :func:`plan_diagnosis_campaign`; the units run
+    serially in-process unless an ``executor`` is given, and ``cache``
+    / ``telemetry`` resume and observe the build as in
+    :func:`execute_diagnosis_plan`.
+    """
     plan = plan_diagnosis_campaign(
         mcc,
         grid,

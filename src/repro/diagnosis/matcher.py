@@ -16,67 +16,36 @@ stored trajectory point and returns
   straight into :func:`repro.core.diagnosis.diagnose` — the trajectory
   and signature layers answer from the same observation.
 
-Distances are pluggable.  ``"relative"`` is the paper-consistent
-point-wise ``|ΔT/T|`` of Definition 1
+The distances are Definition 1's two criteria
+(:data:`repro.core.detectability.CRITERIA`).  ``"relative"`` is the
+paper-consistent point-wise ``|ΔT/T|``
 (:meth:`~repro.analysis.ac.FrequencyResponse.relative_deviation`);
-``"band"`` normalises by the trajectory's peak magnitude
+``"band"`` normalises by the trajectory point's peak magnitude
 (:meth:`~repro.analysis.ac.FrequencyResponse.band_deviation`), matching
-the tolerance-band picture of the detectability engine.  Any callable
-``(reference, observed) -> per-frequency deviation array`` works too.
+the tolerance-band picture of the detectability engine.  Both score
+each configuration's ``(K·D, P)`` block of the dictionary in one pass
+with the row expressions of
+:func:`~repro.core.detectability.deviation_rows`, each stored point as
+the reference row.  :func:`repro.verify.reference_match`
+scores point by point and is the reference this module is held to, bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.ac import FrequencyResponse
+from ..core.detectability import BAND, RELATIVE, deviation_rows
 from ..errors import AnalysisError
 from .trajectory import TrajectoryDictionary
 
-#: named distance metrics: ``reference`` is the trajectory point (or the
-#: nominal, for the detection signature), ``observed`` the measurement
-DISTANCE_METRICS: Dict[
-    str, Callable[[FrequencyResponse, FrequencyResponse], np.ndarray]
-] = {
-    "relative": lambda reference, observed: reference.relative_deviation(
-        observed
-    ),
-    "band": lambda reference, observed: reference.band_deviation(observed),
-}
-
-DISTANCES = tuple(DISTANCE_METRICS)
-
-Metric = Union[
-    str, Callable[[FrequencyResponse, FrequencyResponse], np.ndarray]
-]
-
-
-def resolve_metric(
-    metric: Metric,
-) -> Callable[[FrequencyResponse, FrequencyResponse], np.ndarray]:
-    if callable(metric):
-        return metric
-    try:
-        return DISTANCE_METRICS[metric]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown trajectory distance {metric!r}; use one of "
-            f"{DISTANCES} or pass a callable"
-        ) from None
-
-
-def response_distance(
-    reference: FrequencyResponse,
-    observed: FrequencyResponse,
-    metric: Metric = "relative",
-) -> float:
-    """Worst-case per-frequency deviation of ``observed`` from
-    ``reference`` (∞-norm over the grid)."""
-    deviation = resolve_metric(metric)(reference, observed)
-    return float(np.max(deviation))
+#: the trajectory distances: each stored point (or the nominal, for the
+#: detection signature) is the reference the observation deviates from
+DISTANCES = (RELATIVE, BAND)
 
 
 @dataclass(frozen=True)
@@ -212,7 +181,7 @@ class TrajectoryDiagnosis:
 def match_response(
     dictionary: TrajectoryDictionary,
     observed: Dict[int, FrequencyResponse],
-    metric: Metric = "relative",
+    metric: str = "relative",
     ambiguity_tolerance: float = 0.02,
     epsilon: float = 0.10,
 ) -> TrajectoryDiagnosis:
@@ -226,22 +195,27 @@ def match_response(
         ``config_index -> response`` of the device under test; must
         cover every configuration of the dictionary and share its grid.
     metric:
-        Distance name (``"relative"``, ``"band"``) or callable.
+        Distance name, one of :data:`DISTANCES`.
     ambiguity_tolerance:
         Components whose best distance is within this band of the
         winner's are reported as one ambiguity set.
     epsilon:
         Definition 1 threshold for the detection signature and the
         fault-free test.
+
+    A point's distance is its worst deviation over every configuration
+    and frequency.  Each component's best match is its first minimum in
+    grid order, and the matches are ranked by (distance, component).
     """
     if ambiguity_tolerance < 0:
         raise AnalysisError("ambiguity_tolerance must be >= 0")
     if epsilon <= 0:
         raise AnalysisError("epsilon must be > 0")
-    distance_fn = resolve_metric(metric)
-    metric_name = metric if isinstance(metric, str) else getattr(
-        metric, "__name__", "custom"
-    )
+    if metric not in DISTANCES:
+        raise AnalysisError(
+            f"unknown trajectory distance {metric!r}; use one of "
+            f"{DISTANCES}"
+        )
     missing = [
         index
         for index in dictionary.config_indices
@@ -252,42 +226,58 @@ def match_response(
             f"observation is missing configuration(s) {missing}; the "
             f"dictionary covers {list(dictionary.config_indices)}"
         )
+    frequencies = dictionary.grid.frequencies_hz
+    for index in dictionary.config_indices:
+        response = observed[index]
+        if response.grid is not dictionary.grid and not np.array_equal(
+            response.frequencies_hz, frequencies
+        ):
+            raise AnalysisError(
+                "cannot compare responses sampled on different grids"
+            )
+    observations = np.array(
+        [observed[index].values for index in dictionary.config_indices]
+    )
+    nominals = np.array(
+        [dictionary.nominal[index].values
+         for index in dictionary.config_indices]
+    )
 
     # Definition 1 signature of the observation vs the nominals.
-    signature = []
-    for index in dictionary.config_indices:
-        deviation = distance_fn(dictionary.nominal[index], observed[index])
-        signature.append(int(bool(np.max(deviation) > epsilon)))
-    fault_free = not any(signature)
+    detected = deviation_rows(nominals, observations, metric).max(axis=1)
+    signature = tuple(int(bit) for bit in detected > epsilon)
 
-    # Worst-case distance of each trajectory point over configurations.
-    best: Dict[str, TrajectoryMatch] = {}
-    for component in dictionary.components:
-        for deviation in dictionary.deviations:
-            distance = max(
-                float(
-                    np.max(
-                        distance_fn(
-                            dictionary.response(
-                                index, component, deviation
-                            ),
-                            observed[index],
-                        )
-                    )
-                )
-                for index in dictionary.config_indices
+    # Each point's worst deviation over the frequencies, one
+    # configuration's (K·D, P) block at a time so the temporaries stay
+    # that size, then over the configurations; then each component's
+    # first minimum.
+    distances = np.max(
+        [
+            deviation_rows(block, observation, metric).max(axis=1)
+            for block, observation in zip(
+                dictionary.responses, observations
             )
-            current = best.get(component)
-            if current is None or distance < current.distance:
-                best[component] = TrajectoryMatch(
-                    component=component,
-                    deviation=deviation,
-                    distance=distance,
-                )
+        ],
+        axis=0,
+    )
+    per_component = distances.reshape(
+        len(dictionary.components), len(dictionary.deviations)
+    )
+    best = per_component.argmin(axis=1)
 
     matches = tuple(
         sorted(
-            best.values(), key=lambda m: (m.distance, m.component)
+            (
+                TrajectoryMatch(
+                    component=component,
+                    deviation=dictionary.deviations[b],
+                    distance=float(per_component[k, b]),
+                )
+                for k, (component, b) in enumerate(
+                    zip(dictionary.components, best)
+                )
+            ),
+            key=lambda m: (m.distance, m.component),
         )
     )
     threshold = matches[0].distance + ambiguity_tolerance
@@ -298,11 +288,11 @@ def match_response(
         matches=matches,
         ambiguity=ambiguity,
         ambiguity_tolerance=ambiguity_tolerance,
-        metric=metric_name,
+        metric=metric,
         epsilon=epsilon,
-        signature=tuple(signature),
+        signature=signature,
         config_labels=dictionary.config_labels,
-        fault_free=fault_free,
+        fault_free=not any(signature),
     )
 
 
@@ -310,7 +300,7 @@ def locate_fault(
     dictionary: TrajectoryDictionary,
     mcc,
     fault,
-    metric: Metric = "relative",
+    metric: str = "relative",
     ambiguity_tolerance: float = 0.02,
     epsilon: float = 0.10,
     configs: Optional[Sequence] = None,
@@ -319,8 +309,8 @@ def locate_fault(
     """Seeded-injection convenience: simulate the fault, then match.
 
     ``configs``/``output`` must mirror the dictionary's build; the
-    defaults agree with :func:`~repro.diagnosis.trajectory.
-    build_trajectory_dictionary`'s.
+    defaults agree with :func:`~repro.diagnosis.campaign.
+    plan_diagnosis_campaign`'s.
     """
     from .trajectory import observe_fault
 

@@ -12,7 +12,7 @@ faulty response is located by nearest-trajectory search
 A :class:`DeviationFault` *is* a single-component scaling
 (``element.scaled(1 + deviation)``), so each configuration's whole
 deviation grid becomes one factor matrix for
-:func:`repro.analysis.batched.scaled_responses`, which replays the
+:func:`repro.analysis.batched.scaled_values`, which replays the
 nominal stamp stream once (:class:`~repro.analysis.batched.
 StampProgram`) and solves every (component × deviation) sweep through
 :func:`repro.analysis.kernel.solve_sweep`.  The batched-assembly
@@ -20,17 +20,23 @@ contract makes every point **bit-identical** to sweeping
 ``fault.apply(circuit)``, so a trajectory evaluated at a fault-universe
 deviation *is* the fault simulator's faulty response, bit for bit (the
 ``trajectory ≡ fault simulator`` invariant of :mod:`repro.verify`).
+
+This module holds the per-configuration computation
+(:func:`trajectory_responses`) and the assembled
+:class:`TrajectoryDictionary`; :mod:`repro.diagnosis.campaign` plans
+and runs the build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.ac import FrequencyResponse, ac_analysis
-from ..analysis.batched import scaled_responses
+from ..analysis.batched import scaled_values
 from ..analysis.kernel import KernelStats
 from ..analysis.sweep import FrequencyGrid
 from ..dft.configuration import Configuration
@@ -96,42 +102,43 @@ def trajectory_responses(
     deviations: Sequence[float],
     grid: FrequencyGrid,
     stats: Optional[KernelStats] = None,
-) -> Tuple[FrequencyResponse, Dict[Tuple[str, float], FrequencyResponse], int]:
+) -> Tuple[np.ndarray, np.ndarray, int]:
     """One configuration's trajectories: nominal + every grid point.
 
-    Returns ``(nominal, {(component, deviation): response}, n_solves)``.
-    The faulty circuits ``DeviationFault(component, deviation).apply(
+    Returns ``(nominal, responses, n_solves)``: the nominal's ``(P,)``
+    values and the ``(K·D, P)`` block of trajectory points, one row per
+    (component, deviation), component-major, deviation-minor.  The
+    faulty circuits ``DeviationFault(component, deviation).apply(
     circuit)`` are expressed as one factor matrix — a row of ones for
     the nominal, then one row per grid point with component ``k``
     scaled by ``1 + deviation`` — and the whole family goes through
-    :func:`~repro.analysis.batched.scaled_responses` with values
+    :func:`~repro.analysis.batched.scaled_values` with values
     bit-identical to sweeping each faulty circuit (the ``value *
     factor`` product and the stamp accumulation order are exactly the
     rebuilt circuit's).
     """
-    keys = [
-        (component, deviation)
-        for component in components
-        for deviation in deviations
-    ]
+    keys = list(product(components, deviations))
     column = {name: k for k, name in enumerate(components)}
     factors = np.ones((1 + len(keys), len(components)))
     for row, (component, deviation) in enumerate(keys, start=1):
         factors[row, column[component]] = 1.0 + deviation
-    responses = scaled_responses(
+    values = scaled_values(
         circuit, grid, components, factors, output=output, stats=stats
     )
-    return responses[0], dict(zip(keys, responses[1:])), 1 + len(keys)
+    return values[0], values[1:], len(factors)
 
 
 @dataclass
 class TrajectoryDictionary:
-    """All trajectories of one circuit + configuration set.
+    """All trajectories of one circuit + configuration set, as arrays.
 
-    ``responses`` maps ``(config_index, component, deviation)`` to the
-    frequency response of the circuit with that single parametric fault
-    injected, emulated in that configuration; ``nominal`` holds the
-    fault-free response per configuration.
+    ``responses`` is the read-only ``(C, K·D, P)`` array of trajectory
+    points: row ``c`` is configuration ``config_indices[c]``, column
+    ``k·D + d`` the circuit with ``components[k]`` deviated by
+    ``deviations[d]`` (component-major, deviation-minor, the layout of
+    :func:`trajectory_faults`), emulated in that configuration; ``P``
+    is the grid's point count.  ``nominal`` holds the fault-free
+    response per configuration index.
     """
 
     config_labels: Tuple[str, ...]
@@ -140,12 +147,32 @@ class TrajectoryDictionary:
     deviations: Tuple[float, ...]
     grid: FrequencyGrid
     nominal: Dict[int, FrequencyResponse]
-    responses: Dict[Tuple[int, str, float], FrequencyResponse] = field(
-        repr=False
-    )
+    responses: np.ndarray = field(repr=False)
     n_solves: int = 0
     #: LU factorizations the sweeps performed
     n_factorizations: int = 0
+
+    def __post_init__(self) -> None:
+        shape = (
+            len(self.config_indices),
+            len(self.components) * len(self.deviations),
+            self.grid.n_points,
+        )
+        responses = np.asarray(self.responses, dtype=complex).view()
+        if responses.shape != shape:
+            raise AnalysisError(
+                f"trajectory responses of shape {responses.shape}, "
+                f"expected {shape}"
+            )
+        responses.flags.writeable = False
+        self.responses = responses
+        self._rows = {index: c for c, index in enumerate(self.config_indices)}
+        self._columns = {
+            point: column
+            for column, point in enumerate(
+                product(self.components, self.deviations)
+            )
+        }
 
     @property
     def n_configs(self) -> int:
@@ -159,7 +186,7 @@ class TrajectoryDictionary:
     @property
     def n_points(self) -> int:
         """Stored trajectory points (sweeps beyond the nominals)."""
-        return len(self.responses)
+        return self.n_configs * len(self._columns)
 
     @property
     def deviation_step(self) -> float:
@@ -175,14 +202,21 @@ class TrajectoryDictionary:
     def response(
         self, config_index: int, component: str, deviation: float
     ) -> FrequencyResponse:
-        return self.responses[(config_index, component, deviation)]
+        """One stored point, as a view of :attr:`responses`."""
+        return FrequencyResponse(
+            self.grid,
+            self.responses[
+                self._rows[config_index], self._columns[(component, deviation)]
+            ],
+            self.nominal[config_index].label,
+        )
 
     def trajectory(
         self, config_index: int, component: str
     ) -> List[Tuple[float, FrequencyResponse]]:
         """One component's curve in one configuration, by deviation."""
         return [
-            (d, self.responses[(config_index, component, d)])
+            (d, self.response(config_index, component, d))
             for d in sorted(self.deviations)
         ]
 
@@ -193,87 +227,6 @@ class TrajectoryDictionary:
             f"{len(self.deviations)} deviation(s) = {self.n_points} "
             f"point(s) on {self.grid.n_points} frequencies"
         )
-
-
-def _resolve_components(
-    circuit, components: Optional[Sequence[str]]
-) -> Tuple[str, ...]:
-    known = [e.name for e in circuit.passives()]
-    if components is None:
-        return tuple(known)
-    resolved = tuple(components)
-    if not resolved:
-        raise FaultModelError("no components to build trajectories for")
-    if len(set(resolved)) != len(resolved):
-        raise FaultModelError("trajectory components must be unique")
-    unknown = [name for name in resolved if name not in known]
-    if unknown:
-        raise FaultModelError(
-            f"unknown passive component(s) {', '.join(unknown)}; "
-            f"expected a subset of {known}"
-        )
-    return resolved
-
-
-def build_trajectory_dictionary(
-    mcc: MultiConfigurationCircuit,
-    grid: FrequencyGrid,
-    components: Optional[Sequence[str]] = None,
-    deviations: Optional[Sequence[float]] = None,
-    configs: Optional[Sequence[Configuration]] = None,
-    output: Optional[str] = None,
-) -> TrajectoryDictionary:
-    """Build the full dictionary in-process (no campaign engine).
-
-    ``components`` defaults to every passive of the base circuit,
-    ``deviations`` to :func:`deviation_grid`'s default, ``configs`` to
-    every non-transparent configuration (functional included — the
-    diagnosis configuration set of the paper's flow).  For the campaign
-    engine's planned / parallel / cached twin of this function see
-    :func:`repro.diagnosis.campaign.run_diagnosis_campaign`.
-    """
-    resolved_components = _resolve_components(mcc.base, components)
-    resolved_deviations = validate_deviations(
-        deviations if deviations is not None else deviation_grid()
-    )
-    if configs is None:
-        configs = mcc.configurations(
-            include_functional=True, include_transparent=False
-        )
-    if not configs:
-        raise AnalysisError("no configurations to build trajectories for")
-
-    stats = KernelStats()
-    nominal: Dict[int, FrequencyResponse] = {}
-    responses: Dict[Tuple[int, str, float], FrequencyResponse] = {}
-    n_solves = 0
-    for config in configs:
-        emulated = mcc.emulate(config)
-        probe = output or emulated.output or mcc.base.output
-        config_nominal, points, config_solves = trajectory_responses(
-            emulated,
-            probe,
-            resolved_components,
-            resolved_deviations,
-            grid,
-            stats=stats,
-        )
-        nominal[config.index] = config_nominal
-        for key, response in points.items():
-            responses[(config.index,) + key] = response
-        n_solves += config_solves
-
-    return TrajectoryDictionary(
-        config_labels=tuple(c.label for c in configs),
-        config_indices=tuple(c.index for c in configs),
-        components=resolved_components,
-        deviations=resolved_deviations,
-        grid=grid,
-        nominal=nominal,
-        responses=responses,
-        n_solves=n_solves,
-        n_factorizations=stats.factorizations,
-    )
 
 
 def observe_fault(

@@ -823,7 +823,7 @@ def simulate_configuration(
         if index == 0:
             # a zero nominal under the band criterion raised at the
             # first fault's evaluation, before the second fault's sweep
-            deviation_rows(nominal_response, block[:1], setup.criterion)
+            deviation_rows(nominal_values, block[:1], setup.criterion)
     detections = evaluate_block(
         nominal_response, block, setup.epsilon, setup.criterion
     )

@@ -4,7 +4,7 @@ Three pieces:
 
 :class:`ServiceRuntime`
     The shared compute substrate every job runs on — the campaign
-    executor(s) (optionally persistent process pools that stay warm
+    executor (optionally a persistent process pool that stays warm
     across jobs), **one** unit cache (the units of every campaign kind),
     **one** job-record cache and **one** server-wide
     :class:`~repro.campaign.telemetry.CampaignTelemetry` feeding
@@ -13,13 +13,11 @@ Three pieces:
     overlapping request from cache, whoever asks.
 
 :class:`ExecutorLeasePool`
-    A non-blocking lease broker over the runtime's executors.  With
-    one shared executor and N scheduler workers, exactly one job at a
-    time fans out over the process pool while the others run their
-    units serially in their own worker thread — the pool stays
-    contention-free without idling the extra workers.  Construct the
-    runtime with a *list* of executors (pool-per-worker mode) to give
-    every worker its own process pool instead.
+    A non-blocking lease broker over the runtime's executor.  With N
+    scheduler workers, exactly one job at a time fans out over the
+    process pool while the others run their units serially in their
+    own worker thread — the pool stays contention-free without idling
+    the extra workers.
 
 :class:`JobScheduler`
     A bounded FIFO queue in front of ``workers`` worker threads.
@@ -49,7 +47,7 @@ import collections
 import threading
 import time
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Union
 
 from ..campaign.cache import ResultCache
 from ..campaign.executor import Executor
@@ -79,69 +77,60 @@ from .jobs import (
 
 
 class ExecutorLeasePool:
-    """Non-blocking lease broker over zero or more campaign executors.
+    """Non-blocking lease broker over the runtime's campaign executor.
 
-    :meth:`acquire` hands out a free executor or ``None`` — it never
-    blocks, because a scheduler worker that cannot get a lease is
-    perfectly able to run its job's units serially in its own thread.
-    :meth:`release` returns a lease to the pool (``None`` is a no-op,
-    so callers can release whatever :meth:`acquire` gave them).
+    :meth:`acquire` hands out the executor while no running job holds
+    it, else ``None`` — it never blocks, because a scheduler worker
+    that cannot get the lease is perfectly able to run its job's units
+    serially in its own thread.  :meth:`release` returns the lease
+    (``None`` is a no-op, so callers can release whatever
+    :meth:`acquire` gave them).
     """
 
-    def __init__(self, executors: Sequence[Executor] = ()):
-        self._executors: List[Executor] = [
-            executor for executor in executors if executor is not None
-        ]
-        self._free: List[Executor] = list(self._executors)
+    def __init__(self, executor: Optional[Executor] = None):
+        self._executor = executor
+        self._free = executor is not None
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._executors)
-
-    def free_count(self) -> int:
-        with self._lock:
-            return len(self._free)
-
     def acquire(self) -> Optional[Executor]:
-        """A free executor, or ``None`` (run serially); never blocks."""
+        """The executor if it is free, or ``None`` (run serially); never
+        blocks."""
         with self._lock:
             if self._free:
-                return self._free.pop()
+                self._free = False
+                return self._executor
         return None
 
     def release(self, executor: Optional[Executor]) -> None:
         if executor is None:
             return
         with self._lock:
-            if executor in self._free:
+            if self._free:
                 raise ServiceError("executor lease released twice")
-            self._free.append(executor)
+            self._free = True
 
     def close(self) -> None:
-        """Release every executor's worker processes."""
-        for executor in self._executors:
-            close = getattr(executor, "close", None)
-            if close is not None:
-                close()
+        """Release the executor's worker processes."""
+        close = getattr(self._executor, "close", None)
+        if close is not None:
+            close()
 
 
 class ServiceRuntime:
-    """Shared executors, caches and telemetry for every job.
+    """Shared executor, caches and telemetry for every job.
 
     Parameters
     ----------
     executor:
-        Campaign executor(s) shared by all jobs.  A single
-        :class:`~repro.campaign.executor.Executor` (construct a
+        Campaign executor shared by all jobs (construct a
         :class:`~repro.campaign.executor.ParallelExecutor` with
         ``persistent=True`` so its process pool outlives individual
-        jobs) is brokered to at most one concurrent job at a time via
-        :class:`ExecutorLeasePool`; a **list** of executors gives the
-        scheduler pool-per-worker parallelism; ``None`` runs every job
-        serially in its scheduler worker thread.
+        jobs), brokered to at most one running job at a time via
+        :class:`ExecutorLeasePool`; ``None`` runs every job serially in
+        its scheduler worker thread.
     cache_dir:
         Root directory for the two result caches; ``None`` disables
-        persistence (jobs still share the executors and telemetry).
+        persistence (jobs still share the executor and telemetry).
         Layout: ``<dir>/units`` (the unit results of every campaign
         kind), ``<dir>/jobs`` (completed job records).  Stale ``.tmp``
         residue of crashed writers is swept at startup.
@@ -153,17 +142,15 @@ class ServiceRuntime:
 
     def __init__(
         self,
-        executor: Union[Executor, Sequence[Executor], None] = None,
+        executor: Optional[Executor] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         telemetry: Optional[CampaignTelemetry] = None,
     ):
-        if executor is None:
-            self.executors: List[Executor] = []
-        elif isinstance(executor, (list, tuple)):
-            self.executors = [e for e in executor if e is not None]
-        else:
-            self.executors = [executor]
-        self.lease_pool = ExecutorLeasePool(self.executors)
+        #: the shared executor; jobs under a :class:`JobScheduler` use
+        #: the lease their worker acquired instead (see
+        #: :func:`repro.service.jobs.job_executor`)
+        self.executor = executor
+        self.lease_pool = ExecutorLeasePool(executor)
         self.telemetry = telemetry or CampaignTelemetry()
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         #: the unit cache every job's campaign reads and writes
@@ -175,18 +162,8 @@ class ServiceRuntime:
             for cache in (self.cache, self.job_cache):
                 cache.sweep_stale()
 
-    @property
-    def executor(self) -> Optional[Executor]:
-        """The first executor (legacy direct-execution path), or ``None``.
-
-        Jobs running under a :class:`JobScheduler` do **not** use this
-        — they use the per-job lease the scheduler acquired for them
-        (see :func:`repro.service.jobs.job_executor`).
-        """
-        return self.executors[0] if self.executors else None
-
     def close(self) -> None:
-        """Release every executor's workers and close the telemetry."""
+        """Release the executor's workers and close the telemetry."""
         self.lease_pool.close()
         self.telemetry.close()
 

@@ -19,9 +19,10 @@ on randomized circuits, faults, configurations and frequency grids:
   ordering, n-detection covers, and the zero-tolerance comparisons of
   the production fault, tolerance and trajectory paths against the
   scalar oracles ``reference_dataset`` and
-  ``reference_scaled_responses``); it also holds ``reference_absorb``,
-  the all-pairs absorption the covering algebra's tests compare
-  against.
+  ``reference_scaled_responses``, and of the trajectory matcher
+  against the per-point ``reference_match``); it also holds
+  ``reference_absorb``, the all-pairs absorption the covering
+  algebra's tests compare against.
 
 ``python -m repro verify`` drives the whole thing from the shell and is
 the standing correctness gate for every optimization PR.
@@ -49,6 +50,7 @@ from .invariants import (
     check_transparent_configuration,
     reference_absorb,
     reference_dataset,
+    reference_match,
     reference_scaled_responses,
     run_invariants,
 )
@@ -86,6 +88,7 @@ __all__ = [
     "random_grid",
     "reference_absorb",
     "reference_dataset",
+    "reference_match",
     "reference_scaled_responses",
     "run_invariants",
     "run_verification",

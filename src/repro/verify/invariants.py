@@ -49,6 +49,9 @@ definitions and from physics:
   fault-universe deviation (:mod:`repro.diagnosis`) is exactly the
   response the fault simulator computes for that
   :class:`~repro.faults.model.DeviationFault`.
+* **matcher ≡ per-point reference** — the vectorised nearest-trajectory
+  matcher returns exactly the diagnosis of :func:`reference_match`,
+  which scores the dictionary one point at a time.
 """
 
 from __future__ import annotations
@@ -535,7 +538,7 @@ def check_ndetect_reduction(
     :func:`~repro.core.boolean_alg.expand_product_of_sums`, the
     generic path multiplies factors with ``SumOfProducts.and_with``
     and an absorption pass, so this compares the two.
-    The exact and greedy solvers must likewise agree between paths.
+    The exact solver must likewise agree between paths.
     A Petrick expansion beyond :data:`NDETECT_PETRICK_TERMS` yields a
     :class:`~repro.verify.oracle.Skipped` record in place of the
     essentials/covers comparison.
@@ -543,7 +546,6 @@ def check_ndetect_reduction(
     from ..core.covering import (
         branch_and_bound_cover,
         build_coverage_problem,
-        greedy_cover,
         solve_covering,
     )
 
@@ -573,9 +575,6 @@ def check_ndetect_reduction(
     flags["exact covers equal"] = branch_and_bound_cover(
         legacy_problem
     ) == branch_and_bound_cover(general_problem)
-    flags["greedy covers equal"] = greedy_cover(
-        legacy_problem
-    ) == greedy_cover(general_problem)
     failed = [name for name, ok in flags.items() if not ok]
     if failed:
         mismatches.append(
@@ -700,6 +699,79 @@ def reference_absorb(terms: Iterable[ProductTerm]) -> FrozenSet[ProductTerm]:
         if not any(existing.absorbs(term) for existing in kept):
             kept.append(term)
     return frozenset(kept)
+
+
+def reference_match(
+    dictionary,
+    observed,
+    metric: str = "relative",
+    ambiguity_tolerance: float = 0.02,
+    epsilon: float = 0.10,
+):
+    """Per-point reference of :func:`~repro.diagnosis.match_response`.
+
+    Scores the observation with one
+    :meth:`~repro.analysis.ac.FrequencyResponse.relative_deviation` (or
+    ``band_deviation``) call per configuration and per (configuration,
+    component, deviation) point, takes each point's worst case over
+    the configurations with Python's ``max`` and keeps a component's
+    first strict minimum in grid order.  Production scores each
+    configuration's block at once and must return an equal
+    :class:`~repro.diagnosis.TrajectoryDiagnosis` in every field.  The
+    arguments are taken as valid: production checks them.
+    """
+    from ..diagnosis import TrajectoryDiagnosis, TrajectoryMatch
+
+    def distance_fn(reference, response):
+        if metric == "band":
+            return reference.band_deviation(response)
+        return reference.relative_deviation(response)
+
+    signature = []
+    for index in dictionary.config_indices:
+        deviation = distance_fn(dictionary.nominal[index], observed[index])
+        signature.append(int(bool(np.max(deviation) > epsilon)))
+
+    best = {}
+    for component in dictionary.components:
+        for deviation in dictionary.deviations:
+            distance = max(
+                float(
+                    np.max(
+                        distance_fn(
+                            dictionary.response(
+                                index, component, deviation
+                            ),
+                            observed[index],
+                        )
+                    )
+                )
+                for index in dictionary.config_indices
+            )
+            current = best.get(component)
+            if current is None or distance < current.distance:
+                best[component] = TrajectoryMatch(
+                    component=component,
+                    deviation=deviation,
+                    distance=distance,
+                )
+
+    matches = tuple(
+        sorted(best.values(), key=lambda m: (m.distance, m.component))
+    )
+    threshold = matches[0].distance + ambiguity_tolerance
+    return TrajectoryDiagnosis(
+        matches=matches,
+        ambiguity=tuple(
+            m.component for m in matches if m.distance <= threshold
+        ),
+        ambiguity_tolerance=ambiguity_tolerance,
+        metric=metric,
+        epsilon=epsilon,
+        signature=tuple(signature),
+        config_labels=dictionary.config_labels,
+        fault_free=not any(signature),
+    )
 
 
 def reference_dataset(
@@ -901,7 +973,7 @@ def check_assembly(
 def reference_scaled_responses(
     circuit, grid: FrequencyGrid, components, factors, output=None
 ) -> List[FrequencyResponse]:
-    """Scalar oracle of :func:`~repro.analysis.batched.scaled_responses`.
+    """Scalar oracle of :func:`~repro.analysis.batched.scaled_values`.
 
     Rebuilds every sample as repeated
     :meth:`~repro.circuit.netlist.Circuit.with_scaled` calls — row
@@ -1027,15 +1099,23 @@ def check_tolerance_kernel(
 def check_trajectory_oracle(
     case: "VerifyCase", tol: Optional["Tolerances"] = None
 ) -> List:
-    """Trajectory dictionaries reproduce the fault simulator bit-for-bit.
+    """Trajectory dictionaries reproduce the fault simulator bit-for-bit,
+    and the matcher reproduces :func:`reference_match`.
 
     A dictionary built over the deviations of the case's parametric
     faults must hold, at every (configuration, component, deviation)
     point, exactly the response ``ac_analysis(fault.apply(...))``
     computes for that :class:`~repro.faults.model.DeviationFault`, by
-    the batched-assembly contract.  Zero tolerance.
+    the batched-assembly contract.  Each of those responses, and the
+    fault-free nominals, is then located under both distances:
+    :func:`~repro.diagnosis.match_response` must equal
+    :func:`reference_match` in every field.  Zero tolerance.
     """
-    from ..diagnosis import build_trajectory_dictionary
+    from ..diagnosis import (
+        DISTANCES,
+        build_trajectory_dictionary,
+        match_response,
+    )
 
     parametric = [
         f for f in case.faults if isinstance(f, DeviationFault)
@@ -1062,6 +1142,7 @@ def check_trajectory_oracle(
         output=case.setup.output,
     )
     mismatches: List = []
+    observations = {None: dict(dictionary.nominal)}
     for config in configs:
         emulated = mcc.emulate(config)
         probe = case.setup.output or emulated.output or mcc.base.output
@@ -1071,6 +1152,9 @@ def check_trajectory_oracle(
                 reference = ac_analysis(
                     fault.apply(emulated), grid, output=probe
                 )
+                observations.setdefault(fault, {})[
+                    config.index
+                ] = reference
                 stored = dictionary.response(
                     config.index, component, deviation
                 )
@@ -1096,6 +1180,28 @@ def check_trajectory_oracle(
                         )
                     )
 
+    for fault, observed in observations.items():
+        name = "the nominals" if fault is None else fault.name
+        for metric in DISTANCES:
+            production = match_response(dictionary, observed, metric=metric)
+            expected = reference_match(dictionary, observed, metric=metric)
+            if production != expected:
+                mismatches.append(
+                    _mismatch(
+                        check="invariant-trajectory-matcher",
+                        circuit=case.name,
+                        config=None,
+                        fault=None if fault is None else fault.name,
+                        frequency_hz=None,
+                        error=1.0,
+                        tolerance=0.0,
+                        seed=case.seed,
+                        detail=(
+                            f"{metric} match of {name} differs from "
+                            "reference_match"
+                        ),
+                    )
+                )
     return mismatches
 
 
@@ -1145,6 +1251,7 @@ def run_invariants(
         + 2  # n-detect: n=1 reduction + superset ladder
         + 2  # tolerance == per-sample oracle, Monte Carlo + corners
         + 1  # trajectory == fault simulator
+        + 1  # trajectory matcher == reference_match
     )
     skipped = [m for m in mismatches if isinstance(m, Skipped)]
     mismatches = [m for m in mismatches if not isinstance(m, Skipped)]

@@ -18,7 +18,6 @@ from repro.diagnosis import (
     build_trajectory_dictionary,
     execute_diagnosis_plan,
     plan_diagnosis_campaign,
-    run_diagnosis_campaign,
     trajectory_faults,
 )
 from repro.errors import CampaignError
@@ -56,9 +55,7 @@ def assert_dictionaries_equal(a, b):
         assert np.array_equal(
             a.nominal[index].values, b.nominal[index].values
         )
-    assert set(a.responses) == set(b.responses)
-    for key, response in a.responses.items():
-        assert np.array_equal(response.values, b.responses[key].values)
+    assert np.array_equal(a.responses, b.responses)
 
 
 class TestPlan:
@@ -129,15 +126,16 @@ class TestExecute:
         assert result.arrays["responses"].shape == (n_points, grid.n_points)
 
     def test_campaign_matches_direct_build(self, context):
+        """The one-call build is the planned build ``repro diagnose``
+        runs: plan, then execute and assemble."""
         mcc, grid = context
         direct = build_trajectory_dictionary(
             mcc, grid, components=COMPONENTS, deviations=DEVIATIONS
         )
-        campaign = run_diagnosis_campaign(
-            mcc, grid, components=COMPONENTS, deviations=DEVIATIONS
-        )
+        campaign = execute_diagnosis_plan(plan_for(context))
         assert_dictionaries_equal(direct, campaign)
         assert campaign.n_solves == direct.n_solves
+        assert campaign.n_factorizations == direct.n_factorizations
 
     def test_kernels_produce_identical_dictionaries(self, context):
         """Every unit's trajectories equal the per-point rebuild loop."""
@@ -164,11 +162,11 @@ class TestExecute:
 
     def test_parallel_executor_matches_serial(self, context):
         mcc, grid = context
-        serial = run_diagnosis_campaign(
+        serial = build_trajectory_dictionary(
             mcc, grid, components=COMPONENTS, deviations=DEVIATIONS,
             executor=SerialExecutor(),
         )
-        parallel = run_diagnosis_campaign(
+        parallel = build_trajectory_dictionary(
             mcc, grid, components=COMPONENTS, deviations=DEVIATIONS,
             executor=ParallelExecutor(jobs=2),
         )
@@ -177,13 +175,13 @@ class TestExecute:
     def test_warm_cache_resumes_with_zero_solves(self, context, cache):
         mcc, grid = context
         telemetry = CampaignTelemetry()
-        cold = run_diagnosis_campaign(
+        cold = build_trajectory_dictionary(
             mcc, grid, components=COMPONENTS, deviations=DEVIATIONS,
             cache=cache, telemetry=telemetry,
         )
         assert cache.writes == 3
         warm_telemetry = CampaignTelemetry()
-        warm = run_diagnosis_campaign(
+        warm = build_trajectory_dictionary(
             mcc, grid, components=COMPONENTS, deviations=DEVIATIONS,
             cache=cache, telemetry=warm_telemetry,
         )

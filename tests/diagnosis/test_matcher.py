@@ -1,9 +1,11 @@
 """Nearest-trajectory matching: recovery, ambiguity, layer unification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.analysis import decade_grid
+from repro.analysis import FrequencyResponse, decade_grid
 from repro.core import analyze_diagnosis
 from repro.diagnosis import (
     DISTANCES,
@@ -11,7 +13,6 @@ from repro.diagnosis import (
     deviation_grid,
     locate_fault,
     match_response,
-    response_distance,
 )
 from repro.errors import AnalysisError
 from repro.faults import (
@@ -61,11 +62,11 @@ class TestSeededRecovery:
         """R1a at +30 % on a 6-points-per-decade ``sallen_key``
         dictionary (±50 % in four steps a side): R1a ranks first,
         within one grid step."""
-        from repro.diagnosis import observe_fault, run_diagnosis_campaign
+        from repro.diagnosis import observe_fault
 
         bench, mcc = make_mcc("sallen_key")
         grid = decade_grid(bench.f0_hz, 1, 1, points_per_decade=6)
-        dictionary = run_diagnosis_campaign(
+        dictionary = build_trajectory_dictionary(
             mcc, grid, deviations=deviation_grid(span=0.5, steps=4)
         )
         observed = observe_fault(mcc, DeviationFault("R1a", 0.30), grid)
@@ -167,8 +168,11 @@ class TestValidation:
             match_response(dictionary, observed, metric="hamming")
 
     def test_named_metrics_and_callables(self):
+        """The distances are Definition 1's two criteria, by name; a
+        callable is refused like any unknown name."""
         mcc, dictionary = small_dictionary("sallen_key")
         fault = DeviationFault("R1a", +0.33)
+        assert DISTANCES == ("relative", "band")
         for metric in DISTANCES:
             diagnosis = locate_fault(dictionary, mcc, fault, metric=metric)
             assert diagnosis.metric == metric
@@ -176,8 +180,8 @@ class TestValidation:
         def l2(reference, observed):
             return np.abs(observed.values - reference.values)
 
-        diagnosis = locate_fault(dictionary, mcc, fault, metric=l2)
-        assert diagnosis.metric == "l2"
+        with pytest.raises(AnalysisError, match="unknown trajectory"):
+            locate_fault(dictionary, mcc, fault, metric=l2)
 
     def test_parameter_validation(self):
         _, dictionary = small_dictionary("sallen_key")
@@ -199,10 +203,45 @@ class TestValidation:
             )
 
     def test_response_distance_is_the_infinity_norm(self):
+        """A point's distance is its largest deviation from the
+        observation over every frequency and configuration."""
+        _, dictionary = small_dictionary("sallen_key")
+        observed = dict(dictionary.nominal)
+        diagnosis = match_response(dictionary, observed)
+        for component in dictionary.components:
+            match = diagnosis.match_for(component)
+            distances = [
+                max(
+                    float(
+                        np.max(
+                            dictionary.response(
+                                index, component, deviation
+                            ).relative_deviation(observed[index])
+                        )
+                    )
+                    for index in dictionary.config_indices
+                )
+                for deviation in dictionary.deviations
+            ]
+            assert match.distance == min(distances)
+            assert match.deviation == dictionary.deviations[
+                distances.index(min(distances))
+            ]
+
+    def test_foreign_grid_and_zero_band_peak_rejected(self):
+        """An observation on another grid, and a band distance from an
+        identically zero point, raise before any match is returned."""
         _, dictionary = small_dictionary("sallen_key")
         index = dictionary.config_indices[0]
-        nominal = dictionary.nominal[index]
-        point = dictionary.response(index, "R1a", 0.25)
-        distance = response_distance(nominal, point)
-        assert distance == float(np.max(nominal.relative_deviation(point)))
-        assert response_distance(nominal, nominal) == 0.0
+        observed = dict(dictionary.nominal)
+        regridded = decade_grid(1e3, 1, 1, points_per_decade=7)
+        observed[index] = FrequencyResponse(
+            regridded, np.ones(regridded.n_points)
+        )
+        with pytest.raises(AnalysisError, match="different grids"):
+            match_response(dictionary, observed)
+        responses = np.array(dictionary.responses)
+        responses[0, 0] = 0.0
+        zeroed = dataclasses.replace(dictionary, responses=responses)
+        with pytest.raises(AnalysisError, match="identically zero"):
+            match_response(zeroed, dict(zeroed.nominal), metric="band")

@@ -79,6 +79,10 @@ class TestBuild:
         )
         # sallen_key: 2 opamps -> C0, C1, C2 (transparent C3 excluded)
         assert dictionary.n_configs == 3
+        assert dictionary.responses.shape == (
+            3, len(COMPONENTS) * len(DEVIATIONS), small_grid.n_points
+        )
+        assert not dictionary.responses.flags.writeable
         assert dictionary.config_labels == ("C0", "C1", "C2")
         assert dictionary.components == COMPONENTS
         assert dictionary.n_trajectories == 3 * len(COMPONENTS)
@@ -103,10 +107,13 @@ class TestBuild:
         index = dictionary.config_indices[0]
         curve = dictionary.trajectory(index, "R1a")
         assert [d for d, _ in curve] == sorted(DEVIATIONS)
+        column = {d: j for j, d in enumerate(DEVIATIONS)}  # R1a is first
         for deviation, response in curve:
-            assert response is dictionary.response(
-                index, "R1a", deviation
-            )
+            # a read-only view of the stored row, not a copy
+            stored = dictionary.responses[0, column[deviation]]
+            assert np.shares_memory(response.values, dictionary.responses)
+            assert np.array_equal(response.values, stored)
+            assert not response.values.flags.writeable
 
     def test_stacked_build_is_bit_identical(self, sallen_key, small_grid):
         """The stamp-program build equals the per-point rebuild loop,
@@ -204,12 +211,12 @@ class TestTrajectoryResponses:
         )
         assert n_solves == 1 + len(COMPONENTS) * len(DEVIATIONS)
         assert stats.factorizations == n_solves * small_grid.n_points
-        assert np.array_equal(nominal.values, oracle_nominal.values)
-        assert set(points) == set(oracle_points)
-        for key in points:
-            assert np.array_equal(
-                points[key].values, oracle_points[key].values
-            )
+        assert np.array_equal(nominal, oracle_nominal.values)
+        # one row per (component, deviation), component-major
+        assert np.array_equal(
+            points,
+            [oracle_points[key].values for key in oracle_points],
+        )
 
     def test_unknown_kernel_rejected(self, sallen_key, small_grid):
         """The kernel option is gone: any ``kernel=`` is unknown."""

@@ -132,7 +132,7 @@ class TestTerminalViews:
 class TestExecutorLeasePool:
     def test_acquire_release_cycle(self):
         sentinel = object()
-        pool = ExecutorLeasePool([sentinel])
+        pool = ExecutorLeasePool(sentinel)
         assert pool.acquire() is sentinel
         assert pool.acquire() is None  # exhausted: non-blocking None
         pool.release(sentinel)
@@ -140,13 +140,13 @@ class TestExecutorLeasePool:
         pool.release(sentinel)
 
     def test_release_none_is_noop(self):
-        pool = ExecutorLeasePool([])
+        pool = ExecutorLeasePool(None)
         pool.release(None)
         assert pool.acquire() is None
 
     def test_double_release_raises(self):
         sentinel = object()
-        pool = ExecutorLeasePool([sentinel])
+        pool = ExecutorLeasePool(sentinel)
         lease = pool.acquire()
         pool.release(lease)
         with pytest.raises(ServiceError):
@@ -160,10 +160,10 @@ class TestExecutorLeasePool:
             def close(self):
                 self.closed = True
 
-        executors = [Closeable(), Closeable()]
-        pool = ExecutorLeasePool(executors)
-        pool.close()
-        assert all(executor.closed for executor in executors)
+        executor = Closeable()
+        ExecutorLeasePool(executor).close()
+        assert executor.closed
+        ExecutorLeasePool(None).close()  # no executor: nothing to close
 
     def test_shared_executor_leased_to_one_job_at_a_time(
         self, tmp_path, monkeypatch
@@ -199,37 +199,6 @@ class TestExecutorLeasePool:
             assert sorted(leases, key=lambda l: l is shared) == [
                 None, shared,
             ]
-        finally:
-            scheduler.shutdown(drain=False, timeout=5.0)
-            runtime.close()
-
-    def test_pool_per_worker_leases_every_job(self, tmp_path, monkeypatch):
-        class FakeExecutor:
-            def close(self):
-                pass
-
-        executors = [FakeExecutor(), FakeExecutor()]
-        runtime = ServiceRuntime(
-            executor=executors, cache_dir=tmp_path / "cache"
-        )
-        barrier = threading.Barrier(2, timeout=10.0)
-        leases = []
-        lock = threading.Lock()
-
-        def runner(job, rt, telemetry):
-            barrier.wait()
-            with lock:
-                leases.append(job_executor(job, rt))
-            barrier.wait()
-            return {}
-
-        stub_runner(monkeypatch, runner)
-        scheduler = JobScheduler(runtime, queue_limit=8, workers=2)
-        try:
-            for index in range(2):
-                scheduler.submit("verify", verify_params(30 + index))
-            assert scheduler.wait_idle(timeout=10.0)
-            assert set(leases) == set(executors)
         finally:
             scheduler.shutdown(drain=False, timeout=5.0)
             runtime.close()

@@ -200,6 +200,42 @@ class TestKernelFlag:
         assert "--kernel" in capsys.readouterr().err
 
 
+class TestServe:
+    @pytest.fixture
+    def brief_serve(self, monkeypatch):
+        """``repro serve`` starts its server, then stops at once."""
+        from repro.service import ReproService
+
+        def serve_briefly(service):
+            service.start()
+            service.stop()
+
+        monkeypatch.setattr(ReproService, "serve_forever", serve_briefly)
+
+    def test_pool_per_worker_flag_rejected(self, brief_serve, capsys):
+        """One executor, leased to one job at a time, is fixed
+        behaviour: the flag that multiplied it is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--workers", "2",
+                  "--pool-per-worker"])
+        assert excinfo.value.code == 2
+        assert "--pool-per-worker" in capsys.readouterr().err
+
+    def test_cache_dir_holds_only_units_and_jobs(
+        self, brief_serve, tmp_path, capsys
+    ):
+        """The server's runtime owns ``--cache-dir``: starting it leaves
+        the unit and job-record caches there and nothing else."""
+        cache_dir = tmp_path / "served"
+        assert main(
+            ["serve", "--port", "0", "--cache-dir", str(cache_dir)]
+        ) == 0
+        assert "listening on http://" in capsys.readouterr().out
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "jobs", "units",
+        ]
+
+
 class TestNoise:
     def test_noise_summary(self, netlist_file, capsys):
         assert (

@@ -56,10 +56,7 @@ def ac_solves(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve))
-    if kernel._scipy_lu_factor is not None:
-        monkeypatch.setattr(
-            kernel, "_scipy_lu_factor", counted(kernel._scipy_lu_factor)
-        )
+    monkeypatch.setattr(kernel, "lu_factor", counted(kernel.lu_factor))
     return calls
 
 
@@ -254,7 +251,6 @@ def library():
         deviation_grid,
         match_response,
     )
-    from repro.diagnosis.matcher import resolve_metric
     from repro.faults import SimulationSetup, deviation_faults, simulate_faults
     from repro.faults.model import DeviationFault
     from repro.verify.generators import catalog_cases, random_cases
@@ -313,7 +309,7 @@ def library():
         ("diagnose", "epsilon"): (lambda v: match(epsilon=v), 0.1),
         ("diagnose", "span"): (lambda v: deviation_grid(span=v), 0.9),
         ("diagnose", "steps"): (lambda v: deviation_grid(steps=v), 1),
-        ("diagnose", "distance"): (resolve_metric, "band"),
+        ("diagnose", "distance"): (lambda v: match(metric=v), "band"),
         ("diagnose", "ambiguity"): (
             lambda v: match(ambiguity_tolerance=v), 0.0),
         **{("diagnose", k): g for k, g in grid_guards.items()},

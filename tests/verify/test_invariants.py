@@ -15,6 +15,7 @@ from repro.verify.invariants import (
     check_impedance_scaling,
     check_matrix_table_consistency,
     check_tolerance_kernel,
+    check_trajectory_oracle,
     check_transparent_configuration,
 )
 
@@ -99,6 +100,27 @@ class TestInvariantsFire:
         assert mismatches
 
 
+    def test_trajectory_oracle_catches_corrupt_match(
+        self, small_case, monkeypatch
+    ):
+        """A matcher that differs from ``reference_match`` in one field
+        is reported, naming the check."""
+        import repro.diagnosis as diagnosis
+
+        real = diagnosis.match_response
+
+        def corrupted(*args, **kwargs):
+            found = real(*args, **kwargs)
+            return dataclasses.replace(found, fault_free=not found.fault_free)
+
+        monkeypatch.setattr(diagnosis, "match_response", corrupted)
+        mismatches = check_trajectory_oracle(small_case)
+        assert mismatches
+        assert {m.check for m in mismatches} == {
+            "invariant-trajectory-matcher"
+        }
+
+
 class TestNdetectInvariants:
     def test_reduction_holds(self, small_case, small_dataset):
         from repro.verify.invariants import check_ndetect_reduction
@@ -119,6 +141,7 @@ class TestNdetectInvariants:
             2 + 3 + 2 + 2 + 2
             + 2  # tolerance == per-sample oracle
             + 1  # trajectory == fault simulator
+            + 1  # trajectory matcher == reference_match
             + 2 * len(small_dataset.configs)
             * len(small_dataset.fault_labels)
         )

@@ -4,8 +4,10 @@
 Starts ``repro serve`` on a cache directory and runs one fixed
 faultsim, diagnose and tolerance job; then stops the server, starts it
 again on the same directory and resubmits the three jobs.  Every answer
-must come from the job cache (``from_cache``), and the restarted
-server's ``/metrics`` must show ``repro_campaign_solves 0``.
+must come from the job cache (``from_cache``), the restarted server's
+``/metrics`` must show ``repro_campaign_solves 0``, and after each pass
+the directory must hold exactly the server's ``units/`` and ``jobs/``
+caches.
 
 .. code-block:: bash
 
@@ -18,6 +20,7 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import subprocess
 import sys
@@ -48,6 +51,16 @@ def serve(cache_dir: str, workers: int):
     return process, ServiceClient(match.group(1), timeout=10.0)
 
 
+def check_layout(cache_dir: str, stage: str) -> list:
+    """The failed expectation if the directory holds anything but the
+    server's two caches."""
+    entries = sorted(os.listdir(cache_dir))
+    if entries != ["jobs", "units"]:
+        return [f"{stage}: cache directory holds {entries}, "
+                "expected ['jobs', 'units']"]
+    return []
+
+
 def run(cache_dir: str, workers: int) -> list:
     """Cold pass, restart, warm pass; the failed expectations."""
     failures = []
@@ -61,6 +74,7 @@ def run(cache_dir: str, workers: int) -> list:
     finally:
         client.shutdown()
         process.wait(timeout=60)
+    failures += check_layout(cache_dir, "cold")
     process, client = serve(cache_dir, workers)
     try:
         for kind, params in JOBS:
@@ -72,6 +86,7 @@ def run(cache_dir: str, workers: int) -> list:
     finally:
         client.shutdown()
         process.wait(timeout=60)
+    failures += check_layout(cache_dir, "warm")
     return failures
 
 

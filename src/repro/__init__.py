@@ -52,7 +52,6 @@ from .campaign import (
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
-    run_campaign,
 )
 from .circuit import Circuit, OpAmp, OpAmpModel, parse_netlist
 from .circuits import BenchmarkCircuit
@@ -105,7 +104,6 @@ __all__ = [
     "faults",
     "parse_netlist",
     "quick_optimize",
-    "run_campaign",
     "simulate_faults",
     "solve_covering",
 ]

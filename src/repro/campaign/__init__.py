@@ -3,27 +3,28 @@
 The paper's conclusion names the flow's cost bottleneck: constructing
 the fault-detectability matrix "implies extensive fault simulation" —
 every fault × every configuration × a dense AC sweep.  This package
-turns that sweep into a *campaign*:
+turns that sweep into a *campaign*, and every fault-simulation run —
+:func:`~repro.faults.simulator.simulate_faults`, ``repro campaign``, a
+served job — goes through it:
 
 * :mod:`~repro.campaign.executor` — the unit protocol every campaign
   kind declares itself in (:class:`UnitKind`, :class:`Unit`,
   :class:`UnitResult`) and pluggable executors: in-process
-  :class:`SerialExecutor` (default, bit-identical to the historical
-  loop) and process-pool :class:`ParallelExecutor` with per-unit
-  timeout, bounded retry and graceful degradation to serial;
+  :class:`SerialExecutor` (the default) and process-pool
+  :class:`ParallelExecutor` with per-unit timeout, bounded retry and
+  graceful degradation to serial;
 * :mod:`~repro.campaign.plan` — deterministic decomposition of a fault
-  campaign into content-hashed units (configuration × fault chunk);
+  campaign into content-hashed units, one per configuration;
 * :mod:`~repro.campaign.cache` — content-addressed on-disk
   :class:`ResultCache` enabling resume and incremental re-runs;
 * :mod:`~repro.campaign.telemetry` — :class:`CampaignTelemetry`
   counters, JSONL event traces and a terminal progress line;
-* :mod:`~repro.campaign.engine` — :func:`run_campaign`, the one-call
-  pipeline gluing the above into a
+* :mod:`~repro.campaign.engine` — :func:`execute_plan`, which runs a
+  plan's units and assembles them into a
   :class:`~repro.faults.simulator.DetectabilityDataset`.
 
-Results are independent of the executor and of the chunking — the
-parity tests assert bit-identical detectability matrices and ω-tables
-across all of them.
+Results are independent of the executor — the parity tests assert
+bit-identical datasets across all of them.
 """
 
 from .cache import ResultCache
@@ -31,7 +32,6 @@ from .engine import (
     assemble_dataset,
     execute_plan,
     make_executor,
-    run_campaign,
 )
 from .executor import (
     Executor,
@@ -57,7 +57,6 @@ from .tolerance import (
     ToleranceReport,
     execute_tolerance_plan,
     plan_tolerance_campaign,
-    run_tolerance_campaign,
 )
 
 __all__ = [
@@ -84,6 +83,4 @@ __all__ = [
     "make_executor",
     "plan_campaign",
     "plan_tolerance_campaign",
-    "run_campaign",
-    "run_tolerance_campaign",
 ]

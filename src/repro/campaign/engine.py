@@ -1,20 +1,20 @@
 """The campaign engine: plan → cache lookup → execute → assemble.
 
-:func:`run_campaign` is the one-call entry point used by
-:func:`repro.faults.simulator.simulate_faults`, the experiment runners
-and the CLI.  The pipeline:
+:func:`repro.faults.simulator.simulate_faults` is
+:func:`~repro.campaign.plan.plan_campaign` followed by
+:func:`execute_plan`:
 
-1. :func:`~repro.campaign.plan.plan_campaign` decomposes the run into
-   deterministic, content-hashed work units;
+1. the planner decomposes the run into one deterministic,
+   content-hashed work unit per configuration;
 2. cached units are satisfied from the
    :class:`~repro.campaign.cache.ResultCache` without simulating;
-3. the remaining units go through the chosen executor (serial by
-   default, process-parallel on request), with fresh results written
-   back to the cache as they land;
-4. the outcomes are assembled — **in plan order, regardless of
-   completion order** — into the same
-   :class:`~repro.faults.simulator.DetectabilityDataset` the in-process
-   loop produces, bit for bit.
+3. the remaining units go through the chosen executor (serial
+   in-process by default, process-parallel on request), with fresh
+   results written back to the cache as they land;
+4. the results are assembled — **in plan order, regardless of
+   completion order** — into a
+   :class:`~repro.faults.simulator.DetectabilityDataset`, bit for bit
+   the same whatever the executor.
 
 ``dataset.n_solves`` counts the AC solves *performed by this run*; a
 fully warm cache therefore yields ``n_solves == 0``, which the telemetry
@@ -23,54 +23,34 @@ trace corroborates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.ac import FrequencyResponse
 from ..core.detectability import Detections
-from ..dft.configuration import Configuration
-from ..dft.transform import MultiConfigurationCircuit
 from ..errors import CampaignError
-from ..faults.model import Fault
-from ..faults.simulator import DetectabilityDataset, SimulationSetup
+from ..faults.simulator import DetectabilityDataset
 from .cache import ResultCache
 from .executor import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
     UnitOutcome,
+    UnitResult,
+    Work,
 )
-from .plan import CampaignPlan, plan_campaign
+from .plan import CampaignPlan
 from .telemetry import CampaignTelemetry
 
 
-def run_campaign(
-    mcc: MultiConfigurationCircuit,
-    faults: Sequence[Fault],
-    setup: SimulationSetup,
-    configs: Optional[Sequence[Configuration]] = None,
-    chunk_size: Optional[int] = None,
-    executor: Optional[Executor] = None,
-    cache: Optional[ResultCache] = None,
-    telemetry: Optional[CampaignTelemetry] = None,
-) -> DetectabilityDataset:
-    """Run a fault × configuration campaign through the engine.
+class UnitRun(NamedTuple):
+    """What :func:`execute_units` returns."""
 
-    Drop-in equivalent of
-    :func:`repro.faults.simulator.simulate_faults` — the returned
-    dataset is bit-identical for every executor and chunking.
-    """
-    plan = plan_campaign(
-        mcc,
-        faults,
-        setup,
-        configs=configs,
-        chunk_size=chunk_size,
-    )
-    return execute_plan(
-        plan, executor=executor, cache=cache, telemetry=telemetry
-    )
+    #: every unit's result, in plan order
+    results: Tuple[UnitResult, ...]
+    #: the work this run performed (:attr:`UnitOutcome.work`, summed)
+    work: Work
 
 
 def execute_plan(
@@ -91,16 +71,17 @@ def execute_units(
     cache: Optional[ResultCache] = None,
     telemetry: Optional[CampaignTelemetry] = None,
     noun: str = "work",
-) -> Dict[str, UnitOutcome]:
-    """Run every unit of a plan; ``unit_id -> outcome``.
+) -> UnitRun:
+    """Run every unit of a plan; their results and the run's work.
 
     The one unit loop of the three campaign kinds (fault simulation,
     tolerance, diagnosis): cache lookup, executor fan-out with
-    write-back, telemetry observation, and fail-fast on any failed unit
-    (``noun`` names the kind in that error).  A cached result counts
-    only if it holds the arrays and values its unit's kind declares.
-    Each kind assembles its result from the outcomes in plan order, so
-    the result does not depend on completion order.
+    write-back, telemetry observation, and a :class:`CampaignError`
+    once every unit has run if any failed (``noun`` names the kind in
+    that error, which is chained to the first failure's).  A cached
+    result counts only if it holds the arrays and values its unit's
+    kind declares.  Each kind assembles its result from the results in
+    plan order, so the result does not depend on completion order.
     """
     executor = executor or SerialExecutor()
     telemetry = telemetry or CampaignTelemetry()
@@ -143,21 +124,23 @@ def execute_units(
             f"(first: {first.unit.unit_id} after {first.attempts} "
             f"attempt(s): {first.error!r})"
         ) from first.error
-    return outcomes
+    ordered = [outcomes[unit.unit_id] for unit in plan.units]
+    works = [outcome.work for outcome in ordered]
+    return UnitRun(
+        results=tuple(outcome.result for outcome in ordered),
+        work=Work(*map(sum, zip(*works))),
+    )
 
 
 def assemble_dataset(
-    plan: CampaignPlan, outcomes: Dict[str, UnitOutcome]
+    plan: CampaignPlan, run: UnitRun
 ) -> DetectabilityDataset:
-    """Fold unit outcomes into a dataset, deterministically.
+    """Fold a run's unit results into a dataset, deterministically.
 
-    Each unit's detections fill the row of its configuration and the
-    columns of its fault chunk, and iteration follows plan order, so the
-    result is independent of executor scheduling and chunk completion
-    order.  Nominal responses are taken from the first unit of each
-    configuration (chunks of one configuration share the nominal by
-    construction).  The factorization count adds the shared basis
-    sweeps the run made.
+    Unit ``c``'s nominal response and Definitions 1 and 2 fill row
+    ``c``, in plan order, so the result is independent of executor
+    scheduling.  The counters are the run's work, the shared basis
+    sweeps it made included.
     """
     shape = (plan.n_configs, plan.n_faults)
     arrays = Detections(
@@ -167,44 +150,23 @@ def assemble_dataset(
         f_max_deviation_hz=np.empty(shape),
     )
     nominal = {}
-    n_solves = 0
-    n_factorizations = 0
-    sm_fallbacks = 0
-    slots = (
-        (row, config, columns)
-        for row, config in enumerate(plan.configs)
-        for columns in plan.chunks()
-    )
-    for unit, (row, config, (start, stop)) in zip(plan.units, slots):
-        outcome = outcomes[unit.unit_id]
-        result = outcome.result
-        if result is None:
-            raise CampaignError(
-                f"work unit {unit.unit_id} has no result to assemble"
-            )
-        if config.index not in nominal:
-            nominal[config.index] = FrequencyResponse(
-                grid=plan.setup.grid,
-                values=result.arrays["nominal"],
-                label=result.values["label"],
-            )
+    for row, (config, result) in enumerate(zip(plan.configs, run.results)):
+        nominal[config.index] = FrequencyResponse(
+            grid=plan.setup.grid,
+            values=result.arrays["nominal"],
+            label=result.values["label"],
+        )
         for name, array in zip(Detections._fields, arrays):
-            array[row, start:stop] = result.arrays[name]
-        if not outcome.from_cache:
-            n_solves += result.n_solves
-            n_factorizations += (
-                result.n_factorizations + outcome.basis_factorizations
-            )
-            sm_fallbacks += result.sm_fallbacks
+            array[row] = result.arrays[name]
     return DetectabilityDataset(
         configs=plan.configs,
         fault_labels=plan.fault_labels,
         setup=plan.setup,
         nominal=nominal,
         **arrays._asdict(),
-        n_solves=n_solves,
-        n_factorizations=n_factorizations,
-        sm_fallbacks=sm_fallbacks,
+        n_solves=run.work.solves,
+        n_factorizations=run.work.factorizations,
+        sm_fallbacks=run.work.sm_fallbacks,
     )
 
 

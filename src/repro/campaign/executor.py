@@ -14,9 +14,8 @@ on the kind.
 Two executors ship:
 
 :class:`SerialExecutor`
-    Runs units in-process, in plan order — bit-identical to the
-    historical :func:`repro.faults.simulator.simulate_faults` loop and
-    the default everywhere.
+    Runs units in-process, in plan order — the default everywhere,
+    :func:`repro.faults.simulator.simulate_faults` included.
 
 :class:`ParallelExecutor`
     Fans units out over a ``concurrent.futures.ProcessPoolExecutor``
@@ -147,7 +146,7 @@ class Unit:
     kind:
         The :class:`UnitKind` that runs it.
     unit_id:
-        Human-readable plan-unique id (``"C3#0"``, ``"biquad"``).
+        Human-readable plan-unique id (``"C3"``, ``"biquad"``).
     label:
         What the unit covers, for telemetry: a configuration label or a
         circuit name.
@@ -195,6 +194,17 @@ class UnitResult:
     values: Dict[str, Any] = field(default_factory=dict)
 
 
+class Work(NamedTuple):
+    """The work a run performed (see :attr:`UnitOutcome.work`)."""
+
+    #: logical sweeps
+    solves: int = 0
+    #: LU factorizations, shared basis sweeps included
+    factorizations: int = 0
+    #: grid points re-solved exactly
+    sm_fallbacks: int = 0
+
+
 @dataclass
 class UnitOutcome:
     """How one unit fared: its result or its terminal error.
@@ -218,6 +228,23 @@ class UnitOutcome:
     @property
     def ok(self) -> bool:
         return self.result is not None
+
+    @property
+    def work(self) -> Work:
+        """The work this outcome performed, the one count of it that
+        telemetry and every campaign kind's assembly read: the result's
+        solves, factorizations and fallbacks plus the basis sweep the
+        unit triggered; zeros for a cache hit or a failure."""
+        result = self.result
+        if result is None or self.from_cache:
+            return Work()
+        return Work(
+            solves=result.n_solves,
+            factorizations=(
+                result.n_factorizations + self.basis_factorizations
+            ),
+            sm_fallbacks=result.sm_fallbacks,
+        )
 
 
 class Bases:

@@ -2,9 +2,8 @@
 
 A fault-simulation campaign multiplies three axes: every fault of a
 universe, through every DFT configuration, over a dense AC grid.  The
-planner cuts that product into :data:`FAULTSIM_KIND` units — one
-configuration times one contiguous chunk of the fault universe — that
-are:
+planner cuts that product into :data:`FAULTSIM_KIND` units — one per
+configuration, each carrying the whole fault universe — that are:
 
 * *deterministic*: planning the same ``(circuit, faults, setup)`` twice,
   in any process, yields the same units in the same order;
@@ -12,7 +11,7 @@ are:
   emulated configuration's exact identity
   (:meth:`~repro.circuit.netlist.Circuit.identity`), the functional
   circuit's, the probe node, the frequency grid, the tolerance, the
-  deviation criterion and the fault chunk.  The key is stable across
+  deviation criterion and the faults.  The key is stable across
   processes and runs, so an on-disk
   :class:`~repro.campaign.cache.ResultCache` can resume an interrupted
   campaign or skip unchanged work after a partial edit;
@@ -22,14 +21,9 @@ are:
   reuses) and everything else needed to simulate it, so it can be
   shipped to a worker process as a single picklable value.
 
-Chunking trades scheduling granularity against per-unit overhead: the
-default (``chunk_size=None``) keeps all faults of a configuration in one
-unit — matching the serial engine's cost exactly — while ``chunk_size=1``
-maximises parallelism at the price of one configuration sweep (one LU
-factorization per grid point) per fault.
-Campaign *results* are independent of the chunking (each
-(configuration, fault) pair is evaluated identically no matter which
-unit carries it); only the cache keys and the nominal-solve count vary.
+A configuration is the smallest unit: its faults share one sweep of its
+``[z, E_S]`` (one LU factorization per grid point), so splitting them
+would only repeat that sweep.
 """
 
 from __future__ import annotations
@@ -81,10 +75,10 @@ def fault_signature(fault: Fault) -> str:
 def run_fault_unit(
     bases, stats, circuit, functional, output, faults, labels, setup
 ):
-    """Simulate one configuration's fault chunk (:data:`FAULTSIM_KIND`).
+    """Simulate one configuration's faults (:data:`FAULTSIM_KIND`).
 
     The configuration reuses its functional circuit's basis from
-    ``bases``.  Returns the nominal response and the chunk's
+    ``bases``.  Returns the nominal response and the configuration's
     Definitions 1 and 2, one row per label.
     """
     nominal, detections, n_solves = simulate_configuration(
@@ -95,7 +89,7 @@ def run_fault_unit(
     return n_solves, arrays, {"label": nominal.label}
 
 
-#: a configuration times a chunk of the fault universe
+#: one configuration times the whole fault universe
 FAULTSIM_KIND = UnitKind(
     name="faultsim",
     format=PLAN_FORMAT,
@@ -121,15 +115,13 @@ def grid_key(grid) -> str:
 class CampaignPlan:
     """A fully planned campaign: ordered units plus shared context.
 
-    ``units`` run configuration by configuration, each configuration's
-    faults in :meth:`chunks` order.
+    ``units[c]`` simulates ``configs[c]``.
     """
 
     configs: Tuple[Configuration, ...]
     fault_labels: Tuple[str, ...]
     setup: SimulationSetup
     units: Tuple[Unit, ...]
-    chunk_size: Optional[int]
 
     @property
     def n_units(self) -> int:
@@ -147,23 +139,11 @@ class CampaignPlan:
     def keys(self) -> Tuple[str, ...]:
         return tuple(unit.key for unit in self.units)
 
-    def chunks(self) -> List[Tuple[int, int]]:
-        """``[start, stop)`` bounds of each configuration's fault chunks."""
-        return _chunked(self.n_faults, self.chunk_size)
-
     def describe(self) -> str:
-        chunk = self.chunk_size if self.chunk_size else self.n_faults
         return (
             f"campaign plan: {self.n_configs} configuration(s) x "
-            f"{self.n_faults} fault(s) -> {self.n_units} unit(s) "
-            f"(chunk {chunk})"
+            f"{self.n_faults} fault(s) -> {self.n_units} unit(s)"
         )
-
-
-def _chunked(n: int, chunk_size: Optional[int]) -> List[Tuple[int, int]]:
-    """``[start, stop)`` chunk bounds over ``range(n)``."""
-    size = n if chunk_size is None else chunk_size
-    return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def plan_campaign(
@@ -171,19 +151,15 @@ def plan_campaign(
     faults: Sequence[Fault],
     setup: SimulationSetup,
     configs: Optional[Sequence[Configuration]] = None,
-    chunk_size: Optional[int] = None,
 ) -> CampaignPlan:
-    """Decompose a fault-simulation campaign into hashed units.
+    """Decompose a fault-simulation campaign into one unit per configuration.
 
-    Parameters mirror :func:`repro.faults.simulator.simulate_faults`;
-    ``chunk_size`` bounds the number of faults per unit (``None`` keeps
-    each configuration whole).  The key text shared by every unit —
-    grid, tolerance, criterion, the functional circuit's identity and
-    each fault's signature — is derived once per plan.
+    Parameters mirror :func:`repro.faults.simulator.simulate_faults`.
+    The key text shared by every unit — grid, tolerance, criterion, the
+    functional circuit's identity and each fault's signature — is
+    derived once per plan.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
-    labels = fault_labels(faults, setup.fault_name_style, CampaignError)
+    labels = fault_labels(faults, setup.fault_name_style)
     if configs is None:
         configs = mcc.configurations(
             include_functional=True, include_transparent=False
@@ -197,44 +173,42 @@ def plan_campaign(
     functional = functional_circuit(mcc)
     grid = grid_key(setup.grid)
     functional_identity = functional.identity()
-    signatures = [
+    signatures = ";".join(
         f"{label}={fault_signature(fault)}"
         for label, fault in zip(labels, faults)
-    ]
+    )
     units: List[Unit] = []
     for config in configs:
         emulated = functional if config.is_functional else mcc.emulate(config)
+        # Probe priority: explicit setup override, then the emulated
+        # circuit's own output (parasitics may move it to the external
+        # pin), then the base circuit's.
         output = setup.output or emulated.output or mcc.base.output
-        identity = emulated.identity()
-        for ordinal, (start, stop) in enumerate(
-            _chunked(len(faults), chunk_size)
-        ):
-            units.append(
-                FAULTSIM_KIND.unit(
-                    unit_id=f"{config.label}#{ordinal}",
-                    label=config.label,
-                    size=stop - start,
-                    args=dict(
-                        circuit=emulated,
-                        functional=functional,
-                        output=output,
-                        faults=faults[start:stop],
-                        labels=tuple(labels[start:stop]),
-                        setup=setup,
-                    ),
-                    output=str(output),
-                    grid=grid,
-                    epsilon=repr(setup.epsilon),
-                    criterion=setup.criterion,
-                    faults=";".join(signatures[start:stop]),
-                    circuit=identity,
-                    functional=functional_identity,
-                )
+        units.append(
+            FAULTSIM_KIND.unit(
+                unit_id=config.label,
+                label=config.label,
+                size=len(faults),
+                args=dict(
+                    circuit=emulated,
+                    functional=functional,
+                    output=output,
+                    faults=faults,
+                    labels=tuple(labels),
+                    setup=setup,
+                ),
+                output=str(output),
+                grid=grid,
+                epsilon=repr(setup.epsilon),
+                criterion=setup.criterion,
+                faults=signatures,
+                circuit=emulated.identity(),
+                functional=functional_identity,
             )
+        )
     return CampaignPlan(
         configs=tuple(configs),
         fault_labels=tuple(labels),
         setup=setup,
         units=tuple(units),
-        chunk_size=chunk_size,
     )

@@ -129,14 +129,7 @@ class CampaignTelemetry:
     def unit_outcome(self, outcome: UnitOutcome) -> None:
         """Record one finished (or failed) unit."""
         result, unit = outcome.result, outcome.unit
-        work = result is not None and not outcome.from_cache
-        solves = result.n_solves if work else 0
-        factorizations = (
-            result.n_factorizations + outcome.basis_factorizations
-            if work
-            else 0
-        )
-        sm_fallbacks = result.sm_fallbacks if work else 0
+        solves, factorizations, sm_fallbacks = outcome.work
         with self._lock:
             counters = self.counters
             counters["units_done"] += 1

@@ -304,61 +304,15 @@ def execute_tolerance_plan(
     the loop every campaign kind shares; the assembly follows plan
     order regardless of completion order.
     """
-    outcomes = execute_units(
-        plan, executor, cache, telemetry, noun="tolerance"
-    )
-
+    run = execute_units(plan, executor, cache, telemetry, noun="tolerance")
     rows = []
-    n_solves = 0
-    n_factorizations = 0
-    for unit in plan.units:
-        result = outcomes[unit.unit_id].result
-        if result is None:
-            raise CampaignError(
-                f"tolerance unit {unit.unit_id} has no result to assemble"
-            )
+    for result in run.results:
         row = {name: result.values[name] for name in TOLERANCE_KIND.values}
         row["n_solves"] = result.n_solves
         rows.append(row)
-        if not outcomes[unit.unit_id].from_cache:
-            n_solves += result.n_solves
-            n_factorizations += result.n_factorizations
     return ToleranceReport(
         plan=plan,
         rows=tuple(rows),
-        n_solves=n_solves,
-        n_factorizations=n_factorizations,
-    )
-
-
-def run_tolerance_campaign(
-    names: Optional[Sequence[str]] = None,
-    tolerance: float = 0.05,
-    n_samples: int = 200,
-    distribution: str = "uniform",
-    seed: int = 2026,
-    percentile: float = 95.0,
-    decades: int = 1,
-    points_per_decade: int = 10,
-    corners: bool = True,
-    max_corner_components: int = 10,
-    executor: Optional[Executor] = None,
-    cache: Optional[ResultCache] = None,
-    telemetry: Optional[CampaignTelemetry] = None,
-) -> ToleranceReport:
-    """One-call catalog ε-calibration: plan → execute → report."""
-    plan = plan_tolerance_campaign(
-        names=names,
-        tolerance=tolerance,
-        n_samples=n_samples,
-        distribution=distribution,
-        seed=seed,
-        percentile=percentile,
-        decades=decades,
-        points_per_decade=points_per_decade,
-        corners=corners,
-        max_corner_components=max_corner_components,
-    )
-    return execute_tolerance_plan(
-        plan, executor=executor, cache=cache, telemetry=telemetry
+        n_solves=run.work.solves,
+        n_factorizations=run.work.factorizations,
     )

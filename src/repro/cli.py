@@ -140,8 +140,8 @@ def _campaign_parts(args):
     ``campaign``, ``tolerance`` and ``diagnose`` build their runtime
     pieces here, and ``serve`` its executor through
     :func:`_make_executor`, so the flags cannot drift between
-    subcommands.  All three are ``None`` when no campaign flag was
-    given, keeping the historical in-process path.
+    subcommands.  Each is ``None`` when its flags were not given: the
+    units then run serially in-process, uncached and unobserved.
     """
     cache_dir = _resolve_cache_dir(args)
     trace = getattr(args, "trace", None)
@@ -157,9 +157,10 @@ def _campaign_parts(args):
     return _make_executor(args), cache, telemetry
 
 
-def campaign_flags(p):
+def campaign_flags(p, progress=True):
     """Attach the shared campaign flags (interpreted by
-    :func:`_campaign_parts`) to a subparser."""
+    :func:`_campaign_parts`) to a subparser; ``progress=False`` leaves
+    out ``--progress``, which only a batch run can paint."""
     p.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes (>=2 enables the parallel executor)",
@@ -181,10 +182,11 @@ def campaign_flags(p):
         "--timeout", type=float, default=None,
         help="per-work-unit timeout in seconds (parallel executor)",
     )
-    p.add_argument(
-        "--progress", action="store_true",
-        help="paint a live progress line on stderr",
-    )
+    if progress:
+        p.add_argument(
+            "--progress", action="store_true",
+            help="paint a live progress line on stderr",
+        )
 
 
 def _campaign(circuit: Circuit, args):
@@ -915,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--access-log", default=None,
         help="append structured JSON access logs to this file",
     )
-    campaign_flags(p_serve)
+    campaign_flags(p_serve, progress=False)
     p_serve.set_defaults(handler=cmd_serve)
 
     p_route = sub.add_parser(

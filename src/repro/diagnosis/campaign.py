@@ -29,7 +29,7 @@ from ..analysis.ac import FrequencyResponse
 from ..analysis.sweep import FrequencyGrid
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
-from ..errors import AnalysisError, CampaignError, FaultModelError
+from ..errors import AnalysisError, FaultModelError
 from ..campaign.cache import ResultCache
 from ..campaign.engine import execute_units
 from ..campaign.executor import Executor, Unit, UnitKind
@@ -197,10 +197,7 @@ def execute_diagnosis_plan(
     ``n_factorizations`` count only the work *this* run performed —
     both are 0 on a fully warm cache.
     """
-    outcomes = execute_units(
-        plan, executor, cache, telemetry, noun="diagnosis"
-    )
-
+    run = execute_units(plan, executor, cache, telemetry, noun="diagnosis")
     responses = np.empty(
         (
             plan.n_units,
@@ -210,17 +207,9 @@ def execute_diagnosis_plan(
         dtype=complex,
     )
     nominal: Dict[int, FrequencyResponse] = {}
-    n_solves = 0
-    n_factorizations = 0
-    for row, (unit, index) in enumerate(
-        zip(plan.units, plan.config_indices)
+    for row, (result, index) in enumerate(
+        zip(run.results, plan.config_indices)
     ):
-        outcome = outcomes[unit.unit_id]
-        result = outcome.result
-        if result is None:
-            raise CampaignError(
-                f"diagnosis unit {unit.unit_id} has no result to assemble"
-            )
         # copies, so the dictionary keeps no unit result's buffer alive
         nominal[index] = FrequencyResponse(
             plan.grid,
@@ -228,9 +217,6 @@ def execute_diagnosis_plan(
             result.values["label"],
         )
         responses[row] = result.arrays["responses"]
-        if not outcome.from_cache:
-            n_solves += result.n_solves
-            n_factorizations += result.n_factorizations
 
     return TrajectoryDictionary(
         config_labels=plan.config_labels,
@@ -240,8 +226,8 @@ def execute_diagnosis_plan(
         grid=plan.grid,
         nominal=nominal,
         responses=responses,
-        n_solves=n_solves,
-        n_factorizations=n_factorizations,
+        n_solves=run.work.solves,
+        n_factorizations=run.work.factorizations,
     )
 
 

@@ -59,11 +59,11 @@ class ConfigurationError(ReproError):
 
 
 class CampaignError(ReproError):
-    """A fault-simulation campaign could not be planned or completed.
+    """A campaign could not be planned or completed.
 
     Raised by the campaign engine when work units fail beyond their retry
-    budget, or when a plan is malformed (bad engine name, empty
-    configuration set, colliding fault labels).
+    budget (chained to the first failure's own error), or when a plan is
+    malformed (no configuration, no fault, colliding fault labels).
     """
 
 

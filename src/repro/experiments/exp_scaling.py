@@ -129,8 +129,8 @@ def run(
 ) -> ExperimentReport:
     """Scaling study; ``mode`` accepted for driver uniformity.
 
-    ``executor`` / ``cache`` run every per-circuit campaign through the
-    campaign engine (parallel and/or resumable); results are identical.
+    ``executor`` / ``cache`` run every per-circuit campaign in parallel
+    and/or resumably; results are identical.
     """
     report = ExperimentReport(
         experiment_id="E-SC",

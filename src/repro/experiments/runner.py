@@ -87,9 +87,9 @@ def run_all(
 ):
     """The complete reproduction run.
 
-    ``executor`` / ``cache`` route the scaling study's fault-simulation
-    campaigns through the campaign engine (see :mod:`repro.campaign`) —
-    parallel and resumable without changing any result.
+    ``executor`` / ``cache`` run the scaling study's fault-simulation
+    campaigns in parallel and resumably (see :mod:`repro.campaign`)
+    without changing any result.
     """
     reports = run_paper_experiments()
     if include_scaling:

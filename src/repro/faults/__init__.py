@@ -12,7 +12,6 @@ from .simulator import (
     DetectabilityDataset,
     SimulationSetup,
     simulate_faults,
-    simulate_single_configuration,
 )
 from .universe import (
     bidirectional_deviation_faults,
@@ -41,5 +40,4 @@ __all__ = [
     "escape_analysis",
     "escape_tradeoff_curve",
     "simulate_faults",
-    "simulate_single_configuration",
 ]

@@ -70,7 +70,7 @@ from ..core.detectability import (
 from ..core.matrix import FaultDetectabilityMatrix, OmegaDetectabilityTable
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
-from ..errors import AnalysisError, SingularCircuitError
+from ..errors import AnalysisError, CampaignError, SingularCircuitError
 from .model import DeviationFault, Fault, OpenFault, ShortFault
 from .universe import check_unique_names
 
@@ -136,20 +136,19 @@ def _fault_label(fault: Fault, style: str) -> str:
     return fault.name
 
 
-def fault_labels(
-    faults: Sequence[Fault], style: str, error=AnalysisError
-) -> List[str]:
+def fault_labels(faults: Sequence[Fault], style: str) -> List[str]:
     """Matrix column labels of a fault universe, one per fault.
 
     Raises :func:`~repro.faults.universe.check_unique_names`'s error on
-    repeated fault names, and ``error`` when two labels collide: the
-    ``"short"`` style names a column after its component, so a universe
-    with several faults per component needs ``"full"``.
+    repeated fault names, and :class:`~repro.errors.CampaignError` when
+    two labels collide: the ``"short"`` style names a column after its
+    component, so a universe with several faults per component needs
+    ``"full"``.
     """
     check_unique_names(faults)
     labels = [_fault_label(fault, style) for fault in faults]
     if len(set(labels)) != len(labels):
-        raise error(
+        raise CampaignError(
             "fault labels collide; use fault_name_style='full' for "
             "universes with several faults per component"
         )
@@ -377,9 +376,9 @@ class Basis:
     plus the row sums and column maxima of ``|Y|`` and ``‖A₀‖∞`` for the
     certificate.  It runs on first use (:meth:`solve`) and its work is
     counted in :attr:`stats`.  Whoever runs several configurations
-    together — :func:`simulate_faults`, an executor, a worker batch —
-    passes them one basis; every basis of a campaign is the same sweep,
-    so no result depends on which configurations shared one.
+    together — an executor call, a worker batch — passes them one
+    basis; every basis of a campaign is the same sweep, so no result
+    depends on which configurations shared one.
     """
 
     def __init__(
@@ -725,9 +724,9 @@ def simulate_configuration(
     Returns ``(nominal_response, detections, n_solves)``: the
     :class:`~repro.core.detectability.Detections` of ``faults``, one row
     per label in order, and ``n_solves``, the logical sweep count
-    ``1 + len(faults)``.  This is the work :func:`simulate_faults` does
-    per configuration and the campaign engine per work unit, so both
-    paths give identical results.
+    ``1 + len(faults)``.  This is one campaign unit's work
+    (:func:`simulate_faults` runs one per configuration); on a bare
+    circuit with ``basis=None`` it is that circuit's row alone.
 
     ``basis`` is the campaign's :class:`Basis` (its functional
     circuit), shared with the other configurations its caller runs;
@@ -838,9 +837,12 @@ def simulate_faults(
     executor=None,
     cache=None,
     telemetry=None,
-    chunk_size: Optional[int] = None,
 ) -> DetectabilityDataset:
     """Run the full fault × configuration campaign.
+
+    The campaign engine (:mod:`repro.campaign`) plans one unit per
+    configuration and runs them serially in-process unless an
+    ``executor`` is given; the dataset does not depend on the executor.
 
     Parameters
     ----------
@@ -854,95 +856,22 @@ def simulate_faults(
         Configurations to simulate; defaults to every configuration the
         DFT can emulate except the transparent one (the paper's
         ``C0 … C6`` for the 3-opamp biquad).
-    executor, cache, telemetry, chunk_size:
-        Campaign-engine controls (see :mod:`repro.campaign`).  Passing
-        any of them routes the run through the campaign engine —
-        planned, parallelisable, resumable and observable — producing a
-        bit-identical dataset.  All ``None`` (the default) keeps the
-        historical in-process loop.
+    executor, cache, telemetry:
+        Run the units on a :class:`~repro.campaign.executor.Executor`,
+        answer and store them in a
+        :class:`~repro.campaign.cache.ResultCache`, observe them with a
+        :class:`~repro.campaign.telemetry.CampaignTelemetry`.
+
+    Raises :class:`~repro.errors.CampaignError` when there is no
+    configuration or no fault, when fault labels collide, and when a
+    unit fails (a singular circuit, an unassemblable fault, a zero
+    nominal under the band criterion, ...).  A failed unit does not stop
+    the others: once every unit has run, the error names how many failed
+    and is chained to the first failure's own error (``__cause__``).
     """
-    if (
-        executor is not None
-        or cache is not None
-        or telemetry is not None
-        or chunk_size is not None
-    ):
-        from ..campaign import run_campaign
+    from ..campaign import execute_plan, plan_campaign
 
-        return run_campaign(
-            mcc,
-            faults,
-            setup,
-            configs=configs,
-            chunk_size=chunk_size,
-            executor=executor,
-            cache=cache,
-            telemetry=telemetry,
-        )
-
-    labels = fault_labels(faults, setup.fault_name_style)
-    if configs is None:
-        configs = mcc.configurations(
-            include_functional=True, include_transparent=False
-        )
-    if not configs:
-        raise AnalysisError("no configurations to simulate")
-
-    stats = KernelStats()
-    nominal: Dict[int, FrequencyResponse] = {}
-    blocks: List[Detections] = []
-    n_solves = 0
-    functional = functional_circuit(mcc)
-    basis = Basis(functional, setup.grid, stats)
-
-    for config in configs:
-        emulated = functional if config.is_functional else mcc.emulate(config)
-        # Probe priority: explicit setup override, then the emulated
-        # circuit's own output (parasitics may move it to the external
-        # pin), then the base circuit's.
-        output = setup.output or emulated.output or mcc.base.output
-        nominal_response, detections, config_solves = simulate_configuration(
-            emulated, output, faults, labels, setup, stats, basis
-        )
-        nominal[config.index] = nominal_response
-        blocks.append(detections)
-        n_solves += config_solves
-
-    return DetectabilityDataset(
-        configs=tuple(configs),
-        fault_labels=tuple(labels),
-        setup=setup,
-        nominal=nominal,
-        **Detections.stack(blocks)._asdict(),
-        n_solves=n_solves,
-        n_factorizations=stats.factorizations,
-        sm_fallbacks=stats.sm_fallbacks,
-    )
-
-
-def simulate_single_configuration(
-    circuit,
-    faults: Sequence[Fault],
-    setup: SimulationSetup,
-    label: str = "C0",
-) -> DetectabilityDataset:
-    """Fault simulation of a bare circuit (no DFT) as configuration C0.
-
-    Used for the initial-testability studies (paper §2, Graph 1).
-    """
-    labels = fault_labels(faults, setup.fault_name_style)
-    stats = KernelStats()
-    nominal_response, detections, n_solves = simulate_configuration(
-        circuit, setup.output or circuit.output, faults, labels, setup,
-        stats,
-    )
-    return DetectabilityDataset(
-        configs=(Configuration(0, 1),),
-        fault_labels=tuple(labels),
-        setup=setup,
-        nominal={0: nominal_response},
-        **Detections.stack([detections])._asdict(),
-        n_solves=n_solves,
-        n_factorizations=stats.factorizations,
-        sm_fallbacks=stats.sm_fallbacks,
+    plan = plan_campaign(mcc, faults, setup, configs=configs)
+    return execute_plan(
+        plan, executor=executor, cache=cache, telemetry=telemetry
     )

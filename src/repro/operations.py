@@ -16,8 +16,8 @@ that computes it.  Everything else is derived:
 So both surfaces validate, key and compute alike, and a bad value is
 refused before anything is queued or solved.  A ``check`` mirrors the
 precondition of the library function its param feeds (``decade_grid``,
-``plan_campaign``, ``plan_tolerance_campaign``, ``DeviationFault``, ...);
-the library keeps its own checks.
+``plan_tolerance_campaign``, ``DeviationFault``, ``ndetect_cover``,
+...); the library keeps its own checks.
 
 The module imports only the standard library and :mod:`repro.errors`;
 the runners import the numerical stack when they run.
@@ -213,7 +213,7 @@ def run_faultsim(params: dict, ctx: Context):
     mcc = apply_multiconfiguration(circuit)
     faults = deviation_faults(circuit, deviation=params["deviation"])
     setup = SimulationSetup(grid=_grid(f0, params), epsilon=params["epsilon"])
-    plan = plan_campaign(mcc, faults, setup, chunk_size=params["chunk"])
+    plan = plan_campaign(mcc, faults, setup)
     dataset = execute_plan(
         plan, executor=ctx.executor, cache=ctx.cache, telemetry=ctx.telemetry
     )
@@ -375,11 +375,6 @@ OPERATIONS: Dict[str, Operation] = {
             F0,
             DECADES,
             PPD,
-            Param(
-                "chunk", int, None,
-                "faults per work unit (default: whole configuration)",
-                check=">= 1",
-            ),
             Param(
                 "n_detect", int, 1,
                 "require every fault to be detected by at least this many "

@@ -50,7 +50,10 @@ from ..errors import (
 )
 from ..operations import OPERATIONS, Context, Param, violation
 
-#: bumped whenever the job param recipe or record layout changes
+#: bumped whenever the job param recipe or record layout changes; not
+#: for a deleted param, which changes the identity text of every job of
+#: its kind, so no stored record is read under a new key (dropping
+#: faultsim's ``chunk`` moved every faultsim key and no other)
 SERVICE_FORMAT = "service-v4"
 
 # ----------------------------------------------------------------------

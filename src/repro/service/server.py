@@ -328,6 +328,8 @@ class ReproService:
         self._httpd.daemon_threads = True
         self._httpd.service = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+        #: whether a serve loop was started, which ``stop()`` must end
+        self._serving = False
         self._stopped = threading.Event()
 
     # ------------------------------------------------------------------
@@ -346,6 +348,7 @@ class ReproService:
     # ------------------------------------------------------------------
     def start(self) -> "ReproService":
         """Serve in a background thread (embedding / tests)."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -365,7 +368,9 @@ class ReproService:
             return
         self._stopped.set()
         self.scheduler.shutdown(drain=drain, timeout=timeout)
-        self._httpd.shutdown()
+        if self._serving:
+            # waits for the serve loop to exit, so only once one started
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -391,6 +396,7 @@ class ReproService:
                 signal.signal(signum, handle_signal)
             except ValueError:
                 pass  # not the main thread
+        self._serving = True
         try:
             self._httpd.serve_forever(poll_interval=0.1)
         finally:

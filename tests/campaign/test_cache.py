@@ -13,10 +13,9 @@ from repro.campaign import (
     ResultCache,
     UnitResult,
     plan_campaign,
-    run_campaign,
 )
 from repro.campaign.cache import encode
-from repro.faults import SimulationSetup
+from repro.faults import SimulationSetup, simulate_faults
 
 KIND = "faultsim"
 
@@ -40,7 +39,7 @@ class TestStore:
     def test_roundtrip(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
-        dataset = run_campaign(
+        dataset = simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         plan = plan_campaign(
@@ -65,7 +64,7 @@ class TestStore:
         assert cache.misses == 1
 
     def test_clear(self, cache, campaign_mcc, campaign_faults, campaign_setup):
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         assert len(cache) == 7
@@ -77,7 +76,7 @@ class TestStore:
     ):
         """A writer killed mid-``put`` leaves a ``.tmp`` behind; ``clear``
         must sweep it rather than leak it forever."""
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         shard = sorted(cache.directory.glob("*/*.entry"))[0].parent
@@ -92,11 +91,11 @@ class TestResume:
     def test_warm_rerun_is_all_hits_and_zero_solves(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
-        cold = run_campaign(
+        cold = simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         telemetry = CampaignTelemetry()
-        warm = run_campaign(
+        warm = simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -122,7 +121,7 @@ class TestResume:
         configs = campaign_mcc.configurations(
             include_functional=True, include_transparent=False
         )
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -130,7 +129,7 @@ class TestResume:
             cache=cache,
         )
         telemetry = CampaignTelemetry()
-        full = run_campaign(
+        full = simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -146,14 +145,14 @@ class TestResume:
     def test_epsilon_change_invalidates(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         tighter = SimulationSetup(
             grid=campaign_setup.grid, epsilon=0.05
         )
         telemetry = CampaignTelemetry()
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             tighter,
@@ -170,7 +169,7 @@ class TestResume:
         campaign_setup,
         campaign_bench,
     ):
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         denser = SimulationSetup(
@@ -179,7 +178,7 @@ class TestResume:
             )
         )
         telemetry = CampaignTelemetry()
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             denser,
@@ -198,13 +197,13 @@ class TestCorruption:
     def test_truncated_entry_is_a_miss_not_a_crash(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
-        baseline = run_campaign(
+        baseline = simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         path = self._any_entry(cache)
         path.write_bytes(path.read_bytes()[:-9])
         telemetry = CampaignTelemetry()
-        recovered = run_campaign(
+        recovered = simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -222,7 +221,7 @@ class TestCorruption:
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
         """A well-formed entry of another kind under the key is a miss."""
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         path = self._any_entry(cache)
@@ -249,7 +248,7 @@ class TestCorruption:
     def test_key_mismatch_is_a_miss(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         paths = sorted(cache.directory.glob("*/*.entry"))
@@ -263,7 +262,7 @@ class TestCorruption:
     ):
         """``contains`` must never promise a hit that ``get`` would
         then refuse: membership runs the same validation."""
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         path = self._any_entry(cache)
@@ -279,7 +278,7 @@ class TestCorruption:
     def test_contains_does_not_skew_hit_miss_counters(
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         hits, misses = cache.hits, cache.misses
@@ -292,7 +291,7 @@ class TestCorruption:
         self, cache, campaign_mcc, campaign_faults, campaign_setup
     ):
         """A directory squatting on the entry path cannot crash a get."""
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         path = self._any_entry(cache)

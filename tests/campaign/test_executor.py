@@ -12,10 +12,10 @@ from repro.campaign import (
     ParallelExecutor,
     SerialExecutor,
     plan_campaign,
-    run_campaign,
 )
 from repro.campaign import executor as executor_module
 from repro.errors import CampaignError
+from repro.faults import simulate_faults
 
 
 @pytest.fixture
@@ -99,7 +99,7 @@ class TestSerialExecutor:
             executor_module, "execute_unit", FlakyWorker(n_failures=100)
         )
         with pytest.raises(CampaignError) as excinfo:
-            run_campaign(
+            simulate_faults(
                 campaign_mcc,
                 campaign_faults,
                 campaign_setup,
@@ -151,7 +151,7 @@ class TestParallelExecutor:
 
         class Poisoned(ParallelExecutor):
             def _harvest_batch(self, batch, future):
-                if batch[0].unit_id == "C0#0":
+                if batch[0].unit_id == "C0":
                     # simulate the worker's crash for this unit
                     poisoned = concurrent.futures.Future()
                     poisoned.set_exception(RuntimeError("worker died"))
@@ -161,8 +161,8 @@ class TestParallelExecutor:
         outcomes = Poisoned(jobs=2, retries=1).execute(plan.units[:2])
         assert all(o.ok for o in outcomes)
         degraded = {o.unit.unit_id: o.degraded for o in outcomes}
-        assert degraded["C0#0"] is True
-        assert degraded["C1#0"] is False
+        assert degraded["C0"] is True
+        assert degraded["C1"] is False
 
     def test_zero_retries_surface_worker_error(self, plan, many_cores):
         class Poisoned(ParallelExecutor):
@@ -202,7 +202,7 @@ class TestParallelExecutor:
         """
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork to share the monkeypatched worker")
-        worker = HangingWorker(poison_id="C0#0")
+        worker = HangingWorker(poison_id="C0")
         monkeypatch.setattr(executor_module, "execute_unit", worker)
         executor = ParallelExecutor(
             jobs=2, timeout=1.0, retries=1, start_method="fork"
@@ -212,7 +212,7 @@ class TestParallelExecutor:
         elapsed = time.perf_counter() - start
         assert elapsed < HangingWorker.HANG_S / 4
         assert all(o.ok for o in outcomes)
-        hung = {o.unit.unit_id: o for o in outcomes}["C0#0"]
+        hung = {o.unit.unit_id: o for o in outcomes}["C0"]
         assert hung.degraded
         assert hung.attempts >= 2
 

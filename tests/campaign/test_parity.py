@@ -1,13 +1,12 @@
-"""Determinism guard: campaign results are independent of the executor
-and of the chunking, bit for bit.
+"""Determinism guard: campaign results are independent of the executor,
+bit for bit.
 
 The detectability matrix and the ω-detectability table drive every
 downstream algorithm (covering, optimization, test-program synthesis),
-so the parallel path and any chunk size must reproduce the serial
-engine's output exactly — not approximately.
+so every executor must reproduce the serial run's output exactly — not
+approximately.
 """
 
-import json
 import os
 
 import numpy as np
@@ -17,19 +16,11 @@ from repro.campaign import (
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
-    run_campaign,
 )
+from repro.campaign import engine as engine_module
 from repro.faults import simulate_faults
 from repro.reporting.export import dataset_to_json
 from repro.verify import reference_dataset
-
-
-def _answers(dataset):
-    """Every exported verdict, ω and peak; chunking changes only the
-    nominal-solve count."""
-    payload = json.loads(dataset_to_json(dataset))
-    del payload["n_solves"]
-    return payload
 
 
 def _tables(dataset):
@@ -41,7 +32,7 @@ def _tables(dataset):
 
 @pytest.fixture(scope="module")
 def serial_dataset(campaign_mcc, campaign_faults, campaign_setup):
-    return run_campaign(
+    return simulate_faults(
         campaign_mcc,
         campaign_faults,
         campaign_setup,
@@ -50,22 +41,10 @@ def serial_dataset(campaign_mcc, campaign_faults, campaign_setup):
 
 
 class TestExecutorParity:
-    def test_campaign_serial_matches_legacy_loop(
-        self, campaign_mcc, campaign_faults, campaign_setup, serial_dataset
-    ):
-        legacy = simulate_faults(
-            campaign_mcc, campaign_faults, campaign_setup
-        )
-        for ours, theirs in zip(_tables(serial_dataset), _tables(legacy)):
-            assert np.array_equal(ours, theirs)
-        assert serial_dataset.n_solves == legacy.n_solves
-        assert serial_dataset.fault_labels == legacy.fault_labels
-        assert serial_dataset.config_labels == legacy.config_labels
-
     def test_parallel_bit_identical_to_serial(
         self, campaign_mcc, campaign_faults, campaign_setup, serial_dataset
     ):
-        parallel = run_campaign(
+        parallel = simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -79,7 +58,7 @@ class TestExecutorParity:
         self, campaign_mcc, campaign_faults, campaign_setup, serial_dataset
     ):
         """Spawned workers (macOS/Windows default) agree bit for bit."""
-        spawned = run_campaign(
+        spawned = simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -89,65 +68,22 @@ class TestExecutorParity:
             assert np.array_equal(ours, theirs)
 
 
-class TestChunkingParity:
-    @pytest.mark.parametrize("chunk_size", [1, 3])
-    def test_chunked_bit_identical(
-        self,
-        campaign_mcc,
-        campaign_faults,
-        campaign_setup,
-        serial_dataset,
-        chunk_size,
-    ):
-        chunked = run_campaign(
-            campaign_mcc,
-            campaign_faults,
-            campaign_setup,
-            chunk_size=chunk_size,
-        )
-        for ours, theirs in zip(_tables(chunked), _tables(serial_dataset)):
-            assert np.array_equal(ours, theirs)
-
-    def test_chunked_parallel_bit_identical(
-        self, campaign_mcc, campaign_faults, campaign_setup, serial_dataset
-    ):
-        both = run_campaign(
-            campaign_mcc,
-            campaign_faults,
-            campaign_setup,
-            chunk_size=2,
-            executor=ParallelExecutor(jobs=2),
-        )
-        for ours, theirs in zip(_tables(both), _tables(serial_dataset)):
-            assert np.array_equal(ours, theirs)
-
-
 class TestFastEngineParity:
-    """The campaign runs the same certified Sherman–Morrison engine as
-    the in-process loop, so every unit agrees with it to the last bit,
-    peaks included, and with the scalar reference on every verdict."""
+    """Every unit runs the certified Sherman–Morrison engine, so a run
+    with an explicit serial executor agrees with the default one to the
+    last bit, peaks and counters included, and with the scalar
+    reference on every verdict."""
 
     def test_fast_campaign_matches_legacy_fast(
         self, campaign_mcc, campaign_faults, campaign_setup, serial_dataset
     ):
-        legacy = simulate_faults(
+        default = simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup
         )
-        assert dataset_to_json(serial_dataset) == dataset_to_json(legacy)
-        assert serial_dataset.n_factorizations == legacy.n_factorizations
-        assert serial_dataset.sm_fallbacks == legacy.sm_fallbacks
-
-    def test_fast_chunked_bit_identical(
-        self, campaign_mcc, campaign_faults, campaign_setup, serial_dataset
-    ):
-        for chunk_size in (1, 3):
-            chunked = run_campaign(
-                campaign_mcc,
-                campaign_faults,
-                campaign_setup,
-                chunk_size=chunk_size,
-            )
-            assert _answers(chunked) == _answers(serial_dataset), chunk_size
+        assert dataset_to_json(serial_dataset) == dataset_to_json(default)
+        assert serial_dataset.n_solves == default.n_solves
+        assert serial_dataset.n_factorizations == default.n_factorizations
+        assert serial_dataset.sm_fallbacks == default.sm_fallbacks
 
     def test_fast_agrees_with_standard_matrix(
         self, campaign_mcc, campaign_faults, campaign_setup, serial_dataset
@@ -175,13 +111,21 @@ class TestSimulatorRouting:
         for ours, theirs in zip(_tables(routed), _tables(serial_dataset)):
             assert np.array_equal(ours, theirs)
 
-    def test_simulate_faults_accepts_chunk_size(
-        self, campaign_mcc, campaign_faults, campaign_setup, serial_dataset
+    def test_simulate_faults_runs_the_engine(
+        self, campaign_mcc, campaign_faults, campaign_setup, monkeypatch
     ):
-        routed = simulate_faults(
-            campaign_mcc, campaign_faults, campaign_setup, chunk_size=2
-        )
-        assert _answers(routed) == _answers(serial_dataset)
+        """With no engine keyword, ``simulate_faults`` still runs its
+        units, one per configuration, through ``execute_units``."""
+        calls = []
+        real = engine_module.execute_units
+
+        def spy(plan, *args, **kwargs):
+            calls.append(plan.n_units)
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "execute_units", spy)
+        simulate_faults(campaign_mcc, campaign_faults, campaign_setup)
+        assert calls == [7]
 
 
 def _bits(dataset):
@@ -228,7 +172,7 @@ EXECUTORS = {
 class TestSharedBasisParity:
     """Units that run together share one basis — the functional
     circuit's sweep — and a batch without C0 sweeps it again.  Every
-    grouping gives the in-process loop's dataset, bit for bit."""
+    grouping gives the default serial run's dataset, bit for bit."""
 
     @pytest.fixture(autouse=True)
     def many_cores(self, monkeypatch):
@@ -240,7 +184,6 @@ class TestSharedBasisParity:
     def in_process(self, campaign_mcc, campaign_faults, campaign_setup):
         return simulate_faults(campaign_mcc, campaign_faults, campaign_setup)
 
-    @pytest.mark.parametrize("chunk_size", [None, 1])
     @pytest.mark.parametrize("executor", sorted(EXECUTORS))
     def test_every_grouping_is_bit_identical(
         self,
@@ -249,16 +192,15 @@ class TestSharedBasisParity:
         campaign_setup,
         in_process,
         executor,
-        chunk_size,
     ):
         dataset = simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
             executor=EXECUTORS[executor](),
-            chunk_size=chunk_size,
         )
         assert _bits(dataset) == _bits(in_process)
+        assert dataset.n_solves == in_process.n_solves
 
     def test_pending_units_without_the_functional_configuration(
         self,
@@ -273,14 +215,14 @@ class TestSharedBasisParity:
         and no cached unit result holds."""
         cache = ResultCache(tmp_path)
         configs = list(in_process.configs)
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
             configs=configs[:2],
             cache=cache,
         )
-        warm = run_campaign(
+        warm = simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         assert _bits(warm) == _bits(in_process)
@@ -295,7 +237,7 @@ class TestSharedBasisParity:
         contents = []
         for name in ("serial", "parallel-per-unit"):
             root = tmp_path / name
-            run_campaign(
+            simulate_faults(
                 campaign_mcc,
                 campaign_faults,
                 campaign_setup,

@@ -9,7 +9,6 @@ import pytest
 from repro.analysis import decade_grid
 from repro.campaign import plan_campaign
 from repro.circuits import build
-from repro.errors import CampaignError
 from repro.faults import DeviationFault, SimulationSetup, deviation_faults
 
 
@@ -22,37 +21,15 @@ class TestDecomposition:
         assert plan.n_faults == len(campaign_faults)
         assert all(u.size == plan.n_faults for u in plan.units)
 
-    def test_chunked_decomposition(
-        self, campaign_mcc, campaign_faults, campaign_setup
-    ):
-        plan = plan_campaign(
-            campaign_mcc, campaign_faults, campaign_setup, chunk_size=3
-        )
-        # 8 faults in chunks of 3 -> 3 chunks per configuration
-        assert plan.n_units == 7 * 3
-        # chunks of one configuration cover the fault list exactly once
-        c0 = [u for u in plan.units if u.label == "C0"]
-        covered = [label for unit in c0 for label in unit.args["labels"]]
-        assert covered == list(plan.fault_labels)
-
-    def test_chunk_size_one(
-        self, campaign_mcc, campaign_faults, campaign_setup
-    ):
-        plan = plan_campaign(
-            campaign_mcc, campaign_faults, campaign_setup, chunk_size=1
-        )
-        assert plan.n_units == 7 * len(campaign_faults)
-        assert all(u.size == 1 for u in plan.units)
-
     def test_unit_ids_unique_and_ordered(
         self, campaign_mcc, campaign_faults, campaign_setup
     ):
-        plan = plan_campaign(
-            campaign_mcc, campaign_faults, campaign_setup, chunk_size=2
-        )
+        plan = plan_campaign(campaign_mcc, campaign_faults, campaign_setup)
         ids = [u.unit_id for u in plan.units]
         assert len(set(ids)) == len(ids)
-        assert ids[0] == "C0#0"
+        # unit c is configuration c, named after it
+        assert ids == [config.label for config in plan.configs]
+        assert ids[0] == "C0"
 
     def test_bad_engine_rejected(
         self, campaign_mcc, campaign_faults, campaign_setup
@@ -69,12 +46,13 @@ class TestDecomposition:
     def test_bad_chunk_rejected(
         self, campaign_mcc, campaign_faults, campaign_setup
     ):
-        with pytest.raises(CampaignError):
+        """The chunk knob is gone: any ``chunk_size=`` is unknown."""
+        with pytest.raises(TypeError, match="chunk_size"):
             plan_campaign(
                 campaign_mcc,
                 campaign_faults,
                 campaign_setup,
-                chunk_size=0,
+                chunk_size=2,
             )
 
 
@@ -93,9 +71,7 @@ class TestKeys:
     def test_keys_unique_within_plan(
         self, campaign_mcc, campaign_faults, campaign_setup
     ):
-        plan = plan_campaign(
-            campaign_mcc, campaign_faults, campaign_setup, chunk_size=1
-        )
+        plan = plan_campaign(campaign_mcc, campaign_faults, campaign_setup)
         assert len(set(plan.keys)) == plan.n_units
 
     def test_epsilon_changes_every_key(
@@ -123,28 +99,23 @@ class TestKeys:
     def test_fault_value_changes_its_key_only(
         self, campaign_mcc, campaign_faults, campaign_setup
     ):
-        base = plan_campaign(
-            campaign_mcc, campaign_faults, campaign_setup, chunk_size=1
-        )
+        """A fault's value enters the key of every unit that carries it
+        (each configuration's unit carries every fault), although its
+        label stays ``fR1``; labels and unit ids do not move."""
+        base = plan_campaign(campaign_mcc, campaign_faults, campaign_setup)
         mutated = [
             DeviationFault(f.target, 0.30) if f.target == "R1" else f
             for f in campaign_faults
         ]
-        other = plan_campaign(
-            campaign_mcc, mutated, campaign_setup, chunk_size=1
-        )
-        changed = [
-            (a.unit_id, a.key != b.key)
-            for a, b in zip(base.units, other.units)
+        other = plan_campaign(campaign_mcc, mutated, campaign_setup)
+        assert other.fault_labels == base.fault_labels
+        assert [u.unit_id for u in other.units] == [
+            u.unit_id for u in base.units
         ]
-        flipped = [unit_id for unit_id, diff in changed if diff]
-        # exactly the fR1 unit of each configuration is invalidated
-        assert len(flipped) == 7
-        assert all(
-            base.units[i].args["labels"] == ("fR1",)
-            for i, (unit_id, diff) in enumerate(changed)
-            if diff
-        )
+        assert set(base.keys).isdisjoint(other.keys)
+        assert plan_campaign(
+            campaign_mcc, list(campaign_faults), campaign_setup
+        ).keys == base.keys
 
     def test_values_beyond_netlist_digits_change_every_key(
         self, campaign_setup
@@ -168,7 +139,7 @@ class TestKeys:
     ):
         """A plan of C configurations and F faults takes C + 1 circuit
         identities (each configuration's and the functional circuit's)
-        and F fault signatures, however finely it is chunked."""
+        and F fault signatures."""
         from repro.campaign import plan as plan_module
         from repro.circuit.netlist import Circuit
 
@@ -186,10 +157,7 @@ class TestKeys:
 
         monkeypatch.setattr(Circuit, "identity", counted_identity)
         monkeypatch.setattr(plan_module, "fault_signature", counted_signature)
-        plan = plan_campaign(
-            campaign_mcc, campaign_faults, campaign_setup, chunk_size=1
-        )
-        assert plan.n_units == plan.n_configs * plan.n_faults
+        plan = plan_campaign(campaign_mcc, campaign_faults, campaign_setup)
         assert calls == {
             "identity": plan.n_configs + 1,
             "signature": plan.n_faults,

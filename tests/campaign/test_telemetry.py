@@ -9,8 +9,8 @@ from repro.campaign import (
     CampaignTelemetry,
     ParallelExecutor,
     ResultCache,
-    run_campaign,
 )
+from repro.faults import simulate_faults
 
 
 def read_trace(path):
@@ -24,7 +24,7 @@ class TestTrace:
     ):
         trace = tmp_path / "trace.jsonl"
         telemetry = CampaignTelemetry(trace_path=trace)
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -41,7 +41,7 @@ class TestTrace:
         assert start["units"] == 7
         assert start["plan"] == (
             f"campaign plan: 7 configuration(s) x {len(campaign_faults)} "
-            f"fault(s) -> 7 unit(s) (chunk {len(campaign_faults)})"
+            "fault(s) -> 7 unit(s)"
         )
         assert "engine" not in start
         assert start["executor"] == "serial"
@@ -52,6 +52,8 @@ class TestTrace:
         assert {e["config"] for e in done} == {
             f"C{i}" for i in range(7)
         }
+        # one unit per configuration, named after it
+        assert [e["unit"] for e in done] == [e["config"] for e in done]
 
         end = events[-1]
         assert end["units_done"] == end["units_total"] == 7
@@ -65,12 +67,12 @@ class TestTrace:
         """The acceptance check: a warm re-run's trace records 100%
         cache hits and zero new AC solves."""
         cache = ResultCache(tmp_path / "cache")
-        run_campaign(
+        simulate_faults(
             campaign_mcc, campaign_faults, campaign_setup, cache=cache
         )
         trace = tmp_path / "warm.jsonl"
         telemetry = CampaignTelemetry(trace_path=trace)
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -93,7 +95,7 @@ class TestTrace:
         trace = tmp_path / "trace.jsonl"
         for _ in range(2):
             telemetry = CampaignTelemetry(trace_path=trace)
-            run_campaign(
+            simulate_faults(
                 campaign_mcc,
                 campaign_faults,
                 campaign_setup,
@@ -108,7 +110,7 @@ class TestTrace:
     ):
         trace = tmp_path / "trace.jsonl"
         with CampaignTelemetry(trace_path=trace) as telemetry:
-            run_campaign(
+            simulate_faults(
                 campaign_mcc,
                 campaign_faults,
                 campaign_setup,
@@ -140,7 +142,7 @@ class TestFallbackCounter:
         ]
         trace = tmp_path / "fallbacks.jsonl"
         telemetry = CampaignTelemetry(trace_path=trace)
-        dataset = run_campaign(
+        dataset = simulate_faults(
             bench.dft(), faults, setup, telemetry=telemetry
         )
         telemetry.close()
@@ -161,7 +163,7 @@ class TestCountersAndProgress:
         self, campaign_mcc, campaign_faults, campaign_setup
     ):
         telemetry = CampaignTelemetry()
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -177,7 +179,7 @@ class TestCountersAndProgress:
     ):
         stream = io.StringIO()
         telemetry = CampaignTelemetry(progress=True, stream=stream)
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,
@@ -192,7 +194,7 @@ class TestCountersAndProgress:
         self, campaign_mcc, campaign_faults, campaign_setup
     ):
         telemetry = CampaignTelemetry()
-        run_campaign(
+        simulate_faults(
             campaign_mcc,
             campaign_faults,
             campaign_setup,

@@ -16,7 +16,6 @@ from repro.campaign import (
     execute_tolerance_plan,
     execute_unit,
     plan_tolerance_campaign,
-    run_tolerance_campaign,
 )
 from repro.errors import CampaignError
 from repro.verify import reference_scaled_responses
@@ -97,7 +96,9 @@ class TestExecute:
         assert result.n_solves == 1 + 12 + 1 + result.values["n_corners"]
 
     def test_report_assembles_in_plan_order(self):
-        report = run_tolerance_campaign(names=NAMES, **FAST)
+        report = execute_tolerance_plan(
+            plan_tolerance_campaign(names=NAMES, **FAST)
+        )
         assert [row["name"] for row in report.rows] == NAMES
         assert report.n_solves > 0
         rendered = report.render()
@@ -173,13 +174,17 @@ class TestExecute:
 
     def test_warm_cache_resumes_with_zero_solves(self, cache):
         telemetry = CampaignTelemetry()
-        cold = run_tolerance_campaign(
-            names=NAMES, cache=cache, telemetry=telemetry, **FAST
+        cold = execute_tolerance_plan(
+            plan_tolerance_campaign(names=NAMES, **FAST),
+            cache=cache,
+            telemetry=telemetry,
         )
         assert cache.writes == 2
         warm_telemetry = CampaignTelemetry()
-        warm = run_tolerance_campaign(
-            names=NAMES, cache=cache, telemetry=warm_telemetry, **FAST
+        warm = execute_tolerance_plan(
+            plan_tolerance_campaign(names=NAMES, **FAST),
+            cache=cache,
+            telemetry=warm_telemetry,
         )
         assert warm.n_solves == 0
         assert warm.n_factorizations == 0
@@ -218,7 +223,9 @@ class TestExecute:
         from repro.analysis import decade_grid, monte_carlo_tolerance
         from repro.circuits import build
 
-        report = run_tolerance_campaign(names=["biquad"], **FAST)
+        report = execute_tolerance_plan(
+            plan_tolerance_campaign(names=["biquad"], **FAST)
+        )
         bench = build("biquad")
         grid = decade_grid(bench.f0_hz, 1, 1, points_per_decade=8)
         direct = monte_carlo_tolerance(

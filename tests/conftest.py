@@ -13,9 +13,10 @@ from hypothesis import settings as hypothesis_settings
 
 from repro.analysis import decade_grid
 from repro.circuits import benchmark_biquad
-from repro.errors import SingularCircuitError
+from repro.errors import CampaignError, SingularCircuitError
 from repro.experiments.paper import PaperScenario
 from repro.faults import SimulationSetup, deviation_faults, simulate_faults
+from repro.faults.simulator import fault_labels, simulate_configuration
 from repro.verify import reference_dataset
 from repro.verify.invariants import check_assembly
 
@@ -87,8 +88,8 @@ def assert_matches_reference(case, dataset=None):
     """The production engine against the scalar reference on ``case``.
 
     ``dataset`` defaults to ``simulate_faults`` on the case.  Where that
-    raises :class:`SingularCircuitError`, :func:`reference_dataset` must
-    meet a singular sweep of the same circuit.  Otherwise the
+    fails on a :class:`SingularCircuitError`, :func:`reference_dataset`
+    must meet a singular sweep of the same circuit.  Otherwise the
     ``invariant-assembly`` check must find nothing: every nominal sweep,
     verdict, mask and ω equal to the reference's, and every peak too,
     within ``deviation_rtol`` for Sherman–Morrison pairs and exactly for
@@ -98,12 +99,29 @@ def assert_matches_reference(case, dataset=None):
         mcc, faults = case.mcc(), list(case.faults)
         try:
             dataset = simulate_faults(mcc, faults, case.setup)
-        except SingularCircuitError as exc:
+        except CampaignError as exc:
+            if not isinstance(exc.__cause__, SingularCircuitError):
+                raise
             configs = mcc.configurations(
                 include_functional=True, include_transparent=False
             )
             with pytest.raises(SingularCircuitError) as info:
                 reference_dataset(mcc, faults, case.setup, configs)
-            assert str(exc).startswith(str(info.value))
+            assert str(exc.__cause__).startswith(str(info.value))
             return
     assert check_assembly(case, dataset) == []
+
+
+def bare_row(circuit, faults, setup):
+    """A bare circuit's (no DFT) row: ``(labels, detections)``.
+
+    The labels are the campaign's (:func:`fault_labels`, so colliding
+    labels raise its :class:`CampaignError`); the
+    :class:`~repro.core.detectability.Detections` hold one row per
+    fault, from :func:`simulate_configuration` on the circuit alone.
+    """
+    labels = fault_labels(faults, setup.fault_name_style)
+    _, detections, _ = simulate_configuration(
+        circuit, setup.output or circuit.output, faults, labels, setup
+    )
+    return labels, detections

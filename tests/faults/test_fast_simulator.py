@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import KernelStats, MnaSystem, ac_analysis, decade_grid
-from repro.campaign import run_campaign
+from repro.campaign import executor as executor_module
 from repro.circuit import IDEAL_OPAMP, Circuit
 from repro.circuits import benchmark_biquad, build, catalog
 from repro.circuits.catalog import BenchmarkCircuit
@@ -68,7 +68,8 @@ CATALOG_RHS_COLUMNS = {
 
 
 def kernel_stats(monkeypatch):
-    """Every :class:`KernelStats` the simulator makes from now on."""
+    """Every :class:`KernelStats` a campaign makes from now on: each
+    unit's (the executor's) and each basis's (the simulator's)."""
     made = []
 
     class Recorded(KernelStats):
@@ -77,6 +78,7 @@ def kernel_stats(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(simulator, "KernelStats", Recorded)
+    monkeypatch.setattr(executor_module, "KernelStats", Recorded)
     return made
 
 
@@ -332,16 +334,21 @@ class TestSingularVariant:
 
     def test_simulate_faults_raises(self):
         mcc, faults, setup = self.case()
-        with pytest.raises(SingularCircuitError) as info:
+        with pytest.raises(CampaignError) as info:
             simulate_faults(mcc, faults, setup)
-        assert str(info.value) == self.MESSAGE
+        assert type(info.value.__cause__) is SingularCircuitError
+        assert str(info.value.__cause__) == self.MESSAGE
 
     def test_campaign_raises(self):
+        """Every configuration runs; the error counts the one unit that
+        failed and names it by its configuration."""
         mcc, faults, setup = self.case()
         with pytest.raises(CampaignError) as info:
-            run_campaign(mcc, faults, setup, chunk_size=1)
-        assert isinstance(info.value.__cause__, SingularCircuitError)
-        assert str(info.value.__cause__) == self.MESSAGE
+            simulate_faults(mcc, faults, setup)
+        assert str(info.value) == (
+            "1 of 7 work unit(s) failed (first: C6 after 1 attempt(s): "
+            f"SingularCircuitError({self.MESSAGE!r}))"
+        )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -7,17 +7,23 @@ import pytest
 
 import repro.core.detectability as detectability_module
 from repro.analysis import decade_grid
-from repro.campaign import run_campaign
 from repro.circuits import benchmark_biquad
 from repro.dft import Configuration
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CampaignError
 from repro.faults import (
     DeviationFault,
     SimulationSetup,
     bidirectional_deviation_faults,
     deviation_faults,
     simulate_faults,
-    simulate_single_configuration,
+)
+from tests.conftest import bare_row
+
+#: what a universe with several faults per component gets under the
+#: ``"short"`` label style
+COLLIDE = (
+    "fault labels collide; use fault_name_style='full' for universes "
+    "with several faults per component"
 )
 
 
@@ -97,10 +103,19 @@ class TestSimulateFaults:
         mcc = bench.dft()
         faults = bidirectional_deviation_faults(bench.circuit, 0.20)
         grid = decade_grid(bench.f0_hz, 1, 1, points_per_decade=10)
-        with pytest.raises(AnalysisError, match="collide"):
+        with pytest.raises(CampaignError) as excinfo:
             simulate_faults(
                 mcc, faults, SimulationSetup(grid=grid)
             )
+        assert str(excinfo.value) == COLLIDE
+
+    def test_empty_universe_refused(self, mini_dataset):
+        """A campaign without faults is refused before any solve."""
+        with pytest.raises(CampaignError) as excinfo:
+            simulate_faults(
+                benchmark_biquad().dft(), [], mini_dataset.setup
+            )
+        assert str(excinfo.value) == "no faults to simulate"
 
     def test_full_name_style_for_bidirectional(self):
         bench = benchmark_biquad()
@@ -170,9 +185,11 @@ class TestDefinitionsAsArrays:
     def test_zero_nominal_band_raises(self, grounded):
         mcc, faults, grid = grounded
         setup = SimulationSetup(grid=grid, output="0")
-        with pytest.raises(AnalysisError) as excinfo:
+        with pytest.raises(CampaignError) as excinfo:
             simulate_faults(mcc, faults, setup)
-        assert str(excinfo.value) == (
+        cause = excinfo.value.__cause__
+        assert type(cause) is AnalysisError
+        assert str(cause) == (
             "nominal response is identically zero; band deviation undefined"
         )
 
@@ -204,7 +221,6 @@ class TestDefinitionsAsArrays:
         mcc = bench.dft()
         faults = deviation_faults(bench.circuit, 0.20)
         simulate_faults(mcc, faults, mini_dataset.setup)
-        run_campaign(mcc, faults, mini_dataset.setup, chunk_size=1)
         assert calls == []
         # the spy sees the reference's per-pair calls
         from repro.verify import reference_dataset
@@ -218,26 +234,20 @@ class TestSingleConfiguration:
     def test_matches_c0_of_full_campaign(self, mini_dataset):
         bench = benchmark_biquad()
         faults = deviation_faults(bench.circuit, 0.20)
-        dataset = simulate_single_configuration(
-            bench.circuit, faults, mini_dataset.setup
-        )
+        labels, row = bare_row(bench.circuit, faults, mini_dataset.setup)
         full_matrix = mini_dataset.detectability_matrix()
-        single_matrix = dataset.detectability_matrix()
-        for fault in dataset.fault_labels:
-            assert single_matrix.entry("C0", fault) == full_matrix.entry(
-                "C0", fault
-            )
+        for label, mask in zip(labels, row.masks):
+            assert bool(mask.any()) == full_matrix.entry("C0", label)
 
     def test_paper_initial_pattern(self, mini_dataset):
         """Only fR1 and fR4 detectable in the functional filter (§2)."""
         bench = benchmark_biquad()
         faults = deviation_faults(bench.circuit, 0.20)
-        dataset = simulate_single_configuration(
-            bench.circuit, faults, mini_dataset.setup
-        )
-        matrix = dataset.detectability_matrix()
-        assert set(matrix.faults_detected_by("C0")) == {"fR1", "fR4"}
-        assert matrix.fault_coverage(["C0"]) == pytest.approx(0.25)
+        labels, row = bare_row(bench.circuit, faults, mini_dataset.setup)
+        detected = row.masks.any(axis=1)
+        hits = {label for label, hit in zip(labels, detected) if hit}
+        assert hits == {"fR1", "fR4"}
+        assert detected.mean() == pytest.approx(0.25)
 
     def test_label_collision_detected(self, mini_dataset):
         """±20 % on R1 share the short label ``fR1``: the bare circuit
@@ -245,7 +255,6 @@ class TestSingleConfiguration:
         two results under it."""
         bench = benchmark_biquad()
         faults = [DeviationFault("R1", 0.20), DeviationFault("R1", -0.20)]
-        with pytest.raises(AnalysisError, match="collide"):
-            simulate_single_configuration(
-                bench.circuit, faults, mini_dataset.setup
-            )
+        with pytest.raises(CampaignError) as excinfo:
+            bare_row(bench.circuit, faults, mini_dataset.setup)
+        assert str(excinfo.value) == COLLIDE

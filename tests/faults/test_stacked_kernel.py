@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import decade_grid
-from repro.campaign import CampaignTelemetry, run_campaign
+from repro.campaign import CampaignTelemetry
 from repro.circuit import Circuit
 from repro.circuits import benchmark_biquad, build
 from repro.errors import SingularCircuitError
@@ -149,12 +149,14 @@ class TestFastEngine:
 
 class TestCampaignIntegration:
     def test_run_campaign_stacked_identical(self, mcc, faults, setup):
-        production = run_campaign(mcc, faults, setup)
+        """The campaign engine's dataset (what ``simulate_faults``
+        runs) is the oracle's."""
+        production = simulate_faults(mcc, faults, setup)
         assert_identical(oracle(mcc, faults, setup, production), production)
 
     def test_telemetry_counts_factorizations(self, mcc, faults, setup):
         telemetry = CampaignTelemetry()
-        production = run_campaign(mcc, faults, setup, telemetry=telemetry)
+        production = simulate_faults(mcc, faults, setup, telemetry=telemetry)
         assert (
             telemetry.snapshot()["factorizations"]
             == production.n_factorizations

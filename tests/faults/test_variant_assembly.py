@@ -17,12 +17,11 @@ import pytest
 from repro.analysis import ac_analysis, decade_grid
 from repro.analysis.batched import StampProgram
 from repro.analysis.mna import MnaSystem
-from repro.campaign import run_campaign
 from repro.circuit import Circuit
 from repro.circuit.components import TwoTerminal
 from repro.circuits import benchmark_biquad, build, catalog
 from repro.core.detectability import evaluate_detectability
-from repro.errors import FaultModelError
+from repro.errors import CampaignError, FaultModelError
 from repro.faults import (
     DeviationFault,
     MultipleFault,
@@ -31,10 +30,9 @@ from repro.faults import (
     SimulationSetup,
     bidirectional_deviation_faults,
     simulate_faults,
-    simulate_single_configuration,
 )
 from repro.verify import Tolerances, VerifyCase
-from tests.conftest import assert_matches_reference
+from tests.conftest import assert_matches_reference, bare_row
 
 
 @pytest.mark.parametrize("name", catalog())
@@ -86,27 +84,25 @@ MIXED_UNIVERSE = [
 
 @pytest.mark.parametrize("assembly", ["loop", "stacked"])
 def test_mixed_universe_matches_reference(biquad_setup, assembly):
-    """``loop`` simulates one fault per campaign unit, ``stacked`` every
-    fault of a configuration in one unit."""
+    """``loop`` simulates each fault in a campaign of its own,
+    ``stacked`` every fault of a configuration in one unit."""
     bench = benchmark_biquad()
-    case = VerifyCase(
-        name="biquad",
-        bench=bench,
-        circuit=bench.circuit,
-        faults=tuple(MIXED_UNIVERSE),
-        setup=biquad_setup,
+    universes = (
+        [[fault] for fault in MIXED_UNIVERSE]
+        if assembly == "loop"
+        else [MIXED_UNIVERSE]
     )
-    if assembly == "loop":
-        dataset = run_campaign(
-            case.mcc(), MIXED_UNIVERSE, biquad_setup, chunk_size=1
+    for faults in universes:
+        case = VerifyCase(
+            name="biquad",
+            bench=bench,
+            circuit=bench.circuit,
+            faults=tuple(faults),
+            setup=biquad_setup,
         )
-    else:
-        dataset = simulate_faults(case.mcc(), MIXED_UNIVERSE, biquad_setup)
-    assert_matches_reference(case, dataset)
-    if assembly == "stacked":
-        assert dataset.n_solves == len(dataset.configs) * (
-            1 + len(MIXED_UNIVERSE)
-        )
+        dataset = simulate_faults(case.mcc(), faults, biquad_setup)
+        assert_matches_reference(case, dataset)
+        assert dataset.n_solves == len(dataset.configs) * (1 + len(faults))
 
 
 @dataclass(frozen=True)
@@ -124,21 +120,22 @@ def test_rejected_element_keeps_per_fault_path(biquad_setup):
     circuit.resistor("R2", "out", "0", 1e3)
     circuit.capacitor("C1", "out", "0", 1e-7)
     faults = bidirectional_deviation_faults(circuit, 0.3)
-    dataset = simulate_single_configuration(circuit, faults, biquad_setup)
+    _, row = bare_row(circuit, faults, biquad_setup)
     nominal = ac_analysis(circuit, biquad_setup.grid)
-    for fault in faults:
+    for fault, mask, max_deviation in zip(
+        faults, row.masks, row.max_deviation
+    ):
         expected = evaluate_detectability(
             nominal,
             ac_analysis(fault.apply(circuit), biquad_setup.grid),
             biquad_setup.epsilon,
             biquad_setup.criterion,
         )
-        result = dataset.result(dataset.configs[0], fault.name)
-        assert np.array_equal(result.mask, expected.mask)
+        assert np.array_equal(mask, expected.mask)
         if fault.target == "RQ":
-            assert result.max_deviation == expected.max_deviation
+            assert max_deviation == expected.max_deviation
         else:  # resistor and capacitor faults are Sherman-Morrison pairs
-            assert result.max_deviation == pytest.approx(
+            assert max_deviation == pytest.approx(
                 expected.max_deviation, rel=Tolerances().deviation_rtol
             )
 
@@ -146,15 +143,26 @@ def test_rejected_element_keeps_per_fault_path(biquad_setup):
 @pytest.mark.parametrize(
     "fault, message",
     [
-        (DeviationFault("R9", 0.2), "has no component 'R9'"),
-        (DeviationFault("OP1", 0.2), "not a two-terminal passive"),
+        pytest.param(
+            DeviationFault("R9", 0.2),
+            "fault fR9+20%: circuit 'biquadratic filter [C0]' has no "
+            "component 'R9'",
+            id="fault0-has no component 'R9'",
+        ),
+        pytest.param(
+            DeviationFault("OP1", 0.2),
+            "fault fOP1+20%: component 'OP1' is not a two-terminal passive",
+            id="fault1-not a two-terminal passive",
+        ),
     ],
 )
 def test_unassemblable_deviation_raises_fault_error(
     biquad_setup, fault, message
 ):
     mcc = benchmark_biquad().dft()
-    with pytest.raises(FaultModelError, match=message):
+    with pytest.raises(CampaignError) as excinfo:
         simulate_faults(
             mcc, [DeviationFault("R1", 0.2), fault], biquad_setup
         )
+    assert type(excinfo.value.__cause__) is FaultModelError
+    assert str(excinfo.value.__cause__) == message

@@ -23,6 +23,7 @@ from repro.core import (
 )
 from repro.experiments.exp_scaling import analyze_circuit
 from repro.faults import SimulationSetup, deviation_faults, simulate_faults
+from tests.conftest import bare_row
 
 
 class TestFullFlowBiquad:
@@ -135,10 +136,8 @@ class TestCrossModuleInvariants:
                 assert not all(smaller & c for c in clauses)
 
     def test_matrix_row_c0_equals_single_config_sim(self, paper_scenario):
-        from repro.faults import simulate_single_configuration
-
         dataset = paper_scenario.dataset()
-        single = simulate_single_configuration(
+        labels, row = bare_row(
             paper_scenario.circuit(),
             paper_scenario.faults(),
             paper_scenario.setup(),
@@ -147,25 +146,19 @@ class TestCrossModuleInvariants:
             f: dataset.omega_table().value("C0", f)
             for f in dataset.fault_labels
         }
-        single_row = {
-            f: single.omega_table().value("C0", f)
-            for f in single.fault_labels
-        }
+        single_row = dict(zip(labels, row.omega_detectability))
         for fault in full_row:
             assert full_row[fault] == pytest.approx(single_row[fault])
 
     def test_netlist_roundtrip_preserves_detectability(self, paper_scenario):
         """Simulating a re-parsed netlist gives the same C0 row."""
         from repro.circuit import parse_netlist
-        from repro.faults import simulate_single_configuration
 
         original = paper_scenario.circuit()
         recovered = parse_netlist(original.netlist())
         setup = paper_scenario.setup()
-        row_a = simulate_single_configuration(
-            original, paper_scenario.faults(), setup
-        ).omega_table()
-        row_b = simulate_single_configuration(
-            recovered, paper_scenario.faults(), setup
-        ).omega_table()
-        assert np.allclose(row_a.data, row_b.data)
+        _, row_a = bare_row(original, paper_scenario.faults(), setup)
+        _, row_b = bare_row(recovered, paper_scenario.faults(), setup)
+        assert np.allclose(
+            row_a.omega_detectability, row_b.omega_detectability
+        )

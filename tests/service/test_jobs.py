@@ -35,6 +35,15 @@ class TestNormalizeParams:
         with pytest.raises(JobValidationError, match="unknown param"):
             normalize_params("faultsim", {"target": "biquad", "bogus": 1})
 
+    def test_removed_chunk_param(self):
+        """One unit per configuration: ``chunk`` is no param."""
+        params = normalize_params("faultsim", {"target": "biquad"})
+        assert "chunk" not in params
+        with pytest.raises(
+            JobValidationError, match="unknown param\\(s\\) 'chunk'"
+        ):
+            normalize_params("faultsim", {"target": "biquad", "chunk": 2})
+
     def test_type_coercion_and_mismatch(self):
         params = normalize_params(
             "faultsim", {"target": "biquad", "ppd": "25", "epsilon": "0.2"}

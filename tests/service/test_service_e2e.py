@@ -17,6 +17,7 @@ catalog.  Covered acceptance criteria:
 import json
 import os
 import pickle
+import threading
 import time
 
 import pytest
@@ -348,6 +349,17 @@ class TestGracefulShutdown:
             job = service.scheduler.get(submitted["id"])
             assert job.state == DONE
             assert job.result["fault_coverage"] >= 0.0
+
+    def test_stop_returns_on_a_service_that_never_served(self):
+        """``stop()`` waits for a serve loop only once one started: a
+        constructed, never started service stops at once and closes its
+        socket."""
+        service = ReproService(port=0)
+        stopper = threading.Thread(target=service.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() blocked on no serve loop"
+        assert service._httpd.socket.fileno() == -1
 
     def test_rejects_submissions_while_draining(self, service, client):
         service.scheduler.shutdown(drain=True, timeout=30.0)

@@ -80,6 +80,26 @@ class TestFaultsim:
         assert "InsufficientDetectionsError" in err
         assert "fR2" in err
 
+    def test_failed_unit_is_one_campaign_error_line(self, tmp_path, capsys):
+        """``state_variable`` at −50 % has a singular C6 variant: the
+        campaign runs all seven configurations and reports the failure
+        as the engine's one ``CampaignError`` line."""
+        from repro.circuit import write_netlist
+        from repro.circuits import build
+
+        path = tmp_path / "state_variable.cir"
+        path.write_text(write_netlist(build("state_variable").circuit))
+        assert main([
+            "faultsim", str(path), "--ppd", "10", "--deviation", "-0.5",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: CampaignError: 1 of 7 work unit(s) failed (first: C6 "
+            "after 1 attempt(s): SingularCircuitError('KHN state-variable "
+            "filter [C6]: MNA matrix singular within [15.9155, 159155] "
+            "Hz'))\n"
+        )
+
 
 class TestNdetect:
     def test_sweep_with_json(self, tmp_path, capsys):
@@ -221,6 +241,19 @@ class TestServe:
         assert excinfo.value.code == 2
         assert "--pool-per-worker" in capsys.readouterr().err
 
+    def test_progress_flag_rejected(self, capsys):
+        """A server paints no progress line, so ``serve`` has no
+        ``--progress`` (the batch subcommands keep it)."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--progress"])
+        assert excinfo.value.code == 2
+        assert "--progress" in capsys.readouterr().err
+        assert build_parser().parse_args(
+            ["campaign", "biquad", "--progress"]
+        ).progress
+
     def test_cache_dir_holds_only_units_and_jobs(
         self, brief_serve, tmp_path, capsys
     ):
@@ -297,13 +330,13 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "done: 7/7 units" in out
 
-    def test_chunked_fast_engine(self, capsys):
-        assert (
-            main(["campaign", "biquad", "--ppd", "12", "--chunk", "2"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "28 unit(s)" in out  # 7 configs x ceil(8/2) chunks
+    def test_chunk_flag_removed(self, capsys):
+        """One unit per configuration: ``--chunk`` is an unknown flag
+        (exit 2), refused before anything is planned."""
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "biquad", "--chunk", "2"])
+        assert info.value.code == 2
+        assert "--chunk" in capsys.readouterr().err
 
     def test_engine_flag_removed(self, capsys):
         """One engine: ``--engine`` is an unknown flag (exit 2)."""

@@ -76,8 +76,6 @@ PARAM_LOCAL = {
               ["campaign", "sallen_key", "--ppd", "1"]),
     "decades-0": ("faultsim", {"target": "sallen_key", "decades": 0},
                   ["campaign", "sallen_key", "--decades", "0"]),
-    "chunk-0": ("faultsim", {"target": "sallen_key", "chunk": 0},
-                ["campaign", "sallen_key", "--chunk", "0"]),
     "f0-negative": ("faultsim", {"target": "sallen_key", "f0": -5},
                     ["campaign", "sallen_key", "--f0", "-5"]),
     "unknown-target": ("faultsim", {"target": "nope"},
@@ -242,7 +240,7 @@ BASE = {
 def library():
     """(kind, param) -> (call(value), a value the call accepts)."""
     from repro.analysis import decade_grid
-    from repro.campaign import plan_campaign, plan_tolerance_campaign
+    from repro.campaign import plan_tolerance_campaign
     from repro.circuits import build
     from repro.core.ndetect import ndetect_cover
     from repro.dft import apply_multiconfiguration
@@ -285,8 +283,6 @@ def library():
         ("faultsim", "deviation"): (
             lambda v: DeviationFault("R1a", v), -0.2),
         **{("faultsim", k): g for k, g in grid_guards.items()},
-        ("faultsim", "chunk"): (
-            lambda v: plan_campaign(mcc, faults, setup, chunk_size=v), 1),
         ("faultsim", "n_detect"): (
             lambda v: ndetect_cover(matrix, n_detect=v), 1),
         ("tolerance", "circuits"): (

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError
+from .batched import ZERO_NOMINAL_BAND
 from .kernel import KernelStats
 from .mna import MnaSystem
 from .sweep import FrequencyGrid
@@ -123,10 +124,7 @@ class FrequencyResponse:
             )
         reference = float(np.max(self.magnitude))
         if reference <= 0.0:
-            raise AnalysisError(
-                "nominal response is identically zero; band deviation "
-                "undefined"
-            )
+            raise AnalysisError(ZERO_NOMINAL_BAND)
         return np.abs(other.magnitude - self.magnitude) / reference
 
     def group_delay_s(self) -> np.ndarray:

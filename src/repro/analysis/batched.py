@@ -301,6 +301,12 @@ def relative_deviation_rows(
         )
 
 
+#: what a band deviation from an all-zero nominal response raises
+ZERO_NOMINAL_BAND = (
+    "nominal response is identically zero; band deviation undefined"
+)
+
+
 def band_deviation_rows(
     reference: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
@@ -316,8 +322,5 @@ def band_deviation_rows(
     magnitude = np.abs(reference)
     peak = np.max(magnitude, axis=-1, keepdims=True)
     if np.any(peak <= 0.0):
-        raise AnalysisError(
-            "nominal response is identically zero; band deviation "
-            "undefined"
-        )
+        raise AnalysisError(ZERO_NOMINAL_BAND)
     return np.abs(np.abs(values) - magnitude) / peak

@@ -73,6 +73,10 @@ class KernelStats:
     rhs_columns:
         Right-hand-side columns solved: each dispatch adds its
         frequencies times its columns.
+    full_stamps:
+        Circuits the fault simulator stamped in full next to a basis
+        they could not be written as a row copy of (see
+        :meth:`~repro.analysis.mna.MnaSystem.with_rows`).
     """
 
     solves: int = 0
@@ -80,6 +84,7 @@ class KernelStats:
     stacked_calls: int = 0
     sm_fallbacks: int = 0
     rhs_columns: int = 0
+    full_stamps: int = 0
 
     def merge(self, other: "KernelStats") -> None:
         """Fold another run's counters into this one."""
@@ -88,6 +93,7 @@ class KernelStats:
         self.stacked_calls += other.stacked_calls
         self.sm_fallbacks += other.sm_fallbacks
         self.rhs_columns += other.rhs_columns
+        self.full_stamps += other.full_stamps
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -96,6 +102,7 @@ class KernelStats:
             "stacked_calls": self.stacked_calls,
             "sm_fallbacks": self.sm_fallbacks,
             "rhs_columns": self.rhs_columns,
+            "full_stamps": self.full_stamps,
         }
 
 

@@ -15,11 +15,21 @@ sweeps of the DFT study cheap.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+import copy
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from ..circuit.components import Branch, GROUND, Stamper
+from ..circuit.components import Branch, Element, GROUND, Stamper
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError, SingularCircuitError
 from .kernel import KernelStats, SweepRequest, solve_reusing_lu, solve_sweep
@@ -82,6 +92,16 @@ class Solution:
         }
 
 
+def node_numbering(elements: Iterable[Element]) -> Dict[str, int]:
+    """Row of every non-ground node, in order of first appearance."""
+    index: Dict[str, int] = {}
+    for element in elements:
+        for node in element.nodes:
+            if node != GROUND and node not in index:
+                index[node] = len(index)
+    return index
+
+
 class MnaSystem:
     """Assembled MNA matrices for one circuit.
 
@@ -93,13 +113,9 @@ class MnaSystem:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.node_index: Dict[str, int] = {}
+        self.title = circuit.title
+        self.node_index = node_numbering(circuit)
         self.branch_index: Dict[Tuple[str, int], int] = {}
-
-        for element in circuit:
-            for node in element.nodes:
-                if node != GROUND and node not in self.node_index:
-                    self.node_index[node] = len(self.node_index)
         offset = len(self.node_index)
         for element in circuit:
             for k in range(element.n_branches):
@@ -120,6 +136,37 @@ class MnaSystem:
             element.stamp(stamper)
 
         self._lu_cache: Dict[complex, Tuple] = {}
+
+    def with_rows(
+        self,
+        title: str,
+        rows: Mapping[Branch, Sequence[Tuple[object, float, float]]],
+    ) -> "MnaSystem":
+        """This stamp with whole branch rows re-stamped: another circuit's.
+
+        ``rows`` maps a branch to the ``(column, g, c)`` stamps its row
+        receives, in order.  Only the element that owns a branch stamps
+        its row, and a stamp accumulates from zero, so for a circuit
+        that numbers its nodes and branches as this one does and differs
+        from it only in elements that own those branches (and stamp
+        alike outside their rows), the copy is bit for bit that
+        circuit's full stamp.  It shares this system's numbering and
+        excitation; it names no ``circuit`` (``None``), only ``title``.
+        """
+        other = copy.copy(self)
+        other.circuit = None
+        other.title = title
+        other.G = self.G.copy()
+        other.C = self.C.copy()
+        other._lu_cache = {}
+        stamper = _MatrixStamper(other)
+        for branch, entries in rows.items():
+            row = other.index_of(branch)
+            other.G[row] = 0.0
+            other.C[row] = 0.0
+            for column, g, c in entries:
+                stamper.add(branch, column, g, c)
+        return other
 
     # ------------------------------------------------------------------
     def index_of(self, ref: RowRef) -> int:
@@ -163,12 +210,12 @@ class MnaSystem:
             x = solve_reusing_lu(matrix, self.z, self._lu_cache, s)
         except np.linalg.LinAlgError:
             raise SingularCircuitError(
-                f"{self.circuit.title}: MNA matrix singular at s={s!r} — "
+                f"{self.title}: MNA matrix singular at s={s!r} — "
                 "check for floating nodes or opamps without feedback"
             ) from None
         if not np.all(np.isfinite(x)):
             raise SingularCircuitError(
-                f"{self.circuit.title}: non-finite solution at s={s!r}"
+                f"{self.title}: non-finite solution at s={s!r}"
             )
         return Solution(self, x, s)
 
@@ -206,7 +253,7 @@ class MnaSystem:
             G=self.G,
             C=self.C,
             rhs=self.z if rhs is None else rhs,
-            title=self.circuit.title,
+            title=self.title,
         )
 
     def sweep_voltage(
@@ -235,6 +282,6 @@ class MnaSystem:
         ]
         if not np.all(np.isfinite(values)):
             raise SingularCircuitError(
-                f"{self.circuit.title}: non-finite response in sweep"
+                f"{self.title}: non-finite response in sweep"
             )
         return values

@@ -55,11 +55,13 @@ ran with it.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -109,23 +111,28 @@ class UnitKind(NamedTuple):
 
     def unit(
         self, unit_id: str, label: str, size: int, args: Dict[str, Any],
-        **key: str,
+        key_texts: Callable[[], Dict[str, str]],
     ) -> "Unit":
-        """A unit of this kind; ``key`` gives the text of each key field."""
-        if tuple(key) != self.key_fields:
-            raise CampaignError(
-                f"{self.name} key fields are {self.key_fields}, "
-                f"got {tuple(key)}"
-            )
+        """A unit of this kind; ``key_texts()`` gives the text of each
+        key field, on the first read of the unit's key."""
         return Unit(
             kind=self,
             unit_id=unit_id,
             label=label,
             size=size,
-            key=content_key(
-                self.format, *(f"{name}:{text}" for name, text in key.items())
-            ),
             args=args,
+            key_texts=key_texts,
+        )
+
+    def key(self, texts: Dict[str, str]) -> str:
+        """The content key of a unit whose key fields read ``texts``."""
+        if tuple(texts) != self.key_fields:
+            raise CampaignError(
+                f"{self.name} key fields are {self.key_fields}, "
+                f"got {tuple(texts)}"
+            )
+        return content_key(
+            self.format, *(f"{name}:{text}" for name, text in texts.items())
         )
 
     def produced(self, result: "UnitResult") -> bool:
@@ -153,18 +160,27 @@ class Unit:
     size:
         Faults or trajectory points the unit simulates (0 for a
         tolerance unit), for telemetry.
-    key:
-        SHA-256 content hash; the cache address of the unit's result.
     args:
         The keyword arguments of ``kind.run``.
+    key_texts:
+        ``() -> {field: text}`` of the kind's key fields, picklable.
+
+    :attr:`key`, the cache address of the unit's result, is hashed from
+    ``key_texts()`` on first read: only a cache, a trace or a caller
+    that asks for it pays for it.
     """
 
     kind: UnitKind
     unit_id: str
     label: str
     size: int
-    key: str
     args: Dict[str, Any]
+    key_texts: Callable[[], Dict[str, str]] = field(repr=False)
+
+    @cached_property
+    def key(self) -> str:
+        """SHA-256 content hash of the unit's key texts."""
+        return self.kind.key(self.key_texts())
 
     def __repr__(self) -> str:
         return (
@@ -173,17 +189,37 @@ class Unit:
         )
 
 
+class _ResultKey:
+    """:attr:`UnitResult.key`: given as a key, or as the :class:`Unit`
+    the result answers, whose key is then read when this one is.
+
+    A result crosses processes without its unit (the parent re-attaches
+    its own), so a worker never hashes a unit.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("key")  # a required field
+        source = result.__dict__["_key"]
+        return source if isinstance(source, str) else source.key
+
+    def __set__(self, result, source) -> None:
+        result.__dict__["_key"] = source
+
+
 @dataclass(frozen=True, eq=False)
 class UnitResult:
     """What one completed unit returns and the cache stores.
 
-    ``arrays`` are read-only; ``values`` are JSON-native.  A job
-    record of :mod:`repro.service` is a result of kind ``"job"`` with
-    values only.
+    ``arrays`` are read-only; ``values`` are JSON-native.  ``key`` is
+    the content key of the unit the result answers; a result
+    :func:`execute_unit` made reads it from its unit when it is read.
+    A job record of :mod:`repro.service` is a result of kind ``"job"``
+    with values only.
     """
 
     kind: str
-    key: str
+    key: str = _ResultKey()
     #: logical sweeps the unit ran
     n_solves: int = 0
     #: LU factorizations the unit's sweeps performed
@@ -192,6 +228,12 @@ class UnitResult:
     sm_fallbacks: int = 0
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     values: Dict[str, Any] = field(default_factory=dict)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        if not isinstance(state["_key"], str):
+            state["_key"] = None
+        return state
 
 
 class Work(NamedTuple):
@@ -262,10 +304,12 @@ class Bases:
         for basis in self._bases:
             if basis.circuit is functional and basis.grid == grid:
                 return basis
-        identity = functional.identity()
-        for basis in self._bases:
-            if basis.grid == grid and basis.circuit.identity() == identity:
-                return basis
+        same_grid = [basis for basis in self._bases if basis.grid == grid]
+        if same_grid:  # another copy of the same circuit shares its basis
+            identity = functional.identity()
+            for basis in same_grid:
+                if basis.circuit.identity() == identity:
+                    return basis
         self._bases.append(Basis(functional, grid))
         return self._bases[-1]
 
@@ -293,7 +337,7 @@ def execute_unit(unit: Unit, bases: Optional[Bases] = None) -> UnitResult:
         array.setflags(write=False)
     result = UnitResult(
         kind=kind.name,
-        key=unit.key,
+        key=unit,
         n_solves=n_solves,
         n_factorizations=stats.factorizations,
         sm_fallbacks=stats.sm_fallbacks,
@@ -665,7 +709,8 @@ class ParallelExecutor(Executor):
                 outcomes.append(
                     UnitOutcome(
                         unit=unit,
-                        result=result,
+                        # the worker's result came without its unit
+                        result=dataclasses.replace(result, key=unit),
                         attempts=1,
                         wall_s=wall_s,
                         basis_factorizations=basis_factorizations,

@@ -7,19 +7,25 @@ configuration, each carrying the whole fault universe — that are:
 
 * *deterministic*: planning the same ``(circuit, faults, setup)`` twice,
   in any process, yields the same units in the same order;
-* *content-addressed*: each unit carries a SHA-256 key derived from the
+* *content-addressed*: each unit's SHA-256 key is derived from the
   emulated configuration's exact identity
   (:meth:`~repro.circuit.netlist.Circuit.identity`), the functional
   circuit's, the probe node, the frequency grid, the tolerance, the
   deviation criterion and the faults.  The key is stable across
   processes and runs, so an on-disk
   :class:`~repro.campaign.cache.ResultCache` can resume an interrupted
-  campaign or skip unchanged work after a partial edit;
-* *self-contained*: a unit's args hold the already-emulated
-  configuration circuit, the campaign's functional circuit (whose sweep
-  is the :class:`~repro.faults.simulator.Basis` every configuration
-  reuses) and everything else needed to simulate it, so it can be
-  shipped to a worker process as a single picklable value.
+  campaign or skip unchanged work after a partial edit.  It is derived
+  on first read (a cache, a trace, :attr:`CampaignPlan.keys`), the
+  parts every unit shares once per plan, so a run that reads no key
+  emulates no configuration for one;
+* *self-contained*: a unit's args hold the DFT circuit, its
+  configuration, the campaign's functional circuit (whose sweep is the
+  :class:`~repro.faults.simulator.Basis` every configuration reuses)
+  and everything else needed to simulate it, so it can be shipped to a
+  worker process as a single picklable value.  The configuration's
+  circuit is the functional stamp with its followers' rows written in
+  (:func:`~repro.faults.simulator.configuration_variant`); it is
+  emulated only for a key or an exact per-fault sweep.
 
 A configuration is the smallest unit: its faults share one sweep of its
 ``[z, E_S]`` (one LU factorization per grid point), so splitting them
@@ -30,7 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..dft.configuration import Configuration
 from ..dft.transform import MultiConfigurationCircuit
@@ -38,6 +45,7 @@ from ..errors import CampaignError
 from ..faults.model import Fault, MultipleFault
 from ..faults.simulator import (
     SimulationSetup,
+    configuration_variant,
     fault_labels,
     functional_circuit,
     simulate_configuration,
@@ -73,7 +81,7 @@ def fault_signature(fault: Fault) -> str:
 
 
 def run_fault_unit(
-    bases, stats, circuit, functional, output, faults, labels, setup
+    bases, stats, mcc, config, functional, output, faults, labels, setup
 ):
     """Simulate one configuration's faults (:data:`FAULTSIM_KIND`).
 
@@ -81,9 +89,10 @@ def run_fault_unit(
     ``bases``.  Returns the nominal response and the configuration's
     Definitions 1 and 2, one row per label.
     """
+    basis = bases.get(functional, setup.grid)
     nominal, detections, n_solves = simulate_configuration(
-        circuit, output, faults, labels, setup, stats=stats,
-        basis=bases.get(functional, setup.grid),
+        configuration_variant(mcc, config, basis, stats),
+        output, faults, labels, setup, stats=stats, basis=basis,
     )
     arrays = {"nominal": nominal.values, **detections._asdict()}
     return n_solves, arrays, {"label": nominal.label}
@@ -109,6 +118,50 @@ FAULTSIM_KIND = UnitKind(
 def grid_key(grid) -> str:
     """A frequency grid's key text."""
     return f"{grid.f_start!r}:{grid.f_stop!r}:{grid.points_per_decade}"
+
+
+class _KeyTexts:
+    """The key texts of a fault campaign's units.
+
+    Called with a configuration, on the first read of its unit's key;
+    the costly texts every unit shares (the grid, each fault's
+    signature and the functional circuit's identity) are derived on the
+    first call and kept.
+    """
+
+    def __init__(self, mcc, functional, output, faults, labels, setup):
+        self.mcc = mcc
+        self.functional = functional
+        self.output = output
+        self.faults = faults
+        self.labels = labels
+        self.setup = setup
+        self._shared: Optional[Tuple[str, str, str]] = None
+
+    def __call__(self, config: Configuration) -> Dict[str, str]:
+        if self._shared is None:
+            self._shared = (
+                grid_key(self.setup.grid),
+                ";".join(
+                    f"{label}={fault_signature(fault)}"
+                    for label, fault in zip(self.labels, self.faults)
+                ),
+                self.functional.identity(),
+            )
+        grid, faults, functional = self._shared
+        emulated = (
+            self.functional if config.is_functional
+            else self.mcc.emulate(config)
+        )
+        return dict(
+            output=str(self.output),
+            grid=grid,
+            epsilon=repr(self.setup.epsilon),
+            criterion=self.setup.criterion,
+            faults=faults,
+            circuit=emulated.identity(),
+            functional=functional,
+        )
 
 
 @dataclass(frozen=True)
@@ -155,11 +208,10 @@ def plan_campaign(
     """Decompose a fault-simulation campaign into one unit per configuration.
 
     Parameters mirror :func:`repro.faults.simulator.simulate_faults`.
-    The key text shared by every unit — grid, tolerance, criterion, the
-    functional circuit's identity and each fault's signature — is
-    derived once per plan.
+    Planning emulates only the functional circuit; the unit keys, and
+    the key text they share, are derived when first read.
     """
-    labels = fault_labels(faults, setup.fault_name_style)
+    labels = tuple(fault_labels(faults, setup.fault_name_style))
     if configs is None:
         configs = mcc.configurations(
             include_functional=True, include_transparent=False
@@ -170,45 +222,35 @@ def plan_campaign(
         raise CampaignError("no faults to simulate")
 
     faults = tuple(faults)
-    functional = functional_circuit(mcc)
-    grid = grid_key(setup.grid)
-    functional_identity = functional.identity()
-    signatures = ";".join(
-        f"{label}={fault_signature(fault)}"
-        for label, fault in zip(labels, faults)
-    )
-    units: List[Unit] = []
     for config in configs:
-        emulated = functional if config.is_functional else mcc.emulate(config)
-        # Probe priority: explicit setup override, then the emulated
-        # circuit's own output (parasitics may move it to the external
-        # pin), then the base circuit's.
-        output = setup.output or emulated.output or mcc.base.output
-        units.append(
-            FAULTSIM_KIND.unit(
-                unit_id=config.label,
-                label=config.label,
-                size=len(faults),
-                args=dict(
-                    circuit=emulated,
-                    functional=functional,
-                    output=output,
-                    faults=faults,
-                    labels=tuple(labels),
-                    setup=setup,
-                ),
-                output=str(output),
-                grid=grid,
-                epsilon=repr(setup.epsilon),
-                criterion=setup.criterion,
-                faults=signatures,
-                circuit=emulated.identity(),
-                functional=functional_identity,
-            )
+        mcc.check_configuration(config)
+    functional = functional_circuit(mcc)
+    # Probe priority: explicit setup override, then the emulated
+    # circuit's own output (parasitics may move it to the external pin,
+    # in every configuration alike), then the base circuit's.
+    output = setup.output or functional.output or mcc.base.output
+    key_texts = _KeyTexts(mcc, functional, output, faults, labels, setup)
+    units = tuple(
+        FAULTSIM_KIND.unit(
+            unit_id=config.label,
+            label=config.label,
+            size=len(faults),
+            args=dict(
+                mcc=mcc,
+                config=config,
+                functional=functional,
+                output=output,
+                faults=faults,
+                labels=labels,
+                setup=setup,
+            ),
+            key_texts=partial(key_texts, config),
         )
+        for config in configs
+    )
     return CampaignPlan(
         configs=tuple(configs),
-        fault_labels=tuple(labels),
+        fault_labels=labels,
         setup=setup,
-        units=tuple(units),
+        units=units,
     )

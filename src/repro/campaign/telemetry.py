@@ -138,10 +138,10 @@ class CampaignTelemetry:
             counters["solves"] += solves
             counters["factorizations"] += factorizations
             counters["sm_fallbacks"] += sm_fallbacks
-            fields = {
-                "unit": unit.unit_id,
-                "config": unit.label,
-                "key": unit.key[:12],
+            fields = {"unit": unit.unit_id, "config": unit.label}
+            if self._trace is not None:  # a unit is hashed for a trace
+                fields["key"] = unit.key[:12]
+            fields.update({
                 "n_faults": unit.size,
                 "cache_hit": outcome.from_cache,
                 "solves": solves,
@@ -150,7 +150,7 @@ class CampaignTelemetry:
                 "attempts": outcome.attempts,
                 "degraded": outcome.degraded,
                 "wall_s": round(outcome.wall_s, 6),
-            }
+            })
             if result is None:
                 counters["failures"] += 1
                 fields["error"] = repr(outcome.error)

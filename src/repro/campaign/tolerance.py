@@ -22,6 +22,7 @@ infrastructure the fault simulator uses:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,6 +107,24 @@ TOLERANCE_KIND = UnitKind(
 )
 
 
+def _key_texts(
+    name, circuit, grid, tolerance, n_samples, distribution, seed,
+    percentile, corners,
+) -> Dict[str, str]:
+    """The key texts of a tolerance unit with these args."""
+    return dict(
+        output=str(circuit.output),
+        grid=grid_key(grid),
+        tolerance=repr(tolerance),
+        n_samples=str(n_samples),
+        distribution=distribution,
+        seed=str(seed),
+        percentile=repr(percentile),
+        corners=str(corners),
+        circuit=circuit.identity(),
+    )
+
+
 @dataclass(frozen=True)
 class TolerancePlan:
     """A fully planned ε-calibration: ordered units plus shared context."""
@@ -187,31 +206,24 @@ def plan_tolerance_campaign(
             len(circuit.passives()) <= max_corner_components
             and tolerance < 1.0
         )
+        args = dict(
+            name=name,
+            circuit=circuit,
+            grid=grid,
+            tolerance=tolerance,
+            n_samples=n_samples,
+            distribution=distribution,
+            seed=seed,
+            percentile=percentile,
+            corners=do_corners,
+        )
         units.append(
             TOLERANCE_KIND.unit(
                 unit_id=name,
                 label=name,
                 size=0,
-                args=dict(
-                    name=name,
-                    circuit=circuit,
-                    grid=grid,
-                    tolerance=tolerance,
-                    n_samples=n_samples,
-                    distribution=distribution,
-                    seed=seed,
-                    percentile=percentile,
-                    corners=do_corners,
-                ),
-                output=str(circuit.output),
-                grid=grid_key(grid),
-                tolerance=repr(tolerance),
-                n_samples=str(n_samples),
-                distribution=distribution,
-                seed=str(seed),
-                percentile=repr(percentile),
-                corners=str(do_corners),
-                circuit=circuit.identity(),
+                args=args,
+                key_texts=partial(_key_texts, **args),
             )
         )
 

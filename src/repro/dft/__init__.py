@@ -8,6 +8,7 @@ from .configuration import (
     enumerate_configurations,
 )
 from .transform import (
+    FollowerRow,
     MultiConfigurationCircuit,
     SwitchParasitics,
     apply_multiconfiguration,
@@ -15,6 +16,7 @@ from .transform import (
 
 __all__ = [
     "Configuration",
+    "FollowerRow",
     "MultiConfigurationCircuit",
     "SwitchParasitics",
     "apply_multiconfiguration",

@@ -23,11 +23,27 @@ is the "performance degradation" cost of §4.3, measurable with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import dataclasses
 
-from ..circuit.components import Element, Switch, VoltageSource
+from ..circuit.components import (
+    Branch,
+    Element,
+    Stamper,
+    Switch,
+    VoltageSource,
+)
 from ..circuit.netlist import Circuit
 from ..circuit.opamp import Follower, OpAmp
 from ..errors import ConfigurationError
@@ -47,6 +63,37 @@ def _rewire(element: Element, old: str, new: str) -> Element:
     if not changes:
         return element
     return dataclasses.replace(element, **changes)
+
+
+class FollowerRow(NamedTuple):
+    """The MNA row a configurable opamp's follower stamps in its opamp's.
+
+    The follower keeps the opamp's name, slot and branch unknown and
+    stamps what the opamp stamps outside that branch's row (its output
+    current into the output node), so follower mode rewrites one row of
+    the pencil: ``branch``'s, to the follower's ``(column, g, c)``
+    stamps ``entries``, in stamp order.
+    """
+
+    follower: Follower
+    branch: Branch
+    entries: Tuple[Tuple[object, float, float], ...]
+
+
+class _RowRecorder(Stamper):
+    """The ``(column, g, c)`` stamps an element makes into one row."""
+
+    def __init__(self, element: Element, row):
+        self.row = row
+        self.entries: List[Tuple[object, float, float]] = []
+        element.stamp(self)
+
+    def add(self, row, col, g: float = 0.0, c: float = 0.0) -> None:
+        if row == self.row:
+            self.entries.append((col, g, c))
+
+    def rhs(self, row, value: complex) -> None:
+        raise NotImplementedError("a follower stamps no excitation")
 
 
 @dataclass(frozen=True)
@@ -216,15 +263,44 @@ class MultiConfigurationCircuit:
             self.opamp_name(p) for p in config.follower_positions
         )
 
-    # ------------------------------------------------------------------
-    def emulate(self, config: Configuration, title: Optional[str] = None) -> Circuit:
-        """Concrete circuit implementing configuration ``config``.
+    def follower(self, position: int) -> Follower:
+        """The unity buffer the opamp at ``position`` is in follower mode.
 
-        Follower-mode opamps are replaced by unity buffers from their
-        chained test input to their output node; normal-mode opamps stay
-        untouched (ideal emulation) or gain switch parasitics when a
-        :class:`SwitchParasitics` model is attached.
+        It keeps the opamp's name and model and drives its output node
+        from the chained test input (:meth:`test_input_node`).
         """
+        opamp = self.base[self.opamp_name(position)]
+        return Follower(
+            opamp.name,
+            inp=self.test_input_node(position),
+            out=opamp.out,
+            model=opamp.model,
+        )
+
+    @cached_property
+    def follower_rows(self) -> Dict[int, FollowerRow]:
+        """Each configurable opamp's :class:`FollowerRow`, by position.
+
+        A configuration whose circuit numbers its nodes as the
+        functional one does is then the functional stamp with its
+        followers' rows written in
+        (:meth:`~repro.analysis.mna.MnaSystem.with_rows`).  Empty under
+        switch parasitics, where a follower also drops its mux's leakage
+        switch.
+        """
+        if self.parasitics is not None:
+            return {}
+        rows = {}
+        for position in sorted(self.configurable):
+            follower = self.follower(position)
+            branch = follower.branch()
+            entries = _RowRecorder(follower, branch).entries
+            rows[position] = FollowerRow(follower, branch, tuple(entries))
+        return rows
+
+    def check_configuration(self, config: Configuration) -> None:
+        """Raise :class:`ConfigurationError` unless this DFT can emulate
+        ``config``."""
         if config.n_opamps != self.n_opamps:
             raise ConfigurationError(
                 f"configuration is sized for {config.n_opamps} opamps, "
@@ -237,9 +313,21 @@ class MultiConfigurationCircuit:
                 "are not configurable in this (partial) DFT"
             )
 
-        circuit = self.base.clone(
-            title or f"{self.base.title} [{config.label}]"
-        )
+    def configuration_title(self, config: Configuration) -> str:
+        """Title of the circuit :meth:`emulate` makes for ``config``."""
+        return f"{self.base.title} [{config.label}]"
+
+    # ------------------------------------------------------------------
+    def emulate(self, config: Configuration, title: Optional[str] = None) -> Circuit:
+        """Concrete circuit implementing configuration ``config``.
+
+        Follower-mode opamps are replaced by unity buffers from their
+        chained test input to their output node; normal-mode opamps stay
+        untouched (ideal emulation) or gain switch parasitics when a
+        :class:`SwitchParasitics` model is attached.
+        """
+        self.check_configuration(config)
+        circuit = self.base.clone(title or self.configuration_title(config))
         for position in range(1, self.n_opamps + 1):
             name = self.opamp_name(position)
             opamp = self.base[name]
@@ -250,13 +338,7 @@ class MultiConfigurationCircuit:
             if not is_configurable:
                 continue  # classical opamp, untouched
             if in_follower:
-                follower = Follower(
-                    name,
-                    inp=self.test_input_node(position),
-                    out=opamp.out,
-                    model=opamp.model,
-                )
-                circuit.replace(name, follower)
+                circuit.replace(name, self.follower(position))
             if self.parasitics is not None:
                 self._add_output_mux(circuit, opamp, in_follower, position)
         return circuit

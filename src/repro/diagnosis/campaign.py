@@ -21,6 +21,7 @@ shared campaign machinery, exactly like the fault simulator and the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,6 +73,17 @@ DIAGNOSIS_KIND = UnitKind(
     arrays=("nominal", "responses"),
     values=("label",),
 )
+
+
+def _key_texts(circuit, output, components, deviations, grid):
+    """The key texts of a diagnosis unit with these args."""
+    return dict(
+        output=str(output),
+        grid=grid_key(grid),
+        components=",".join(components),
+        deviations=",".join(repr(d) for d in deviations),
+        circuit=circuit.identity(),
+    )
 
 
 def _resolve_components(
@@ -152,23 +164,20 @@ def plan_diagnosis_campaign(
     for config in configs:
         emulated = mcc.emulate(config)
         probe = output or emulated.output or mcc.base.output
+        args = dict(
+            circuit=emulated,
+            output=probe,
+            components=resolved_components,
+            deviations=resolved_deviations,
+            grid=grid,
+        )
         units.append(
             DIAGNOSIS_KIND.unit(
                 unit_id=config.label,
                 label=config.label,
                 size=len(resolved_components) * len(resolved_deviations),
-                args=dict(
-                    circuit=emulated,
-                    output=probe,
-                    components=resolved_components,
-                    deviations=resolved_deviations,
-                    grid=grid,
-                ),
-                output=str(probe),
-                grid=grid_key(grid),
-                components=",".join(resolved_components),
-                deviations=",".join(repr(d) for d in resolved_deviations),
-                circuit=emulated.identity(),
+                args=args,
+                key_texts=partial(_key_texts, **args),
             )
         )
 

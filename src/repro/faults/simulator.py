@@ -14,10 +14,12 @@ MNA matrix by a rank-1 update ``A' = A + δ(ω)·u·uᵀ`` with
 
 follows from the nominal solve and a few entries of ``A⁻¹``.  Every
 configuration of the multi-configuration DFT is the functional circuit
-C0 with some opamps in follower mode, so its pencil differs from C0's
-in a few rows S: ``A_c = A₀ + E_S·D_Sᵀ``.  A campaign therefore makes
-**one** multi-RHS sweep of ``[z, I]`` over C0 (a :class:`Basis`: the
-nominal solution and ``Y = A₀⁻¹`` at every grid point), and every other
+C0 with some opamps in follower mode, so its pencil is C0's with its
+followers' branch rows copied in (:func:`configuration_variant`) and
+differs from it in those rows S: ``A_c = A₀ + E_S·D_Sᵀ``.  A campaign
+therefore makes **one** multi-RHS sweep of ``[z, I]`` over C0 (a
+:class:`Basis`: the nominal solution and ``Y = A₀⁻¹`` at every grid
+point, and the entries of ``Y`` its rank-1 faults read), and every other
 configuration sweeps only ``[z, E_S]`` — its exact nominal solution and
 ``Z = A_c⁻¹E_S`` — from which ``A_c⁻¹ = Y − Z·(D_SᵀY)`` gives the
 entries each fault reads.  Every configuration keeps its own LU, one
@@ -50,21 +52,33 @@ test-frequency selection) are slices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..analysis.ac import FrequencyResponse
+from ..analysis.batched import ZERO_NOMINAL_BAND
 from ..analysis.kernel import KernelStats, frequency_chunk, solve_sweep
-from ..analysis.mna import MnaSystem
+from ..analysis.mna import MnaSystem, node_numbering
 from ..analysis.sweep import FrequencyGrid
 from ..circuit.components import Capacitor, Resistor
 from ..circuit.netlist import Circuit
 from ..core.detectability import (
+    BAND,
     DetectabilityResult,
     Detections,
-    deviation_rows,
     evaluate_block,
 )
 from ..core.matrix import FaultDetectabilityMatrix, OmegaDetectabilityTable
@@ -315,6 +329,55 @@ def rank1_update(
     return element.n1, element.n2, g_new - g_old, c_new - c_old
 
 
+class _Updates(NamedTuple):
+    """The rank-1 faults of a universe in one circuit's numbering.
+
+    ``columns`` are their positions in the universe; the others hold one
+    entry per rank-1 fault: the node indices of ``u`` (−1 for ground)
+    and its :func:`rank1_update` admittance change.
+    """
+
+    columns: Tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    dg: np.ndarray
+    dc: np.ndarray
+
+
+def _rank1_updates(
+    circuit: Circuit, system: MnaSystem, faults: Sequence[Fault]
+) -> _Updates:
+    """The :class:`_Updates` of ``faults`` on ``circuit``."""
+    found = []
+    for index, fault in enumerate(faults):
+        update = rank1_update(fault, circuit)
+        if update is not None:
+            n1, n2, dg, dc = update
+            found.append(
+                (index, system.index_of(n1), system.index_of(n2), dg, dc)
+            )
+    if not found:
+        return _Updates((), *(np.empty(0) for _ in range(4)))
+    columns, *arrays = zip(*found)
+    return _Updates(columns, *map(np.array, arrays))
+
+
+class _Entries(NamedTuple):
+    """What a block of rank-1 updates reads of an inverse ``A⁻¹``.
+
+    ``(P, U)`` arrays of ``δ(ω)``, ``uᵀA⁻¹u`` and ``(A⁻¹u)_out``, and
+    the bounds the certificate charges: ``Σ_c |A⁻¹[r, c]|`` for the rows
+    ``[out, rows, cols]`` (``(P, 1 + 2U)``) and ``max_r |A⁻¹[r, c]|``
+    for the columns ``[rows, cols]`` (``(P, 2U)``).
+    """
+
+    delta: np.ndarray
+    uw: np.ndarray
+    w_out: np.ndarray
+    sums: np.ndarray
+    maxima: np.ndarray
+
+
 def _exact_values(
     circuit: Circuit,
     fault: Fault,
@@ -379,6 +442,11 @@ class Basis:
     together — an executor call, a worker batch — passes them one
     basis; every basis of a campaign is the same sweep, so no result
     depends on which configurations shared one.
+
+    The campaign's rank-1 faults are found once per basis, in its
+    numbering (:meth:`updates`), and what they read of the sweep is
+    gathered once (:meth:`entries`): every configuration that numbers
+    its rows as the basis does reads copies of those entries.
     """
 
     def __init__(
@@ -394,6 +462,8 @@ class Basis:
         self._system = system
         self._sweep = None
         self._error: Optional[SingularCircuitError] = None
+        #: ``(faults, updates, entries by probe row)`` of the last universe
+        self._faults = None
 
     @property
     def system(self) -> MnaSystem:
@@ -432,8 +502,148 @@ class Basis:
             )
         return self._sweep
 
+    def updates(self, faults: Sequence[Fault]) -> _Updates:
+        """The rank-1 faults among ``faults`` in this basis's numbering.
 
-def _pencil_change(system: MnaSystem, basis: MnaSystem):
+        Found once per universe (``faults`` itself, not an equal copy).
+        """
+        if self._faults is None or self._faults[0] is not faults:
+            self._faults = (
+                faults, _rank1_updates(self.circuit, self.system, faults), {}
+            )
+        return self._faults[1]
+
+    def entries(
+        self, updates: _Updates, out: int, omega, index=None
+    ) -> _Entries:
+        """What ``updates`` read of the sweep, for probe row ``out``.
+
+        ``index`` maps the updates' numbering to the basis's (``None``
+        where they agree).  Every entry of ``Y`` they read is gathered
+        in one pass, once for the updates of :meth:`updates`; the
+        caller must not write to them.
+        """
+        own = index is None and self._faults and updates is self._faults[1]
+        gathered = self._faults[2] if own else {}
+        if out in gathered:
+            return gathered[out]
+        solutions, row_sum, col_max, _ = self.solve()
+
+        def basis(rows: np.ndarray) -> np.ndarray:
+            return rows if index is None else index[rows]
+
+        rows, cols = updates.rows, updates.cols
+        outs = np.full(rows.shape, out)
+        r = np.concatenate([rows, rows, cols, cols, outs, outs])
+        c = np.concatenate([rows, cols, rows, cols, rows, cols])
+        entry = solutions[:, :, 1:][:, basis(r), basis(c)]
+        entry[:, (r < 0) | (c < 0)] = 0.0
+        entry = entry.reshape(-1, 6, rows.size)
+        gathered[out] = _Entries(
+            delta=(
+                updates.dg[np.newaxis, :]
+                + 1j * omega[:, np.newaxis] * updates.dc[np.newaxis, :]
+            ),
+            uw=entry[:, 0] - entry[:, 1] - entry[:, 2] + entry[:, 3],
+            w_out=entry[:, 4] - entry[:, 5],
+            sums=row_sum[:, basis(np.concatenate([[out], rows, cols]))],
+            maxima=col_max[:, basis(np.concatenate([rows, cols]))],
+        )
+        return gathered[out]
+
+
+@dataclass
+class Variant:
+    """A circuit as the simulator sweeps it: its title, default probe and
+    MNA stamp, and the circuit itself, built on first use.
+
+    ``rows`` is set for a row copy of a basis's stamp
+    (:func:`configuration_variant`): the stamp numbers its rows as the
+    basis's does and may differ from it only in ``rows`` (ascending), so
+    the basis's rank-1 updates and entries apply to it.  A full stamp
+    other than the basis's own has ``rows=None``; its change from the
+    basis is found by comparing the two stamps.
+    """
+
+    title: str
+    output: Optional[str]
+    system: MnaSystem
+    build: Callable[[], Circuit]
+    rows: Optional[np.ndarray] = None
+
+    @cached_property
+    def circuit(self) -> Circuit:
+        """The circuit (an exact per-fault sweep re-stamps it)."""
+        return self.build()
+
+    @classmethod
+    def of(
+        cls,
+        circuit: Circuit,
+        basis: Optional[Basis],
+        stats: KernelStats,
+    ) -> "Variant":
+        """``circuit`` itself: the basis's own stamp when it is the
+        basis's circuit, else a full stamp, which ``stats.full_stamps``
+        counts when a basis was given."""
+        if basis is not None and circuit is basis.circuit:
+            return cls(
+                circuit.title, circuit.output, basis.system, lambda: circuit
+            )
+        if basis is not None:
+            stats.full_stamps += 1
+        return cls(
+            circuit.title, circuit.output, MnaSystem(circuit), lambda: circuit
+        )
+
+
+def configuration_variant(
+    mcc: MultiConfigurationCircuit,
+    config: Configuration,
+    basis: Basis,
+    stats: KernelStats,
+) -> Variant:
+    """``config``'s circuit as a campaign unit sweeps it.
+
+    ``basis`` is the campaign's: its circuit is ``mcc``'s functional
+    one, which is C0's variant.  A configuration whose followers all
+    have a declared row
+    (:attr:`~repro.dft.transform.MultiConfigurationCircuit.follower_rows`)
+    and whose circuit numbers its nodes as C0's does is C0's stamp with
+    those rows written in
+    (:meth:`~repro.analysis.mna.MnaSystem.with_rows`), bit for bit its
+    full stamp, and its circuit is emulated only if an exact sweep needs
+    it.  Any other — under switch parasitics, or where a follower moves
+    the first appearance of a node — is emulated and stamped in full
+    (``stats.full_stamps``).
+    """
+    functional = basis.circuit
+    if config.is_functional:
+        return Variant.of(functional, basis, stats)
+    rows = [mcc.follower_rows.get(p) for p in config.follower_positions]
+    if None not in rows:
+        followers = {row.follower.name: row.follower for row in rows}
+        numbering = node_numbering(
+            followers.get(element.name, element) for element in functional
+        )
+        if list(numbering) == list(basis.system.node_index):
+            system = basis.system.with_rows(
+                mcc.configuration_title(config),
+                {row.branch: row.entries for row in rows},
+            )
+            return Variant(
+                system.title,
+                functional.output,
+                system,
+                functools.partial(mcc.emulate, config),
+                np.sort([system.index_of(row.branch) for row in rows]),
+            )
+    return Variant.of(mcc.emulate(config), basis, stats)
+
+
+def _pencil_change(
+    system: MnaSystem, basis: MnaSystem, rows: Optional[np.ndarray] = None
+):
     """The rows in which ``system``'s pencil differs from ``basis``'s.
 
     Rows and columns are matched by node name and branch key.  Returns
@@ -442,29 +652,37 @@ def _pencil_change(system: MnaSystem, basis: MnaSystem):
     them alike), ``rows`` lists the rows of ``system`` whose G or C
     differ, and ``dg``, ``dc`` are those rows of ``G − G₀`` and
     ``C − C₀`` in the basis's column order.  ``None`` when the two
-    systems do not have the same nodes and branches.
+    systems do not have the same nodes and branches.  Given ``rows``, a
+    system that numbers its rows as the basis does and may differ from
+    it only there (a :class:`Variant`'s), only those rows are compared.
     """
-    if (
-        len(system.node_index) != len(basis.node_index)
-        or len(system.branch_index) != len(basis.branch_index)
-    ):
-        return None
     g0, c0 = basis.G, basis.C
     index = None
-    if list(system.node_index) != list(basis.node_index) or list(
-        system.branch_index
-    ) != list(basis.branch_index):
-        try:
-            index = np.array(
-                [basis.node_index[node] for node in system.node_index]
-                + [basis.branch_index[key] for key in system.branch_index]
-            )
-        except KeyError:
+    if rows is None:
+        if (
+            len(system.node_index) != len(basis.node_index)
+            or len(system.branch_index) != len(basis.branch_index)
+        ):
             return None
-        g0, c0 = g0[np.ix_(index, index)], c0[np.ix_(index, index)]
-    rows = np.flatnonzero(
-        np.any(system.G != g0, axis=1) | np.any(system.C != c0, axis=1)
-    )
+        if list(system.node_index) != list(basis.node_index) or list(
+            system.branch_index
+        ) != list(basis.branch_index):
+            try:
+                index = np.array(
+                    [basis.node_index[node] for node in system.node_index]
+                    + [basis.branch_index[key] for key in system.branch_index]
+                )
+            except KeyError:
+                return None
+            g0, c0 = g0[np.ix_(index, index)], c0[np.ix_(index, index)]
+        rows = np.flatnonzero(
+            np.any(system.G != g0, axis=1) | np.any(system.C != c0, axis=1)
+        )
+    else:
+        rows = rows[
+            np.any(system.G[rows] != g0[rows], axis=1)
+            | np.any(system.C[rows] != c0[rows], axis=1)
+        ]
     dg = system.G[rows] - g0[rows]
     dc = system.C[rows] - c0[rows]
     if index is not None:
@@ -473,23 +691,21 @@ def _pencil_change(system: MnaSystem, basis: MnaSystem):
 
 
 class _Inverse:
-    """Entries of one configuration's ``A⁻¹`` and bounds on ``|A⁻¹|``.
+    """One configuration's ``A⁻¹``, as the entries its updates read.
 
-    ``inverse`` is a basis's ``Y``, with the row sums and column maxima
-    of ``|Y|``.  A configuration whose pencil differs from the basis's
-    in rows S also carries ``index`` (its rows in the basis's
-    numbering), ``z = A⁻¹E_S`` (its own numbering) and ``w = D_SᵀY``
-    (the basis's), both stored one column or row of S at a time as
-    ``(|S|, P, n)`` arrays, so that ``A⁻¹ = Y − Z·W`` and, entrywise,
+    ``basis`` gives ``Y`` (with the row sums and column maxima of
+    ``|Y|``).  A configuration whose pencil differs from the basis's in
+    rows S also carries ``index`` (its rows in the basis's numbering),
+    ``z = A⁻¹E_S`` (its own numbering) and ``w = D_SᵀY`` (the basis's),
+    both stored one column or row of S at a time as ``(|S|, P, n)``
+    arrays, so that ``A⁻¹ = Y − Z·W`` and, entrywise,
     ``|A⁻¹| ≤ |Y| + |Z|·|W|``.  Row and column arguments are in the
     configuration's numbering, −1 for ground; ``|re| + |im|`` bounds
     each magnitude.
     """
 
-    def __init__(self, inverse, row_sum, col_max, index=None, z=None, w=None):
-        self.inverse = inverse
-        self.row_sum = row_sum
-        self.col_max = col_max
+    def __init__(self, basis: Basis, index=None, z=None, w=None):
+        self.basis = basis
         self.index = index
         self.z = self.w = self.z_abs = self.z_max = ()
         self.w_abs = self.w_row_sum = ()
@@ -500,46 +716,31 @@ class _Inverse:
             self.w_abs = np.abs(w.real) + np.abs(w.imag)
             self.w_row_sum = self.w_abs.sum(axis=2)
 
-    def _basis(self, index: np.ndarray) -> np.ndarray:
-        return index if self.index is None else self.index[index]
-
-    def rank1(
-        self, rows: np.ndarray, cols: np.ndarray, out: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``uᵀA⁻¹u`` and ``(A⁻¹u)_out`` of each ``u = e_rows − e_cols``."""
-        outs = np.full(rows.shape, out)
-        r = np.concatenate([rows, rows, cols, cols, outs, outs])
-        c = np.concatenate([rows, cols, rows, cols, rows, cols])
-        # every entry of Y the updates read, gathered in one pass
-        entry = self.inverse[:, self._basis(r), self._basis(c)]
-        entry[:, (r < 0) | (c < 0)] = 0.0
-        entry = entry.reshape(-1, 6, rows.size)
-        uw = entry[:, 0] - entry[:, 1] - entry[:, 2] + entry[:, 3]
-        w_out = entry[:, 4] - entry[:, 5]
-        basis_rows, basis_cols = self._basis(rows), self._basis(cols)
-        for z, w in zip(self.z, self.w):
-            zu = _ground(z[:, rows], rows) - _ground(z[:, cols], cols)
-            wu = _ground(w[:, basis_rows], rows) - _ground(
-                w[:, basis_cols], cols
-            )
-            uw -= zu * wu
-            w_out -= z[:, out, np.newaxis] * wu
-        return uw, w_out
-
-    def row_sums(self, rows: np.ndarray) -> np.ndarray:
-        """Upper bounds of ``Σ_c |A⁻¹[r, c]|`` for each row ``r``."""
-        bound = self.row_sum[:, self._basis(rows)]
-        for z_abs, w_sum in zip(self.z_abs, self.w_row_sum):
-            bound += z_abs[:, rows] * w_sum[:, np.newaxis]
-        return bound
-
-    def col_maxima(self, cols: np.ndarray) -> np.ndarray:
-        """Upper bounds of ``max_r |A⁻¹[r, c]|`` for each column ``c``."""
-        basis_cols = self._basis(cols)
-        bound = self.col_max[:, basis_cols]
-        for z_max, w_abs in zip(self.z_max, self.w_abs):
-            bound += z_max[:, np.newaxis] * w_abs[:, basis_cols]
-        return bound
+    def entries(self, updates: _Updates, out: int, omega) -> _Entries:
+        """The :class:`_Entries` of ``updates``: the basis's, then the
+        ``Z·W`` correction of each row of S, applied to copies."""
+        base = self.basis.entries(updates, out, omega, self.index)
+        uw, w_out = base.uw.copy(), base.w_out.copy()
+        sums, maxima = base.sums.copy(), base.maxima.copy()
+        rows = basis_rows = updates.rows
+        cols = basis_cols = updates.cols
+        if self.index is not None:
+            basis_rows, basis_cols = self.index[rows], self.index[cols]
+        sum_rows = np.concatenate([[out], rows, cols])
+        max_cols = np.concatenate([basis_rows, basis_cols])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for z, w in zip(self.z, self.w):
+                zu = _ground(z[:, rows], rows) - _ground(z[:, cols], cols)
+                wu = _ground(w[:, basis_rows], rows) - _ground(
+                    w[:, basis_cols], cols
+                )
+                uw -= zu * wu
+                w_out -= z[:, out, np.newaxis] * wu
+            for z_abs, w_sum in zip(self.z_abs, self.w_row_sum):
+                sums += z_abs[:, sum_rows] * w_sum[:, np.newaxis]
+            for z_max, w_abs in zip(self.z_max, self.w_abs):
+                maxima += z_max[:, np.newaxis] * w_abs[:, max_cols]
+        return _Entries(base.delta, uw, w_out, sums, maxima)
 
 
 def _ground(picked: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -549,7 +750,7 @@ def _ground(picked: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _configuration_inverse(
-    system: MnaSystem,
+    variant: Variant,
     basis: Basis,
     stats: KernelStats,
     omega: np.ndarray,
@@ -561,36 +762,33 @@ def _configuration_inverse(
     the certificate charges and ``solves`` the LU solves whose backward
     error it adds up.  The basis's system itself reads the basis sweep.
     Any other system sweeps ``[z, E_S]`` over the rows S where its
-    pencil differs, and its ``A⁻¹`` entries come from the identity
-    ``A⁻¹ = Y − Z·(D_SᵀY)``; the bound then also charges the basis LU
-    and takes ``max(‖A₀‖∞, ‖A‖∞)``.  A system with other nodes or
-    branches than the basis's, or any system when the basis is
-    singular, becomes its own basis.
+    pencil differs (the variant's declared rows, or the rows a
+    comparison of the two stamps finds), and its ``A⁻¹`` entries come
+    from the identity ``A⁻¹ = Y − Z·(D_SᵀY)``; the bound then also
+    charges the basis LU and takes ``max(‖A₀‖∞, ‖A‖∞)``.  A system with
+    other nodes or branches than the basis's, or any system when the
+    basis is singular, becomes its own basis.
     """
+    system = variant.system
     change = None
     if system is not basis.system:
-        change = _pencil_change(system, basis.system)
+        change = _pencil_change(system, basis.system, variant.rows)
         try:
             shared = change is not None and basis.solve()
         except SingularCircuitError:
             shared = None
         if not shared:
-            basis = Basis(system.circuit, basis.grid, stats, system)
+            basis = Basis(variant.circuit, basis.grid, stats, system)
             change = None
         elif change[0] is None and not change[1].size and np.array_equal(
             system.z, basis.system.z
         ):
             change = None  # the basis's own pencil and excitation
-    solutions, row_sum, col_max, a_norm = basis.solve()
-    y = solutions[:, :, 1:]
+    solutions, _, _, a_norm = basis.solve()
     if change is None:
-        return (
-            solutions[:, :, 0],
-            _Inverse(y, row_sum, col_max),
-            a_norm,
-            SOLVES_COMPARED,
-        )
+        return solutions[:, :, 0], _Inverse(basis), a_norm, SOLVES_COMPARED
     index, rows, dg, dc = change
+    y = solutions[:, :, 1:]
     rhs = np.hstack([system.z[:, np.newaxis], np.eye(system.size)[:, rows]])
     own = solve_sweep(
         system.sweep_request(rhs), basis.grid.frequencies_hz, stats
@@ -606,10 +804,7 @@ def _configuration_inverse(
             )
         return (
             own[:, :, 0],
-            _Inverse(
-                y, row_sum, col_max, index,
-                np.moveaxis(own[:, :, 1:], 2, 0), w,
-            ),
+            _Inverse(basis, index, np.moveaxis(own[:, :, 1:], 2, 0), w),
             np.maximum(a_norm, _pencil_norm(system, omega)),
             SOLVES_COMPARED + 1,
         )
@@ -618,19 +813,18 @@ def _configuration_inverse(
 def _certified_rank1(
     x: np.ndarray,
     out: int,
-    updates: Sequence[Tuple[int, int, float, float]],
-    inverse: _Inverse,
+    updates: _Updates,
+    entries: _Entries,
     a_norm: np.ndarray,
     solves: int,
-    omega: np.ndarray,
     setup: SimulationSetup,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sherman–Morrison responses of rank-1 faults, with their certificate.
 
-    ``x`` is the ``(P, n)`` nominal solution, and ``inverse``, ``a_norm``
-    and ``solves`` come from :func:`_configuration_inverse`.  Each update
-    is ``(i, j, Δg, Δc)`` with node indices (−1 for ground).  For fault
-    ``f`` at grid point ``k``
+    ``x`` is the ``(P, n)`` nominal solution, ``entries`` the
+    configuration's :meth:`_Inverse.entries` of ``updates``, and
+    ``a_norm`` and ``solves`` come from :func:`_configuration_inverse`.
+    For fault ``f`` at grid point ``k``
 
     ``y' = x_out − δ·(uᵀx)/(1 + δ·uᵀA⁻¹u) · (A⁻¹u)_out``
 
@@ -640,21 +834,15 @@ def _certified_rank1(
     be re-solved exactly, and ``resweep`` the ``U`` pairs to re-sweep
     exactly instead (a cancellation factor beyond
     :data:`CANCELLATION_LIMIT`, a peak-deviation error bound beyond
-    :data:`PEAK_LIMIT` or a non-finite value).  The bound is derived in
-    ``docs/performance.md``.
+    :data:`PEAK_LIMIT` or a non-finite value).  ``entries``' bounds are
+    overwritten.  The bound is derived in ``docs/performance.md``.
     """
     n = x.shape[1]
-    rows = np.array([update[0] for update in updates])
-    cols = np.array([update[1] for update in updates])
-    delta = (
-        np.array([update[2] for update in updates])[np.newaxis, :]
-        + 1j * omega[:, np.newaxis]
-        * np.array([update[3] for update in updates])[np.newaxis, :]
-    )
+    rows, cols = updates.rows, updates.cols
+    delta, uw, w_out, sums, maxima = entries
 
     x_out = x[:, out]
     ux = _ground(x[:, rows], rows) - _ground(x[:, cols], cols)
-    uw, w_out = inverse.rank1(rows, cols, out)
     du = delta * uw
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denominator = 1.0 + du
@@ -664,8 +852,6 @@ def _certified_rank1(
 
         # first-order forward-error bound of the faulty output, shared by
         # this update and the exact solve of A' = A + δuuᵀ it replaces
-        sums = inverse.row_sums(np.concatenate([[out], rows, cols]))
-        maxima = inverse.col_maxima(np.concatenate([rows, cols]))
         f = rows.size
         x_norm = np.abs(x).max(axis=1)[:, np.newaxis] + np.abs(coef) * (
             _ground(maxima[:, :f], rows) + _ground(maxima[:, f:], cols)
@@ -711,7 +897,7 @@ def _certified_rank1(
 
 
 def simulate_configuration(
-    circuit,
+    circuit: Union[Circuit, Variant],
     output: Optional[str],
     faults: Sequence[Fault],
     labels: Sequence[str],
@@ -725,56 +911,61 @@ def simulate_configuration(
     :class:`~repro.core.detectability.Detections` of ``faults``, one row
     per label in order, and ``n_solves``, the logical sweep count
     ``1 + len(faults)``.  This is one campaign unit's work
-    (:func:`simulate_faults` runs one per configuration); on a bare
-    circuit with ``basis=None`` it is that circuit's row alone.
+    (:func:`simulate_faults` runs one per configuration, on its
+    :func:`configuration_variant`); on a bare circuit with
+    ``basis=None`` it is that circuit's row alone.  A plain circuit is
+    stamped in full (:meth:`Variant.of`).
 
     ``basis`` is the campaign's :class:`Basis` (its functional
     circuit), shared with the other configurations its caller runs;
     ``None`` makes the circuit its own basis.  Every rank-1 fault
     (:func:`rank1_update`) follows by Sherman–Morrison from the entries
     of ``A⁻¹`` that :func:`_configuration_inverse` gives, certified by
-    :func:`_certified_rank1`.  A pair the certificate rejects is
-    re-swept exactly, and a grid point within its error bound of ε is
-    re-solved exactly; both count as ``stats.sm_fallbacks``.  Other
-    faults get the exact per-fault sweep.  Definitions 1 and 2 are then
-    evaluated once over the ``(F, P)`` block of faulty responses
+    :func:`_certified_rank1`; a variant that numbers its rows as the
+    basis does reads the basis's updates and entries, made once.  A
+    pair the certificate rejects is re-swept exactly, and a grid point
+    within its error bound of ε is re-solved exactly; both count as
+    ``stats.sm_fallbacks``.  Other faults get the exact per-fault sweep.
+    Definitions 1 and 2 are then evaluated once over the ``(F, P)``
+    block of faulty responses
     (:func:`~repro.core.detectability.evaluate_block`).  Faults are
     finished in order, so the first error raised is the one a sweep and
     evaluation per fault would raise.  The basis sweep's work is
     counted in ``basis.stats``, everything else in ``stats``.
     """
-    probe = output or circuit.output
+    stats = stats if stats is not None else KernelStats()
+    variant = (
+        circuit if isinstance(circuit, Variant)
+        else Variant.of(circuit, basis, stats)
+    )
+    probe = output or variant.output
     if probe is None:
         raise AnalysisError(
-            f"{circuit.title}: no output node designated for AC analysis"
+            f"{variant.title}: no output node designated for AC analysis"
         )
-    stats = stats if stats is not None else KernelStats()
     grid = setup.grid
     frequencies = grid.frequencies_hz
-    if basis is not None and circuit is basis.circuit:
-        system = basis.system
-    else:
-        system = MnaSystem(circuit)
-        if basis is None:
-            basis = Basis(circuit, grid, stats, system)
+    system = variant.system
+    if basis is None:
+        basis = Basis(variant.circuit, grid, stats, system)
     out = system.index_of(probe)
 
     block = np.empty((len(faults), frequencies.size), dtype=complex)
-    updates: Dict[int, Tuple[int, int, float, float]] = {}
+    columns: Dict[int, int] = {}
     if out < 0:
         nominal_values = np.zeros(frequencies.shape, dtype=complex)
     else:
-        for index, fault in enumerate(faults):
-            update = rank1_update(fault, circuit)
-            if update is not None:
-                n1, n2, dg, dc = update
-                updates[index] = (
-                    system.index_of(n1), system.index_of(n2), dg, dc
-                )
+        if variant.rows is not None or system is basis.system:
+            updates = basis.updates(faults)
+        else:
+            updates = _rank1_updates(variant.circuit, system, faults)
+        columns = {
+            index: column for column, index in enumerate(updates.columns)
+        }
         omega = 2.0 * np.pi * frequencies
-        if updates:
+        if columns:
             x, inverse, a_norm, solves = _configuration_inverse(
-                system, basis, stats, omega
+                variant, basis, stats, omega
             )
         else:
             x = solve_sweep(system.sweep_request(), frequencies, stats)[
@@ -785,20 +976,19 @@ def simulate_configuration(
         nominal_values = x[:, out].copy()
         if not np.all(np.isfinite(nominal_values)):
             raise SingularCircuitError(
-                f"{circuit.title}: non-finite response in sweep"
+                f"{variant.title}: non-finite response in sweep"
             )
-        if updates:
+        if columns:
             values, near, resweep = _certified_rank1(
-                x, out, list(updates.values()), inverse, a_norm, solves,
-                omega, setup,
+                x, out, updates, inverse.entries(updates, out, omega),
+                a_norm, solves, setup,
             )
-            block[list(updates)] = values.T
+            block[list(columns)] = values.T
             refine = near.any(axis=0)
     nominal_response = FrequencyResponse(
-        grid=grid, values=nominal_values, label=f"{circuit.title}:V({probe})"
+        grid=grid, values=nominal_values, label=f"{variant.title}:V({probe})"
     )
 
-    columns = {index: column for column, index in enumerate(updates)}
     for index, fault in enumerate(faults):
         column = columns.get(index)
         exact = column is None or resweep[column]
@@ -807,7 +997,7 @@ def simulate_configuration(
             stats.sm_fallbacks += points.size
             try:
                 block[index, points] = _exact_values(
-                    circuit, fault, probe, frequencies[points], stats
+                    variant.circuit, fault, probe, frequencies[points], stats
                 )
             except SingularCircuitError:
                 # the whole sweep raises the error a per-fault sweep
@@ -817,12 +1007,16 @@ def simulate_configuration(
             if column is not None:
                 stats.sm_fallbacks += frequencies.size
             block[index] = _exact_values(
-                circuit, fault, probe, frequencies, stats
+                variant.circuit, fault, probe, frequencies, stats
             )
-        if index == 0:
+        if (
+            index == 0
+            and setup.criterion == BAND
+            and np.max(np.abs(nominal_values)) <= 0.0
+        ):
             # a zero nominal under the band criterion raised at the
             # first fault's evaluation, before the second fault's sweep
-            deviation_rows(nominal_values, block[:1], setup.criterion)
+            raise AnalysisError(ZERO_NOMINAL_BAND)
     detections = evaluate_block(
         nominal_response, block, setup.epsilon, setup.criterion
     )

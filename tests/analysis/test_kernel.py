@@ -221,7 +221,7 @@ class TestSolveRequests:
         a = KernelStats(solves=2, factorizations=1, stacked_calls=1)
         b = KernelStats(
             solves=3, factorizations=2, stacked_calls=2, sm_fallbacks=4,
-            rhs_columns=6,
+            rhs_columns=6, full_stamps=1,
         )
         a.merge(b)
         assert a.as_dict() == {
@@ -230,6 +230,7 @@ class TestSolveRequests:
             "stacked_calls": 3,
             "sm_fallbacks": 4,
             "rhs_columns": 6,
+            "full_stamps": 1,
         }
 
 

@@ -1,15 +1,62 @@
 """Planner tests: determinism, content-hash stability and invalidation."""
 
 import dataclasses
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import decade_grid
-from repro.campaign import plan_campaign
-from repro.circuits import build
+from repro.campaign import (
+    execute_plan,
+    plan_campaign,
+    plan_tolerance_campaign,
+)
+from repro.circuits import build, catalog
+from repro.dft import SwitchParasitics
+from repro.diagnosis import plan_diagnosis_campaign
 from repro.faults import DeviationFault, SimulationSetup, deviation_faults
+
+#: every unit key of :func:`planned_unit_keys`' plans, written by
+#: ``PYTHONPATH=src python tests/campaign/test_plan.py``; a change that
+#: moves a key on purpose bumps its kind's format and rewrites the file
+KEY_FIXTURE = Path(__file__).parent / "data" / "unit_keys.json"
+
+
+def planned_unit_keys():
+    """Every unit key of a fixed set of plans, by plan name.
+
+    The faultsim plans of every catalog circuit at +20 % (2 decades each
+    side of f0, 20 points per decade), ``biquad`` under switch
+    parasitics and as the partial DFT of opamps 1 and 3, the ``biquad``
+    diagnosis plan on the same grid and a two-circuit tolerance plan.
+    """
+    keys = {}
+    for name in catalog():
+        bench = build(name)
+        setup = SimulationSetup(
+            grid=decade_grid(bench.f0_hz, 2, 2, points_per_decade=20)
+        )
+        keys[f"faultsim/{name}"] = plan_campaign(
+            bench.dft(), deviation_faults(bench.circuit, 0.20), setup
+        ).keys
+        if name == "biquad":
+            faults = deviation_faults(bench.circuit, 0.20)
+            keys["faultsim/biquad/parasitics"] = plan_campaign(
+                bench.dft(SwitchParasitics()), faults, setup
+            ).keys
+            keys["faultsim/biquad/partial-1-3"] = plan_campaign(
+                bench.dft().restrict((1, 3)), faults, setup
+            ).keys
+            keys["diagnosis/biquad"] = plan_diagnosis_campaign(
+                bench.dft(), setup.grid
+            ).keys
+    keys["tolerance/sallen_key,biquad"] = plan_tolerance_campaign(
+        names=("sallen_key", "biquad")
+    ).keys
+    return {name: list(unit_keys) for name, unit_keys in keys.items()}
 
 
 class TestDecomposition:
@@ -137,9 +184,9 @@ class TestKeys:
     def test_shared_key_parts_are_derived_once(
         self, campaign_mcc, campaign_faults, campaign_setup, monkeypatch
     ):
-        """A plan of C configurations and F faults takes C + 1 circuit
-        identities (each configuration's and the functional circuit's)
-        and F fault signatures."""
+        """Reading the keys of a plan of C configurations and F faults
+        takes C + 1 circuit identities (each configuration's and the
+        functional circuit's) and F fault signatures."""
         from repro.campaign import plan as plan_module
         from repro.circuit.netlist import Circuit
 
@@ -158,10 +205,53 @@ class TestKeys:
         monkeypatch.setattr(Circuit, "identity", counted_identity)
         monkeypatch.setattr(plan_module, "fault_signature", counted_signature)
         plan = plan_campaign(campaign_mcc, campaign_faults, campaign_setup)
+        plan.keys
         assert calls == {
             "identity": plan.n_configs + 1,
             "signature": plan.n_faults,
         }
+
+    def test_unread_plan_derives_no_key(
+        self, campaign_mcc, campaign_faults, campaign_setup, monkeypatch
+    ):
+        """Planning and running a campaign whose keys nobody reads (no
+        cache, no trace) takes no circuit identity, hashes no key and
+        emulates only the functional circuit: every other configuration
+        is a row copy of its stamp."""
+        from repro.campaign import executor as executor_module
+        from repro.circuit.netlist import Circuit
+        from repro.dft import MultiConfigurationCircuit
+
+        calls = {"identity": 0, "content_key": 0, "emulate": 0}
+
+        def counted(name, real):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(
+            Circuit, "identity", counted("identity", Circuit.identity)
+        )
+        monkeypatch.setattr(
+            executor_module,
+            "content_key",
+            counted("content_key", executor_module.content_key),
+        )
+        monkeypatch.setattr(
+            MultiConfigurationCircuit,
+            "emulate",
+            counted("emulate", MultiConfigurationCircuit.emulate),
+        )
+        plan = plan_campaign(campaign_mcc, campaign_faults, campaign_setup)
+        dataset = execute_plan(plan)
+        assert dataset.sm_fallbacks == 0
+        assert calls == {"identity": 0, "content_key": 0, "emulate": 1}
+
+    def test_every_unit_key_byte_is_pinned(self):
+        """Re-planning the pinned plans gives every key byte for byte."""
+        assert planned_unit_keys() == json.loads(KEY_FIXTURE.read_text())
 
     def test_keys_stable_across_processes(
         self, campaign_mcc, campaign_faults, campaign_setup
@@ -189,3 +279,10 @@ class TestKeys:
             check=True,
         )
         assert tuple(completed.stdout.split()) == plan.keys
+
+
+if __name__ == "__main__":
+    KEY_FIXTURE.parent.mkdir(exist_ok=True)
+    KEY_FIXTURE.write_text(
+        json.dumps(planned_unit_keys(), indent=1, sort_keys=True) + "\n"
+    )

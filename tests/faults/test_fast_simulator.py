@@ -371,6 +371,61 @@ def setup_for(bench, ppd=10):
     )
 
 
+def reordered_bench() -> BenchmarkCircuit:
+    """Two inverting integrators, each opamp before the elements on its
+    inputs: a follower (which drops the inverting input) numbers the
+    nodes in another order than C0."""
+    circuit = Circuit("reordered", output="o2")
+    circuit.voltage_source("Vin", "in")
+    circuit.opamp("OP1", "0", "n1", "o1", IDEAL_OPAMP)
+    circuit.resistor("R1", "in", "n1", 1e3)
+    circuit.resistor("R2", "n1", "o1", 2e3)
+    circuit.capacitor("C1", "n1", "o1", 10e-9)
+    circuit.opamp("OP2", "0", "n2", "o2", IDEAL_OPAMP)
+    circuit.resistor("R3", "o1", "n2", 1e3)
+    circuit.resistor("R4", "n2", "o2", 1e3)
+    circuit.capacitor("C2", "n2", "o2", 10e-9)
+    return BenchmarkCircuit(
+        circuit=circuit, chain=("OP1", "OP2"), input_node="in", f0_hz=8e3
+    )
+
+
+class TestRowCopies:
+    """A configuration is C0's stamp with its followers' rows copied in
+    wherever its circuit numbers its rows as C0's does; the others are
+    stamped in full, and counted."""
+
+    @pytest.mark.parametrize("name", catalog())
+    def test_catalog_stamps_no_configuration_in_full(self, name, monkeypatch):
+        made = kernel_stats(monkeypatch)
+        bench = build(name)
+        simulate_faults(
+            bench.dft(),
+            deviation_faults(bench.circuit, 0.20),
+            setup_for(bench, ppd=5),
+        )
+        assert sum(stats.full_stamps for stats in made) == 0
+
+    @pytest.mark.parametrize(
+        "bench, parasitics, full_stamps",
+        [
+            (benchmark_biquad(), SwitchParasitics(), 6),
+            (reordered_bench(), None, 2),
+        ],
+        ids=["parasitics", "reordered"],
+    )
+    def test_other_variants_are_stamped_in_full(
+        self, bench, parasitics, full_stamps, monkeypatch
+    ):
+        made = kernel_stats(monkeypatch)
+        simulate_faults(
+            bench.dft(parasitics),
+            deviation_faults(bench.circuit, 0.20),
+            setup_for(bench, ppd=5),
+        )
+        assert sum(stats.full_stamps for stats in made) == full_stamps
+
+
 class TestSharedBasis:
     """Every configuration reuses the functional circuit's ``[z, I]``
     sweep and solves only ``[z, E_S]``, S its rows that differ from

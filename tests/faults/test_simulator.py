@@ -202,6 +202,29 @@ class TestDefinitionsAsArrays:
         assert not dataset.omega_table().data.any()
         assert dataset.n_factorizations == 0
 
+    def test_deviation_rows_once_per_configuration(
+        self, mini_dataset, monkeypatch
+    ):
+        """Each configuration takes its deviations once, as one block:
+        the zero-nominal check reads the nominal itself."""
+        calls = []
+        real = detectability_module.deviation_rows
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "deviation_rows", None) is real:
+                monkeypatch.setattr(module, "deviation_rows", spy)
+        bench = benchmark_biquad()
+        dataset = simulate_faults(
+            bench.dft(),
+            deviation_faults(bench.circuit, 0.20),
+            mini_dataset.setup,
+        )
+        assert len(calls) == len(dataset.configs)
+
     def test_production_makes_no_per_pair_evaluation(
         self, mini_dataset, monkeypatch
     ):

@@ -235,18 +235,17 @@ def _print_ndetect_cover(dataset, matrix, args) -> None:
     The default (n=1) output stays byte-identical to the historical
     single-detection report.
     """
-    n_detect = getattr(args, "n_detect", 1)
-    if n_detect <= 1:
+    if args.n_detect <= 1:
         return
     from .core.ndetect import evaluate_cover, ndetect_cover
 
     cover = ndetect_cover(
         matrix,
-        n_detect=n_detect,
+        n_detect=args.n_detect,
         solver="greedy",
-        saturate=getattr(args, "saturate", False),
+        saturate=args.saturate,
     )
-    report = evaluate_cover(dataset, sorted(cover), n_detect=n_detect)
+    report = evaluate_cover(dataset, sorted(cover), n_detect=args.n_detect)
     print()
     print(report.render())
 
@@ -256,12 +255,7 @@ def cmd_optimize(args) -> int:
     mcc, dataset = _campaign(circuit, args)
     matrix = dataset.detectability_matrix()
     table = dataset.omega_table()
-    optimizer = DftOptimizer(
-        matrix,
-        table,
-        n_detect=getattr(args, "n_detect", 1),
-        saturate=getattr(args, "saturate", False),
-    )
+    optimizer = DftOptimizer(matrix, table)
     result = optimizer.optimize(
         [ConfigurationCount(), AverageOmegaDetectability(table=table)]
     )

@@ -84,36 +84,20 @@ def greedy_strategy(
     matrix: FaultDetectabilityMatrix,
     n_opamps: int,
     omega_table: Optional[OmegaDetectabilityTable] = None,
-    n_detect: int = 1,
-    saturate: bool = False,
 ) -> StrategyOutcome:
     """Greedy set cover over the detectability matrix."""
-    problem = build_coverage_problem(
-        matrix, n_detect=n_detect, saturate=saturate
-    )
-    configs = greedy_cover(problem)
-    label = "greedy" if n_detect == 1 else f"greedy(n={n_detect})"
-    return _outcome(label, configs, matrix, omega_table, n_opamps)
+    configs = greedy_cover(build_coverage_problem(matrix))
+    return _outcome("greedy", configs, matrix, omega_table, n_opamps)
 
 
 def exact_minimum_strategy(
     matrix: FaultDetectabilityMatrix,
     n_opamps: int,
     omega_table: Optional[OmegaDetectabilityTable] = None,
-    n_detect: int = 1,
-    saturate: bool = False,
 ) -> StrategyOutcome:
     """Exact minimum-cardinality cover (branch and bound)."""
-    problem = build_coverage_problem(
-        matrix, n_detect=n_detect, saturate=saturate
-    )
-    configs = branch_and_bound_cover(problem)
-    label = (
-        "exact minimum"
-        if n_detect == 1
-        else f"exact minimum(n={n_detect})"
-    )
-    return _outcome(label, configs, matrix, omega_table, n_opamps)
+    configs = branch_and_bound_cover(build_coverage_problem(matrix))
+    return _outcome("exact minimum", configs, matrix, omega_table, n_opamps)
 
 
 def random_strategy(

@@ -251,19 +251,6 @@ class SumOfProducts:
     def or_with(self, other: "SumOfProducts") -> "SumOfProducts":
         return SumOfProducts(self.terms | other.terms)
 
-    def and_with(self, other: "SumOfProducts") -> "SumOfProducts":
-        """Distribute the conjunction and re-absorb.
-
-        The generic product, for factors with multi-literal terms (the
-        n-detection factors); single-literal clauses go through
-        :func:`expand_product_of_sums`.
-        """
-        left = [_mask(t.literals) for t in self.terms]
-        right = [_mask(t.literals) for t in other.terms]
-        return SumOfProducts._of_minimal(
-            map(_term, _minimal(a | b for a in left for b in right))
-        )
-
     def with_literals(self, literals: Iterable[int]) -> "SumOfProducts":
         """Conjunction with the single product of ``literals``.
 

@@ -14,14 +14,14 @@ For circuits where the Petrick expansion blows up, two classical
 alternatives are provided: an exact branch-and-bound minimum cover and
 the greedy heuristic (used as a baseline in the scaling benchmarks).
 
-**n-detection covers** (Pomeranz & Reddy): every function accepts a
-detection multiplicity through :attr:`CoverageProblem.n_detect` — each
-fault must then be detected by at least ``n`` of the retained
-configurations, which hardens the test set against a single marginal
-detection flipping under component tolerances (see
-``docs/ndetection.md``).  ``n_detect=1`` follows the historical code
-path and reproduces today's covers bit-identically.  A fault detectable
-by fewer than ``n`` configurations raises
+**n-detection covers** (Pomeranz & Reddy): a :class:`CoverageProblem`
+carries a detection multiplicity ``n_detect`` — each fault must then be
+detected by at least ``n`` of the retained configurations, which
+hardens the test set against a single marginal detection flipping under
+component tolerances (see ``docs/ndetection.md``).  The cover solvers
+(:func:`branch_and_bound_cover`, :func:`greedy_cover`) honour it; ξ
+itself is expanded at ``n = 1`` only, the paper's problem.  A fault
+detectable by fewer than ``n`` configurations raises
 :class:`~repro.errors.InsufficientDetectionsError` naming the fault,
 unless the problem was built with ``saturate=True`` (explicit
 best-effort: such faults require every configuration that detects
@@ -33,8 +33,7 @@ reported, never infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..errors import (
     InfeasibleCoverError,
@@ -54,8 +53,8 @@ from .matrix import FaultDetectabilityMatrix
 class CoverageProblem:
     """ξ in clause form: per-fault sets of covering configuration indices.
 
-    ``n_detect`` is the detection multiplicity every solver in this
-    module honours (default 1, the paper's fundamental requirement);
+    ``n_detect`` is the detection multiplicity the cover solvers of
+    this module honour (default 1, the paper's fundamental requirement);
     ``saturate=True`` clamps each fault's requirement to the number of
     configurations that can actually detect it instead of raising
     :class:`~repro.errors.InsufficientDetectionsError`.
@@ -100,7 +99,7 @@ def build_coverage_problem(
     Faults with empty columns are recorded as ``undetectable`` and
     excluded from the clauses — the fundamental requirement targets the
     *maximum achievable* coverage.  ``n_detect`` sets the detection
-    multiplicity every solver of the returned problem will enforce.
+    multiplicity the cover solvers of the returned problem enforce.
     """
     if n_detect < 1:
         raise OptimizationError(
@@ -169,9 +168,7 @@ def reduce_problem(
 
     A clause is satisfied once ``chosen`` supplies its required number
     of detections; partially-satisfied clauses are kept *unchanged*
-    (the clause always lists every detecting configuration — callers
-    working at ``n_detect > 1`` account for the overlap with ``chosen``
-    themselves, as :func:`solve_covering` does).
+    (the clause always lists every detecting configuration).
     """
     needs = {
         fault: need for fault, _, need in detection_requirements(problem)
@@ -217,88 +214,21 @@ class CoveringSolution:
 
 def solve_covering(
     matrix: FaultDetectabilityMatrix,
-    require_full_coverage: bool = False,
     max_terms: int = MAX_TERMS,
-    n_detect: int = 1,
-    saturate: bool = False,
 ) -> CoveringSolution:
     """Run the full §4.1 procedure on a detectability matrix.
 
-    Parameters
-    ----------
-    matrix:
-        Fault detectability matrix (rows may include C0).
-    require_full_coverage:
-        When true, any fault detectable in *no* configuration raises
-        :class:`InfeasibleCoverError` instead of being set aside.
-    max_terms:
-        Petrick expansion safety valve.
-    n_detect:
-        Detection multiplicity: every fault must be detected by at
-        least this many retained configurations.  1 (the default) is
-        the paper's fundamental requirement and follows the historical
-        code path exactly.
-    saturate:
-        Best-effort mode for ``n_detect > 1``: clamp each fault's
-        requirement to its number of detecting configurations instead
-        of raising :class:`~repro.errors.InsufficientDetectionsError`.
+    Faults detectable in no configuration are set aside (the maximum
+    achievable coverage); ``max_terms`` is the Petrick expansion's
+    safety valve.  n-detection covers come from the cover solvers
+    (:func:`~repro.core.ndetect.ndetect_cover`), not from ξ.
     """
-    problem = build_coverage_problem(
-        matrix, n_detect=n_detect, saturate=saturate
-    )
-    if require_full_coverage and problem.undetectable:
-        raise InfeasibleCoverError(
-            "faults detectable in no configuration: "
-            + ", ".join(problem.undetectable)
-        )
-
-    if n_detect == 1 and not saturate:
-        essentials = essential_configurations(problem)
-        reduced = reduce_problem(problem, essentials)
-        complementary = expand_product_of_sums(
-            (clause for _, clause in reduced.clauses), max_terms=max_terms
-        )
-        return CoveringSolution(
-            problem=problem,
-            essentials=essentials,
-            complementary=complementary,
-            xi=complementary.with_literals(essentials),
-        )
-
-    # n-detection Petrick: each fault contributes the disjunction of all
-    # ways to pick its remaining detections from the configurations not
-    # already forced as essentials.
-    requirements = detection_requirements(problem)
+    problem = build_coverage_problem(matrix)
     essentials = essential_configurations(problem)
-    complementary = SumOfProducts.one()
-    factors: List[SumOfProducts] = []
-    for fault, clause, need in requirements:
-        remaining = need - len(clause & essentials)
-        if remaining <= 0:
-            continue
-        choices = sorted(clause - essentials)
-        factors.append(
-            SumOfProducts.of_terms(
-                combinations(choices, remaining)
-            )
-        )
-    # Multiplying small factors first keeps intermediate SOPs tighter,
-    # mirroring expand_product_of_sums.
-    for factor in sorted(factors, key=len):
-        if factor.is_false:
-            complementary = SumOfProducts.zero()
-            break
-        if len(complementary) * len(factor) > max_terms:
-            raise OptimizationError(
-                f"n-detect Petrick expansion exceeded {max_terms} "
-                "terms; use branch_and_bound_cover for this instance"
-            )
-        complementary = complementary.and_with(factor)
-        if len(complementary) > max_terms:
-            raise OptimizationError(
-                f"n-detect Petrick expansion exceeded {max_terms} "
-                "terms; use branch_and_bound_cover for this instance"
-            )
+    reduced = reduce_problem(problem, essentials)
+    complementary = expand_product_of_sums(
+        (clause for _, clause in reduced.clauses), max_terms=max_terms
+    )
     return CoveringSolution(
         problem=problem,
         essentials=essentials,
@@ -311,31 +241,21 @@ def solve_covering(
 # Exact branch-and-bound minimum cover (for circuits where Petrick blows up)
 # ----------------------------------------------------------------------
 
-def branch_and_bound_cover(
-    problem: CoverageProblem,
-    weights: Optional[Dict[int, float]] = None,
-) -> FrozenSet[int]:
-    """Exact minimum-weight cover of a :class:`CoverageProblem`.
+def branch_and_bound_cover(problem: CoverageProblem) -> FrozenSet[int]:
+    """Exact minimum-cardinality cover of a :class:`CoverageProblem`.
 
     Uses the classic reduction rules (essential configurations, satisfied
     clauses) plus depth-first branch and bound on the hardest clause.
-    ``weights`` default to 1 per configuration (minimum cardinality).
     The problem's ``n_detect`` multiplicity is honoured; ``n_detect=1``
     runs the historical code verbatim.
     """
     if any(not clause for _, clause in problem.clauses):
         raise InfeasibleCoverError("a fault has an empty covering clause")
     if problem.n_detect != 1 or problem.saturate:
-        return _branch_and_bound_n(problem, weights)
-
-    def weight(config: int) -> float:
-        return 1.0 if weights is None else weights.get(config, 1.0)
+        return _branch_and_bound_n(problem)
 
     best_cover: List[FrozenSet[int]] = []
     best_cost = [float("inf")]
-
-    def total(chosen: FrozenSet[int]) -> float:
-        return sum(weight(c) for c in chosen)
 
     def recurse(
         clauses: Tuple[FrozenSet[int], ...], chosen: FrozenSet[int]
@@ -352,7 +272,7 @@ def branch_and_bound_cover(
                 clauses = unsatisfied
                 break
             chosen = chosen | forced
-        cost = total(chosen)
+        cost = len(chosen)
         if cost >= best_cost[0]:
             return
         if not clauses:
@@ -361,10 +281,7 @@ def branch_and_bound_cover(
             best_cover.append(chosen)
             return
         # Lower bound: at least one more configuration is needed.
-        cheapest_extra = min(
-            min(weight(c) for c in clause) for clause in clauses
-        )
-        if cost + cheapest_extra >= best_cost[0]:
+        if cost + 1 >= best_cost[0]:
             return
         # Branch on the smallest clause, most-covering configs first.
         clause = min(clauses, key=len)
@@ -372,9 +289,7 @@ def branch_and_bound_cover(
             config: sum(1 for c in clauses if config in c)
             for config in clause
         }
-        for config in sorted(
-            clause, key=lambda c: (-coverage_count[c], weight(c))
-        ):
+        for config in sorted(clause, key=lambda c: -coverage_count[c]):
             recurse(clauses, chosen | {config})
 
     recurse(tuple(clause for _, clause in problem.clauses), frozenset())
@@ -383,11 +298,8 @@ def branch_and_bound_cover(
     return best_cover[0]
 
 
-def _branch_and_bound_n(
-    problem: CoverageProblem,
-    weights: Optional[Dict[int, float]] = None,
-) -> FrozenSet[int]:
-    """Exact minimum-weight n-detection cover (the ``n_detect > 1`` path).
+def _branch_and_bound_n(problem: CoverageProblem) -> FrozenSet[int]:
+    """Exact minimum n-detection cover (the ``n_detect > 1`` path).
 
     The state generalises from "unsatisfied clauses" to per-clause
     deficits: a clause with ``need`` required detections and ``have``
@@ -397,15 +309,8 @@ def _branch_and_bound_n(
     forced.
     """
     requirements = detection_requirements(problem)
-
-    def weight(config: int) -> float:
-        return 1.0 if weights is None else weights.get(config, 1.0)
-
     best_cover: List[FrozenSet[int]] = []
     best_cost = [float("inf")]
-
-    def total(chosen: FrozenSet[int]) -> float:
-        return sum(weight(c) for c in chosen)
 
     def recurse(
         clauses: Tuple[Tuple[FrozenSet[int], int], ...],
@@ -428,7 +333,7 @@ def _branch_and_bound_n(
                 clauses = tuple(open_clauses)
                 break
             chosen = chosen | forced
-        cost = total(chosen)
+        cost = len(chosen)
         if cost >= best_cost[0]:
             return
         if not clauses:
@@ -437,12 +342,8 @@ def _branch_and_bound_n(
             best_cover.append(chosen)
             return
         # Lower bound: the deepest deficit needs that many more distinct
-        # configurations, each at least the cheapest available weight.
-        cheapest_extra = min(
-            min(weight(c) for c in free) for free, _ in clauses
-        )
-        max_deficit = max(deficit for _, deficit in clauses)
-        if cost + cheapest_extra * max_deficit >= best_cost[0]:
+        # configurations.
+        if cost + max(deficit for _, deficit in clauses) >= best_cost[0]:
             return
         # Branch on the tightest clause (least slack), most-covering
         # configs first.
@@ -453,9 +354,7 @@ def _branch_and_bound_n(
             config: sum(1 for f, _ in clauses if config in f)
             for config in free
         }
-        for config in sorted(
-            free, key=lambda c: (-coverage_count[c], weight(c), c)
-        ):
+        for config in sorted(free, key=lambda c: (-coverage_count[c], c)):
             recurse(clauses, chosen | {config})
 
     recurse(

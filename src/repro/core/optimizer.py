@@ -103,37 +103,22 @@ class DftOptimizer:
     omega_table:
         Optional ω-detectability table; required only by cost functions
         that reference it.
-    n_detect:
-        Detection multiplicity of the fundamental requirement (default
-        1, the paper's covering problem; see ``docs/ndetection.md``).
-    saturate:
-        Best-effort n-detection: clamp a fault's requirement to its
-        detecting-configuration count instead of raising
-        :class:`~repro.errors.InsufficientDetectionsError`.
     """
 
     def __init__(
         self,
         matrix: FaultDetectabilityMatrix,
         omega_table: Optional[OmegaDetectabilityTable] = None,
-        n_detect: int = 1,
-        saturate: bool = False,
     ):
         self.matrix = matrix
         self.omega_table = omega_table
-        self.n_detect = n_detect
-        self.saturate = saturate
         self._covering: Optional[CoveringSolution] = None
 
     @property
     def covering(self) -> CoveringSolution:
         """The fundamental-requirement solution (computed lazily)."""
         if self._covering is None:
-            self._covering = solve_covering(
-                self.matrix,
-                n_detect=self.n_detect,
-                saturate=self.saturate,
-            )
+            self._covering = solve_covering(self.matrix)
         return self._covering
 
     # ------------------------------------------------------------------

@@ -16,9 +16,10 @@ on randomized circuits, faults, configurations and frequency grids:
 * :mod:`repro.verify.invariants` — metamorphic properties (C_0 ≡
   functional, transparency, ε-monotonicity, impedance-scaling and
   grid-refinement invariance, matrix/table consistency, cover-strategy
-  ordering, n-detection covers, and the zero-tolerance comparisons of
-  the production fault, tolerance and trajectory paths against the
-  scalar oracles ``reference_dataset`` and
+  ordering, exact covers against the MILP optimum
+  ``reference_min_cover``, n-detection covers, and the zero-tolerance
+  comparisons of the production fault, tolerance and trajectory paths
+  against the scalar oracles ``reference_dataset`` and
   ``reference_scaled_responses``, and of the trajectory matcher
   against the per-point ``reference_match``); it also holds
   ``reference_absorb``, the all-pairs absorption the covering
@@ -41,6 +42,7 @@ from .generators import (
 from .invariants import (
     check_cover_strategies,
     check_epsilon_monotonicity,
+    check_exact_covers,
     check_functional_configuration,
     check_grid_refinement,
     check_impedance_scaling,
@@ -51,6 +53,7 @@ from .invariants import (
     reference_absorb,
     reference_dataset,
     reference_match,
+    reference_min_cover,
     reference_scaled_responses,
     run_invariants,
 )
@@ -75,6 +78,7 @@ __all__ = [
     "check_case",
     "check_cover_strategies",
     "check_epsilon_monotonicity",
+    "check_exact_covers",
     "check_functional_configuration",
     "check_grid_refinement",
     "check_impedance_scaling",
@@ -89,6 +93,7 @@ __all__ = [
     "reference_absorb",
     "reference_dataset",
     "reference_match",
+    "reference_min_cover",
     "reference_scaled_responses",
     "run_invariants",
     "run_verification",

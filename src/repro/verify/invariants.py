@@ -27,11 +27,13 @@ definitions and from physics:
   from the stored masks.
 * **cover-strategy ordering** — the exact branch-and-bound cover is
   never larger than the greedy one and both reach maximum coverage.
-* **n-detection** — n=1 reduces to the legacy covering and n-covers
-  contain (n−1)-covers.  Their Petrick expansions are capped at
-  :data:`NDETECT_PETRICK_TERMS`; an instance beyond the cap is reported
-  as a skipped comparison, while the branch-and-bound comparisons run
-  on every case.
+* **exact covers ≡ MILP optimum** — every exact cover (branch and
+  bound at each feasible n ≤ 3, the diagnosability cover and the n=1
+  Petrick minimum) has the size :func:`reference_min_cover` proves
+  minimal.  The Petrick expansion is capped at :data:`PETRICK_TERMS`;
+  an instance beyond the cap is reported as a skipped comparison.
+* **n-detection** — the n-detection branch and bound at n=1 returns the
+  historical cover, and n-covers are (n−1)-covers.
 * **production ≡ scalar reference** — the production dataset (plane-by-
   plane pencil fill, certified Sherman–Morrison) equals a scalar
   reference that re-stamps every faulty circuit, assembles ``G + jωC``
@@ -74,7 +76,11 @@ from ..core.detectability import (
     evaluate_detectability,
 )
 from ..dft.configuration import Configuration
-from ..errors import OptimizationError, SingularCircuitError
+from ..errors import (
+    InfeasibleCoverError,
+    OptimizationError,
+    SingularCircuitError,
+)
 from ..faults.model import DeviationFault, Fault, OpenFault, ShortFault
 from ..faults.simulator import (
     Basis,
@@ -90,10 +96,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .generators import VerifyCase
     from .oracle import Tolerances
 
-#: Petrick term cap of the n-detection invariants: every catalog
+#: Petrick term cap of the exact-cover invariant: every catalog
 #: instance within it expands in seconds; beyond it the Petrick
-#: comparison is reported as skipped (branch-and-bound still runs)
-NDETECT_PETRICK_TERMS = 20_000
+#: comparison is reported as skipped (branch and bound still runs)
+PETRICK_TERMS = 20_000
 
 
 def _mismatch(**kwargs):
@@ -521,79 +527,140 @@ def check_cover_strategies(
     return mismatches
 
 
-def check_ndetect_reduction(
+def check_exact_covers(
     case: "VerifyCase",
     dataset: DetectabilityDataset,
     tol: Optional["Tolerances"] = None,
 ) -> List:
-    """The generalized n-detect machinery at n=1 ≡ the legacy covering.
+    """Every exact cover has the size of the MILP optimum.
 
-    ``solve_covering(matrix)`` keeps the historical single-detection
-    code path; forcing the generalized multiplicity path with an
-    equivalent requirement (``n_detect=1, saturate=True`` — every
-    non-empty clause needs exactly one hit either way) must reproduce
-    the same essentials and the same irredundant covers, term for term.
-    The two paths expand ξ with different algorithms: the n=1 path
-    multiplies clause by clause with the incremental step of
-    :func:`~repro.core.boolean_alg.expand_product_of_sums`, the
-    generic path multiplies factors with ``SumOfProducts.and_with``
-    and an absorption pass, so this compares the two.
-    The exact solver must likewise agree between paths.
-    A Petrick expansion beyond :data:`NDETECT_PETRICK_TERMS` yields a
-    :class:`~repro.verify.oracle.Skipped` record in place of the
-    essentials/covers comparison.
+    The requirement rows are read from ``matrix.data`` itself, so
+    :func:`reference_min_cover` shares no code with the solvers it
+    checks:
+
+    * at each feasible ``n ≤ 3`` the ``branch_and_bound_cover`` result
+      passes ``verify_cover`` and has the optimum's size;
+    * ``optimize_for_diagnosis(method="exact")`` has the optimum's size
+      over its rows (each distinguishable fault pair and each
+      detectable fault), and covers them;
+    * the n=1 Petrick minimal covers have the optimum's size.  An
+      expansion beyond :data:`PETRICK_TERMS` yields a
+      :class:`~repro.verify.oracle.Skipped` record in its place.
     """
     from ..core.covering import (
         branch_and_bound_cover,
         build_coverage_problem,
         solve_covering,
+        verify_cover,
+    )
+    from ..core.diagnosis import optimize_for_diagnosis
+
+    matrix = dataset.detectability_matrix()
+    data = matrix.data  # (configuration, fault)
+    rows = data.T[data.any(axis=0)]
+    mismatches: List = []
+
+    def report(config: str, size: int, optimum: int, detail: str) -> None:
+        mismatches.append(
+            _mismatch(
+                check="invariant-exact-cover",
+                circuit=case.name,
+                config=config,
+                fault=None,
+                frequency_hz=None,
+                error=float(size - optimum),
+                tolerance=0.0,
+                seed=case.seed,
+                detail=f"{detail}: {size} configuration(s), "
+                f"MILP optimum {optimum}",
+            )
+        )
+
+    optimum = {}
+    for n in range(1, 4):
+        if not (rows.sum(axis=1) >= n).all():
+            break
+        optimum[n] = reference_min_cover(rows, n)
+        cover = branch_and_bound_cover(
+            build_coverage_problem(matrix, n_detect=n)
+        )
+        valid = verify_cover(matrix, sorted(cover), n_detect=n)
+        if not valid or len(cover) != optimum[n]:
+            report(
+                f"n={n}", len(cover), optimum[n],
+                f"branch-and-bound {n}-detection cover {sorted(cover)}"
+                + ("" if valid else " is not a valid cover"),
+            )
+
+    first, second = np.triu_indices(data.shape[1], k=1)
+    pairs = np.concatenate([(data[:, first] != data[:, second]).T, data.T])
+    pairs = pairs[pairs.any(axis=1)]
+    chosen = optimize_for_diagnosis(matrix, method="exact")
+    picked = np.isin(matrix.config_indices, sorted(chosen))
+    best = reference_min_cover(pairs, 1)
+    if len(chosen) != best or not pairs[:, picked].any(axis=1).all():
+        report(
+            "diagnosis", len(chosen), best,
+            f"exact diagnosability cover {sorted(chosen)}",
+        )
+
+    try:
+        solution = solve_covering(matrix, max_terms=PETRICK_TERMS)
+    except OptimizationError as exc:
+        mismatches.append(
+            _skipped(case, "invariant-exact-cover", "n=1", exc)
+        )
+    else:
+        sizes = sorted({len(term) for term in solution.minimal_covers})
+        if sizes != [optimum[1]]:
+            report(
+                "Petrick n=1", sizes[0] if sizes else 0, optimum[1],
+                f"Petrick minimal covers of sizes {sizes}",
+            )
+    return mismatches
+
+
+def check_ndetect_reduction(
+    case: "VerifyCase",
+    dataset: DetectabilityDataset,
+    tol: Optional["Tolerances"] = None,
+) -> List:
+    """The n-detection branch and bound at n=1 ≡ the historical one.
+
+    ``branch_and_bound_cover`` runs its historical single-detection
+    code for ``n_detect=1``; forcing its n-detection path with an
+    equivalent requirement (``n_detect=1, saturate=True`` — every
+    non-empty clause needs exactly one hit either way) must return the
+    same cover.
+    """
+    from ..core.covering import (
+        branch_and_bound_cover,
+        build_coverage_problem,
     )
 
     matrix = dataset.detectability_matrix()
-    mismatches: List = []
-    flags = {}
-    try:
-        legacy = solve_covering(matrix, max_terms=NDETECT_PETRICK_TERMS)
-        general = solve_covering(
-            matrix, n_detect=1, saturate=True,
-            max_terms=NDETECT_PETRICK_TERMS,
-        )
-    except OptimizationError as exc:
-        mismatches.append(
-            _skipped(case, "invariant-ndetect-reduction", "n=1", exc)
-        )
-    else:
-        flags["essentials equal"] = legacy.essentials == general.essentials
-        flags["covers equal"] = legacy.covers == general.covers
-        flags["set-aside faults equal"] = (
-            legacy.problem.undetectable == general.problem.undetectable
-        )
-    legacy_problem = build_coverage_problem(matrix)
-    general_problem = build_coverage_problem(
-        matrix, n_detect=1, saturate=True
+    legacy = branch_and_bound_cover(build_coverage_problem(matrix))
+    general = branch_and_bound_cover(
+        build_coverage_problem(matrix, n_detect=1, saturate=True)
     )
-    flags["exact covers equal"] = branch_and_bound_cover(
-        legacy_problem
-    ) == branch_and_bound_cover(general_problem)
-    failed = [name for name, ok in flags.items() if not ok]
-    if failed:
-        mismatches.append(
-            _mismatch(
-                check="invariant-ndetect-reduction",
-                circuit=case.name,
-                config=None,
-                fault=None,
-                frequency_hz=None,
-                error=float(len(failed)),
-                tolerance=0.0,
-                seed=case.seed,
-                detail=(
-                    "n_detect=1 does not reduce to the legacy "
-                    "covering: " + "; ".join(failed)
-                ),
-            )
+    if legacy == general:
+        return []
+    return [
+        _mismatch(
+            check="invariant-ndetect-reduction",
+            circuit=case.name,
+            config=None,
+            fault=None,
+            frequency_hz=None,
+            error=1.0,
+            tolerance=0.0,
+            seed=case.seed,
+            detail=(
+                "n_detect=1 does not reduce to the legacy covering: "
+                f"exact covers {sorted(legacy)} and {sorted(general)}"
+            ),
         )
-    return mismatches
+    ]
 
 
 def check_ndetect_supersets(
@@ -601,21 +668,15 @@ def check_ndetect_supersets(
     dataset: DetectabilityDataset,
     tol: Optional["Tolerances"] = None,
 ) -> List:
-    """n-detect covers are supersets of (n−1)-detect covers.
+    """Minimum n-detect covers are (n−1)-detect covers.
 
     Any set detecting every fault at least ``n`` times trivially detects
-    it ``n−1`` times, so each minimum n-cover must verify at ``n−1``,
-    and every irredundant n-term of the covering expression must
-    contain some irredundant (n−1)-term.  Checked for each feasible
-    ``n`` up to 3; a Petrick expansion beyond
-    :data:`NDETECT_PETRICK_TERMS` yields a
-    :class:`~repro.verify.oracle.Skipped` record for that ``n`` in place
-    of the term comparison.
+    it ``n−1`` times, so each minimum n-cover must verify at ``n−1``;
+    checked for each feasible ``n`` up to 3.
     """
     from ..core.covering import (
         build_coverage_problem,
         branch_and_bound_cover,
-        solve_covering,
         verify_cover,
     )
     from ..core.ndetect import max_feasible_n
@@ -644,43 +705,51 @@ def check_ndetect_supersets(
                     ),
                 )
             )
-        try:
-            finer = solve_covering(
-                matrix, n_detect=n, max_terms=NDETECT_PETRICK_TERMS
-            )
-            coarser = solve_covering(
-                matrix, n_detect=n - 1, max_terms=NDETECT_PETRICK_TERMS
-            )
-        except OptimizationError as exc:
-            mismatches.append(
-                _skipped(case, "invariant-ndetect-superset", f"n={n}", exc)
-            )
-            continue
-        coarse_sets = [
-            frozenset(term.literals) for term in coarser.covers
-        ]
-        for term in finer.covers:
-            literals = frozenset(term.literals)
-            if not any(base <= literals for base in coarse_sets):
-                mismatches.append(
-                    _mismatch(
-                        check="invariant-ndetect-superset",
-                        circuit=case.name,
-                        config=f"n={n}",
-                        fault=None,
-                        frequency_hz=None,
-                        error=float(len(literals)),
-                        tolerance=0.0,
-                        seed=case.seed,
-                        detail=(
-                            f"irredundant {n}-detect cover "
-                            f"{sorted(literals)} contains no "
-                            f"irredundant {n - 1}-detect cover"
-                        ),
-                    )
-                )
-                break
     return mismatches
+
+
+def reference_min_cover(rows, need) -> int:
+    """Minimum number of literals ``x`` with ``rows @ x >= need``.
+
+    ``rows`` is a boolean ``(K, L)`` incidence (requirement × literal)
+    and ``need`` an int or a length-``K`` sequence.  The minimum is
+    solved as a binary MILP by HiGHS (``scipy.optimize.milp``), an
+    algorithm the covering layer's branch and bound and Petrick
+    expansion share nothing with.  Returns 0 when there are no rows;
+    raises :class:`~repro.errors.InfeasibleCoverError` when a row has
+    fewer literals than it needs, and :class:`OptimizationError` when
+    the solver reports no proven optimum — an oracle failure is never a
+    pass.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rows = np.asarray(rows, dtype=bool)
+    need = np.broadcast_to(need, rows.shape[:1])
+    if not rows.shape[0]:
+        return 0
+    available = rows.sum(axis=1)
+    short = np.flatnonzero(available < need)
+    if short.size:
+        k = int(short[0])
+        raise InfeasibleCoverError(
+            f"requirement {k} has {available[k]} literal(s) but needs "
+            f"{need[k]}"
+        )
+    result = milp(
+        np.ones(rows.shape[1]),
+        constraints=LinearConstraint(rows.astype(float), lb=need),
+        integrality=np.ones(rows.shape[1]),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0.0},
+    )
+    if result.status != 0:
+        raise OptimizationError(
+            f"MILP oracle found no optimum: {result.message}"
+        )
+    x = np.round(result.x).astype(int)
+    if not (rows @ x >= need).all():
+        raise OptimizationError("MILP oracle returned an infeasible cover")
+    return int(x.sum())
 
 
 def reference_absorb(terms: Iterable[ProductTerm]) -> FrozenSet[ProductTerm]:
@@ -690,8 +759,8 @@ def reference_absorb(terms: Iterable[ProductTerm]) -> FrozenSet[ProductTerm]:
     kept term absorbs, testing it against every kept term by frozenset
     inclusion — the quadratic pass the production algebra of
     :mod:`repro.core.boolean_alg` avoids.  Tests hold
-    :func:`~repro.core.boolean_alg.expand_product_of_sums`,
-    ``SumOfProducts.and_with`` and ``SumOfProducts.map_literals`` to
+    :func:`~repro.core.boolean_alg.expand_product_of_sums` and
+    ``SumOfProducts.map_literals`` to
     "multiply every pair, then absorb with this", term for term.
     """
     kept: List[ProductTerm] = []
@@ -1237,6 +1306,7 @@ def run_invariants(
     mismatches += check_grid_refinement(case, tol=tol)
     mismatches += check_matrix_table_consistency(case, dataset, tol)
     mismatches += check_cover_strategies(case, dataset, tol)
+    mismatches += check_exact_covers(case, dataset, tol)
     mismatches += check_ndetect_reduction(case, dataset, tol)
     mismatches += check_ndetect_supersets(case, dataset, tol)
     mismatches += check_tolerance_kernel(case, tol)
@@ -1248,6 +1318,7 @@ def run_invariants(
         + 2  # grid refinement
         + len(dataset.configs) * len(dataset.fault_labels)  # consistency
         + 2  # cover strategies
+        + 1  # exact covers == MILP optimum
         + 2  # n-detect: n=1 reduction + superset ladder
         + 2  # tolerance == per-sample oracle, Monte Carlo + corners
         + 1  # trajectory == fault simulator

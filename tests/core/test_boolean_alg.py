@@ -69,24 +69,6 @@ class TestSumOfProducts:
         assert len(sop) == 3
         assert term(4) in sop.terms
 
-    def test_and_with_distributes(self):
-        a = SumOfProducts.clause([1, 2])
-        b = SumOfProducts.clause([3])
-        product = a.and_with(b)
-        assert product.terms == frozenset({term(1, 3), term(2, 3)})
-
-    def test_and_with_absorbs(self):
-        # (C1 + C4 + C5)(C1 + C5) -> C1 + C5 after absorption
-        a = SumOfProducts.clause([1, 4, 5])
-        b = SumOfProducts.clause([1, 5])
-        product = a.and_with(b)
-        assert product.terms == frozenset({term(1), term(5)})
-
-    def test_and_with_zero(self):
-        assert SumOfProducts.clause([1]).and_with(
-            SumOfProducts.zero()
-        ).is_false
-
     def test_or_with(self):
         a = SumOfProducts.of_terms([{1}])
         b = SumOfProducts.of_terms([{2}])

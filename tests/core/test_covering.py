@@ -91,13 +91,6 @@ class TestSolveCovering:
         for t in solution.covers:
             assert verify_cover(matrix, sorted(t.literals))
 
-    def test_require_full_coverage(self):
-        data = np.array([[1, 0]], dtype=bool)
-        m = FaultDetectabilityMatrix(("C0",), ("fa", "fb"), data)
-        solve_covering(m)  # tolerated by default
-        with pytest.raises(InfeasibleCoverError, match="fb"):
-            solve_covering(m, require_full_coverage=True)
-
     def test_single_config_matrix(self):
         data = np.ones((1, 4), dtype=bool)
         m = FaultDetectabilityMatrix(("C0",), tuple("abcd"), data)
@@ -112,14 +105,6 @@ class TestBranchAndBound:
         cover = branch_and_bound_cover(problem)
         assert len(cover) == 2
         assert cover in set(paper1998.EXPECTED_MINIMAL_COVERS)
-
-    def test_weighted_cover(self, problem):
-        # Make C1 and C5 expensive: the minimum-weight cover still needs
-        # one of them (fR3/fC2 are only covered by {1,4,5}/{1,5}), but
-        # weights decide which.
-        weights = {1: 10.0, 5: 1.0, 2: 1.0, 4: 1.0}
-        cover = branch_and_bound_cover(problem, weights=weights)
-        assert 2 in cover and 5 in cover and 1 not in cover
 
     def test_empty_clause_infeasible(self):
         from repro.core import CoverageProblem

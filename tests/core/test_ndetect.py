@@ -23,7 +23,6 @@ from repro.core import (
     pareto_points,
     render_sweep,
     robustness_margins,
-    solve_covering,
     verify_cover,
 )
 from repro.core.ndetect import calibrate_noise_floor
@@ -35,6 +34,7 @@ from repro.errors import (
     OptimizationError,
 )
 from repro.faults import SimulationSetup, deviation_faults, simulate_faults
+from repro.verify import reference_min_cover
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestTypedError:
     def test_error_names_the_fault(self, matrix):
         # fC1 is detected only by C2 in the paper matrix
         with pytest.raises(InsufficientDetectionsError) as excinfo:
-            solve_covering(matrix, n_detect=2)
+            ndetect_cover(matrix, n_detect=2)
         err = excinfo.value
         assert err.fault == "fC1"
         assert err.required == 2
@@ -105,11 +105,13 @@ class TestTypedError:
                 solver(problem)
 
     def test_saturate_clamps_instead(self, matrix):
-        solution = solve_covering(matrix, n_detect=2, saturate=True)
-        assert solution.covers  # best-effort cover exists
-        for term in solution.covers:
+        for solver in ("exact", "greedy"):
+            cover = ndetect_cover(
+                matrix, n_detect=2, solver=solver, saturate=True
+            )
+            assert cover  # best-effort cover exists
             assert verify_cover(
-                matrix, sorted(term.literals), n_detect=2, saturate=True
+                matrix, sorted(cover), n_detect=2, saturate=True
             )
 
     def test_n_detect_must_be_positive(self, matrix):
@@ -118,22 +120,16 @@ class TestTypedError:
 
 
 class TestNOneReducesToLegacy:
-    def test_solution_bit_identical(self, matrix):
-        legacy = solve_covering(matrix)
-        general = solve_covering(matrix, n_detect=1)
-        assert legacy.essentials == general.essentials
-        assert legacy.xi == general.xi
-        assert legacy.covers == general.covers
-
     def test_forced_general_path_matches(self, matrix):
-        # saturate=True forces the generalized Petrick machinery; at
-        # n=1 the requirements coincide, so the covers must too.
-        legacy = solve_covering(matrix)
-        general = solve_covering(matrix, n_detect=1, saturate=True)
-        assert legacy.essentials == general.essentials
-        assert sorted(
-            frozenset(t.literals) for t in legacy.covers
-        ) == sorted(frozenset(t.literals) for t in general.covers)
+        # saturate=True forces the n-detection branch and bound; at n=1
+        # the requirements coincide, so the cover must too, and it is
+        # one of the paper's minimal covers.
+        legacy = branch_and_bound_cover(build_coverage_problem(matrix))
+        general = branch_and_bound_cover(
+            build_coverage_problem(matrix, n_detect=1, saturate=True)
+        )
+        assert legacy == general
+        assert legacy in set(paper1998.EXPECTED_MINIMAL_COVERS)
 
     def test_solvers_bit_identical(self, matrix):
         legacy = build_coverage_problem(matrix)
@@ -169,14 +165,6 @@ class TestSolverAgreement:
             if len(clause) == n_detect:
                 assert clause <= essentials
 
-    def test_petrick_terms_are_valid_covers(self):
-        rng = np.random.default_rng(42)
-        m = _random_matrix(rng, 6, 5, min_ones=2)
-        solution = solve_covering(m, n_detect=2)
-        assert solution.covers
-        for term in solution.covers:
-            assert verify_cover(m, sorted(term.literals), n_detect=2)
-
 
 class TestSupersets:
     def test_n_cover_verifies_at_lower_n(self):
@@ -186,16 +174,49 @@ class TestSupersets:
             cover = ndetect_cover(m, n_detect=n, solver="exact")
             assert verify_cover(m, sorted(cover), n_detect=n - 1)
 
-    def test_terms_contain_lower_terms(self):
-        rng = np.random.default_rng(13)
-        m = _random_matrix(rng, 7, 6, min_ones=3)
-        for n in (2, 3):
-            finer = solve_covering(m, n_detect=n)
-            coarser = solve_covering(m, n_detect=n - 1)
-            coarse = [frozenset(t.literals) for t in coarser.covers]
-            for term in finer.covers:
-                literals = frozenset(term.literals)
-                assert any(base <= literals for base in coarse)
+
+class TestReferenceMinCover:
+    """The MILP oracle that ``repro verify`` holds exact covers to."""
+
+    @pytest.mark.parametrize("n_detect", [1, 2, 3])
+    def test_matches_exhaustive_minimum(self, n_detect):
+        rng = np.random.default_rng(1998 + n_detect)
+        for _ in range(8):
+            m = _random_matrix(rng, 6, 5, min_ones=n_detect)
+            assert reference_min_cover(m.data.T, n_detect) == (
+                _exhaustive_minimum(m, n_detect)
+            )
+
+    def test_per_row_need(self):
+        rows = np.array([[1, 1, 0], [0, 1, 1]], dtype=bool)
+        assert reference_min_cover(rows, [1, 1]) == 1
+        assert reference_min_cover(rows, [2, 1]) == 2
+        assert reference_min_cover(rows, [2, 2]) == 3
+
+    def test_no_rows_is_zero(self):
+        assert reference_min_cover(np.zeros((0, 4), dtype=bool), 2) == 0
+
+    def test_short_row_raises_like_the_solvers(self, matrix):
+        # fC1 is detected only by C2: the solvers raise the subclass
+        with pytest.raises(InsufficientDetectionsError):
+            ndetect_cover(matrix, n_detect=2)
+        rows = matrix.data.T[matrix.data.any(axis=0)]
+        with pytest.raises(InfeasibleCoverError, match="needs 2"):
+            reference_min_cover(rows, 2)
+
+    def test_solver_without_optimum_raises(self, monkeypatch):
+        """An oracle failure is never a pass."""
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        monkeypatch.setattr(
+            scipy.optimize, "milp",
+            lambda *a, **k: OptimizeResult(
+                status=1, message="time limit reached", x=None
+            ),
+        )
+        with pytest.raises(OptimizationError, match="time limit"):
+            reference_min_cover(np.ones((2, 2), dtype=bool), 1)
 
 
 class TestQualityMetrics:

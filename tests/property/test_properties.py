@@ -5,8 +5,6 @@ boolean-algebra laws, covering correctness and minimality, coverage
 monotonicity, and the log-frequency measure.
 """
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,16 +152,15 @@ class TestConfigurationProperties:
 # ----------------------------------------------------------------------
 
 class TestBooleanProperties:
-    @given(clause_families)
-    def test_and_commutative(self, clauses):
-        sops = [SumOfProducts.clause(c) for c in clauses]
-        left = sops[0]
-        for s in sops[1:]:
-            left = left.and_with(s)
-        right = sops[-1]
-        for s in reversed(sops[:-1]):
-            right = right.and_with(s)
-        assert left.terms == right.terms
+    @given(clause_families, st.data())
+    def test_and_commutative(self, clauses, data):
+        """The product of sums does not depend on its clause order."""
+        shuffled = data.draw(st.permutations(clauses))
+        assert (
+            expand_product_of_sums(shuffled).terms
+            == expand_product_of_sums(reversed(clauses)).terms
+            == expand_product_of_sums(clauses).terms
+        )
 
     @given(literal_sets)
     def test_absorption_idempotent(self, literals):
@@ -196,27 +193,6 @@ class TestBooleanProperties:
             [single_literal_terms(c) for c in clauses]
         )
         assert expand_product_of_sums(clauses).terms == expected
-
-    @given(
-        st.lists(
-            st.tuples(wide_literal_sets, st.integers(1, 3)),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_and_with_matches_reference(self, requirements):
-        """n-detect factors: every way to pick ``need`` of a clause."""
-        factors = [
-            [
-                ProductTerm(frozenset(pick))
-                for pick in combinations(sorted(clause), min(need, len(clause)))
-            ]
-            for clause, need in requirements
-        ]
-        product = SumOfProducts.one()
-        for factor in factors:
-            product = product.and_with(SumOfProducts(frozenset(factor)))
-        assert product.terms == reference_product(factors)
 
     @given(
         st.lists(wide_literal_sets, min_size=1, max_size=8),

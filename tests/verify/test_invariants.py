@@ -10,6 +10,7 @@ from repro.verify import run_invariants
 from repro.verify.generators import catalog_cases
 from repro.verify.invariants import (
     check_epsilon_monotonicity,
+    check_exact_covers,
     check_functional_configuration,
     check_grid_refinement,
     check_impedance_scaling,
@@ -120,6 +121,29 @@ class TestInvariantsFire:
             "invariant-trajectory-matcher"
         }
 
+    def test_exact_cover_catches_a_larger_cover(
+        self, small_case, small_dataset, monkeypatch
+    ):
+        """A valid cover one configuration above the MILP optimum is
+        reported, naming the case and n."""
+        import repro.core.covering as covering
+
+        real = covering.branch_and_bound_cover
+
+        def larger(problem):
+            cover = real(problem)
+            if problem.n_detect != 1:
+                return cover
+            return cover | {min(set(problem.all_configs) - cover)}
+
+        monkeypatch.setattr(covering, "branch_and_bound_cover", larger)
+        mismatches = check_exact_covers(small_case, small_dataset)
+        assert [(m.check, m.circuit, m.config) for m in mismatches] == [
+            ("invariant-exact-cover", small_case.name, "n=1")
+        ]
+        assert mismatches[0].error == 1.0
+        assert "MILP optimum" in mismatches[0].detail
+
 
 class TestNdetectInvariants:
     def test_reduction_holds(self, small_case, small_dataset):
@@ -133,12 +157,15 @@ class TestNdetectInvariants:
         assert check_ndetect_supersets(small_case, small_dataset) == []
 
     def test_counted_in_run_invariants(self, small_case, small_dataset):
-        """The two n-detect invariants participate in the check count."""
+        """The exact-cover and the two n-detect invariants participate
+        in the check count."""
         from repro.verify.invariants import run_invariants
 
         _, n_checks, _ = run_invariants(small_case, small_dataset)
         base = (
-            2 + 3 + 2 + 2 + 2
+            2 + 3 + 2 + 2
+            + 1  # exact covers == MILP optimum
+            + 2  # n-detect: n=1 reduction + superset ladder
             + 2  # tolerance == per-sample oracle
             + 1  # trajectory == fault simulator
             + 1  # trajectory matcher == reference_match
@@ -155,23 +182,20 @@ class TestNdetectInvariants:
         from repro.verify import OracleReport, Skipped, invariants
         from repro.verify.oracle import CaseOutcome
 
-        monkeypatch.setattr(invariants, "NDETECT_PETRICK_TERMS", 1)
-        skipped = invariants.check_ndetect_reduction(
-            small_case, small_dataset
-        ) + invariants.check_ndetect_supersets(small_case, small_dataset)
-        assert [s.check for s in skipped] == [
-            "invariant-ndetect-reduction",
-            "invariant-ndetect-superset",
+        monkeypatch.setattr(invariants, "PETRICK_TERMS", 1)
+        skipped = invariants.check_exact_covers(small_case, small_dataset)
+        assert [(s.check, s.config) for s in skipped] == [
+            ("invariant-exact-cover", "n=1"),
         ]
         assert all(isinstance(s, Skipped) for s in skipped)
         report = OracleReport(
             outcomes=[
                 CaseOutcome(
-                    case=small_case, n_checks=2, mismatches=[],
+                    case=small_case, n_checks=1, mismatches=[],
                     skipped=skipped,
                 )
             ]
         )
         assert report.passed
-        assert report.to_dict()["n_skipped"] == 2
-        assert "2 skipped" in report.summary()
+        assert report.to_dict()["n_skipped"] == 1
+        assert "1 skipped" in report.summary()
